@@ -1,24 +1,24 @@
-"""Hot numeric loops, JIT-compiled when possible, with numpy fallbacks.
+"""Hot numeric loops of the Monte Carlo layer, in plain numpy.
 
-Two kernels matter for large Monte Carlo draws: the empirical
-characteristic-function sums (n draws times k characters) and the Kuiper
-two-sample merge scan.  Both exist in a compiled flavor and a pure-numpy
-flavor with identical results; set ``SOLADIC_DISABLE_JIT=1`` to force the
-numpy path (it is also chosen automatically when the compiler is missing).
+Two kernels matter for large draws: the empirical characteristic-function
+sums (n draws times k characters) and the Kuiper two-sample merge scan.
+Each has one implementation, so a fixed seed gives the same bytes wherever
+the same numpy runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 
 
-def _numpy_cf_sums(coords: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+def cf_sums(coords: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     """Mean of exp(2 pi i m t) over coords, for each integer multiplier m."""
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
+    multipliers = np.ascontiguousarray(multipliers, dtype=np.float64)
     n = coords.shape[0]
     out = np.empty(multipliers.shape[0], dtype=np.complex128)
     chunk = 1 << 16
@@ -32,97 +32,13 @@ def _numpy_cf_sums(coords: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _numpy_kuiper_deltas(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """(D+, D-) between the empirical cdfs of two sorted samples."""
+def kuiper_deltas(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(D+, D-) between the empirical cdfs of two unsorted samples."""
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
     pool = np.concatenate([a, b])
     pool.sort(kind="mergesort")
     fa = np.searchsorted(a, pool, side="right") / a.shape[0]
     fb = np.searchsorted(b, pool, side="right") / b.shape[0]
     diff = fa - fb
     return float(max(diff.max(), 0.0)), float(max(-diff.min(), 0.0))
-
-
-_jit_cf_sums = None
-_jit_kuiper_deltas = None
-_flag = os.environ.get("SOLADIC_DISABLE_JIT", "").strip().lower()
-_want_jit = _flag in ("", "0", "false", "no")
-
-if _want_jit:
-    try:
-        import numba
-
-        @numba.njit(cache=False)
-        def _jit_cf_sums(coords, multipliers):  # pragma: no cover - exercised via dispatch
-            n = coords.shape[0]
-            k = multipliers.shape[0]
-            out = np.empty(k, dtype=np.complex128)
-            for j in range(k):
-                m = multipliers[j]
-                re = 0.0
-                im = 0.0
-                for i in range(n):
-                    ang = coords[i] * m
-                    ang = _TWO_PI * (ang - math.floor(ang))
-                    re += math.cos(ang)
-                    im += math.sin(ang)
-                out[j] = complex(re / n, im / n)
-            return out
-
-        @numba.njit(cache=False)
-        def _jit_kuiper_deltas(a, b):  # pragma: no cover - exercised via dispatch
-            na = a.shape[0]
-            nb = b.shape[0]
-            i = 0
-            j = 0
-            dplus = 0.0
-            dminus = 0.0
-            while i < na or j < nb:
-                if j >= nb or (i < na and a[i] <= b[j]):
-                    x = a[i]
-                else:
-                    x = b[j]
-                while i < na and a[i] <= x:
-                    i += 1
-                while j < nb and b[j] <= x:
-                    j += 1
-                d = i / na - j / nb
-                if d > dplus:
-                    dplus = d
-                if -d > dminus:
-                    dminus = -d
-            return dplus, dminus
-
-    except ImportError:  # pragma: no cover - depends on environment
-        _jit_cf_sums = None
-        _jit_kuiper_deltas = None
-
-ACTIVE_PATH = "jit" if _jit_cf_sums is not None else "numpy"
-
-
-def cf_sums(coords: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    multipliers = np.ascontiguousarray(multipliers, dtype=np.float64)
-    if _jit_cf_sums is not None:
-        return _jit_cf_sums(coords, multipliers)
-    return _numpy_cf_sums(coords, multipliers)
-
-
-def kuiper_deltas(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """(D+, D-) for two unsorted samples."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if _jit_kuiper_deltas is not None:
-        d1, d2 = _jit_kuiper_deltas(a, b)
-        return float(d1), float(d2)
-    return _numpy_kuiper_deltas(a, b)
-
-
-def implementations() -> dict:
-    """Both kernel flavors, keyed by path name; used by the benchmark."""
-    table = {"numpy": (_numpy_cf_sums, lambda a, b: _numpy_kuiper_deltas(np.sort(a), np.sort(b)))}
-    if _jit_cf_sums is not None:
-        table["jit"] = (
-            _jit_cf_sums,
-            lambda a, b: _jit_kuiper_deltas(np.sort(a), np.sort(b)),
-        )
-    return table

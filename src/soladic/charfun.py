@@ -99,7 +99,7 @@ class Stratum:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _, _ in self.bounds)
 
-    def contains(self, spec: SteinitzSpec, y: Rational) -> bool:
+    def contains(self, y: Rational) -> bool:
         y = Fraction(y)
         if self.only_zero:
             return y == 0
@@ -387,14 +387,14 @@ class StratifiedCF:
         if not in_dual_group(self.spec, y):
             raise CharacterOutsideGroup(f"{y} is not a character of this solenoid")
         for stratum, terms in self.pieces:
-            if stratum.contains(self.spec, y):
+            if stratum.contains(y):
                 return _terms_value(terms, y)
         return 0j
 
     def piece_at(self, y: Rational) -> tuple[Term, ...]:
         y = Fraction(y)
         for stratum, terms in self.pieces:
-            if stratum.contains(self.spec, y):
+            if stratum.contains(y):
                 return terms
         return ()
 
@@ -520,22 +520,30 @@ def mixture(weights: Sequence[Rational], parts: Sequence[StratifiedCF]) -> Strat
     return build_cf(spec, acc)
 
 
-def _overlay(a, b):
-    """Pointwise sum of two piece lists as a common refinement."""
-    out = []
-    a_strata = [s for s, _ in a]
+def _refine(a, b):
+    """Common refinement of two piece lists, as (cell, terms_a, terms_b).
+
+    A side with no piece over the cell contributes ().  Cells come out in a
+    fixed order, a's pieces cut by b's and then what b covers outside a,
+    because ``compare`` reports the first probe that differs.
+    """
     b_strata = [s for s, _ in b]
     for sa, ta in a:
         for sb, tb in b:
             inter = sa.intersect(sb)
             if inter is not None:
-                out.append((inter, ta + tb))
+                yield inter, ta, tb
         for rest in _subtract_many(sa, b_strata):
-            out.append((rest, ta))
+            yield rest, ta, ()
+    a_strata = [s for s, _ in a]
     for sb, tb in b:
         for rest in _subtract_many(sb, a_strata):
-            out.append((rest, tb))
-    return out
+            yield rest, (), tb
+
+
+def _overlay(a, b):
+    """Pointwise sum of two piece lists as a common refinement."""
+    return [(cell, ta + tb) for cell, ta, tb in _refine(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -566,22 +574,8 @@ def compare(f: StratifiedCF, g: StratifiedCF, probe_budget: int = 48) -> Compari
     if f.spec != g.spec:
         raise SpecMismatch("cannot compare functions over different solenoids")
     spec = f.spec
-    cells = []
-    g_strata = [s for s, _ in g.pieces]
-    f_strata = [s for s, _ in f.pieces]
-    for sa, ta in f.pieces:
-        for sb, tb in g.pieces:
-            inter = sa.intersect(sb)
-            if inter is not None:
-                cells.append((inter, ta, tb))
-        for rest in _subtract_many(sa, g_strata):
-            cells.append((rest, ta, ()))
-    for sb, tb in g.pieces:
-        for rest in _subtract_many(sb, f_strata):
-            cells.append((rest, (), tb))
-
     unknown_notes = []
-    for cell, ta, tb in cells:
+    for cell, ta, tb in _refine(f.pieces, g.pieces):
         if not cell.feasible(spec):
             continue  # at most the zero character, where both sides are 1
         if _canonical_terms(spec, cell, ta) == _canonical_terms(spec, cell, tb):
@@ -666,7 +660,7 @@ def support_as_subgroup(f: StratifiedCF, probe_budget: int = 24) -> SupportCheck
     samples: list[Fraction] = []
     for s in boxes:
         samples.extend(s.members(spec, probe_budget))
-    in_support = lambda y: any(s.contains(spec, y) for s in boxes)
+    in_support = lambda y: any(s.contains(y) for s in boxes)
     for y1, y2 in itertools.combinations_with_replacement(samples, 2):
         if y1 + y2 != 0 and not in_support(y1 + y2):
             return SupportCheck("not_subgroup", None, (y1, y2))

@@ -25,13 +25,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .charfun import StratifiedCF
 from .errors import ConfigError, PreconditionViolated, SoladicError, SoundnessError
-from .sampler import SamplerSpec, linear_form, monte_carlo_equidist, required_depth, sample
+from .sampler import SamplerSpec, monte_carlo_equidist
 from .scenarios import ScenarioVerdict, blurred_counterexample, classify_and_conclude, two_prime_counterexample
 from .serialize import (
+    _require_keys,
     batch_to_csv,
     cf_from_json,
     cf_to_json,
@@ -67,15 +66,6 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _check_keys(doc: dict, required: set, optional: set, where: str = "config") -> None:
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"{where} is missing keys {sorted(missing)}")
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
-
-
 def _int_field(doc: dict, key: str, where: str = "config") -> int:
     v = doc[key]
     if not isinstance(v, int) or isinstance(v, bool):
@@ -103,7 +93,7 @@ def _simulation_block(doc: dict) -> dict:
     sim = doc.get("simulation", {})
     if not isinstance(sim, dict):
         raise ConfigError("config.simulation must be an object")
-    _check_keys(sim, set(), {"n", "depth", "charset", "seed", "alpha"}, "config.simulation")
+    _require_keys(sim, set(), {"n", "depth", "charset", "seed", "alpha"}, "config.simulation")
     return sim
 
 
@@ -188,7 +178,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 def cmd_classify(args) -> int:
     doc = _load_config(args.config)
-    _check_keys(doc, {"solenoid"}, set())
+    _require_keys(doc, {"solenoid"}, set(), "config")
     spec = spec_from_json(doc["solenoid"])
     klass = classify_solenoid(spec)
     _emit(
@@ -206,7 +196,7 @@ def cmd_classify(args) -> int:
 
 def cmd_check(args) -> int:
     doc = _load_config(args.config)
-    _check_keys(doc, {"solenoid", "coefficients", "distribution"}, set())
+    _require_keys(doc, {"solenoid", "coefficients", "distribution"}, set(), "config")
     spec = spec_from_json(doc["solenoid"])
     coeffs = _coefficients(doc)
     dist = _distribution(spec, doc)
@@ -221,7 +211,7 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
-    _check_keys(doc, {"solenoid", "coefficients", "distribution"}, {"simulation"})
+    _require_keys(doc, {"solenoid", "coefficients", "distribution"}, {"simulation"}, "config")
     spec = spec_from_json(doc["solenoid"])
     coeffs = _coefficients(doc)
     dist = _distribution(spec, doc)
@@ -249,18 +239,13 @@ def cmd_simulate(args) -> int:
 
     report = monte_carlo_equidist(dist, coeffs, n=n, depth=depth, charset=charset, seed=seed, alpha=float(alpha))
 
-    # Regenerate the exact batches behind the report and drop them beside the
-    # config, so the CSVs correspond to the printed statistics draw for draw.
-    children = np.random.SeedSequence(seed).spawn(len(coeffs) + 1)
-    reference = sample(dist, depth, n, children[0])
-    deep = required_depth(spec, coeffs, depth)
-    parts = [sample(dist, deep, n, child) for child in children[1:]]
-    combined = linear_form(parts, coeffs, depth=depth)
+    # Drop the batches behind the report beside the config, so the CSVs hold
+    # the very draws the printed statistics were computed on.
     base = Path(args.config)
     ref_path = base.with_suffix(".reference.csv")
     comb_path = base.with_suffix(".combined.csv")
-    ref_path.write_text(batch_to_csv(reference))
-    comb_path.write_text(batch_to_csv(combined))
+    ref_path.write_text(batch_to_csv(report.reference))
+    comb_path.write_text(batch_to_csv(report.combined))
 
     out = {
         "command": "simulate",
@@ -274,7 +259,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_solve_coeffs(args) -> int:
     doc = _load_config(args.config)
-    _check_keys(doc, {"p", "l"}, set())
+    _require_keys(doc, {"p", "l"}, set(), "config")
     p = _int_field(doc, "p")
     length = _int_field(doc, "l")
     try:
@@ -296,7 +281,7 @@ def cmd_solve_coeffs(args) -> int:
 
 def cmd_counterexample(args) -> int:
     doc = _load_config(args.config)
-    _check_keys(doc, {"p", "q", "c"}, {"sigma", "solenoid"})
+    _require_keys(doc, {"p", "q", "c"}, {"sigma", "solenoid"}, "config")
     p = _int_field(doc, "p")
     q = _int_field(doc, "q")
     c = rational_from_json(doc["c"], "config.c")

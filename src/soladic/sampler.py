@@ -466,6 +466,8 @@ class EquidistReport:
     character_rows: tuple[CharacterGap, ...]
     kuiper_rows: tuple[KuiperRow, ...]
     verdict: str  # "consistent" | "inconsistent"
+    reference: SampleBatch = field(repr=False)
+    combined: SampleBatch = field(repr=False)
 
     @property
     def min_adjusted_p(self) -> float:
@@ -505,7 +507,8 @@ def monte_carlo_equidist(
     for equality in law: empirical characteristic-function gaps on the
     character panel (Hoeffding p-values) plus Kuiper two-sample tests at
     every depth down the tower.  The verdict applies a Bonferroni correction
-    across all tests at the given level.
+    across all tests at the given level.  The report keeps the reference and
+    combined batches that were tested.
     """
     coeffs = [Fraction(c) for c in coeffs]
     if not coeffs:
@@ -549,4 +552,6 @@ def monte_carlo_equidist(
         tuple(char_rows),
         tuple(kuiper_rows),
         verdict,
+        reference,
+        combined,
     )

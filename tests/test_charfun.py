@@ -47,7 +47,7 @@ def oracle_value(pieces, spec, y):
     """Direct float evaluation of a piece list, bypassing StratifiedCF."""
     y = F(y)
     for stratum, terms in pieces:
-        if stratum.contains(spec, y):
+        if stratum.contains(y):
             total = 0j
             for t in terms:
                 mag = float(t.weight) * math.exp(-float(t.decay) * float(y) ** 2)
@@ -73,27 +73,27 @@ def char_panel(spec):
 class TestStratum:
     def test_whole_contains_everything(self):
         s = Stratum.whole()
-        assert s.contains(DYADIC, F(5, 8))
-        assert s.contains(DYADIC, F(0))
+        assert s.contains(F(5, 8))
+        assert s.contains(F(0))
         assert s.contains_zero()
 
     def test_window_membership(self):
         s = Stratum.of({2: (0, POS_INF)})
-        assert s.contains(DYADIC, F(3))
-        assert s.contains(DYADIC, F(0))
-        assert not s.contains(DYADIC, F(1, 2))
+        assert s.contains(F(3))
+        assert s.contains(F(0))
+        assert not s.contains(F(1, 2))
         single = Stratum.of({2: (-1, -1)})
-        assert single.contains(DYADIC, F(1, 2))
-        assert not single.contains(DYADIC, F(1, 4))
-        assert not single.contains(DYADIC, F(0))
+        assert single.contains(F(1, 2))
+        assert not single.contains(F(1, 4))
+        assert not single.contains(F(0))
 
     def test_zero_flags(self):
         z = Stratum.zero_only()
-        assert z.contains(DYADIC, F(0))
-        assert not z.contains(DYADIC, F(1))
+        assert z.contains(F(0))
+        assert not z.contains(F(1))
         punctured = Stratum((), minus_zero=True)
-        assert not punctured.contains(DYADIC, F(0))
-        assert punctured.contains(DYADIC, F(7, 4))
+        assert not punctured.contains(F(0))
+        assert punctured.contains(F(7, 4))
 
     def test_minus_zero_normalizes_away_on_bounded_windows(self):
         s = Stratum.of({2: (0, 3)}, minus_zero=True)
@@ -124,7 +124,7 @@ class TestStratum:
         assert ms
         for y in ms:
             assert y != 0
-            assert s.contains(TWO_THREE, y)
+            assert s.contains(y)
 
     def test_members_of_infeasible_stratum_empty(self):
         assert Stratum.of({3: (-1, -1)}).members(DYADIC) == []
@@ -134,9 +134,9 @@ class TestSubtraction:
     def check_partition(self, spec, box, cutter, pieces, samples):
         inter = box.intersect(cutter)
         for y in samples:
-            in_box = box.contains(spec, y)
-            in_cut = cutter.contains(spec, y)
-            hits = [p for p in pieces if p.contains(spec, y)]
+            in_box = box.contains(y)
+            in_cut = cutter.contains(y)
+            hits = [p for p in pieces if p.contains(y)]
             assert len(hits) == (1 if in_box and not in_cut else 0), (y, hits)
 
     def test_one_axis(self):

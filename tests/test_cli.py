@@ -1,10 +1,14 @@
 """End-to-end command tests: config in, report + exit code out."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from soladic.cli import main
+from soladic.sampler import SampleBatch, empirical_cf
+from soladic.serialize import rational_from_json, spec_from_json
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -139,6 +143,39 @@ class TestSimulate:
             lines = text.splitlines()
             assert lines[0] == "depth,coord"
             assert len(lines) == 3001
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {
+                "solenoid": {"2": "inf", "3": "inf"},
+                "coefficients": ["2/3", "2/3", "1/3"],
+                "distribution": {"law": {"kind": "mixture", "weights": ["1/2", "1/2"], "parts": [
+                    {"kind": "haar", "subgroup": {"2": -1}},
+                    {"kind": "haar", "subgroup": {"2": 0}},
+                ]}},
+                "simulation": {"n": 2000, "depth": 3, "seed": 2},
+            },
+        ],
+        ids=["continuous", "lattice"],
+    )
+    def test_artifacts_are_the_reported_draws(self, tmp_path, capsys, overrides):
+        doc_in = dict(self.CONFIG, **overrides)
+        path = write_config(tmp_path, doc_in)
+        _, out, _ = run_cli(capsys, "simulate", path)
+        doc = json.loads(out)
+        spec = spec_from_json(doc_in["solenoid"])
+        chars = [rational_from_json(row["char"]) for row in doc["character_rows"]]
+        for side in ("reference", "combined"):
+            with open(tmp_path / doc["artifacts"][side], newline="") as f:
+                rows = list(csv.DictReader(f))
+            assert {int(r["depth"]) for r in rows} == {doc["depth"]}
+            coords = np.array([float(r["coord"]) for r in rows])
+            batch = SampleBatch(spec, doc["depth"], coords, "csv")
+            estimates = empirical_cf(batch, chars).estimates
+            for row, est in zip(doc["character_rows"], estimates):
+                assert row[side] == {"re": est.real, "im": est.imag}
 
     def test_report_is_byte_stable(self, tmp_path, capsys):
         path = write_config(tmp_path, self.CONFIG)

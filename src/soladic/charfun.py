@@ -20,6 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +37,7 @@ from .steinitz import (
     Rational,
     SteinitzSpec,
     classify_solenoid,
+    coefficient_counts,
     in_dual_group,
     is_automorphism,
     valuation,
@@ -386,10 +389,7 @@ class StratifiedCF:
         y = Fraction(y)
         if not in_dual_group(self.spec, y):
             raise CharacterOutsideGroup(f"{y} is not a character of this solenoid")
-        for stratum, terms in self.pieces:
-            if stratum.contains(y):
-                return _terms_value(terms, y)
-        return 0j
+        return _terms_value(self.piece_at(y), y)
 
     def piece_at(self, y: Rational) -> tuple[Term, ...]:
         y = Fraction(y)
@@ -415,6 +415,15 @@ class StratifiedCF:
                     ]
                     pieces.append((s, prods))
         return build_cf(self.spec, pieces)
+
+    def __pow__(self, k: int) -> "StratifiedCF":
+        """The k-fold product f * ... * f (k >= 1), by repeated squaring."""
+        if not isinstance(k, int) or k < 1:
+            raise ValueError("exponent must be a positive integer")
+        if k == 1:
+            return self
+        half = (self * self) ** (k // 2)
+        return half * self if k % 2 else half
 
     def conjugate(self) -> "StratifiedCF":
         pieces = [
@@ -445,9 +454,6 @@ class StratifiedCF:
                 (moved, [Term(t.weight, t.decay * alpha**2, t.shift * alpha) for t in terms])
             )
         return build_cf(self.spec, pieces)
-
-    def support(self) -> list[Stratum]:
-        return [s for s, terms in self.pieces if terms]
 
 
 def build_cf(spec: SteinitzSpec, pieces: Iterable[tuple[Stratum, Iterable[Term]]]) -> StratifiedCF:
@@ -605,18 +611,18 @@ class EquationCheck:
 
 
 def check_equidistribution(f: StratifiedCF, coeffs: Sequence[Rational]) -> EquationCheck:
-    coeffs = [Fraction(c) for c in coeffs]
-    if not coeffs:
-        raise ValueError("need at least one coefficient")
-    for c in coeffs:
-        if not is_automorphism(f.spec, c):
-            raise ValueError(f"coefficient {c} is not an automorphism of this solenoid")
-    rhs = f.precompose(coeffs[0])
-    for c in coeffs[1:]:
-        rhs = rhs * f.precompose(c)
+    """Exact verdict on f(y) = prod_j f(alpha_j y) for a coefficient system.
+
+    Repeated coefficients are precomposed once: a coefficient alpha with
+    count k contributes f(alpha y)^k, by repeated squaring.  Every
+    coefficient must be an automorphism (``precompose`` raises ValueError).
+    """
+    counts = coefficient_counts(coeffs)
+    rhs = reduce(mul, (f.precompose(a) ** k for a, k in counts))
     cmp = compare(f, rhs)
     verdict = {"equal": "holds", "differs": "fails", "unknown": "unknown"}[cmp.verdict]
-    return EquationCheck(verdict, cmp.witness, len(coeffs) == 1, cmp.note)
+    degenerate = sum(k for _, k in counts) == 1
+    return EquationCheck(verdict, cmp.witness, degenerate, cmp.note)
 
 
 # ---------------------------------------------------------------------------

@@ -98,17 +98,21 @@ def _simulation_block(doc: dict) -> dict:
 
 
 def _resolve_seed(args, sim: dict) -> int:
-    if args.seed is not None:
-        return args.seed
     env = os.environ.get("SOLADIC_SEED")
-    if env is not None:
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    elif env is not None:
         try:
-            return int(env)
+            seed, source = int(env), "SOLADIC_SEED"
         except ValueError:
             raise ConfigError(f"SOLADIC_SEED must be an integer, got {env!r}") from None
-    if "seed" in sim:
-        return _int_field(sim, "seed", "config.simulation")
-    return 0
+    elif "seed" in sim:
+        seed, source = _int_field(sim, "seed", "config.simulation"), "config.simulation.seed"
+    else:
+        return 0
+    if seed < 0:
+        raise ConfigError(f"{source} must be a nonnegative integer, got seed {seed}")
+    return seed
 
 
 def _maybe_rational(x) -> "str | None":

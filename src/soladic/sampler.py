@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     DepthUnavailable,
     SpecMismatch,
 )
-from .steinitz import Rational, SteinitzSpec, in_dual_group, is_automorphism
+from .steinitz import Rational, SteinitzSpec, coefficient_counts, in_dual_group, is_automorphism
 from .tower import SolenoidPoint
 
 BIT_GENERATOR = "PCG64"
@@ -304,30 +304,42 @@ def required_depth(spec: SteinitzSpec, coeffs: Sequence[Rational], depth: int) -
     return m
 
 
-def linear_form(batches: Sequence[SampleBatch], coeffs: Sequence[Rational], depth: int | None = None) -> SampleBatch:
+def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], depth: int | None = None) -> SampleBatch:
     """Per-draw sum of coefficient-scaled batches, reported at a sound depth.
 
+    ``batches`` may be any iterable with one batch per coefficient, such as
+    a generator that draws them on demand; one batch is held at a time.
     All batches must share spec, depth and size.  The result's depth is the
     deepest level at which the truncated coordinate arithmetic agrees with
     the true law of the linear form; pass `depth` to pick a shallower one.
     """
-    if not batches:
-        raise ValueError("need at least one batch")
-    if len(batches) != len(coeffs):
-        raise ValueError("need one coefficient per batch")
-    spec = batches[0].spec
-    m_depth = batches[0].depth
-    n = batches[0].n
-    for b in batches:
-        if b.spec != spec:
-            raise SpecMismatch("batches live over different solenoids")
-        if b.depth != m_depth or b.n != n:
-            raise ValueError("batches must share depth and size")
     coeffs = [Fraction(c) for c in coeffs]
+    # A plain iterator, not zip(): zip's recycled result tuple would keep the
+    # previous batch alive while the next one is drawn.
+    batches = iter(batches)
+    total = None
     for c in coeffs:
+        b = next(batches, None)
+        if b is None:
+            raise ValueError("need one batch per coefficient")
+        if total is None:
+            spec, m_depth, n, record = b.spec, b.depth, b.n, b.seed_record
+            total = np.zeros(n)
+        elif b.spec != spec:
+            raise SpecMismatch("batches live over different solenoids")
+        elif b.depth != m_depth or b.n != n:
+            raise ValueError("batches must share depth and size")
+        total += b.coords * float(c)
+        del b
+    if next(batches, None) is not None:
+        raise ValueError("need one coefficient per batch")
+    if total is None:
+        raise ValueError("need at least one batch")
+    counts = coefficient_counts(coeffs)
+    for c, _ in counts:
         if not is_automorphism(spec, c):
             raise ValueError(f"coefficient {c} is not an automorphism of this solenoid")
-    need = math.lcm(*(c.denominator for c in coeffs))
+    need = math.lcm(*(c.denominator for c, _ in counts))
     if depth is None:
         depth = next(
             (d for d in range(m_depth, -1, -1) if (spec.level(m_depth) // spec.level(d)) % need == 0),
@@ -337,15 +349,11 @@ def linear_form(batches: Sequence[SampleBatch], coeffs: Sequence[Rational], dept
             raise DepthInsufficient(
                 f"no depth at or below {m_depth} absorbs coefficient denominators {need}"
             )
-    else:
-        if depth > m_depth or (spec.level(m_depth) // spec.level(depth)) % need:
-            raise DepthInsufficient(
-                f"batches at depth {m_depth} are too shallow for an exact depth-{depth} linear form"
-            )
-    total = np.zeros(n)
-    for b, c in zip(batches, coeffs):
-        total += b.coords * float(c)
-    combined = SampleBatch(spec, m_depth, np.mod(total, 1.0), batches[0].seed_record)
+    elif depth > m_depth or (spec.level(m_depth) // spec.level(depth)) % need:
+        raise DepthInsufficient(
+            f"batches at depth {m_depth} are too shallow for an exact depth-{depth} linear form"
+        )
+    combined = SampleBatch(spec, m_depth, np.mod(total, 1.0), record)
     return combined.project(depth)
 
 
@@ -358,9 +366,6 @@ class EmpiricalCF:
     chars: tuple[Fraction, ...]
     estimates: np.ndarray
     radius: float  # 3/sqrt(n) confidence disk around each estimate
-
-    def gap_to(self, cf: StratifiedCF) -> float:
-        return max(abs(est - cf(y)) for y, est in zip(self.chars, self.estimates))
 
 
 def empirical_cf(batch: SampleBatch, ys: Sequence[Rational]) -> EmpiricalCF:
@@ -511,16 +516,15 @@ def monte_carlo_equidist(
     combined batches that were tested.
     """
     coeffs = [Fraction(c) for c in coeffs]
-    if not coeffs:
-        raise ValueError("need at least one coefficient")
     spec = law.ambient
-    for c in coeffs:
+    for c, _ in coefficient_counts(coeffs):
         if not is_automorphism(spec, c):
             raise ValueError(f"coefficient {c} is not an automorphism of this solenoid")
     deep = required_depth(spec, coeffs, depth)
     children = np.random.SeedSequence(seed).spawn(len(coeffs) + 1)
     reference = sample(law, depth, n, children[0])
-    parts = [sample(law, deep, n, child) for child in children[1:]]
+    # one independent draw per copy, drawn and summed one at a time
+    parts = (sample(law, deep, n, child) for child in children[1:])
     combined = linear_form(parts, coeffs, depth=depth)
 
     chars = tuple(Fraction(y) for y in charset) if charset is not None else default_charset(spec, depth)

@@ -56,6 +56,7 @@ from .steinitz import (
     SolenoidClass,
     SteinitzSpec,
     classify_solenoid,
+    coefficient_counts,
     is_automorphism,
     sum_of_squares_is_one,
     two_prime_coefficients,
@@ -152,16 +153,16 @@ def _pointwise(f: StratifiedCF, y: Fraction) -> tuple[Fraction, Fraction] | None
 
 
 def _rhs_pointwise(
-    f: StratifiedCF, coeffs: Sequence[Fraction], y: Fraction
+    f: StratifiedCF, counts: Sequence[tuple[Fraction, int]], y: Fraction
 ) -> tuple[Fraction, Fraction] | None:
-    """Exact (weight, decay) pair of prod_j f(alpha_j y), None when it vanishes."""
+    """Exact (weight, decay) pair of prod f(alpha y)^count, None when it vanishes."""
     weight, decay = Fraction(1), Fraction(0)
-    for a in coeffs:
+    for a, k in counts:
         got = _pointwise(f, a * y)
         if got is None:
             return None
-        weight *= got[0]
-        decay += got[1] * a * a
+        weight *= got[0] ** k
+        decay += got[1] * a * a * k
     return weight, decay
 
 
@@ -170,7 +171,6 @@ def _three_case_check(
     coeffs: Sequence[Fraction],
     p: int,
     q: int,
-    order: int,
     c: Fraction,
     sigma: Fraction,
 ) -> None:
@@ -179,9 +179,10 @@ def _three_case_check(
     Both equation sides must equal the full weight on the invariant subgroup
     (v_p >= 0), the mixing weight on the intermediate coset (v_p = -1), and
     vanish outside (v_p <= -2).  Probes cover unit, q-power and q^-order
-    denominators in every shell.
+    denominators in every shell; q^order is the system's common denominator.
     """
-    qa = q**order
+    counts = coefficient_counts(coeffs)
+    qa = math.lcm(*(a.denominator for a, _ in counts))
     cases = [
         ("invariant subgroup", (Fraction(1), sigma),
          [Fraction(1), Fraction(q), Fraction(1, qa), Fraction(p)]),
@@ -193,7 +194,7 @@ def _three_case_check(
     for label, expected, probes in cases:
         for y in probes:
             lhs = _pointwise(f, y)
-            rhs = _rhs_pointwise(f, coeffs, y)
+            rhs = _rhs_pointwise(f, counts, y)
             if lhs != expected or rhs != expected:
                 raise SoundnessError(
                     f"three-case re-derivation broke on the {label} at {y}: "
@@ -385,7 +386,7 @@ def two_prime_counterexample(
         system = two_prime_coefficients(p, q)
     except ValueError as err:
         raise PreconditionViolated(str(err)) from None
-    coeffs = tuple(Fraction(x) for x in system.coefficients)
+    coeffs = system.coefficients
 
     outer = SubgroupSpec.of(spec, {p: -1})
     inner = SubgroupSpec.of(spec, {p: 0})
@@ -410,7 +411,7 @@ def two_prime_counterexample(
             f"the counterexample equation must hold, got {eq.verdict} "
             f"(witness {eq.witness})"
         )
-    _three_case_check(piecewise, coeffs, p, q, system.order, c, Fraction(0))
+    _three_case_check(piecewise, coeffs, p, q, c, Fraction(0))
 
     dec = decompose_gaussian_haar(piecewise)
     if dec.kind != "not_of_form":
@@ -495,10 +496,9 @@ def blurred_counterexample(
     base = two_prime_counterexample(spec, p, q, c)
     c = base.mixing_weight
     coeffs = base.coefficients
-    system_order = two_prime_coefficients(p, q).order
 
     blurred = gaussian_cf(spec, sigma) * base.cf
-    _three_case_check(blurred, coeffs, p, q, system_order, c, sigma)
+    _three_case_check(blurred, coeffs, p, q, c, sigma)
     eq = check_equidistribution(blurred, coeffs)
     if eq.verdict != "holds":
         raise SoundnessError(
@@ -602,9 +602,8 @@ def classify_and_conclude(
     if not coeffs:
         raise PreconditionViolated("need at least one coefficient")
     klass = classify_solenoid(spec)
-    valid = all(x != 0 and is_automorphism(spec, x) for x in coeffs)
+    valid = all(is_automorphism(spec, x) for x, _ in coefficient_counts(coeffs))
     unit_square = sum_of_squares_is_one(coeffs)
-    degenerate = len(coeffs) == 1
 
     eq = check_equidistribution(f, coeffs) if valid else None
     dec = decompose_gaussian_haar(f)
@@ -634,13 +633,13 @@ def classify_and_conclude(
 
     sentences = [_class_sentence(klass)]
     if not valid:
-        bad = [str(x) for x in coeffs if x == 0 or not is_automorphism(spec, x)]
+        bad = [str(x) for x in coeffs if not is_automorphism(spec, x)]
         sentences.append(
             f"coefficients {', '.join(bad)} are not automorphisms of this "
             f"solenoid, so no equation was checked"
         )
     else:
-        if degenerate:
+        if eq.degenerate:
             sentences.append(
                 "a single-coefficient system is degenerate: the equation only "
                 "restates invariance under one automorphism"

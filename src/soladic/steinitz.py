@@ -12,6 +12,7 @@ this module is exact (ints and Fractions throughout).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,9 @@ from .errors import DepthUnavailable, TermBudgetExceeded
 INFINITE = math.inf
 
 Rational = Fraction
+
+#: cap on the number of coefficients a two-prime system may expand to
+MAX_COEFFICIENTS = 10**6
 
 
 def _is_prime(n: int) -> bool:
@@ -144,20 +148,6 @@ class SteinitzSpec:
         """How often p occurs among the first n terms."""
         return sum(1 for a in self.tower_prefix(n) if a == p)
 
-    def depth_with_denominator(self, d: int) -> int:
-        """Smallest depth whose level the positive integer d divides.
-
-        Raises DepthUnavailable when no level works (prime outside the table
-        or multiplicity exhausted).
-        """
-        need = _factor(d)
-        for p, e in need.items():
-            if self.multiplicity(p) < e:
-                raise DepthUnavailable(f"no level is divisible by {d}")
-        n = 0
-        while self.level(n) % d != 0:
-            n += 1
-        return n
 
 
 @lru_cache(maxsize=None)
@@ -204,9 +194,18 @@ def is_automorphism(spec: SteinitzSpec, alpha: Rational | int) -> bool:
     return True
 
 
+def coefficient_counts(coeffs: Iterable[Rational]) -> list[tuple[Fraction, int]]:
+    """A coefficient system as a multiset: sorted (coefficient, count) pairs."""
+    # Fractions are counted as given: the two-prime system repeats one object
+    counts = Counter(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+    if not counts:
+        raise ValueError("need at least one coefficient")
+    return sorted(counts.items())
+
+
 def sum_of_squares_is_one(coeffs: Iterable[Rational]) -> bool:
     """Exact check that the squared coefficients sum to one."""
-    return sum(Fraction(c) ** 2 for c in coeffs) == 1
+    return sum(c * c * k for c, k in coefficient_counts(coeffs)) == 1
 
 
 def solve_multiplicities(p: int, length: int) -> list[tuple[int, ...]]:
@@ -263,22 +262,24 @@ class TwoPrimeCoefficients:
     coefficients: tuple[Rational, ...]
 
 
-def two_prime_coefficients(p: int, q: int, max_terms: int = 10**6) -> TwoPrimeCoefficients:
+def two_prime_coefficients(p: int, q: int) -> TwoPrimeCoefficients:
     if not (_is_prime(p) and _is_prime(q)) or p == q:
         raise ValueError("need two distinct primes")
     mod = p * p
-    a, acc = 1, (q * q) % mod
-    while acc != 1:
-        acc = (acc * q * q) % mod
+    # power = q^(2a); the system for order a has (power - 1)/p^2 + 1 entries,
+    # which only grows with a, so the search stops once that passes the cap
+    a, power = 1, q * q
+    while (power - 1) // mod + 1 <= MAX_COEFFICIENTS:
+        if power % mod == 1:
+            b = (power - 1) // mod
+            coeffs = (Fraction(p, q**a),) * b + (Fraction(1, q**a),)
+            assert sum_of_squares_is_one(coeffs)
+            return TwoPrimeCoefficients(p, q, a, b, coeffs)
+        power *= q * q
         a += 1
-    b = (q ** (2 * a) - 1) // mod
-    if b + 1 > max_terms:
-        raise TermBudgetExceeded(
-            f"system for ({p}, {q}) has {b + 1} coefficients, cap is {max_terms}"
-        )
-    coeffs = (Fraction(p, q**a),) * b + (Fraction(1, q**a),)
-    assert sum_of_squares_is_one(coeffs)
-    return TwoPrimeCoefficients(p, q, a, b, coeffs)
+    raise TermBudgetExceeded(
+        f"system for ({p}, {q}) has more than {MAX_COEFFICIENTS} coefficients"
+    )
 
 
 @dataclass(frozen=True)

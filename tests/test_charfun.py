@@ -10,6 +10,8 @@ implementation existed.
 import cmath
 import math
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -37,10 +39,26 @@ from soladic.charfun import (
     support_as_subgroup,
 )
 from soladic.errors import BadWeights, CharacterOutsideGroup, SpecMismatch
+from soladic.steinitz import two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
 TWO_THREE = SteinitzSpec.of({2: math.inf, 3: math.inf})
 CIRCLE = SteinitzSpec.of({})
+
+#: the blurred two-level Haar mixture of the (2, 3) counterexample
+BLURRED_TWO_LEVEL = gaussian_cf(TWO_THREE, F(1, 10)) * mixture(
+    [F(1, 2), F(1, 2)],
+    [haar_cf(SubgroupSpec.of(TWO_THREE, {2: -1})), haar_cf(SubgroupSpec.of(TWO_THREE, {2: 0}))],
+)
+#: a cf with several terms on more than one stratum
+MULTI_TERM = mixture(
+    [F(1, 3), F(1, 3), F(1, 3)],
+    [
+        gaussian_cf(DYADIC, 1, F(1, 4)),
+        gaussian_cf(DYADIC, F(1, 2)),
+        haar_cf(SubgroupSpec.of(DYADIC, {2: 0})),
+    ],
+)
 
 
 def oracle_value(pieces, spec, y):
@@ -295,6 +313,15 @@ class TestConstruction:
 
 
 class TestOperations:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_power_is_the_repeated_product(self, k):
+        assert MULTI_TERM ** k == reduce(mul, [MULTI_TERM] * k)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0])
+    def test_power_needs_a_positive_integer(self, k):
+        with pytest.raises(ValueError):
+            MULTI_TERM ** k
+
     def test_product_of_gaussians_adds_decay(self):
         f = gaussian_cf(DYADIC, 1) * gaussian_cf(DYADIC, 2)
         c = compare(f, gaussian_cf(DYADIC, 3))
@@ -514,6 +541,49 @@ class TestEquidistribution:
         f = gaussian_cf(DYADIC, 1, F(1, 3))
         chk = check_equidistribution(f, [F(1, 2)] * 4)  # sum of alphas is 2
         assert chk.verdict == "fails"
+
+    @pytest.mark.parametrize(
+        "f, coeffs",
+        [
+            (BLURRED_TWO_LEVEL, [F(2, 3), F(2, 3), F(1, 3)]),
+            (BLURRED_TWO_LEVEL, [F(2, 3), F(1, 3)]),
+            (gaussian_cf(DYADIC, F(3, 5), F(9, 8)), [F(1, 4)] * 10 + [F(-1, 4)] * 6),
+            (MULTI_TERM, [F(1, 2), F(-1, 2), F(1, 2), F(1, 2)]),
+        ],
+        ids=["two-level-holds", "two-level-fails", "signed-shifted-gaussian", "multi-term"],
+    )
+    def test_grouped_check_matches_per_copy_product(self, f, coeffs):
+        # reference: one precomposition and one product per copy
+        reference = compare(f, reduce(mul, (f.precompose(c) for c in coeffs)))
+        chk = check_equidistribution(f, coeffs)
+        verdict = {"equal": "holds", "differs": "fails", "unknown": "unknown"}[reference.verdict]
+        assert (chk.verdict, chk.witness, chk.note) == (verdict, reference.witness, reference.note)
+
+    def test_precomposes_once_per_distinct_coefficient(self, monkeypatch):
+        # the (5, 2) system is 41,943 copies of 5/2^10 and one 1/2^10
+        spec = SteinitzSpec.of({2: math.inf, 5: math.inf})
+        f = mixture(
+            [F(1, 2), F(1, 2)],
+            [haar_cf(SubgroupSpec.of(spec, {5: -1})), haar_cf(SubgroupSpec.of(spec, {5: 0}))],
+        )
+        coeffs = two_prime_coefficients(5, 2).coefficients
+        calls = []
+        original = StratifiedCF.precompose
+
+        def counting(self, alpha):
+            calls.append(alpha)
+            return original(self, alpha)
+
+        monkeypatch.setattr(StratifiedCF, "precompose", counting)
+        chk = check_equidistribution(f, coeffs)
+        assert chk.verdict == "holds"
+        assert len(coeffs) == 41_944
+        assert calls == [F(1, 1024), F(5, 1024)]
+
+    def test_repeated_single_coefficient_is_not_degenerate(self):
+        chk = check_equidistribution(haar_cf(SubgroupSpec.whole(DYADIC)), [1, 1])
+        assert chk.verdict == "holds"
+        assert not chk.degenerate
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,26 @@ class TestSimulate:
         _, out, _ = run_cli(capsys, "simulate", path)
         assert json.loads(out)["seed"] == 5
 
+    def test_negative_seed_flag_is_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.CONFIG)
+        code, out, err = run_cli(capsys, "simulate", path, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "--seed" in err and "-1" in err
+
+    def test_negative_seed_env_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, self.CONFIG)
+        monkeypatch.setenv("SOLADIC_SEED", "-5")
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 2 and out == ""
+        assert "SOLADIC_SEED" in err and "-5" in err
+
+    def test_negative_seed_in_config_is_exit_2(self, tmp_path, capsys):
+        cfg = dict(self.CONFIG, simulation={**self.CONFIG["simulation"], "seed": -3})
+        path = write_config(tmp_path, cfg)
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 2 and out == ""
+        assert "config.simulation.seed" in err and "-3" in err
+
     def test_flags_override_config(self, tmp_path, capsys):
         path = write_config(tmp_path, self.CONFIG)
         _, out, _ = run_cli(capsys, "simulate", path, "--n", "1000", "--depth", "1", "--alpha", "0.05")
@@ -276,3 +296,9 @@ class TestCounterexample:
         path = write_config(tmp_path, {"p": 3, "q": 3, "c": "1/2"})
         code, _, _ = run_cli(capsys, "counterexample", path)
         assert code == 2
+
+    def test_oversized_system_is_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"p": 100003, "q": 2, "c": "1/2"})
+        code, out, err = run_cli(capsys, "counterexample", path)
+        assert code == 2 and out == ""
+        assert "TermBudgetExceeded" in err and "more than" in err

@@ -8,6 +8,7 @@ and known-different laws.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -220,6 +221,21 @@ class TestLinearForm:
         with pytest.raises(ValueError):
             linear_form([batch], [F(1, 3)])
 
+    def test_generator_of_batches_matches_list(self):
+        coeffs = [F(1, 2), F(-1, 2), F(1, 2), F(1, 2)]
+        batches = [sample(GaussianLine(DYADIC, 1), 4, 100, seed=s) for s in (1, 2, 3, 4)]
+        listed = linear_form(batches, coeffs)
+        drawn = linear_form((b for b in batches), coeffs)
+        assert drawn.depth == listed.depth == 3
+        assert drawn.seed_record == listed.seed_record
+        assert np.array_equal(drawn.coords, listed.coords)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_generator_length_must_match_coefficients(self, count):
+        batches = (sample(GaussianLine(DYADIC, 1), 4, 100, seed=s) for s in range(count))
+        with pytest.raises(ValueError):
+            linear_form(batches, [F(1, 2)] * 4)
+
 
 class TestKuiper:
     def test_identical_batches(self):
@@ -313,6 +329,22 @@ class TestMonteCarloEquidist:
         chars = default_charset(DYADIC, 3)
         assert all((F(y) * 8).denominator == 1 for y in chars)
         assert F(1, 8) in chars and F(1) in chars
+
+    def test_memory_does_not_grow_with_the_number_of_copies(self):
+        # the part batches are summed as they are drawn, so 64 copies need
+        # about the memory of 4
+        law = GaussianLine(DYADIC, 1)
+
+        def peak(coeffs):
+            tracemalloc.start()
+            try:
+                monte_carlo_equidist(law, coeffs, n=20_000, depth=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monte_carlo_equidist(law, [F(1, 8)] * 64, n=100, depth=2)  # keep first-use imports out
+        assert peak([F(1, 8)] * 64) < 1.5 * peak([F(1, 2)] * 4)
 
     def test_identity_coefficient_consistent(self):
         report = monte_carlo_equidist(

@@ -158,7 +158,7 @@ class TestTwoPrimeCounterexample:
         )
         assert compare(oracle, b.cf).verdict == "equal"
 
-    @pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (2, 5)])
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (2, 5), (3, 5), (5, 2)])
     def test_prime_pairs_build_and_self_check(self, p, q):
         spec = SteinitzSpec.of({p: math.inf, q: math.inf})
         b = two_prime_counterexample(spec, p, q, F(1, 2))

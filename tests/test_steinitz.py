@@ -24,6 +24,7 @@ from soladic.steinitz import (
     in_dual_group,
     is_automorphism,
     solve_multiplicities,
+    coefficient_counts,
     sum_of_squares_is_one,
     two_prime_coefficients,
     valuation,
@@ -269,6 +270,16 @@ def test_automorphisms_closed_under_product_and_inverse(i, j, s):
 # coefficient systems
 
 
+def test_coefficient_counts_group_a_system():
+    assert coefficient_counts([F(2, 3), 1, F(1, 3), F(2, 3), "1/3"]) == [
+        (F(1, 3), 2),
+        (F(2, 3), 2),
+        (F(1), 1),
+    ]
+    with pytest.raises(ValueError):
+        coefficient_counts([])
+
+
 def test_sum_squares_frozen_cases():
     assert sum_of_squares_is_one([F(1, 2)] * 4) is True
     assert sum_of_squares_is_one([F(1)]) is True  # degenerate single-term system
@@ -359,6 +370,9 @@ def test_two_prime_refuses_to_expand_astronomical_systems():
     # order of 3^2 mod 7^2 is 21, so the system has (3^42 - 1)/49 + 1 entries
     with pytest.raises(TermBudgetExceeded):
         two_prime_coefficients(7, 3)
+    # the order of 2^2 mod 100003^2 is huge; the search must stop at the cap
+    with pytest.raises(TermBudgetExceeded, match="more than"):
+        two_prime_coefficients(100003, 2)
 
 
 # ---------------------------------------------------------------------------

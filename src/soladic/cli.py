@@ -308,7 +308,6 @@ def cmd_counterexample(args) -> int:
         "mixing_weight": rational_to_json(bundle.mixing_weight),
         "sigma": rational_to_json(bundle.sigma),
         "solenoid": spec_to_json(spec),
-        "coefficients": [rational_to_json(a) for a in bundle.coefficients],
         "cf": cf_to_json(bundle.cf),
         "law": law_to_json(bundle.sampler),
         **_verdict_to_json(bundle.verdict),

@@ -25,10 +25,9 @@ from .errors import (
     CharacterOutsideGroup,
     CharacterTooDeep,
     DepthInsufficient,
-    DepthUnavailable,
     SpecMismatch,
 )
-from .steinitz import Rational, SteinitzSpec, coefficient_counts, in_dual_group, is_automorphism
+from .steinitz import Rational, SteinitzSpec, _factor, coefficient_counts, in_dual_group, is_automorphism
 from .tower import SolenoidPoint
 
 BIT_GENERATOR = "PCG64"
@@ -291,15 +290,16 @@ def required_depth(spec: SteinitzSpec, coeffs: Sequence[Rational], depth: int) -
     exactly when every coefficient denominator divides A_M / A_depth.
     """
     need = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    for r, e in _factor(need).items():
+        # r^e must fit among the tower's factors of r above level `depth`
+        if depth > spec.max_depth or spec.multiplicity(r) - spec.level_valuation(r, depth) < e:
+            raise DepthInsufficient(
+                f"tower cannot absorb coefficient denominators {need} above depth {depth}"
+            )
     m = depth
     ratio = 1
     while ratio % need:
-        try:
-            ratio *= spec.tower_prefix(m + 1)[m]
-        except DepthUnavailable as exc:
-            raise DepthInsufficient(
-                f"tower cannot absorb coefficient denominators {need} above depth {depth}"
-            ) from exc
+        ratio *= spec.tower_prefix(m + 1)[m]
         m += 1
     return m
 

@@ -26,6 +26,7 @@ from .charfun import (
     POS_INF,
     Decomposition,
     EquationCheck,
+    PositivityReport,
     StratifiedCF,
     Stratum,
     SubgroupSpec,
@@ -36,7 +37,6 @@ from .charfun import (
     decompose_gaussian_haar,
     gaussian_cf,
     haar_cf,
-    mixture,
     positivity_report,
     subgroup_generated_by,
     support_as_subgroup,
@@ -55,6 +55,7 @@ from .steinitz import (
     Rational,
     SolenoidClass,
     SteinitzSpec,
+    TwoPrimeCoefficients,
     classify_solenoid,
     coefficient_counts,
     is_automorphism,
@@ -129,6 +130,42 @@ def _class_sentence(klass: SolenoidClass) -> str:
         listed = ", ".join(str(p) for p in klass.infinite_primes)
         return f"the solenoid has several unbounded primes ({listed})"
     return "the solenoid has no unbounded prime, so its only automorphisms are the sign flips"
+
+
+def _verdict(
+    scenario: str,
+    klass: SolenoidClass,
+    coeffs: tuple[Fraction, ...],
+    eq: EquationCheck | None,
+    dec: Decomposition,
+    sentences: Sequence[str],
+    report: EquidistReport | None = None,
+    valid: bool = True,
+) -> ScenarioVerdict:
+    """A verdict whose conclusion is the class sentence, then `sentences`, then
+    the simulation sentence when there is a report, checked for coherence."""
+    sentences = [_class_sentence(klass), *sentences]
+    if report is not None:
+        sentences.append(
+            f"{_SIM_PHRASE[report.verdict]} at alpha = {report.alpha} with n = {report.n}"
+        )
+    conclusion = "; ".join(sentences) + "."
+    return _assert_coherent(
+        ScenarioVerdict(scenario, klass, coeffs, valid, eq, dec, conclusion, report)
+    )
+
+
+def _simulated(
+    law: SamplerSpec, coeffs: Sequence[Fraction], n: int, depth: int, seed: int, alpha: float
+) -> EquidistReport:
+    """Monte Carlo report of a law whose equation already holds exactly; it must agree."""
+    report = monte_carlo_equidist(law, coeffs, n=n, depth=depth, seed=seed, alpha=alpha)
+    if report.verdict != "consistent":
+        raise SoundnessError(
+            f"exact equation holds but the simulation disagrees "
+            f"(min adjusted p = {report.min_adjusted_p})"
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -300,35 +337,14 @@ def gaussian_haar_scenario(
     report = None
     if simulate:
         law = ConvolutionOf((GaussianLine(spec, sigma, r), HaarAnnihilator(subgroup)))
-        report = monte_carlo_equidist(law, coeffs, n=n, depth=depth, seed=seed, alpha=alpha)
-        if report.verdict != "consistent":
-            raise SoundnessError(
-                f"exact equation holds but the simulation disagrees "
-                f"(min adjusted p = {report.min_adjusted_p})"
-            )
-
+        report = _simulated(law, coeffs, n, depth, seed, alpha)
     sentences = [
-        _class_sentence(klass),
         f"{_EQ_PHRASE[eq.verdict]} for the {len(coeffs)} signed powers of {p}",
         f"the law {_DEC_PHRASE[dec.kind]} "
         f"(sigma = {dec.sigma}, subgroup {dec.subgroup}, shift {dec.shift})",
         f"the subgroup is invariant under division by {p}",
     ]
-    if report is not None:
-        sentences.append(
-            f"{_SIM_PHRASE[report.verdict]} at alpha = {alpha} with n = {n}"
-        )
-    verdict = ScenarioVerdict(
-        scenario="gaussian-haar-invariance",
-        solenoid=klass,
-        coefficients=coeffs,
-        coefficients_valid=True,
-        equation=eq,
-        decomposition=dec,
-        conclusion="; ".join(sentences) + ".",
-        simulation=report,
-    )
-    return _assert_coherent(verdict)
+    return _verdict("gaussian-haar-invariance", klass, coeffs, eq, dec, sentences, report)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +365,23 @@ class CounterexampleBundle:
     sigma: Fraction = Fraction(0)
 
 
-def _two_prime_preconditions(spec: SteinitzSpec, p: int, q: int, c: Rational) -> Fraction:
+def _two_prime(
+    spec: SteinitzSpec, p: int, q: int, c: Rational, sigma: Fraction | None
+) -> tuple[
+    Fraction, TwoPrimeCoefficients, StratifiedCF, SamplerSpec,
+    EquationCheck, Decomposition, PositivityReport,
+]:
+    """Build the two-prime construction and run each of its exact checks once.
+
+    The cf is 1 on v_p >= 0, c on v_p = -1 and 0 elsewhere, each shell
+    carrying the decay exp(-sigma y^2).  sigma None is the sharp haar
+    mixture; a number (zero included) convolves its sampling law with a
+    centred gaussian of that sigma.  Returns (c, system, cf, law, equation,
+    decomposition, positivity), all checked on the cf and law returned.
+    """
+    decay = Fraction(0) if sigma is None else sigma
+    if decay < 0:
+        raise PreconditionViolated("sigma must be nonnegative")
     for prime in (p, q):
         if spec.multiplicity(prime) != math.inf:
             raise PreconditionViolated(
@@ -358,7 +390,53 @@ def _two_prime_preconditions(spec: SteinitzSpec, p: int, q: int, c: Rational) ->
     c = Fraction(c)
     if not 0 < c < 1:
         raise PreconditionViolated("the mixing weight must lie strictly between 0 and 1")
-    return c
+    try:
+        system = two_prime_coefficients(p, q)
+    except ValueError as err:
+        raise PreconditionViolated(str(err)) from None
+    coeffs = system.coefficients
+
+    outer = SubgroupSpec.of(spec, {p: -1})
+    inner = SubgroupSpec.of(spec, {p: 0})
+    cf = build_cf(
+        spec,
+        [
+            (Stratum.of({p: (0, POS_INF)}), [Term(Fraction(1), decay, Fraction(0))]),
+            (Stratum.of({p: (-1, -1)}), [Term(c, decay, Fraction(0))]),
+        ],
+    )
+    law = Mixture((c, 1 - c), (HaarAnnihilator(outer), HaarAnnihilator(inner)))
+    if sigma is not None:
+        law = ConvolutionOf((GaussianLine(spec, sigma), law))
+    agreement = compare(law.exact_cf(), cf)
+    if agreement.verdict != "equal":
+        raise SoundnessError(
+            f"the sampling law must match the piecewise definition, "
+            f"got {agreement.verdict} ({agreement.note})"
+        )
+
+    eq = check_equidistribution(cf, coeffs)
+    if eq.verdict != "holds":
+        raise SoundnessError(
+            f"the counterexample equation must hold, got {eq.verdict} "
+            f"(witness {eq.witness})"
+        )
+    _three_case_check(cf, coeffs, p, q, c, decay)
+    sup = support_as_subgroup(cf)
+    if sup.kind != "subgroup" or sup.subgroup != outer:
+        raise SoundnessError(f"the support must be the outer subgroup {outer}, got {sup}")
+    dec = decompose_gaussian_haar(cf)
+    if dec.kind != "not_of_form":
+        raise SoundnessError(
+            f"the law must not decompose as gaussian times haar, got {dec}"
+        )
+    psd = positivity_report(cf, tol=PSD_TOLERANCE)
+    if not psd.passed:
+        raise SoundnessError(
+            f"positive definiteness spot check failed "
+            f"(min eigenvalue {psd.min_eigenvalue})"
+        )
+    return c, system, cf, law, eq, dec, psd
 
 
 def two_prime_counterexample(
@@ -381,63 +459,12 @@ def two_prime_counterexample(
     Haar law of any subgroup.  Every claim is checked exactly; the bundled
     sampler realizes the same law for simulation.
     """
-    c = _two_prime_preconditions(spec, p, q, c)
-    try:
-        system = two_prime_coefficients(p, q)
-    except ValueError as err:
-        raise PreconditionViolated(str(err)) from None
+    c, system, cf, law, eq, dec, psd = _two_prime(spec, p, q, c, None)
     coeffs = system.coefficients
-
+    report = _simulated(law, coeffs, n, depth, seed, alpha) if simulate else None
     outer = SubgroupSpec.of(spec, {p: -1})
     inner = SubgroupSpec.of(spec, {p: 0})
-    piecewise = build_cf(
-        spec,
-        [
-            (Stratum.of({p: (0, POS_INF)}), [Term(Fraction(1), Fraction(0), Fraction(0))]),
-            (Stratum.of({p: (-1, -1)}), [Term(c, Fraction(0), Fraction(0))]),
-        ],
-    )
-    mixed = mixture([c, 1 - c], [haar_cf(outer), haar_cf(inner)])
-    agreement = compare(mixed, piecewise)
-    if agreement.verdict != "equal":
-        raise SoundnessError(
-            f"the haar mixture must match the piecewise definition, "
-            f"got {agreement.verdict} ({agreement.note})"
-        )
-
-    eq = check_equidistribution(piecewise, coeffs)
-    if eq.verdict != "holds":
-        raise SoundnessError(
-            f"the counterexample equation must hold, got {eq.verdict} "
-            f"(witness {eq.witness})"
-        )
-    _three_case_check(piecewise, coeffs, p, q, c, Fraction(0))
-
-    dec = decompose_gaussian_haar(piecewise)
-    if dec.kind != "not_of_form":
-        raise SoundnessError(
-            f"the mixture must not decompose as gaussian times haar, got {dec}"
-        )
-    psd = positivity_report(piecewise, tol=PSD_TOLERANCE)
-    if not psd.passed:
-        raise SoundnessError(
-            f"positive definiteness spot check failed "
-            f"(min eigenvalue {psd.min_eigenvalue})"
-        )
-
-    law = Mixture((c, 1 - c), (HaarAnnihilator(outer), HaarAnnihilator(inner)))
-    report = None
-    if simulate:
-        report = monte_carlo_equidist(law, coeffs, n=n, depth=depth, seed=seed, alpha=alpha)
-        if report.verdict != "consistent":
-            raise SoundnessError(
-                f"exact equation holds but the simulation disagrees "
-                f"(min adjusted p = {report.min_adjusted_p})"
-            )
-
-    klass = classify_solenoid(spec)
     sentences = [
-        _class_sentence(klass),
         f"{_EQ_PHRASE[eq.verdict]} for the {len(coeffs)} coefficients "
         f"({system.count} copies of {p}/{q}^{system.order} and one 1/{q}^{system.order})",
         f"yet the law {_DEC_PHRASE[dec.kind]}: it is the two-level haar mixture "
@@ -445,27 +472,9 @@ def two_prime_counterexample(
         "the single-unbounded-prime characterization does not extend to this solenoid",
         f"positive definiteness spot check passed (min eigenvalue {psd.min_eigenvalue:.2e})",
     ]
-    if report is not None:
-        sentences.append(f"{_SIM_PHRASE[report.verdict]} at alpha = {alpha} with n = {n}")
-    verdict = ScenarioVerdict(
-        scenario="two-prime-counterexample",
-        solenoid=klass,
-        coefficients=coeffs,
-        coefficients_valid=True,
-        equation=eq,
-        decomposition=dec,
-        conclusion="; ".join(sentences) + ".",
-        simulation=report,
-    )
-    return CounterexampleBundle(
-        coefficients=coeffs,
-        cf=piecewise,
-        sampler=law,
-        verdict=_assert_coherent(verdict),
-        mixing_weight=c,
-        base_prime=p,
-        partner_prime=q,
-    )
+    klass = classify_solenoid(spec)
+    verdict = _verdict("two-prime-counterexample", klass, coeffs, eq, dec, sentences, report)
+    return CounterexampleBundle(coeffs, cf, law, verdict, c, p, q)
 
 
 def blurred_counterexample(
@@ -491,91 +500,28 @@ def blurred_counterexample(
     sharp construction.
     """
     sigma = Fraction(sigma)
-    if sigma < 0:
-        raise PreconditionViolated("sigma must be nonnegative")
-    base = two_prime_counterexample(spec, p, q, c)
-    c = base.mixing_weight
-    coeffs = base.coefficients
-
-    blurred = gaussian_cf(spec, sigma) * base.cf
-    _three_case_check(blurred, coeffs, p, q, c, sigma)
-    eq = check_equidistribution(blurred, coeffs)
-    if eq.verdict != "holds":
-        raise SoundnessError(
-            f"the blurred equation must hold, got {eq.verdict} (witness {eq.witness})"
-        )
-
-    outer = SubgroupSpec.of(spec, {p: -1})
-    sup = support_as_subgroup(blurred)
-    if sup.kind != "subgroup" or sup.subgroup != outer:
-        raise SoundnessError(
-            f"the blurred support must be the outer subgroup {outer}, got {sup}"
-        )
-    dec = decompose_gaussian_haar(blurred)
-    if dec.kind != "not_of_form":
-        raise SoundnessError(
-            f"the blurred law must not decompose as gaussian times haar, got {dec}"
-        )
+    c, system, cf, law, eq, dec, _ = _two_prime(spec, p, q, c, sigma)
     gauss_support = support_as_subgroup(gaussian_cf(spec, sigma))
     if gauss_support.kind != "subgroup" or gauss_support.subgroup != SubgroupSpec.whole(spec):
         raise SoundnessError("the gaussian factor must be supported on the whole dual group")
-    if sigma == 0:
-        degenerate = compare(blurred, base.cf)
-        if degenerate.verdict != "equal":
-            raise SoundnessError("a zero blur must reproduce the sharp construction")
-    psd = positivity_report(blurred, tol=PSD_TOLERANCE)
-    if not psd.passed:
-        raise SoundnessError(
-            f"positive definiteness spot check failed "
-            f"(min eigenvalue {psd.min_eigenvalue})"
-        )
-
-    law = ConvolutionOf((GaussianLine(spec, sigma), base.sampler))
-    report = None
-    if simulate:
-        report = monte_carlo_equidist(law, coeffs, n=n, depth=depth, seed=seed, alpha=alpha)
-        if report.verdict != "consistent":
-            raise SoundnessError(
-                f"exact equation holds but the simulation disagrees "
-                f"(min adjusted p = {report.min_adjusted_p})"
-            )
-
-    klass = classify_solenoid(spec)
+    coeffs = system.coefficients
+    report = _simulated(law, coeffs, n, depth, seed, alpha) if simulate else None
     sentences = [
-        _class_sentence(klass),
         f"{_EQ_PHRASE[eq.verdict]} for the same {len(coeffs)} coefficients after "
         f"blurring by a gaussian with sigma = {sigma}",
         f"the blurred law {_DEC_PHRASE[dec.kind]} although its gaussian factor "
         f"is supported on the whole dual group",
-        f"the nonvanishing set of the blurred cf is still the proper subgroup {outer}",
+        f"the nonvanishing set of the blurred cf is still the proper subgroup "
+        f"{SubgroupSpec.of(spec, {p: -1})}",
     ]
     if sigma > 0:
         sentences.append(
             "the blurred law itself has full group support: its cf equals one "
             "only at the zero character"
         )
-    if report is not None:
-        sentences.append(f"{_SIM_PHRASE[report.verdict]} at alpha = {alpha} with n = {n}")
-    verdict = ScenarioVerdict(
-        scenario="blurred-counterexample",
-        solenoid=klass,
-        coefficients=coeffs,
-        coefficients_valid=True,
-        equation=eq,
-        decomposition=dec,
-        conclusion="; ".join(sentences) + ".",
-        simulation=report,
-    )
-    return CounterexampleBundle(
-        coefficients=coeffs,
-        cf=blurred,
-        sampler=law,
-        verdict=_assert_coherent(verdict),
-        mixing_weight=c,
-        base_prime=p,
-        partner_prime=q,
-        sigma=sigma,
-    )
+    klass = classify_solenoid(spec)
+    verdict = _verdict("blurred-counterexample", klass, coeffs, eq, dec, sentences, report)
+    return CounterexampleBundle(coeffs, cf, law, verdict, c, p, q, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +548,8 @@ def classify_and_conclude(
     if not coeffs:
         raise PreconditionViolated("need at least one coefficient")
     klass = classify_solenoid(spec)
-    valid = all(is_automorphism(spec, x) for x, _ in coefficient_counts(coeffs))
+    invalid = {x for x, _ in coefficient_counts(coeffs) if not is_automorphism(spec, x)}
+    valid = not invalid
     unit_square = sum_of_squares_is_one(coeffs)
 
     eq = check_equidistribution(f, coeffs) if valid else None
@@ -631,9 +578,9 @@ def classify_and_conclude(
             "haar factor; the support analysis is defective"
         )
 
-    sentences = [_class_sentence(klass)]
+    sentences = []
     if not valid:
-        bad = [str(x) for x in coeffs if not is_automorphism(spec, x)]
+        bad = [str(x) for x in dict.fromkeys(coeffs) if x in invalid]
         sentences.append(
             f"coefficients {', '.join(bad)} are not automorphisms of this "
             f"solenoid, so no equation was checked"
@@ -664,18 +611,7 @@ def classify_and_conclude(
         sentences.append(f"the law {_DEC_PHRASE[dec.kind]} ({dec.reason})")
     else:
         sentences.append(f"{_DEC_PHRASE[dec.kind]} ({dec.reason})")
-
-    verdict = ScenarioVerdict(
-        scenario="classify-and-conclude",
-        solenoid=klass,
-        coefficients=coeffs,
-        coefficients_valid=valid,
-        equation=eq,
-        decomposition=dec,
-        conclusion="; ".join(sentences) + ".",
-        simulation=None,
-    )
-    return _assert_coherent(verdict)
+    return _verdict("classify-and-conclude", klass, coeffs, eq, dec, sentences, valid=valid)
 
 
 # ---------------------------------------------------------------------------

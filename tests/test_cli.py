@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ import pytest
 from soladic.cli import main
 from soladic.sampler import SampleBatch, empirical_cf
 from soladic.serialize import rational_from_json, spec_from_json
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -286,6 +291,27 @@ class TestCounterexample:
         assert code == 0
         assert doc["law"]["kind"] == "convolution"
         assert doc["sigma"] == "1"
+
+    @pytest.mark.parametrize(
+        "name, doc",
+        [
+            ("blurred", {"p": 2, "q": 3, "c": "1/4", "sigma": "1"}),
+            ("sharp", {"p": 2, "q": 3, "c": "1/3"}),
+        ],
+    )
+    def test_report_matches_pinned_fixture(self, tmp_path, capsys, name, doc):
+        # stdout and bundle byte for byte, except the sharp report's min
+        # eigenvalue (about -1e-15), which is rounding noise of the BLAS build
+        path = write_config(tmp_path, doc, f"{name}.json")
+        code, out, _ = run_cli(capsys, "counterexample", path, "--seed", 0)
+        assert code == 0
+        mask = lambda text: re.sub(r"min eigenvalue [^)]*", "min eigenvalue ?", text)
+        pairs = [
+            (out, f"counterexample_{name}.stdout"),
+            ((tmp_path / f"{name}.bundle.json").read_text(), f"counterexample_{name}.bundle.json"),
+        ]
+        for got, fixture in pairs:
+            assert mask(got) == mask((FIXTURES / fixture).read_text())
 
     def test_out_of_range_weight_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"p": 2, "q": 3, "c": "3/2"})

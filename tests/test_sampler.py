@@ -196,6 +196,23 @@ class TestLinearForm:
         with pytest.raises(DepthInsufficient):
             required_depth(spec, [F(1, 2)] * 8, 2)
 
+    @pytest.mark.parametrize(
+        "table, coeff",
+        [
+            ({2: math.inf}, F(1, 3)),  # 3 is not in the table
+            ({2: math.inf, 3: 1}, F(1, 9)),  # the tower holds one 3 in all
+            ({2: math.inf, 3: 1}, F(1, 3)),  # its only 3 is inside level 2
+        ],
+    )
+    def test_required_depth_missing_prime_power(self, table, coeff):
+        # an unbounded prime keeps the tower going, so only a check of each
+        # prime power of the denominators stops the search
+        with pytest.raises(DepthInsufficient):
+            required_depth(SteinitzSpec.of(table), [coeff], 2)
+
+    def test_required_depth_finite_prime_above_depth(self):
+        assert required_depth(SteinitzSpec.of({2: math.inf, 3: 1}), [F(1, 3)], 1) == 2
+
     def test_depth_projection_is_sound(self):
         # halves need one spare level: sampling at depth 4 supports an exact
         # depth-3 linear form but not depth 4

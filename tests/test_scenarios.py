@@ -10,6 +10,7 @@ returned, what raises, and what the conclusion text commits to.
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -40,7 +41,8 @@ from soladic import (
     support_as_subgroup,
     two_prime_counterexample,
 )
-from soladic.charfun import POS_INF
+from soladic import scenarios
+from soladic.charfun import POS_INF, PositivityReport
 from soladic.scenarios import _assert_coherent
 
 DYADIC = SteinitzSpec.of({2: math.inf})
@@ -248,6 +250,45 @@ class TestBlurredCounterexample:
             blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), -1)
 
 
+class TestOneTwoPrimeConstruction:
+    """The sharp and blurred bundles come from one builder that checks once."""
+
+    def test_each_check_runs_once_per_blurred_bundle(self, monkeypatch):
+        names = (
+            "positivity_report",
+            "check_equidistribution",
+            "decompose_gaussian_haar",
+            "two_prime_coefficients",
+        )
+        calls = Counter()
+        for name in names:
+            real = getattr(scenarios, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(scenarios, name, counted)
+        blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), 1)
+        assert calls == Counter(names)
+
+    @pytest.mark.parametrize("sigma", [None, 0, F(1, 10), 1])
+    def test_sampler_realizes_the_returned_cf(self, sigma):
+        if sigma is None:
+            b = two_prime_counterexample(TWO_THREE, 2, 3, F(1, 2))
+        else:
+            b = blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), sigma)
+        assert compare(b.sampler.exact_cf(), b.cf).verdict == "equal"
+
+    def test_failed_positivity_is_a_soundness_error(self, monkeypatch):
+        failed = PositivityReport(8, 100, 0, 1e-9, -1.0, False)
+        monkeypatch.setattr(scenarios, "positivity_report", lambda *a, **k: failed)
+        with pytest.raises(SoundnessError, match="positive definiteness"):
+            two_prime_counterexample(TWO_THREE, 2, 3, F(1, 2))
+        with pytest.raises(SoundnessError, match="positive definiteness"):
+            blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), 1)
+
+
 class TestClassifyAndConclude:
     def test_gaussian_pipeline_finds_decomposition(self):
         v = classify_and_conclude(DYADIC, HALF4, gaussian_cf(DYADIC, F(7, 3)))
@@ -279,6 +320,10 @@ class TestClassifyAndConclude:
         assert v.equation is None
         assert "not automorphisms" in v.conclusion
         assert "the functional equation" not in v.conclusion
+        # each offending coefficient is named once, in order of appearance
+        repeated = [F(1, 3), F(1, 7), F(1, 2), F(1, 3)] + [F(1, 7)] * 1000
+        v = classify_and_conclude(DYADIC, repeated, gaussian_cf(DYADIC, 1))
+        assert "coefficients 1/3, 1/7 are not automorphisms" in v.conclusion
 
     def test_nowhere_zero_forces_trivial_haar_factor(self):
         v = classify_and_conclude(DYADIC, HALF4, gaussian_cf(DYADIC, 1, F(1, 8)))

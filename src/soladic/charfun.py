@@ -687,6 +687,7 @@ class Decomposition:
     subgroup: SubgroupSpec | None = None
     p_invariant: bool | None = None
     reason: str = ""
+    witness: tuple[Fraction, Fraction] | Fraction | None = None
 
 
 def _division_invariance(spec: SteinitzSpec, subgroup: SubgroupSpec) -> bool | None:
@@ -700,42 +701,48 @@ def _division_invariance(spec: SteinitzSpec, subgroup: SubgroupSpec) -> bool | N
 
 
 def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
-    """Try to write f as exp(-sigma y^2) * (shift character) * (subgroup indicator)."""
+    """Try to write f as exp(-sigma y^2) * (shift character) * (subgroup indicator).
+
+    The support must be a subgroup and every weight 1.  The candidate takes
+    sigma and the shift from a piece whose cell generates the support (one
+    always does) and is then decided by ``compare``, so pieces whose shifts
+    differ by characters trivial on their own cell still decompose.  The
+    witness is the support's pair when it is not a subgroup, or the character
+    where f and the candidate differ.
+    """
     sc = support_as_subgroup(f)
     if sc.kind == "not_subgroup":
         return Decomposition(
-            "not_of_form", reason=f"support is not a subgroup (witness pair {sc.witness})"
+            "not_of_form",
+            reason=f"support is not a subgroup (witness pair {sc.witness})",
+            witness=sc.witness,
         )
     if sc.kind == "unknown":
         return Decomposition("unknown", reason=sc.note)
     subgroup = sc.subgroup
+    invariant = _division_invariance(f.spec, subgroup)
     if subgroup.trivial:
-        return Decomposition(
-            "gaussian_haar",
-            Fraction(0),
-            Fraction(0),
-            subgroup,
-            _division_invariance(f.spec, subgroup),
-        )
-    seen: set[tuple[Fraction, Fraction]] = set()
-    for stratum, terms in f.pieces:
-        if not terms or stratum.only_zero:
-            continue  # parameters are unobservable at the zero character
-        term = terms[0]  # single-term guaranteed by the support check
+        return Decomposition("gaussian_haar", Fraction(0), Fraction(0), subgroup, invariant)
+    pieces = [(s, terms[0]) for s, terms in f.pieces if terms and not s.only_zero]
+    for _, term in pieces:  # single-term guaranteed by the support check
         if term.weight != 1:
             return Decomposition(
                 "not_of_form",
                 reason=f"piecewise weights are not identically 1 (found {term.weight})",
             )
-        seen.add((term.decay, subgroup.reduce_shift(term.shift)))
-    if len(seen) != 1:
+    base = next(t for s, t in pieces if subgroup_generated_by(f.spec, s) == subgroup)
+    sigma, shift = base.decay, subgroup.reduce_shift(base.shift)
+    cmp = compare(f, gaussian_cf(f.spec, sigma, shift) * haar_cf(subgroup))
+    if cmp.verdict == "unknown":
+        return Decomposition("unknown", reason=cmp.note)
+    if cmp.verdict == "differs":
         return Decomposition(
-            "not_of_form", reason=f"parameters vary across the support: {sorted(seen)}"
+            "not_of_form",
+            reason=f"parameters vary across the support: at character {cmp.witness} f "
+            f"differs from the gaussian of sigma {sigma} and shift {shift} on {subgroup}",
+            witness=cmp.witness,
         )
-    (sigma, shift) = next(iter(seen))
-    return Decomposition(
-        "gaussian_haar", shift, sigma, subgroup, _division_invariance(f.spec, subgroup)
-    )
+    return Decomposition("gaussian_haar", shift, sigma, subgroup, invariant)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ canonical report to stdout, and signals its verdict through the exit code:
 * 3 - the checker could not decide (verdict unknown)
 
 ``--seed`` beats the SOLADIC_SEED environment variable, which beats the
-config file.  ``--n``, ``--depth`` and ``--alpha`` override the config's
-simulation block.  CSV artifacts (the sampled batches behind a simulation
-report, or a counterexample bundle) are written next to the config file.
+config file.  ``simulate`` alone takes ``--n``, ``--depth`` and ``--alpha``,
+which override the config's simulation block.  CSV artifacts (the sampled
+batches behind a simulation report, or a counterexample bundle) are written
+next to the config file.  A config that is not JSON, or whose integers are
+too long or whose nesting is too deep to parse, is a config error (exit 2).
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad syntax, huge integers, deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -339,9 +341,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="path to a JSON config file")
         cmd.add_argument("--seed", type=int, default=None, help="RNG seed (beats SOLADIC_SEED and the config)")
-        cmd.add_argument("--n", type=int, default=None, help="sample size override")
-        cmd.add_argument("--depth", type=int, default=None, help="tower depth override")
-        cmd.add_argument("--alpha", type=float, default=None, help="significance level override")
+        if name == "simulate":
+            cmd.add_argument("--n", type=int, default=None, help="sample size override")
+            cmd.add_argument("--depth", type=int, default=None, help="tower depth override")
+            cmd.add_argument("--alpha", type=float, default=None, help="significance level override")
         cmd.add_argument("--format", choices=("json", "csv"), default="json", help="stdout report format")
         cmd.set_defaults(handler=fn)
     return parser

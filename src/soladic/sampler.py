@@ -92,6 +92,10 @@ class HaarAnnihilator(SamplerSpec):
         if self.E.trivial:
             return rng.random(n)
         d = fiber_order(self.E, depth)
+        if d - 1 > np.iinfo(np.int64).max:  # rng.integers draws residues as int64
+            raise DepthInsufficient(
+                f"the haar fiber of {self.E} at depth {depth} has order {d}, beyond int64"
+            )
         return rng.integers(0, d, size=n) / d
 
 
@@ -267,7 +271,8 @@ def sample(law: SamplerSpec, depth: int, n: int, seed) -> SampleBatch:
     if n < 1:
         raise ValueError("need at least one draw")
     spec = law.ambient
-    spec.level(depth)  # validates depth against the tower
+    if spec.level(depth) > np.iinfo(np.int64).max:  # level() also validates the depth
+        raise DepthInsufficient(f"the tower level at depth {depth} exceeds int64")
     if isinstance(seed, np.random.SeedSequence):
         record = f"{BIT_GENERATOR}(entropy={seed.entropy}, spawn_key={seed.spawn_key})"
         rng = np.random.Generator(np.random.PCG64(seed))

@@ -38,7 +38,6 @@ from .charfun import (
     gaussian_cf,
     haar_cf,
     positivity_report,
-    subgroup_generated_by,
     support_as_subgroup,
 )
 from .errors import PreconditionViolated, SoundnessError
@@ -641,11 +640,11 @@ def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
     Characters of the circle are the integers (empty multiplicity table),
     where the only automorphisms are the sign flips, so every linear form
     collapses to a signed sum.  When the equation holds the law must be a
-    shift of a subgroup Haar measure; this is verified structurally (unit
-    modulus on the support, support a lattice d * Z, phases assembling into
-    one character) and the shift is recovered exactly.  Structural failures
-    return a witness; multi-term pieces are reported as unknown rather than
-    guessed at.
+    shift of a subgroup Haar measure: |f| must be 1 on the support, and the
+    order d of the lattice d * Z and the shift are read from
+    ``decompose_gaussian_haar``.  Its failures return its witness (a pair
+    whose sum leaves the support, or a character where the phases disagree);
+    its unknowns, multi-term pieces among them, are reported as unknown.
     """
     spec = f.spec
     if spec.primes:
@@ -669,36 +668,32 @@ def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
     if eq.verdict == "unknown":
         return CircleCheck("unknown", note=eq.note)
 
-    occupied = [
-        (s, terms)
-        for s, terms in f.pieces
-        if terms and s.occupied(spec) and not s.only_zero
-    ]
-    if any(len(terms) > 1 for _, terms in occupied):
-        return CircleCheck(
-            "unknown", note="multi-term strata cannot be certified structurally"
-        )
-    for s, terms in occupied:
+    dec = decompose_gaussian_haar(f)
+    if dec.kind == "unknown":
+        return CircleCheck("unknown", note=dec.reason)
+    for s, terms in f.pieces:  # single-term once the decomposition is decided
         t = terms[0]
-        if t.weight != 1 or t.decay != 0:
+        if not s.only_zero and (t.weight != 1 or t.decay != 0):
             raise SoundnessError(
                 f"the equation held although |f| differs from 1 on {s}; "
                 f"the equation checker is defective"
             )
-
-    sup = support_as_subgroup(f)
-    if sup.kind == "not_subgroup":
-        y1, y2 = sup.witness
+    if isinstance(dec.witness, tuple):
+        y1, y2 = dec.witness
         return CircleCheck(
             "fails",
-            witness=sup.witness,
+            witness=dec.witness,
             note=f"the support is not a subgroup: {y1} and {y2} are in it "
             f"but their sum is not",
         )
-    if sup.kind == "unknown":
-        return CircleCheck("unknown", note=sup.note)
-    lattice = sup.subgroup
-    if lattice.trivial:
+    if dec.kind == "not_of_form":
+        return CircleCheck(
+            "fails",
+            witness=dec.witness,
+            note=f"the phases on the support do not assemble into a "
+            f"single character (mismatch at {dec.witness})",
+        )
+    if dec.subgroup.trivial:
         return CircleCheck(
             "shift_of_haar",
             shift=Fraction(0),
@@ -706,23 +701,8 @@ def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
             note="the cf is the indicator of the zero character: haar measure "
             "of the full circle",
         )
-    d = 1
-    for prime, t in lattice.thresholds:
-        d *= prime**t
-
-    generator = Fraction(d)
-    base = f.piece_at(generator)[0]
-    x = lattice.reduce_shift(base.shift)
-    for s, terms in occupied:
-        cell = subgroup_generated_by(spec, s)
-        if cell.reduce_shift(x - terms[0].shift) != 0:
-            member = s.members(spec, 4)[0]
-            return CircleCheck(
-                "fails",
-                witness=member,
-                note=f"the phases on the support do not assemble into a "
-                f"single character (mismatch at {member})",
-            )
+    d = math.prod(prime**t for prime, t in dec.subgroup.thresholds)
+    x = dec.shift
     return CircleCheck(
         "shift_of_haar",
         shift=x,

@@ -3,8 +3,9 @@
 Grammar conventions, kept strict in both directions:
 
 * multiplicity tables: ``{"2": "inf", "3": 1}``
-* rationals: ``"num/den"`` strings in lowest terms (plain integers allowed
-  on input; floats are rejected because they are not exact)
+* rationals: ``"num/den"`` strings in lowest terms (plain integers and
+  signed ``"num"`` or unreduced ``"num/den"`` strings allowed on input;
+  floats, decimals and exponents are rejected because they are not exact)
 * points: ``{"depth": N, "coord": "num/den"}``
 * subgroups: mapping prime -> threshold, or the string ``"zero"``
 * characteristic functions: list of pieces
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -63,11 +65,14 @@ def rational_to_json(x) -> str:
 
 
 def rational_from_json(obj, where: str = "rational") -> Fraction:
+    """An int, or a string of an optional sign, digits and an optional /digits."""
     if isinstance(obj, bool) or isinstance(obj, float):
         raise ConfigError(f"{where} must be exact: write it as an integer or 'num/den' string")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", obj):
+            raise ConfigError(f"{where} is not a rational: {obj!r} (expected 'num' or 'num/den')")
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as err:

@@ -689,6 +689,75 @@ class TestDecomposition:
         assert "vary" in d.reason
 
 
+def recut(f, p, k, move):
+    """f with every piece split at v_p = k, the upper part's shifts moved by `move`."""
+    pieces = []
+    for stratum, terms in f.pieces:
+        for window, dx in (((NEG_INF, k - 1), 0), ((k, POS_INF), move)):
+            cell = stratum.intersect(Stratum.of({p: window}))
+            if cell is not None:
+                pieces.append((cell, [Term(t.weight, t.decay, t.shift + dx) for t in terms]))
+    return build_cf(f.spec, pieces)
+
+
+class TestDecompositionIgnoresCuts:
+    """A cf written over finer windows decomposes like the uncut cf.
+
+    Each move is a multiple of the step of the upper cell's generated
+    subgroup, so it is invisible on that cell but not on the whole support.
+    """
+
+    def test_even_odd_point_mass(self):
+        # the circle point mass at 1/2: +1 on even integers, -1 on odd ones
+        f = build_cf(
+            CIRCLE,
+            [
+                (Stratum.of({2: (1, POS_INF)}), [Term(F(1), F(0), F(0))]),
+                (Stratum.of({2: (NEG_INF, 0)}), [Term(F(1), F(0), F(1, 2))]),
+            ],
+        )
+        assert compare(f, gaussian_cf(CIRCLE, 0, F(1, 2))).verdict == "equal"
+        d = decompose_gaussian_haar(f)
+        assert (d.kind, d.sigma, d.shift) == ("gaussian_haar", 0, F(1, 2))
+        assert d.subgroup == SubgroupSpec.whole(CIRCLE)
+
+    @pytest.mark.parametrize(
+        "spec, sigma, shift, table, p, k, move",
+        [
+            (DYADIC, F(2, 7), F(1, 8), {2: -1}, 2, 2, F(3, 4)),
+            (DYADIC, F(1), F(0), {}, 2, 3, F(1, 8)),
+            (TWO_THREE, F(1), F(1, 6), {2: 0, 3: 0}, 3, 1, F(1, 3)),
+            (SteinitzSpec.of({2: math.inf, 3: 1}), F(0), F(0), {3: 0}, 2, 5, F(1, 32)),
+            (CIRCLE, F(0), F(1, 12), {2: 1, 3: 1}, 3, 2, F(1, 18)),
+        ],
+    )
+    def test_recut_gaussian_haar(self, spec, sigma, shift, table, p, k, move):
+        f = gaussian_cf(spec, sigma, shift) * haar_cf(SubgroupSpec.of(spec, table))
+        cut = recut(f, p, k, move)
+        assert len(cut.pieces) > len(f.pieces)
+        assert compare(cut, f).verdict == "equal"
+        assert decompose_gaussian_haar(cut) == decompose_gaussian_haar(f)
+
+    def test_varying_parameters_carry_the_differing_character(self):
+        f = recut(gaussian_cf(DYADIC, 1) * haar_cf(SubgroupSpec.of(DYADIC, {2: -1})), 2, 1, F(1, 4))
+        d = decompose_gaussian_haar(f)
+        assert d.kind == "not_of_form" and "vary" in d.reason
+        candidate = gaussian_cf(DYADIC, 1) * haar_cf(SubgroupSpec.of(DYADIC, {2: -1}))
+        assert abs(f(d.witness) - candidate(d.witness)) > 1e-9
+
+    def test_support_witness_is_the_pair(self):
+        f = build_cf(
+            CIRCLE,
+            [
+                (Stratum.of({2: (0, 0)}), [Term(F(1), 0, 0)]),
+                (Stratum.zero_only(), [Term(F(1), 0, 0)]),
+            ],
+        )
+        d = decompose_gaussian_haar(f)
+        y1, y2 = d.witness
+        assert f(y1) != 0 and f(y2) != 0 and f(y1 + y2) == 0
+
+
 class TestPositivity:
     def test_gaussian_haar_product_is_psd(self):
         f = gaussian_cf(DYADIC, 1, F(1, 2)) * haar_cf(SubgroupSpec.of(DYADIC, {2: -1}))

@@ -67,6 +67,18 @@ class TestClassify:
         code, _, _ = run_cli(capsys, "classify", path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"solenoid": {"2": ' + "1" * 5000 + "}}", "[" * 100_000],
+        ids=["5000-digit-integer", "deep-nesting"],
+    )
+    def test_unparseable_json_is_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 2 and out == ""
+        assert "not valid JSON" in err
+
 
 class TestCheck:
     def test_holds_exits_0(self, tmp_path, capsys):
@@ -102,6 +114,27 @@ class TestCheck:
         assert doc["decomposition"]["kind"] == "gaussian_haar"
         assert doc["decomposition"]["subgroup"] == {"2": -1}
 
+    def test_recut_haar_decomposes_like_the_haar_law(self, tmp_path, capsys):
+        # haar(v_3 >= 0) written as two pieces; the v_2 >= 5 piece carries the
+        # shift 1/32, which every character of that piece pairs to 1
+        floor3 = {"prime": 3, "op": ">=", "k": 0}
+        cut = {
+            "solenoid": {"2": "inf", "3": 1},
+            "coefficients": ["1/2", "1/2", "1/2", "1/2"],
+            "distribution": {"cf": [
+                {"stratum": [{"prime": 2, "op": ">=", "k": 5}, floor3], "terms": [{"c": 1, "shift": "1/32"}]},
+                {"stratum": [{"prime": 2, "op": "<=", "k": 4}, floor3], "terms": [{"c": 1}]},
+            ]},
+        }
+        law = dict(cut, distribution={"law": {"kind": "haar", "subgroup": {"3": 0}}})
+        decompositions = []
+        for name, doc in (("cut.json", cut), ("law.json", law)):
+            code, out, _ = run_cli(capsys, "check", write_config(tmp_path, doc, name))
+            assert code == 0
+            decompositions.append(json.loads(out)["decomposition"])
+        assert decompositions[0] == decompositions[1]
+        assert decompositions[0]["kind"] == "gaussian_haar"
+
     def test_undecidable_exits_3(self, tmp_path, capsys):
         # a pure character whose phase denominator exceeds the exact-arithmetic
         # working cap: the two sides differ formally but no probe can prove it
@@ -126,6 +159,14 @@ class TestCheck:
         lines = out.splitlines()
         assert lines[0] == "key,value"
         assert any(line.startswith("equation.verdict,holds") for line in lines)
+
+    @pytest.mark.parametrize("flag", [["--n", "5"], ["--depth", "3"], ["--alpha", "0.1"]])
+    def test_simulation_flags_belong_to_simulate(self, tmp_path, capsys, flag):
+        path = write_config(tmp_path, GAUSS_HOLDS)
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", str(path), *flag])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -242,6 +283,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", path)
         assert code == 2
         assert "sampling law" in err
+
+    def test_depth_beyond_int64_is_exit_2(self, tmp_path, capsys):
+        law = {"kind": "gaussian", "sigma": 1}
+        cfg = dict(self.CONFIG, distribution={"law": law}, simulation={"n": 50, "depth": 1100})
+        code, out, err = run_cli(capsys, "simulate", write_config(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert "DepthInsufficient" in err and "int64" in err
 
     def test_bad_simulation_numbers(self, tmp_path, capsys):
         for patch in ({"n": 0}, {"depth": -1}, {"alpha": 2}):

@@ -210,6 +210,25 @@ class TestLinearForm:
         with pytest.raises(DepthInsufficient):
             required_depth(SteinitzSpec.of(table), [coeff], 2)
 
+    @pytest.mark.parametrize(
+        "law, depth",
+        [
+            (HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 100})), 4),  # fiber order 2^104
+            (HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 0})), 70),  # level 2^70
+            (GaussianLine(DYADIC, 1), 1100),  # level beyond a float
+        ],
+    )
+    def test_draw_beyond_int64_raises(self, law, depth):
+        with pytest.raises(DepthInsufficient, match="int64"):
+            sample(law, depth, 10, seed=0)
+
+    def test_draws_at_the_int64_edge_still_run(self):
+        # level 2^62, and a fiber of order 2^63 whose residues still fit
+        haar = sample(HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 1})), 62, 10, seed=0)
+        gauss = sample(GaussianLine(DYADIC, 1), 62, 10, seed=0)
+        assert haar.n == gauss.n == 10
+        assert np.all(haar.coords * 2.0**63 == np.round(haar.coords * 2.0**63))
+
     def test_required_depth_finite_prime_above_depth(self):
         assert required_depth(SteinitzSpec.of({2: math.inf, 3: 1}), [F(1, 3)], 1) == 2
 

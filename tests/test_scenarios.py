@@ -33,6 +33,7 @@ from soladic import (
     circle_check,
     classify_and_conclude,
     compare,
+    decompose_gaussian_haar,
     gaussian_cf,
     gaussian_haar_scenario,
     haar_cf,
@@ -42,7 +43,7 @@ from soladic import (
     two_prime_counterexample,
 )
 from soladic import scenarios
-from soladic.charfun import POS_INF, PositivityReport
+from soladic.charfun import NEG_INF, POS_INF, PositivityReport
 from soladic.scenarios import _assert_coherent
 
 DYADIC = SteinitzSpec.of({2: math.inf})
@@ -348,6 +349,37 @@ class TestClassifyAndConclude:
         assert "do not sum to one" in v.conclusion
 
 
+def lattice(d):
+    """The subgroup d * Z of the circle's characters, for d built from 2 and 3."""
+    table = {}
+    for p in (2, 3):
+        while d % p == 0:
+            table[p] = table.get(p, 0) + 1
+            d //= p
+    return SubgroupSpec.of(CIRCLE, table)
+
+
+#: the point mass at 1/2 written as +1 on even and -1 on odd integers
+EVEN_ODD_POINT_MASS = build_cf(
+    CIRCLE,
+    [
+        (Stratum.of({2: (1, POS_INF)}), [Term(F(1), 0, 0)]),
+        (Stratum.of({2: (NEG_INF, 0)}), [Term(F(1), 0, F(1, 2))]),
+    ],
+)
+#: every cf on which TestCircleCheck expects shift_of_haar
+CIRCLE_SHIFTS_OF_HAAR = [
+    gaussian_cf(CIRCLE, 0),
+    *(haar_cf(lattice(d)) for d in (1, 2, 3, 6)),
+    *(
+        gaussian_cf(CIRCLE, 0, x) * haar_cf(lattice(d))
+        for x, d in ((F(1, 12), 6), (F(1, 4), 2), (F(1, 3), 1), (F(2, 9), 3))
+    ),
+    haar_cf(SubgroupSpec.zero(CIRCLE)),
+    EVEN_ODD_POINT_MASS,
+]
+
+
 class TestCircleCheck:
     def test_constant_one_is_degenerate_haar_shift(self):
         out = circle_check(2, 1, gaussian_cf(CIRCLE, 0))
@@ -360,13 +392,7 @@ class TestCircleCheck:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_lattice_indicator_recovers_order(self, d):
-        table = {}
-        n = d
-        for p in (2, 3):
-            while n % p == 0:
-                table[p] = table.get(p, 0) + 1
-                n //= p
-        f = haar_cf(SubgroupSpec.of(CIRCLE, table))
+        f = haar_cf(lattice(d))
         out = circle_check(2, 1, f)
         assert (out.kind, out.shift, out.order) == ("shift_of_haar", 0, d)
 
@@ -394,6 +420,18 @@ class TestCircleCheck:
         f = gaussian_cf(CIRCLE, 0, F(1, 12)) * haar_cf(SubgroupSpec.of(CIRCLE, {2: 1, 3: 1}))
         out = circle_check(2, 2, f)
         assert out.kind == "fails"
+
+    def test_even_odd_point_mass_is_a_shift(self):
+        out = circle_check(2, 1, EVEN_ODD_POINT_MASS)
+        assert (out.kind, out.shift, out.order) == ("shift_of_haar", F(1, 2), 1)
+
+    @pytest.mark.parametrize("f", CIRCLE_SHIFTS_OF_HAAR)
+    def test_agrees_with_the_decomposition(self, f):
+        out = circle_check(2, 1, f)
+        d = decompose_gaussian_haar(f)
+        assert (out.kind, d.kind) == ("shift_of_haar", "gaussian_haar")
+        assert out.shift == d.shift
+        assert d.subgroup == (SubgroupSpec.zero(CIRCLE) if out.order == 0 else lattice(out.order))
 
     def test_zero_indicator_is_full_circle_haar(self):
         out = circle_check(2, 1, haar_cf(SubgroupSpec.zero(CIRCLE)))

@@ -78,7 +78,7 @@ class TestScalars:
         assert rational_from_json("-3/9") == F(-1, 3)
 
     def test_rational_rejects_floats_and_junk(self):
-        for bad in (0.5, True, "1/0", "a/b", None, [1]):
+        for bad in (0.5, True, "1/0", "a/b", None, [1], "0.5", "1e100000000"):
             with pytest.raises(ConfigError):
                 rational_from_json(bad)
 

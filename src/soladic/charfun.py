@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -688,6 +688,7 @@ class Decomposition:
     p_invariant: bool | None = None
     reason: str = ""
     witness: tuple[Fraction, Fraction] | Fraction | None = None
+    support: SupportCheck | None = None
 
 
 def _division_invariance(spec: SteinitzSpec, subgroup: SubgroupSpec) -> bool | None:
@@ -708,25 +709,28 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     always does) and is then decided by ``compare``, so pieces whose shifts
     differ by characters trivial on their own cell still decompose.  The
     witness is the support's pair when it is not a subgroup, or the character
-    where f and the candidate differ.
+    where f and the candidate differ.  Every outcome carries the
+    ``support_as_subgroup`` check it was decided from, so callers read the
+    support from it instead of computing it again.
     """
     sc = support_as_subgroup(f)
+    decided = partial(Decomposition, support=sc)
     if sc.kind == "not_subgroup":
-        return Decomposition(
+        return decided(
             "not_of_form",
             reason=f"support is not a subgroup (witness pair {sc.witness})",
             witness=sc.witness,
         )
     if sc.kind == "unknown":
-        return Decomposition("unknown", reason=sc.note)
+        return decided("unknown", reason=sc.note)
     subgroup = sc.subgroup
     invariant = _division_invariance(f.spec, subgroup)
     if subgroup.trivial:
-        return Decomposition("gaussian_haar", Fraction(0), Fraction(0), subgroup, invariant)
+        return decided("gaussian_haar", Fraction(0), Fraction(0), subgroup, invariant)
     pieces = [(s, terms[0]) for s, terms in f.pieces if terms and not s.only_zero]
     for _, term in pieces:  # single-term guaranteed by the support check
         if term.weight != 1:
-            return Decomposition(
+            return decided(
                 "not_of_form",
                 reason=f"piecewise weights are not identically 1 (found {term.weight})",
             )
@@ -734,15 +738,15 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     sigma, shift = base.decay, subgroup.reduce_shift(base.shift)
     cmp = compare(f, gaussian_cf(f.spec, sigma, shift) * haar_cf(subgroup))
     if cmp.verdict == "unknown":
-        return Decomposition("unknown", reason=cmp.note)
+        return decided("unknown", reason=cmp.note)
     if cmp.verdict == "differs":
-        return Decomposition(
+        return decided(
             "not_of_form",
             reason=f"parameters vary across the support: at character {cmp.witness} f "
             f"differs from the gaussian of sigma {sigma} and shift {shift} on {subgroup}",
             witness=cmp.witness,
         )
-    return Decomposition("gaussian_haar", shift, sigma, subgroup, invariant)
+    return decided("gaussian_haar", shift, sigma, subgroup, invariant)
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,10 @@ def cmd_simulate(args) -> int:
         charset = [rational_from_json(y, f"simulation.charset[{i}]") for i, y in enumerate(charset)]
     seed = _resolve_seed(args, sim)
 
-    report = monte_carlo_equidist(dist, coeffs, n=n, depth=depth, charset=charset, seed=seed, alpha=float(alpha))
+    try:
+        report = monte_carlo_equidist(dist, coeffs, n=n, depth=depth, charset=charset, seed=seed, alpha=float(alpha))
+    except ValueError as err:  # a coefficient that is not an automorphism of the solenoid
+        raise ConfigError(str(err)) from None
 
     # Drop the batches behind the report beside the config, so the CSVs hold
     # the very draws the printed statistics were computed on.
@@ -292,11 +295,11 @@ def cmd_counterexample(args) -> int:
     q = _int_field(doc, "q")
     c = rational_from_json(doc["c"], "config.c")
     sigma = rational_from_json(doc.get("sigma", 0), "config.sigma")
-    if "solenoid" in doc:
-        spec = spec_from_json(doc["solenoid"])
-    else:
-        spec = SteinitzSpec.of({p: float("inf"), q: float("inf")})
     try:
+        if "solenoid" in doc:
+            spec = spec_from_json(doc["solenoid"])
+        else:
+            spec = SteinitzSpec.of({p: float("inf"), q: float("inf")})
         if sigma:
             bundle = blurred_counterexample(spec, p, q, c, sigma)
         else:

@@ -27,7 +27,7 @@ from .errors import (
     DepthInsufficient,
     SpecMismatch,
 )
-from .steinitz import Rational, SteinitzSpec, _factor, coefficient_counts, in_dual_group, is_automorphism
+from .steinitz import Rational, SteinitzSpec, _split_by_table, coefficient_counts, in_dual_group, is_automorphism
 from .tower import SolenoidPoint
 
 BIT_GENERATOR = "PCG64"
@@ -295,12 +295,16 @@ def required_depth(spec: SteinitzSpec, coeffs: Sequence[Rational], depth: int) -
     exactly when every coefficient denominator divides A_M / A_depth.
     """
     need = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    for r, e in _factor(need).items():
-        # r^e must fit among the tower's factors of r above level `depth`
-        if depth > spec.max_depth or spec.multiplicity(r) - spec.level_valuation(r, depth) < e:
-            raise DepthInsufficient(
-                f"tower cannot absorb coefficient denominators {need} above depth {depth}"
-            )
+    exponents, rest = _split_by_table(spec, need)
+    # a prime outside the table never occurs in the tower; each table prime
+    # power r^e must fit among the tower's factors of r above level `depth`
+    if rest != 1 or any(
+        depth > spec.max_depth or spec.multiplicity(r) - spec.level_valuation(r, depth) < e
+        for r, e in exponents.items()
+    ):
+        raise DepthInsufficient(
+            f"tower cannot absorb coefficient denominators {need} above depth {depth}"
+        )
     m = depth
     ratio = 1
     while ratio % need:

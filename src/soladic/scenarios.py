@@ -26,7 +26,6 @@ from .charfun import (
     POS_INF,
     Decomposition,
     EquationCheck,
-    PositivityReport,
     StratifiedCF,
     Stratum,
     SubgroupSpec,
@@ -37,7 +36,6 @@ from .charfun import (
     decompose_gaussian_haar,
     gaussian_cf,
     haar_cf,
-    positivity_report,
     support_as_subgroup,
 )
 from .errors import PreconditionViolated, SoundnessError
@@ -62,8 +60,6 @@ from .steinitz import (
     two_prime_coefficients,
 )
 from .tower import SolenoidPoint
-
-PSD_TOLERANCE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +362,16 @@ class CounterexampleBundle:
 
 def _two_prime(
     spec: SteinitzSpec, p: int, q: int, c: Rational, sigma: Fraction | None
-) -> tuple[
-    Fraction, TwoPrimeCoefficients, StratifiedCF, SamplerSpec,
-    EquationCheck, Decomposition, PositivityReport,
-]:
+) -> tuple[Fraction, TwoPrimeCoefficients, StratifiedCF, SamplerSpec, EquationCheck, Decomposition]:
     """Build the two-prime construction and run each of its exact checks once.
 
     The cf is 1 on v_p >= 0, c on v_p = -1 and 0 elsewhere, each shell
     carrying the decay exp(-sigma y^2).  sigma None is the sharp haar
     mixture; a number (zero included) convolves its sampling law with a
     centred gaussian of that sigma.  Returns (c, system, cf, law, equation,
-    decomposition, positivity), all checked on the cf and law returned.
+    decomposition), all checked on the cf and law returned; the support is
+    read from the decomposition.  The cf is positive definite because it
+    equals the cf of its sampling law (Bochner), so no numeric check is run.
     """
     decay = Fraction(0) if sigma is None else sigma
     if decay < 0:
@@ -421,21 +416,16 @@ def _two_prime(
             f"(witness {eq.witness})"
         )
     _three_case_check(cf, coeffs, p, q, c, decay)
-    sup = support_as_subgroup(cf)
-    if sup.kind != "subgroup" or sup.subgroup != outer:
-        raise SoundnessError(f"the support must be the outer subgroup {outer}, got {sup}")
     dec = decompose_gaussian_haar(cf)
+    if dec.support.subgroup != outer:
+        raise SoundnessError(
+            f"the support must be the outer subgroup {outer}, got {dec.support}"
+        )
     if dec.kind != "not_of_form":
         raise SoundnessError(
             f"the law must not decompose as gaussian times haar, got {dec}"
         )
-    psd = positivity_report(cf, tol=PSD_TOLERANCE)
-    if not psd.passed:
-        raise SoundnessError(
-            f"positive definiteness spot check failed "
-            f"(min eigenvalue {psd.min_eigenvalue})"
-        )
-    return c, system, cf, law, eq, dec, psd
+    return c, system, cf, law, eq, dec
 
 
 def two_prime_counterexample(
@@ -458,7 +448,7 @@ def two_prime_counterexample(
     Haar law of any subgroup.  Every claim is checked exactly; the bundled
     sampler realizes the same law for simulation.
     """
-    c, system, cf, law, eq, dec, psd = _two_prime(spec, p, q, c, None)
+    c, system, cf, law, eq, dec = _two_prime(spec, p, q, c, None)
     coeffs = system.coefficients
     report = _simulated(law, coeffs, n, depth, seed, alpha) if simulate else None
     outer = SubgroupSpec.of(spec, {p: -1})
@@ -469,7 +459,7 @@ def two_prime_counterexample(
         f"yet the law {_DEC_PHRASE[dec.kind]}: it is the two-level haar mixture "
         f"{c} * haar({outer}) + {1 - c} * haar({inner})",
         "the single-unbounded-prime characterization does not extend to this solenoid",
-        f"positive definiteness spot check passed (min eigenvalue {psd.min_eigenvalue:.2e})",
+        "the cf is positive definite: it equals the characteristic function of its sampling law",
     ]
     klass = classify_solenoid(spec)
     verdict = _verdict("two-prime-counterexample", klass, coeffs, eq, dec, sentences, report)
@@ -499,7 +489,7 @@ def blurred_counterexample(
     sharp construction.
     """
     sigma = Fraction(sigma)
-    c, system, cf, law, eq, dec, _ = _two_prime(spec, p, q, c, sigma)
+    c, system, cf, law, eq, dec = _two_prime(spec, p, q, c, sigma)
     gauss_support = support_as_subgroup(gaussian_cf(spec, sigma))
     if gauss_support.kind != "subgroup" or gauss_support.subgroup != SubgroupSpec.whole(spec):
         raise SoundnessError("the gaussian factor must be supported on the whole dual group")
@@ -553,7 +543,6 @@ def classify_and_conclude(
 
     eq = check_equidistribution(f, coeffs) if valid else None
     dec = decompose_gaussian_haar(f)
-    sup = support_as_subgroup(f)
 
     conclusive_class = klass.kind != "multiple_infinite_primes"
     if (
@@ -570,7 +559,7 @@ def classify_and_conclude(
             "solenoid with at most one unbounded prime, yet the law failed "
             "to decompose; the decomposition machinery is defective"
         )
-    nowhere_zero = sup.kind == "subgroup" and sup.subgroup == SubgroupSpec.whole(spec)
+    nowhere_zero = dec.support.subgroup == SubgroupSpec.whole(spec)
     if nowhere_zero and dec.kind == "gaussian_haar" and dec.subgroup != SubgroupSpec.whole(spec):
         raise SoundnessError(
             "the cf vanishes nowhere yet the decomposition reports a proper "
@@ -678,8 +667,8 @@ def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
                 f"the equation held although |f| differs from 1 on {s}; "
                 f"the equation checker is defective"
             )
-    if isinstance(dec.witness, tuple):
-        y1, y2 = dec.witness
+    if dec.support.kind == "not_subgroup":
+        y1, y2 = dec.support.witness
         return CircleCheck(
             "fails",
             witness=dec.witness,

@@ -28,35 +28,57 @@ Rational = Fraction
 #: cap on the number of coefficients a two-prime system may expand to
 MAX_COEFFICIENTS = 10**6
 
+#: cap on the number of multiplicity vectors solve_multiplicities may list
+MAX_SOLUTIONS = 10**6
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError where its bases are not proven exact."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is too large to test for primality (the limit is {_MR_EXACT_BELOW})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
-def _factor(n: int) -> dict[int, int]:
-    """Trial-division factorization; inputs here are desk-scale."""
-    out: dict[int, int] = {}
+def _split_by_table(spec: SteinitzSpec, n: int) -> tuple[dict[int, int], int]:
+    """Exponents of the table's primes in n != 0, and the rest of |n|.
+
+    The rest is 1 exactly when no other prime divides n.  Nothing beyond the
+    table is factored, so the cost does not grow with an outside prime.
+    """
     n = abs(n)
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    exponents = {}
+    for p in spec.primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            exponents[p] = e
+    return exponents, n
 
 
 def valuation(x: Rational | int, p: int) -> int | float:
@@ -169,28 +191,27 @@ def in_dual_group(spec: SteinitzSpec, y: Rational | int) -> bool:
     """Whether y lies in the rational character group of the solenoid.
 
     True iff every prime r satisfies v_r(y) >= -multiplicity(r); only primes
-    dividing the denominator can fail.
+    dividing the denominator can fail.  The table's primes are divided out of
+    the denominator, which must leave 1, so no factorization is attempted.
     """
-    y = Fraction(y)
-    for r, e in _factor(y.denominator).items():
-        if spec.multiplicity(r) < e:
-            return False
-    return True
+    exponents, rest = _split_by_table(spec, Fraction(y).denominator)
+    return rest == 1 and all(spec.multiplicity(r) >= e for r, e in exponents.items())
 
 
 def is_automorphism(spec: SteinitzSpec, alpha: Rational | int) -> bool:
     """Whether multiplication by alpha is invertible on the character group.
 
     Requires alpha != 0 and every prime of numerator and denominator to carry
-    infinite multiplicity; +-1 always qualify.
+    infinite multiplicity; +-1 always qualify.  The table's primes are
+    divided out of both, which must leave 1, so no factorization is attempted.
     """
     alpha = Fraction(alpha)
     if alpha == 0:
         return False
-    for n in (abs(alpha.numerator), alpha.denominator):
-        for r in _factor(n):
-            if spec.multiplicity(r) != INFINITE:
-                return False
+    for n in (alpha.numerator, alpha.denominator):
+        exponents, rest = _split_by_table(spec, n)
+        if rest != 1 or any(spec.multiplicity(r) != INFINITE for r in exponents):
+            return False
     return True
 
 
@@ -213,7 +234,9 @@ def solve_multiplicities(p: int, length: int) -> list[tuple[int, ...]]:
 
     Returned in lexicographic order.  Each solution necessarily has some
     entry k_j > p^j; this structural fact is asserted because downstream
-    constructions depend on it.
+    constructions depend on it.  The count grows quickly (45, 1,085 and
+    79,325 solutions for p = 2 at lengths 3, 4 and 5), so listing stops with
+    TermBudgetExceeded once it passes MAX_SOLUTIONS.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -227,6 +250,10 @@ def solve_multiplicities(p: int, length: int) -> list[tuple[int, ...]]:
     def descend(j: int, remaining: int, acc: list[int]) -> None:
         if j == length - 1:
             out.append(tuple(acc + [remaining]))  # last weight is 1
+            if len(out) > MAX_SOLUTIONS:
+                raise TermBudgetExceeded(
+                    f"p = {p}, length {length} has more than {MAX_SOLUTIONS} solutions"
+                )
             return
         w = weights[j]
         for k in range(remaining // w + 1):

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +59,19 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", tmp_path / "absent.json")
         assert code == 2
         assert "cannot read" in err
+
+    def test_huge_prime_key_is_decided(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"solenoid": {"1000000000000000003": 1}})
+        code, out, _ = run_cli(capsys, "classify", path)
+        assert code == 0
+        assert json.loads(out)["class"] == "no_infinite_prime"
+
+    def test_key_beyond_the_primality_bound_is_exit_2(self, tmp_path, capsys):
+        # the smallest strong pseudoprime to the first 13 prime bases
+        path = write_config(tmp_path, {"solenoid": {"3317044064679887385961981": 1}})
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 2 and out == ""
+        assert "too large to test for primality" in err
 
     def test_invalid_json_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -151,6 +163,13 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", path)
         assert code == 3
         assert json.loads(out)["equation"]["verdict"] == "unknown"
+
+    def test_huge_prime_coefficient_is_not_an_automorphism(self, tmp_path, capsys):
+        cfg = dict(GAUSS_HOLDS, coefficients=["1/1000000000000000003"])
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, cfg))
+        doc = json.loads(out)
+        assert code == 3 and doc["coefficients_valid"] is False
+        assert "1/1000000000000000003 are not automorphisms" in doc["conclusion"]
 
     def test_csv_format(self, tmp_path, capsys):
         path = write_config(tmp_path, GAUSS_HOLDS)
@@ -291,6 +310,12 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert "DepthInsufficient" in err and "int64" in err
 
+    def test_non_automorphism_coefficient_is_exit_2(self, tmp_path, capsys):
+        cfg = dict(self.CONFIG, coefficients=["1/2", "1/3"])
+        code, out, err = run_cli(capsys, "simulate", write_config(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert "coefficient 1/3 is not an automorphism" in err
+
     def test_bad_simulation_numbers(self, tmp_path, capsys):
         for patch in ({"n": 0}, {"depth": -1}, {"alpha": 2}):
             cfg = dict(self.CONFIG, simulation={**self.CONFIG["simulation"], **patch})
@@ -317,6 +342,17 @@ class TestSolveCoeffs:
         path = write_config(tmp_path, {"p": 4, "l": 1})
         code, _, _ = run_cli(capsys, "solve-coeffs", path)
         assert code == 2
+
+    def test_largest_listed_table(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"p": 2, "l": 5})
+        code, out, _ = run_cli(capsys, "solve-coeffs", path)
+        assert code == 0 and json.loads(out)["count"] == 79_325
+
+    def test_oversized_table_is_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"p": 2, "l": 7})
+        code, out, err = run_cli(capsys, "solve-coeffs", path)
+        assert code == 2 and out == ""
+        assert "TermBudgetExceeded" in err and "more than 1000000 solutions" in err
 
 
 class TestCounterexample:
@@ -348,23 +384,28 @@ class TestCounterexample:
         ],
     )
     def test_report_matches_pinned_fixture(self, tmp_path, capsys, name, doc):
-        # stdout and bundle byte for byte, except the sharp report's min
-        # eigenvalue (about -1e-15), which is rounding noise of the BLAS build
+        # stdout and bundle byte for byte: no figure in them depends on BLAS
         path = write_config(tmp_path, doc, f"{name}.json")
         code, out, _ = run_cli(capsys, "counterexample", path, "--seed", 0)
         assert code == 0
-        mask = lambda text: re.sub(r"min eigenvalue [^)]*", "min eigenvalue ?", text)
         pairs = [
             (out, f"counterexample_{name}.stdout"),
             ((tmp_path / f"{name}.bundle.json").read_text(), f"counterexample_{name}.bundle.json"),
         ]
         for got, fixture in pairs:
-            assert mask(got) == mask((FIXTURES / fixture).read_text())
+            assert got == (FIXTURES / fixture).read_text()
 
     def test_out_of_range_weight_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"p": 2, "q": 3, "c": "3/2"})
         code, _, _ = run_cli(capsys, "counterexample", path)
         assert code == 2
+
+    def test_composite_prime_is_exit_2(self, tmp_path, capsys):
+        # the default solenoid {p: inf, q: inf} cannot be built from p = 4
+        path = write_config(tmp_path, {"p": 4, "q": 3, "c": "1/2"})
+        code, out, err = run_cli(capsys, "counterexample", path)
+        assert code == 2 and out == ""
+        assert "4 is not prime" in err
 
     def test_equal_primes_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"p": 3, "q": 3, "c": "1/2"})

@@ -8,6 +8,7 @@ and known-different laws.
 """
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -228,6 +229,14 @@ class TestLinearForm:
         gauss = sample(GaussianLine(DYADIC, 1), 62, 10, seed=0)
         assert haar.n == gauss.n == 10
         assert np.all(haar.coords * 2.0**63 == np.round(haar.coords * 2.0**63))
+
+    def test_required_depth_huge_outside_prime(self):
+        # only the table's primes are divided out, so the cost does not grow
+        # with the size of a prime outside the table
+        start = time.perf_counter()
+        with pytest.raises(DepthInsufficient, match="cannot absorb"):
+            required_depth(DYADIC, [F(1, 2 * (10**18 + 3))], 2)
+        assert time.perf_counter() - start < 1.0
 
     def test_required_depth_finite_prime_above_depth(self):
         assert required_depth(SteinitzSpec.of({2: math.inf, 3: 1}), [F(1, 3)], 1) == 2

@@ -10,7 +10,6 @@ returned, what raises, and what the conclusion text commits to.
 
 import dataclasses
 import math
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -42,8 +41,8 @@ from soladic import (
     support_as_subgroup,
     two_prime_counterexample,
 )
-from soladic import scenarios
-from soladic.charfun import NEG_INF, POS_INF, PositivityReport
+from soladic import charfun, scenarios
+from soladic.charfun import NEG_INF, POS_INF
 from soladic.scenarios import _assert_coherent
 
 DYADIC = SteinitzSpec.of({2: math.inf})
@@ -251,27 +250,46 @@ class TestBlurredCounterexample:
             blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), -1)
 
 
+def count_calls(monkeypatch, name, modules=(charfun, scenarios)):
+    """Count the calls to `name` through every module that binds it; returns
+    the list that receives each call's positional arguments."""
+    seen = []
+    real = getattr(charfun, name, None) or getattr(scenarios, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return seen
+
+
 class TestOneTwoPrimeConstruction:
     """The sharp and blurred bundles come from one builder that checks once."""
 
     def test_each_check_runs_once_per_blurred_bundle(self, monkeypatch):
-        names = (
-            "positivity_report",
-            "check_equidistribution",
-            "decompose_gaussian_haar",
-            "two_prime_coefficients",
-        )
-        calls = Counter()
-        for name in names:
-            real = getattr(scenarios, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(scenarios, name, counted)
+        once = ("check_equidistribution", "decompose_gaussian_haar", "two_prime_coefficients")
+        calls = {name: count_calls(monkeypatch, name) for name in (*once, "positivity_report")}
         blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), 1)
-        assert calls == Counter(names)
+        # positivity follows from the law equality, so no numeric check runs
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            **dict.fromkeys(once, 1),
+            "positivity_report": 0,
+        }
+
+    def test_support_is_computed_once_per_cf(self, monkeypatch):
+        seen = count_calls(monkeypatch, "support_as_subgroup")
+        sharp = two_prime_counterexample(TWO_THREE, 2, 3, F(1, 3))
+        assert [args[0] for args in seen] == [sharp.cf]
+        seen.clear()
+        # the blurred bundle also checks its gaussian factor, a different cf
+        blurred = blurred_counterexample(TWO_THREE, 2, 3, F(1, 3), 1)
+        assert sum(args[0] is blurred.cf for args in seen) == 1 and len(seen) == 2
+        assert blurred.verdict.decomposition.support.subgroup == SubgroupSpec.of(
+            TWO_THREE, {2: -1}
+        )
 
     @pytest.mark.parametrize("sigma", [None, 0, F(1, 10), 1])
     def test_sampler_realizes_the_returned_cf(self, sigma):
@@ -281,13 +299,17 @@ class TestOneTwoPrimeConstruction:
             b = blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), sigma)
         assert compare(b.sampler.exact_cf(), b.cf).verdict == "equal"
 
-    def test_failed_positivity_is_a_soundness_error(self, monkeypatch):
-        failed = PositivityReport(8, 100, 0, 1e-9, -1.0, False)
-        monkeypatch.setattr(scenarios, "positivity_report", lambda *a, **k: failed)
-        with pytest.raises(SoundnessError, match="positive definiteness"):
-            two_prime_counterexample(TWO_THREE, 2, 3, F(1, 2))
-        with pytest.raises(SoundnessError, match="positive definiteness"):
-            blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), 1)
+    def test_wrong_law_cf_is_a_soundness_error(self, monkeypatch):
+        # positivity rests on the cf being the law's cf, so a law whose cf
+        # swaps the mixture weights must stop both builds (c = 1/2 would not
+        # notice the swap)
+        real = Mixture.exact_cf
+        swapped = lambda law: real(Mixture(law.weights[::-1], law.parts))
+        monkeypatch.setattr(Mixture, "exact_cf", swapped)
+        with pytest.raises(SoundnessError, match="sampling law must match"):
+            two_prime_counterexample(TWO_THREE, 2, 3, F(1, 3))
+        with pytest.raises(SoundnessError, match="sampling law must match"):
+            blurred_counterexample(TWO_THREE, 2, 3, F(1, 3), 1)
 
 
 class TestClassifyAndConclude:
@@ -342,6 +364,27 @@ class TestClassifyAndConclude:
         v = classify_and_conclude(DYADIC, HALF4, f)
         assert v.decomposition.kind == "unknown"
         assert "could not be decided" in v.conclusion
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            gaussian_cf(DYADIC, F(7, 3)),
+            gaussian_cf(DYADIC, 1, F(1, 8)),
+            haar_cf(SubgroupSpec.of(DYADIC, {2: 1})),
+            build_cf(
+                DYADIC,
+                [
+                    (Stratum.of({2: (0, 0)}), [Term(F(1), 0, 0)]),
+                    (Stratum.zero_only(), [Term(F(1), 0, 0)]),
+                ],
+            ),
+        ],
+    )
+    def test_support_is_computed_once(self, monkeypatch, f):
+        seen = count_calls(monkeypatch, "support_as_subgroup")
+        v = classify_and_conclude(DYADIC, HALF4, f)
+        assert len(seen) == 1
+        assert v.decomposition.support == support_as_subgroup(f)
 
     def test_unit_square_note_when_sums_differ(self):
         v = classify_and_conclude(DYADIC, [F(1, 2)] * 3, gaussian_cf(DYADIC, 1))

@@ -7,6 +7,7 @@ worked out by hand.
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soladic.errors import DepthUnavailable
+from soladic.errors import DepthUnavailable, TermBudgetExceeded
+from soladic import steinitz
 from soladic.steinitz import (
     INFINITE,
     SolenoidClass,
@@ -267,6 +269,90 @@ def test_automorphisms_closed_under_product_and_inverse(i, j, s):
 
 
 # ---------------------------------------------------------------------------
+# membership and automorphisms without factoring outside primes
+
+#: primes far beyond trial division: a sqrt(n) scan of any of them takes minutes
+BIG_PRIMES = [10**18 + 3, 2**61 - 1, 10**18 + 9]
+
+
+def oracle_dual_member(spec, y):
+    return all(spec.multiplicity(r) >= e for r, e in sympy.factorint(y.denominator).items())
+
+
+def oracle_automorphism(spec, alpha):
+    primes = set(sympy.factorint(abs(alpha.numerator))) | set(sympy.factorint(alpha.denominator))
+    return alpha != 0 and all(spec.multiplicity(r) == INFINITE for r in primes)
+
+
+def _factor_product(exponents, big):
+    return math.prod(p**e for p, e in zip((2, 3, 5, 7), exponents)) * big
+
+
+@given(
+    table=st.dictionaries(
+        st.sampled_from([2, 3, 5, 7]), st.sampled_from([1, 2, 3, INFINITE]), max_size=4
+    ),
+    sign=st.sampled_from([1, -1]),
+    num=st.tuples(*[st.integers(0, 4)] * 4),
+    den=st.tuples(*[st.integers(0, 4)] * 4),
+    num_big=st.sampled_from([0, 1, 11, *BIG_PRIMES]),
+    den_big=st.sampled_from([1, 11, 13 * 13, *BIG_PRIMES]),
+)
+@settings(max_examples=200, deadline=None)
+def test_membership_and_automorphisms_match_factorint(table, sign, num, den, num_big, den_big):
+    spec = SteinitzSpec.of(table)
+    x = sign * Fraction(_factor_product(num, num_big), _factor_product(den, den_big))
+    assert in_dual_group(spec, x) == oracle_dual_member(spec, x)
+    assert is_automorphism(spec, x) == oracle_automorphism(spec, x)
+
+
+def test_huge_prime_denominator_is_decided_fast():
+    spec = SteinitzSpec.of({2: INFINITE, 3: 2})
+    y = Fraction(1, 10**18 + 3)
+    start = time.perf_counter()
+    assert in_dual_group(spec, y) is False
+    assert is_automorphism(spec, y) is False
+    assert is_automorphism(spec, 1 / y) is False
+    assert in_dual_group(spec, Fraction(10**18 + 3, 8)) is True
+    assert time.perf_counter() - start < 1.0
+
+
+#: the smallest strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9 and 12
+#: prime bases; each fools every Miller-Rabin base below its last one
+STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+]
+
+
+def test_is_prime_matches_sympy():
+    # every small n, then numbers whose smallest prime factor is beyond the
+    # reach of trial division
+    large = [
+        *BIG_PRIMES,
+        *STRONG_PSEUDOPRIMES,
+        (10**9 + 7) * (10**9 + 9),
+        3317044064679887385961979,  # the largest odd number the bases decide
+    ]
+    for n in [*range(-10, 20_000), *large]:
+        assert steinitz._is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_numbers_beyond_its_proven_bound():
+    with pytest.raises(ValueError, match="too large"):
+        steinitz._is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="too large"):
+        SteinitzSpec.of({10**30 + 57: 1})
+
+
+# ---------------------------------------------------------------------------
 # coefficient systems
 
 
@@ -310,6 +396,15 @@ def test_k_vectors_induce_unit_coefficient_systems(p, length):
         coeffs = coefficients_from_multiplicities(p, ks)
         assert sum_of_squares_is_one(coeffs)
         assert all(c == F(1, p**j) for j, c in _label_exponents(p, ks, coeffs))
+
+
+def test_k_vector_count_is_capped(monkeypatch):
+    assert len(solve_multiplicities(2, 5)) == 79_325
+    monkeypatch.setattr(steinitz, "MAX_SOLUTIONS", 1_085)
+    assert len(solve_multiplicities(2, 4)) == 1_085
+    monkeypatch.setattr(steinitz, "MAX_SOLUTIONS", 1_084)
+    with pytest.raises(TermBudgetExceeded, match="more than 1084 solutions"):
+        solve_multiplicities(2, 4)
 
 
 def _label_exponents(p, ks, coeffs):

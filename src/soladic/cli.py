@@ -5,7 +5,8 @@ canonical report to stdout, and signals its verdict through the exit code:
 
 * 0 - success (equation holds, simulation consistent, or nothing to decide)
 * 1 - verdict-negative: the equation fails or the simulation is inconsistent
-* 2 - usage or config error
+* 2 - usage or config error, including a coefficient that is not an
+  automorphism of the solenoid (``check`` still prints its report first)
 * 3 - the checker could not decide (verdict unknown)
 
 ``--seed`` beats the SOLADIC_SEED environment variable, which beats the
@@ -210,6 +211,8 @@ def cmd_check(args) -> int:
     verdict = classify_and_conclude(spec, coeffs, f)
     report = {"command": "check", "solenoid": spec_to_json(spec), **_verdict_to_json(verdict)}
     _emit(report, args.format)
+    if not verdict.coefficients_valid:  # an input error, whatever else was decided
+        return EXIT_CONFIG
     if verdict.equation is None or verdict.equation.verdict == "unknown":
         return EXIT_UNKNOWN
     return EXIT_OK if verdict.equation.verdict == "holds" else EXIT_NEGATIVE

@@ -47,8 +47,23 @@ class SamplerSpec:
     def exact_cf(self) -> StratifiedCF:
         raise NotImplementedError
 
-    def _draw(self, n: int, depth: int, rng: np.random.Generator) -> np.ndarray:
+    def _draw_sum(self, n: int, counts, depth: int, rng: np.random.Generator) -> np.ndarray:
+        """n depth-N coordinates, each the sum of `counts` i.i.d. copies of the law.
+
+        `counts` is one int for all n draws, or an int64 array of length n;
+        a count of 0 gives exactly 0.  Every variant draws the sum in closed
+        form, so the cost does not grow with the count.
+        """
         raise NotImplementedError
+
+
+def _multiples(x: SolenoidPoint, counts, depth: int):
+    """k*x as a depth-N coordinate for each count k, exact in Fractions per distinct k."""
+    unit = x.real_value / x.spec.level(depth)
+    if np.ndim(counts) == 0:
+        return float(int(counts) * unit % 1)
+    ks, inverse = np.unique(counts, return_inverse=True)
+    return np.array([float(int(k) * unit % 1) for k in ks])[inverse]
 
 
 @dataclass(frozen=True)
@@ -64,9 +79,10 @@ class Degenerate(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return gaussian_cf(self.ambient, 0, self.x)
 
-    def _draw(self, n, depth, rng):
-        coord = float(self.x.real_value / self.ambient.level(depth) % 1)
-        return np.full(n, coord)
+    def _draw_sum(self, n, counts, depth, rng):
+        out = np.zeros(n)
+        out += _multiples(self.x, counts, depth)
+        return out
 
 
 @dataclass(frozen=True)
@@ -76,7 +92,9 @@ class HaarAnnihilator(SamplerSpec):
     The depth-N marginal is uniform on the fiber {j/d_N : 0 <= j < d_N} with
     d_N the least positive integer m such that m/A_N lies in E; when E is the
     zero subgroup the fiber degenerates to the whole circle and the draw is
-    continuous uniform (the law is Haar measure of the full solenoid).
+    continuous uniform (the law is Haar measure of the full solenoid).  Haar
+    measure convolved with itself is itself, so a sum of k >= 1 copies is one
+    draw.
     """
 
     E: SubgroupSpec
@@ -88,15 +106,18 @@ class HaarAnnihilator(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return haar_cf(self.E)
 
-    def _draw(self, n, depth, rng):
+    def _draw_sum(self, n, counts, depth, rng):
         if self.E.trivial:
-            return rng.random(n)
-        d = fiber_order(self.E, depth)
-        if d - 1 > np.iinfo(np.int64).max:  # rng.integers draws residues as int64
-            raise DepthInsufficient(
-                f"the haar fiber of {self.E} at depth {depth} has order {d}, beyond int64"
-            )
-        return rng.integers(0, d, size=n) / d
+            out = rng.random(n)
+        else:
+            d = fiber_order(self.E, depth)
+            if d - 1 > np.iinfo(np.int64).max:  # rng.integers draws residues as int64
+                raise DepthInsufficient(
+                    f"the haar fiber of {self.E} at depth {depth} has order {d}, beyond int64"
+                )
+            out = rng.integers(0, d, size=n) / d
+        out *= np.asarray(counts) > 0
+        return out
 
 
 def fiber_order(subgroup: SubgroupSpec, depth: int) -> int:
@@ -143,9 +164,13 @@ class GaussianLine(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return gaussian_cf(self.spec, self.sigma, self.mean)
 
-    def _draw(self, n, depth, rng):
-        z = float(self.mean) + self.s * rng.standard_normal(n)
-        return np.mod(z / float(self.spec.level(depth)), 1.0)
+    def _draw_sum(self, n, counts, depth, rng):
+        # k copies sum to a normal law with mean k*mean and deviation sqrt(k)*s
+        z = rng.standard_normal(n)
+        z *= np.sqrt(counts) * self.s
+        z += np.multiply(counts, float(self.mean))
+        z /= float(self.spec.level(depth))
+        return np.mod(z, 1.0, out=z)
 
 
 @dataclass(frozen=True)
@@ -170,15 +195,16 @@ class Mixture(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return cf_mixture(self.weights, [p.exact_cf() for p in self.parts])
 
-    def _draw(self, n, depth, rng):
+    def _draw_sum(self, n, counts, depth, rng):
+        # split each draw's copies among the parts; a part that receives
+        # none of a draw's copies adds exactly 0 to it
         probs = np.array([float(w) for w in self.weights])
         probs /= probs.sum()
-        idx = rng.choice(len(self.parts), size=n, p=probs)
-        out = np.empty(n)
-        for j, (part, child) in enumerate(zip(self.parts, rng.spawn(len(self.parts)))):
-            mask = idx == j
-            out[mask] = part._draw(int(mask.sum()), depth, child)
-        return out
+        split = rng.multinomial(counts, probs, size=None if np.ndim(counts) else n)
+        out = np.zeros(n)
+        for part, child, k in zip(self.parts, rng.spawn(len(self.parts)), split.T):
+            out += part._draw_sum(n, k, depth, child)
+        return np.mod(out, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -199,9 +225,10 @@ class Shifted(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return gaussian_cf(self.ambient, 0, self.x) * self.law.exact_cf()
 
-    def _draw(self, n, depth, rng):
-        offset = float(self.x.real_value / self.ambient.level(depth) % 1)
-        return np.mod(self.law._draw(n, depth, rng) + offset, 1.0)
+    def _draw_sum(self, n, counts, depth, rng):
+        out = self.law._draw_sum(n, counts, depth, rng)
+        out += _multiples(self.x, counts, depth)
+        return np.mod(out, 1.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -227,11 +254,11 @@ class ConvolutionOf(SamplerSpec):
             out = out * p.exact_cf()
         return out
 
-    def _draw(self, n, depth, rng):
+    def _draw_sum(self, n, counts, depth, rng):
         total = np.zeros(n)
         for part, child in zip(self.parts, rng.spawn(len(self.parts))):
-            total += part._draw(n, depth, child)
-        return np.mod(total, 1.0)
+            total += part._draw_sum(n, counts, depth, child)
+        return np.mod(total, 1.0, out=total)
 
 
 def exact_cf_of(law: SamplerSpec) -> StratifiedCF:
@@ -266,10 +293,17 @@ class SampleBatch:
         return SampleBatch(self.spec, depth, np.mod(self.coords * float(ratio), 1.0), self.seed_record)
 
 
-def sample(law: SamplerSpec, depth: int, n: int, seed) -> SampleBatch:
-    """Draw n i.i.d. depth-N coordinates of the law, reproducibly from seed."""
+def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> SampleBatch:
+    """Draw n i.i.d. depth-N coordinates of the law, reproducibly from seed.
+
+    With `copies` = k each coordinate is the sum of k independent draws of
+    the law, drawn in closed form as one draw of the k-fold convolution, so
+    the cost does not grow with k.
+    """
     if n < 1:
         raise ValueError("need at least one draw")
+    if copies < 1:
+        raise ValueError("need at least one copy")
     spec = law.ambient
     if spec.level(depth) > np.iinfo(np.int64).max:  # level() also validates the depth
         raise DepthInsufficient(f"the tower level at depth {depth} exceeds int64")
@@ -279,7 +313,7 @@ def sample(law: SamplerSpec, depth: int, n: int, seed) -> SampleBatch:
     else:
         record = f"{BIT_GENERATOR}(seed={seed})"
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    coords = law._draw(n, depth, rng)
+    coords = law._draw_sum(n, copies, depth, rng)
     return SampleBatch(spec, depth, coords, record)
 
 
@@ -516,25 +550,31 @@ def monte_carlo_equidist(
 ) -> EquidistReport:
     """Compare one draw's law against the linear form of independent copies.
 
-    Draws a reference batch of the law and an independent batch per
-    coefficient, forms the linear form, and tests the two resulting samples
-    for equality in law: empirical characteristic-function gaps on the
-    character panel (Hoeffding p-values) plus Kuiper two-sample tests at
-    every depth down the tower.  The verdict applies a Bonferroni correction
-    across all tests at the given level.  The report keeps the reference and
-    combined batches that were tested.
+    Draws a reference batch of the law and, for each distinct coefficient
+    alpha with count k, one batch whose draws are sums of k independent
+    copies; the linear form is the sum of alpha times those batches.  The
+    seed spawns one child stream per batch: the first for the reference,
+    then one per distinct coefficient in increasing order.  The two
+    resulting samples are tested for equality in law: empirical
+    characteristic-function gaps on the character panel (Hoeffding
+    p-values) plus Kuiper two-sample tests at every depth down the tower.
+    The verdict applies a Bonferroni correction across all tests at the
+    given level.  The report keeps the reference and combined batches that
+    were tested, and the flat coefficient system.
     """
     coeffs = [Fraction(c) for c in coeffs]
     spec = law.ambient
-    for c, _ in coefficient_counts(coeffs):
+    counts = coefficient_counts(coeffs)
+    for c, _ in counts:
         if not is_automorphism(spec, c):
             raise ValueError(f"coefficient {c} is not an automorphism of this solenoid")
-    deep = required_depth(spec, coeffs, depth)
-    children = np.random.SeedSequence(seed).spawn(len(coeffs) + 1)
+    distinct = [c for c, _ in counts]
+    deep = required_depth(spec, distinct, depth)
+    children = np.random.SeedSequence(seed).spawn(len(counts) + 1)
     reference = sample(law, depth, n, children[0])
-    # one independent draw per copy, drawn and summed one at a time
-    parts = (sample(law, deep, n, child) for child in children[1:])
-    combined = linear_form(parts, coeffs, depth=depth)
+    # one batch per distinct coefficient, drawn and summed one at a time
+    parts = (sample(law, deep, n, child, copies=k) for (_, k), child in zip(counts, children[1:]))
+    combined = linear_form(parts, distinct, depth=depth)
 
     chars = tuple(Fraction(y) for y in charset) if charset is not None else default_charset(spec, depth)
     ref_cf = empirical_cf(reference, chars)

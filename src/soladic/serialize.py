@@ -327,10 +327,21 @@ def law_from_json(spec: SteinitzSpec, obj, where: str = "law") -> SamplerSpec:
 # batches and reports
 
 
+#: rows converted to Python floats and strings at a time by batch_to_csv
+CSV_CHUNK_ROWS = 65_536
+
+
 def batch_to_csv(batch: SampleBatch) -> str:
-    lines = ["depth,coord"]
-    lines.extend(f"{batch.depth},{coord!r}" for coord in batch.coords.tolist())
-    return "\n".join(lines) + "\n"
+    """The batch as ``depth,coord`` rows, coordinates in shortest round-trip repr.
+
+    Rows are built a chunk at a time, so the per-row Python floats and
+    strings of one chunk are alive at once, not those of the whole batch.
+    """
+    sep = f"\n{batch.depth},"
+    chunks = ["depth,coord"]
+    for i in range(0, batch.n, CSV_CHUNK_ROWS):
+        chunks.append(sep.join(map(repr, batch.coords[i : i + CSV_CHUNK_ROWS].tolist())))
+    return sep.join(chunks) + "\n"
 
 
 def _complex_to_json(z: complex) -> dict:

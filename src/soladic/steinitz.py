@@ -235,34 +235,65 @@ def solve_multiplicities(p: int, length: int) -> list[tuple[int, ...]]:
     Returned in lexicographic order.  Each solution necessarily has some
     entry k_j > p^j; this structural fact is asserted because downstream
     constructions depend on it.  The count grows quickly (45, 1,085 and
-    79,325 solutions for p = 2 at lengths 3, 4 and 5), so listing stops with
-    TermBudgetExceeded once it passes MAX_SOLUTIONS.
+    79,325 solutions for p = 2 at lengths 3, 4 and 5), so the solutions are
+    counted first and TermBudgetExceeded is raised, before any is listed,
+    when there are more than MAX_SOLUTIONS.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if length < 1:
         raise ValueError("length must be >= 1")
-    # clear denominators: sum k_j * p^(2*(length-j)) == p^(2*length)
-    weights = [p ** (2 * (length - j)) for j in range(1, length + 1)]
-    target = p ** (2 * length)
+    # a solution of a shorter length extends by zeros, so the count only
+    # grows with the length: counting up from length 1 refuses a long table
+    # at the first length past the cap, with a shallow recursion
+    for m in range(1, length + 1):
+        if _count_solutions(_weights(p, m), p ** (2 * m)) > MAX_SOLUTIONS:
+            raise TermBudgetExceeded(f"p = {p}, length {length} has more than {MAX_SOLUTIONS} solutions")
     out: list[tuple[int, ...]] = []
-
-    def descend(j: int, remaining: int, acc: list[int]) -> None:
-        if j == length - 1:
-            out.append(tuple(acc + [remaining]))  # last weight is 1
-            if len(out) > MAX_SOLUTIONS:
-                raise TermBudgetExceeded(
-                    f"p = {p}, length {length} has more than {MAX_SOLUTIONS} solutions"
-                )
-            return
-        w = weights[j]
-        for k in range(remaining // w + 1):
-            descend(j + 1, remaining - k * w, acc + [k])
-
-    descend(0, target, [])
+    _descend(_weights(p, length), 0, p ** (2 * length), [], out)
     for ks in out:
         assert any(k > p**j for j, k in enumerate(ks, start=1))
     return out
+
+
+def _weights(p: int, length: int) -> list[int]:
+    """Cleared denominators: sum k_j/p^(2j) = 1 is sum k_j * p^(2*(length-j)) = p^(2*length)."""
+    return [p ** (2 * (length - j)) for j in range(1, length + 1)]
+
+
+def _count_solutions(weights: Sequence[int], target: int) -> int:
+    """Solutions of sum k_j * weights[j] == target (last weight 1), up to MAX_SOLUTIONS + 1.
+
+    Memoized on (j, remaining).  A sum stops as soon as it passes the cap,
+    and every state has at least one solution, so the work stays within a
+    small multiple of the cap however many solutions there are.
+    """
+    cap = MAX_SOLUTIONS + 1
+
+    @lru_cache(maxsize=None)
+    def count(j: int, remaining: int) -> int:
+        if j == len(weights) - 1:
+            return 1  # the last weight is 1: its entry takes the rest
+        if j == len(weights) - 2:  # one solution per value of this entry
+            return min(remaining // weights[j] + 1, cap)
+        total = 0
+        for k in range(remaining // weights[j] + 1):
+            total += count(j + 1, remaining - k * weights[j])
+            if total >= cap:
+                return cap
+        return total
+
+    return count(0, target)
+
+
+def _descend(weights: Sequence[int], j: int, remaining: int, acc: list[int], out: list) -> None:
+    """Append every solution of sum k_i * weights[i] == remaining for i >= j, in lexicographic order."""
+    if j == len(weights) - 1:
+        out.append(tuple(acc + [remaining]))  # last weight is 1
+        return
+    w = weights[j]
+    for k in range(remaining // w + 1):
+        _descend(weights, j + 1, remaining - k * w, acc + [k], out)
 
 
 def coefficients_from_multiplicities(p: int, ks: Sequence[int]) -> tuple[Rational, ...]:

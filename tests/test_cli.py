@@ -168,7 +168,7 @@ class TestCheck:
         cfg = dict(GAUSS_HOLDS, coefficients=["1/1000000000000000003"])
         code, out, _ = run_cli(capsys, "check", write_config(tmp_path, cfg))
         doc = json.loads(out)
-        assert code == 3 and doc["coefficients_valid"] is False
+        assert code == 2 and doc["coefficients_valid"] is False
         assert "1/1000000000000000003 are not automorphisms" in doc["conclusion"]
 
     def test_csv_format(self, tmp_path, capsys):

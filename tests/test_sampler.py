@@ -22,6 +22,7 @@ from soladic.errors import (
     DepthInsufficient,
     SpecMismatch,
 )
+from soladic import sampler
 from soladic.sampler import (
     ConvolutionOf,
     Degenerate,
@@ -40,7 +41,9 @@ from soladic.sampler import (
     monte_carlo_equidist,
     required_depth,
     sample,
+    _two_sample_cf_p,
 )
+from soladic.steinitz import coefficient_counts, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
 TWO_THREE = SteinitzSpec.of({2: math.inf, 3: math.inf})
@@ -77,6 +80,38 @@ ALL_VARIANTS = [
             HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 0})),
         )
     ),
+]
+
+
+# array counts reach every variant only below a mixture
+NESTED = Mixture(
+    (F(1, 3), F(2, 3)),
+    (
+        Shifted(
+            embed_real(DYADIC, F(1, 4)),
+            ConvolutionOf(
+                (
+                    GaussianLine(DYADIC, F(1, 2), mean=F(1, 5)),
+                    HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 0})),
+                )
+            ),
+        ),
+        Mixture(
+            (F(1, 2), F(1, 2)),
+            (Degenerate(embed_real(DYADIC, F(3, 8))), HaarAnnihilator(SubgroupSpec.zero(DYADIC))),
+        ),
+    ),
+)
+VARIANT_IDS = [
+    "degenerate",
+    "haar",
+    "haar-trivial",
+    "gaussian",
+    "gaussian-mean",
+    "mixture",
+    "shifted",
+    "convolution",
+    "nested",
 ]
 
 
@@ -135,6 +170,98 @@ class TestSampling:
             Mixture((F(1, 2), F(1, 3)), (GaussianLine(DYADIC, 1), GaussianLine(DYADIC, 2)))
         with pytest.raises(SpecMismatch):
             Mixture((F(1, 2), F(1, 2)), (GaussianLine(DYADIC, 1), GaussianLine(TWO_THREE, 1)))
+
+
+class TestDrawSum:
+    """A batch of k-copy sums drawn in closed form, against k explicit copies summed."""
+
+    @pytest.mark.parametrize("law", ALL_VARIANTS + [NESTED], ids=VARIANT_IDS)
+    def test_closed_form_matches_explicit_copies(self, law):
+        # two-sample cf gaps (Hoeffding) on 20 characters plus a Kuiper test,
+        # Bonferroni-corrected; over 20 seeds the false-reject share may not
+        # exceed alpha
+        alpha, k, n, depth, seeds = 0.05, 3, 2_000, 4, 20
+        chars = probe_chars(DYADIC, depth)
+        rejections = 0
+        for seed in range(seeds):
+            children = np.random.SeedSequence(seed).spawn(k + 1)
+            closed = sample(law, depth, n, children[0], copies=k)
+            explicit = linear_form([sample(law, depth, n, c) for c in children[1:]], [1] * k)
+            gaps = np.abs(empirical_cf(closed, chars).estimates - empirical_cf(explicit, chars).estimates)
+            p_values = [_two_sample_cf_p(n, g) for g in gaps]
+            p_values.append(kuiper_two_sample(closed, explicit)[1])
+            rejections += min(p_values) * len(p_values) < alpha
+        assert rejections <= alpha * seeds
+
+    def test_closed_form_detects_a_wrong_count(self):
+        # the same comparison tells 3 copies from 2 of a gaussian
+        n, depth = 2_000, 4
+        law = GaussianLine(DYADIC, F(1, 2))
+        three = sample(law, depth, n, 1, copies=3)
+        two = linear_form([sample(law, depth, n, s) for s in (2, 3)], [1, 1])
+        assert kuiper_two_sample(three, two)[1] < 1e-6
+
+    @pytest.mark.parametrize("law", ALL_VARIANTS + [NESTED], ids=VARIANT_IDS)
+    def test_zero_count_is_exactly_zero(self, law):
+        rng = np.random.Generator(np.random.PCG64(5))
+        assert np.all(law._draw_sum(50, 0, 4, rng) == 0.0)
+        counts = np.array([0, 1, 2, 0, 5, 0] * 10, dtype=np.int64)
+        out = law._draw_sum(counts.size, counts, 4, rng)
+        assert out.shape == counts.shape
+        assert np.all(out[counts == 0] == 0.0)
+        assert np.all((out >= 0.0) & (out < 1.0))
+
+    def test_degenerate_sum_is_exact(self):
+        # k * 3/8 at depth 4 (level 16) is 3k/128 mod 1, computed in Fractions
+        law = Degenerate(embed_real(DYADIC, F(3, 8)))
+        counts = np.array([1, 7, 43, 128], dtype=np.int64)
+        out = law._draw_sum(4, counts, 4, np.random.Generator(np.random.PCG64(0)))
+        assert out.tolist() == [float(F(3 * k, 128) % 1) for k in counts.tolist()]
+
+    def test_copies_must_be_positive(self):
+        with pytest.raises(ValueError, match="copy"):
+            sample(GaussianLine(DYADIC, 1), 2, 10, seed=0, copies=0)
+
+    @pytest.mark.parametrize("p,q", [(3, 5), (5, 2)])
+    def test_one_batch_per_distinct_coefficient(self, monkeypatch, p, q):
+        spec = SteinitzSpec.of({p: math.inf, q: math.inf})
+        law = Mixture(
+            (F(1, 2), F(1, 2)),
+            (
+                HaarAnnihilator(SubgroupSpec.of(spec, {p: -1})),
+                HaarAnnihilator(SubgroupSpec.of(spec, {p: 0})),
+            ),
+        )
+        coeffs = two_prime_coefficients(p, q).coefficients
+        calls = []
+        original = sampler.sample
+
+        def counted(law, depth, n, seed, copies=1):
+            calls.append(copies)
+            return original(law, depth, n, seed, copies)
+
+        monkeypatch.setattr(sampler, "sample", counted)
+        report = monte_carlo_equidist(law, coeffs, n=500, depth=2, seed=0)
+        assert len(calls) == len(coefficient_counts(coeffs)) + 1 == 3
+        assert calls == [1] + [k for _, k in coefficient_counts(coeffs)]
+        assert report.coeffs == tuple(coeffs)  # the report keeps the flat system
+
+    def test_five_two_system_at_full_size(self):
+        # 41,944 coefficients, two of them distinct: the sampling cost does
+        # not grow with the number of copies
+        spec = SteinitzSpec.of({5: math.inf, 2: math.inf})
+        law = Mixture(
+            (F(1, 2), F(1, 2)),
+            (
+                HaarAnnihilator(SubgroupSpec.of(spec, {5: -1})),
+                HaarAnnihilator(SubgroupSpec.of(spec, {5: 0})),
+            ),
+        )
+        coeffs = two_prime_coefficients(5, 2).coefficients
+        start = time.perf_counter()
+        report = monte_carlo_equidist(law, coeffs, n=100_000, depth=2, seed=0)
+        assert time.perf_counter() - start < 5.0
+        assert report.combined.n == 100_000 and len(report.coeffs) == 41_944
 
 
 class TestEmpiricalCF:

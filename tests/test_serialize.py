@@ -238,6 +238,13 @@ class TestBatchesAndReports:
         assert lines[1:] == ["1,0.5"] * 3
         assert text.endswith("\n")
 
+    @pytest.mark.parametrize("n", [1, 65_535, 65_536, 65_537, 200_001])
+    def test_batch_csv_matches_one_repr_per_row(self, n):
+        # rows are built in chunks of 65,536; the text must not depend on where they fall
+        batch = sample(GaussianLine(DYADIC, F(1, 3), mean=F(1, 5)), 3, n, 7)
+        reference = "depth,coord\n" + "".join(f"3,{c!r}\n" for c in batch.coords.tolist())
+        assert batch_to_csv(batch) == reference
+
     def test_report_json_is_byte_stable(self):
         law = HaarAnnihilator(SubgroupSpec.zero(DYADIC))
         coeffs = [F(1, 2)] * 4

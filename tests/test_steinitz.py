@@ -407,6 +407,29 @@ def test_k_vector_count_is_capped(monkeypatch):
         solve_multiplicities(2, 4)
 
 
+@pytest.mark.parametrize("p,length", [(2, 1), (2, 3), (2, 4), (3, 3), (5, 2), (5, 3)])
+def test_solution_count_matches_the_listing(p, length):
+    count = steinitz._count_solutions(steinitz._weights(p, length), p ** (2 * length))
+    assert count == len(solve_multiplicities(p, length))
+
+
+def test_largest_listed_table_is_lexicographic():
+    got = solve_multiplicities(2, 5)
+    assert len(got) == 79_325 and got == sorted(got)
+
+
+@pytest.mark.parametrize("p,length", [(2, 7), (2, 40), (2, 5_000), (1_000_003, 2), (101, 4)])
+def test_oversized_table_refuses_before_listing(monkeypatch, p, length):
+    def no_listing(*args):
+        raise AssertionError("solutions were listed before the count refused them")
+
+    monkeypatch.setattr(steinitz, "_descend", no_listing)
+    start = time.perf_counter()
+    with pytest.raises(TermBudgetExceeded, match="more than 1000000 solutions"):
+        solve_multiplicities(p, length)
+    assert time.perf_counter() - start < 1.0
+
+
 def _label_exponents(p, ks, coeffs):
     out = []
     i = 0

@@ -467,7 +467,11 @@ def _snap(coords: np.ndarray) -> np.ndarray:
     accumulated rounding error, and the modulus keeps wrap-around values on
     the zero atom.
     """
-    return np.mod(np.round(coords * _TIE_GRID), _TIE_GRID) / _TIE_GRID
+    out = coords * _TIE_GRID  # the one n-sized copy; the rest works in place
+    np.round(out, out=out)
+    np.mod(out, _TIE_GRID, out=out)
+    out /= _TIE_GRID
+    return out
 
 
 def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch) -> tuple[float, float]:

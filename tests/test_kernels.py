@@ -1,9 +1,12 @@
 """The two numeric kernels against brute-force definitions."""
 
+import math
+
 import numpy as np
 import pytest
 
-from soladic._kernels import cf_sums, kuiper_deltas
+from soladic import _kernels
+from soladic._kernels import CF_CHUNK_ROWS, atom_keys, cf_sums, kuiper_deltas
 
 
 def ecdf_deltas(a, b):
@@ -16,12 +19,46 @@ def ecdf_deltas(a, b):
     return dplus, dminus
 
 
+def dense_cf_sums(coords, multipliers):
+    """cf_sums one draw at a time: phases of every draw, summed per 65,536-row chunk."""
+    n = coords.shape[0]
+    out = np.empty(multipliers.shape[0], dtype=np.complex128)
+    for j, m in enumerate(multipliers):
+        total = 0j
+        for start in range(0, n, 1 << 16):
+            block = coords[start : start + (1 << 16)] * m
+            block -= np.floor(block)
+            total += np.exp(1j * 2.0 * math.pi * block).sum()
+        out[j] = total / n
+    return out
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_kuiper_deltas_match_ecdf_scan_with_ties(seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 8, size=rng.integers(1, 40)) / 8
     b = rng.integers(0, 8, size=rng.integers(1, 40)) / 8
     assert kuiper_deltas(a, b) == ecdf_deltas(a, b)
+
+
+_rng = np.random.default_rng(11)
+KUIPER_CASES = {
+    "unequal_sizes": (_rng.integers(0, 5, 7) / 5, _rng.integers(0, 5, 53) / 5),
+    "one_element_each": (np.array([0.25]), np.array([0.75])),
+    "one_against_many": (np.array([0.5]), _rng.integers(0, 4, 30) / 4),
+    "all_tied": (np.full(9, 0.375), np.full(4, 0.375)),
+    "disjoint_a_below": (_rng.random(12) / 2, 0.5 + _rng.random(20) / 2),
+    "disjoint_a_above": (0.5 + _rng.random(20) / 2, _rng.random(12) / 2),
+    "interleaved_continuous": (_rng.random(37), _rng.random(41)),
+    "alternating": (np.arange(0, 40, 2) / 40, np.arange(1, 40, 2) / 40),
+}
+
+
+@pytest.mark.parametrize("case", KUIPER_CASES)
+def test_kuiper_deltas_match_ecdf_scan(case):
+    a, b = KUIPER_CASES[case]
+    assert kuiper_deltas(a, b) == ecdf_deltas(a, b)
+    assert kuiper_deltas(b, a) == ecdf_deltas(b, a)
 
 
 @pytest.mark.parametrize("n", [1, (1 << 16) - 1, 1 << 16, (1 << 17) + 3])
@@ -32,3 +69,51 @@ def test_cf_sums_match_one_shot_mean_across_chunks(n):
     want = [np.exp(2j * np.pi * m * t).mean() for m in multipliers]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+
+MULTIPLIERS = np.array([0.0, 1.0, -3.0, 8.0, 243.0, 1296.0])
+
+
+@pytest.mark.parametrize("n", [100, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 17) + 3])
+def test_cf_sums_on_lattice_equal_the_dense_loop(n):
+    rng = np.random.default_rng(n)
+    # 12 atoms, with an ulp-shifted copy of some, as a linear form of draws leaves them
+    t = rng.integers(0, 12, n) / 12
+    t[::7] = np.nextafter(t[::7], 1.0)
+    assert atom_keys(t) is not None
+    assert np.array_equal(cf_sums(t, MULTIPLIERS), dense_cf_sums(t, MULTIPLIERS))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_cf_sums_equal_the_dense_loop_on_both_sides_of_the_atom_cutoff(extra):
+    # n/2 distinct values take the per-atom path, n/2 + 1 the per-draw one
+    n = 2 * CF_CHUNK_ROWS + 6
+    distinct = n // 2 + extra
+    t = np.arange(distinct) / distinct
+    t = np.random.default_rng(extra).permutation(np.concatenate([t, t[: n - distinct]]))
+    assert (atom_keys(t) is None) == bool(extra)
+    assert np.array_equal(cf_sums(t, MULTIPLIERS), dense_cf_sums(t, MULTIPLIERS))
+
+
+def test_atom_keys_keep_signed_zeros_apart():
+    t = np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5, 0.5, 0.5])
+    keys = atom_keys(t)
+    assert keys.view(np.float64).tolist() == [0.0, 0.5, -0.0]
+    assert [math.copysign(1.0, x) for x in keys.view(np.float64)] == [1.0, 1.0, -1.0]
+
+
+def test_cf_sums_evaluates_phases_once_per_atom(monkeypatch):
+    points = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        points.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels.np, "exp", counting_exp)
+    n = (1 << 17) + 3
+    lattice = np.random.default_rng(0).integers(0, 12, n) / 12
+    cf_sums(lattice, MULTIPLIERS)
+    assert 0 < sum(points) <= 12 * MULTIPLIERS.shape[0]
+    points.clear()
+    cf_sums(np.random.default_rng(0).random(n), MULTIPLIERS)
+    assert sum(points) == n * MULTIPLIERS.shape[0]

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from soladic import (
     GaussianLine,
     HaarAnnihilator,
     Mixture,
+    SampleBatch,
     Shifted,
     SolenoidPoint,
     SteinitzSpec,
@@ -23,6 +25,7 @@ from soladic import (
     compare,
     gaussian_cf,
     haar_cf,
+    linear_form,
     monte_carlo_equidist,
     sample,
 )
@@ -240,10 +243,22 @@ class TestBatchesAndReports:
 
     @pytest.mark.parametrize("n", [1, 65_535, 65_536, 65_537, 200_001])
     def test_batch_csv_matches_one_repr_per_row(self, n):
-        # rows are built in chunks of 65,536; the text must not depend on where they fall
-        batch = sample(GaussianLine(DYADIC, F(1, 3), mean=F(1, 5)), 3, n, 7)
-        reference = "depth,coord\n" + "".join(f"3,{c!r}\n" for c in batch.coords.tolist())
-        assert batch_to_csv(batch) == reference
+        # rows are built in chunks of 65,536, and a lattice batch's from one
+        # repr per atom; the text must depend on neither
+        haar = HaarAnnihilator(SubgroupSpec.of(TWO_THREE, {2: 0}))
+        # -0.0 and 0.0 are equal but print differently, so they must stay apart
+        atoms = np.array([0.0, -0.0, 1e-05, 0.9999999999999996])
+        batches = [
+            sample(GaussianLine(DYADIC, F(1, 3), mean=F(1, 5)), 3, n, 7),
+            sample(HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 0})), 3, n, 7),
+            # atoms one ulp apart, as a linear form of draws leaves them
+            linear_form([sample(haar, 3, n, 7), sample(haar, 3, n, 8)], [F(2, 3), F(1, 3)]),
+            SampleBatch(DYADIC, 3, np.random.default_rng(n).choice(atoms, n), "hand built"),
+        ]
+        for batch in batches:
+            reference = "depth,coord\n" + "".join(f"{batch.depth},{c!r}\n" for c in batch.coords.tolist())
+            # compared as lists of lines, so a failure names the first bad row instead of diffing the text
+            assert batch_to_csv(batch).split("\n") == reference.split("\n")
 
     def test_report_json_is_byte_stable(self):
         law = HaarAnnihilator(SubgroupSpec.zero(DYADIC))

@@ -293,6 +293,17 @@ class SampleBatch:
         return SampleBatch(self.spec, depth, np.mod(self.coords * float(ratio), 1.0), self.seed_record)
 
 
+def _refuse_int64_depth(spec: SteinitzSpec, depth: int) -> None:
+    """Refuse a depth of 63 or more before any level is built.
+
+    Every term of the defining sequence is at least 2, so level(d) >= 2^d
+    exceeds int64 from d = 63 on.  A depth beyond the defining sequence is
+    left to the caller's own validation.
+    """
+    if 63 <= depth <= spec.max_depth:
+        raise DepthInsufficient(f"the tower level at depth {depth} exceeds int64")
+
+
 def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> SampleBatch:
     """Draw n i.i.d. depth-N coordinates of the law, reproducibly from seed.
 
@@ -305,6 +316,7 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
     if copies < 1:
         raise ValueError("need at least one copy")
     spec = law.ambient
+    _refuse_int64_depth(spec, depth)
     if spec.level(depth) > np.iinfo(np.int64).max:  # level() also validates the depth
         raise DepthInsufficient(f"the tower level at depth {depth} exceeds int64")
     if isinstance(seed, np.random.SeedSequence):
@@ -423,6 +435,11 @@ def empirical_cf(batch: SampleBatch, ys: Sequence[Rational]) -> EmpiricalCF:
         if m.denominator != 1:
             raise CharacterTooDeep(
                 f"character {y} needs more than the batch's {batch.depth} levels"
+            )
+        if abs(m) > 2**53:  # m*t keeps no fractional bits for t >= 1/2
+            raise CharacterTooDeep(
+                f"character {y} has multiplier {m} beyond 2^53 at depth {batch.depth}, "
+                f"which a float coordinate cannot resolve"
             )
         multipliers.append(float(m))
     estimates = _kernels.cf_sums(batch.coords, np.array(multipliers))
@@ -573,6 +590,7 @@ def monte_carlo_equidist(
         if not is_automorphism(spec, c):
             raise ValueError(f"coefficient {c} is not an automorphism of this solenoid")
     distinct = [c for c, _ in counts]
+    _refuse_int64_depth(spec, depth)
     deep = required_depth(spec, distinct, depth)
     children = np.random.SeedSequence(seed).spawn(len(counts) + 1)
     reference = sample(law, depth, n, children[0])

@@ -1,8 +1,10 @@
 """Self-checking case studies assembled from the library primitives.
 
 Each scenario builds a concrete law, runs every exact check the construction
-is supposed to satisfy, and returns a verdict bundle.  The split between the
-two failure channels is deliberate:
+is supposed to satisfy, and returns a verdict bundle.  Each scenario defines
+its law once, as a sampling law, and reads its cf from it, so the cf and the
+sampler cannot disagree and every exact claim is computed on one object.
+The split between the two failure channels is deliberate:
 
 * PreconditionViolated names the specific input clause that disqualifies a
   run before anything is built.
@@ -23,20 +25,12 @@ from typing import Sequence
 
 from .charfun import (
     NEG_INF,
-    POS_INF,
     Decomposition,
     EquationCheck,
     StratifiedCF,
-    Stratum,
     SubgroupSpec,
-    Term,
-    build_cf,
     check_equidistribution,
-    compare,
     decompose_gaussian_haar,
-    gaussian_cf,
-    haar_cf,
-    support_as_subgroup,
 )
 from .errors import PreconditionViolated, SoundnessError
 from .sampler import (
@@ -164,77 +158,6 @@ def _simulated(
 
 
 # ---------------------------------------------------------------------------
-# exact pointwise evaluation used by the stratum-by-stratum re-derivations
-
-
-def _pointwise(f: StratifiedCF, y: Fraction) -> tuple[Fraction, Fraction] | None:
-    """Value of f at y as an exact (weight, decay) pair, None when f(y) = 0.
-
-    The pair encodes weight * exp(-decay * y^2).  Only meaningful for the
-    unshifted single-term functions the scenarios construct; anything else
-    would make the re-derivation ambiguous and is reported as a defect.
-    """
-    terms = f.piece_at(y)
-    if not terms:
-        return None
-    if len(terms) != 1 or terms[0].shift != 0:
-        raise SoundnessError(
-            f"scenario functions must be single-term and unshifted at {y}, got {terms}"
-        )
-    return terms[0].weight, terms[0].decay
-
-
-def _rhs_pointwise(
-    f: StratifiedCF, counts: Sequence[tuple[Fraction, int]], y: Fraction
-) -> tuple[Fraction, Fraction] | None:
-    """Exact (weight, decay) pair of prod f(alpha y)^count, None when it vanishes."""
-    weight, decay = Fraction(1), Fraction(0)
-    for a, k in counts:
-        got = _pointwise(f, a * y)
-        if got is None:
-            return None
-        weight *= got[0] ** k
-        decay += got[1] * a * a * k
-    return weight, decay
-
-
-def _three_case_check(
-    f: StratifiedCF,
-    coeffs: Sequence[Fraction],
-    p: int,
-    q: int,
-    c: Fraction,
-    sigma: Fraction,
-) -> None:
-    """Re-derive the equation case by case over the three valuation shells.
-
-    Both equation sides must equal the full weight on the invariant subgroup
-    (v_p >= 0), the mixing weight on the intermediate coset (v_p = -1), and
-    vanish outside (v_p <= -2).  Probes cover unit, q-power and q^-order
-    denominators in every shell; q^order is the system's common denominator.
-    """
-    counts = coefficient_counts(coeffs)
-    qa = math.lcm(*(a.denominator for a, _ in counts))
-    cases = [
-        ("invariant subgroup", (Fraction(1), sigma),
-         [Fraction(1), Fraction(q), Fraction(1, qa), Fraction(p)]),
-        ("intermediate coset", (c, sigma),
-         [Fraction(1, p), Fraction(q, p), Fraction(1, p * qa)]),
-        ("outside the support", None,
-         [Fraction(1, p * p), Fraction(q, p**3), Fraction(1, p * p * qa)]),
-    ]
-    for label, expected, probes in cases:
-        for y in probes:
-            lhs = _pointwise(f, y)
-            rhs = _rhs_pointwise(f, counts, y)
-            if lhs != expected or rhs != expected:
-                raise SoundnessError(
-                    f"three-case re-derivation broke on the {label} at {y}: "
-                    f"lhs {lhs}, rhs {rhs}, expected {expected}"
-                )
-
-
-# ---------------------------------------------------------------------------
 # invariance of a shifted Gaussian-Haar convolution
 
 
@@ -271,8 +194,11 @@ def gaussian_haar_scenario(
     mu = shift * gaussian(sigma) * haar(annihilated subgroup) equidistributed
     with its linear form, provided the subgroup is invariant under division
     by p and the shift is killed by the coefficient-sum defect.  After the
-    preconditions pass, the exact equation check, the decomposition
-    round-trip, and (optionally) the Monte Carlo run must all succeed.
+    preconditions pass, the law is built once as a sampling law and its cf
+    is read from it; the exact equation check, the decomposition round-trip
+    (which, with the threshold precondition, also gives the division
+    invariance), and (optionally) the Monte Carlo run on that same law must
+    all succeed.
     """
     sigma = Fraction(sigma)
     if sigma < 0:
@@ -309,7 +235,8 @@ def gaussian_haar_scenario(
             "shift must pair trivially with every subgroup character"
         )
 
-    f = gaussian_cf(spec, sigma, r) * haar_cf(subgroup)
+    law = ConvolutionOf((GaussianLine(spec, sigma, r), HaarAnnihilator(subgroup)))
+    f = law.exact_cf()
     eq = check_equidistribution(f, coeffs)
     if eq.verdict != "holds":
         raise SoundnessError(
@@ -319,8 +246,6 @@ def gaussian_haar_scenario(
     dec = decompose_gaussian_haar(f)
     if dec.kind != "gaussian_haar" or dec.subgroup != subgroup:
         raise SoundnessError(f"decomposition failed to round-trip: {dec}")
-    if dec.p_invariant is not True:
-        raise SoundnessError("recovered subgroup lost division invariance")
     if not subgroup.trivial:
         # parameters are identifiable only when some character sees them
         if dec.sigma != sigma or dec.shift != subgroup.reduce_shift(r):
@@ -329,10 +254,7 @@ def gaussian_haar_scenario(
                 f"shift {dec.shift} vs {subgroup.reduce_shift(r)}"
             )
 
-    report = None
-    if simulate:
-        law = ConvolutionOf((GaussianLine(spec, sigma, r), HaarAnnihilator(subgroup)))
-        report = _simulated(law, coeffs, n, depth, seed, alpha)
+    report = _simulated(law, coeffs, n, depth, seed, alpha) if simulate else None
     sentences = [
         f"{_EQ_PHRASE[eq.verdict]} for the {len(coeffs)} signed powers of {p}",
         f"the law {_DEC_PHRASE[dec.kind]} "
@@ -365,16 +287,16 @@ def _two_prime(
 ) -> tuple[Fraction, TwoPrimeCoefficients, StratifiedCF, SamplerSpec, EquationCheck, Decomposition]:
     """Build the two-prime construction and run each of its exact checks once.
 
-    The cf is 1 on v_p >= 0, c on v_p = -1 and 0 elsewhere, each shell
-    carrying the decay exp(-sigma y^2).  sigma None is the sharp haar
-    mixture; a number (zero included) convolves its sampling law with a
-    centred gaussian of that sigma.  Returns (c, system, cf, law, equation,
-    decomposition), all checked on the cf and law returned; the support is
-    read from the decomposition.  The cf is positive definite because it
-    equals the cf of its sampling law (Bochner), so no numeric check is run.
+    The law is the mixture c * haar(v_p >= -1) + (1-c) * haar(v_p >= 0);
+    sigma None keeps it sharp, a number (zero included) convolves it with a
+    centred gaussian of that sigma.  Its cf is read from the law, so it is
+    1 on v_p >= 0, c on v_p = -1 and 0 elsewhere, each shell carrying the
+    decay exp(-sigma y^2), and it is positive definite as the cf of a law
+    (Bochner).  Returns (c, system, cf, law, equation, decomposition); the
+    equation and the decomposition are each checked once on that cf, and the
+    support is read from the decomposition.
     """
-    decay = Fraction(0) if sigma is None else sigma
-    if decay < 0:
+    if sigma is not None and sigma < 0:
         raise PreconditionViolated("sigma must be nonnegative")
     for prime in (p, q):
         if spec.multiplicity(prime) != math.inf:
@@ -392,22 +314,10 @@ def _two_prime(
 
     outer = SubgroupSpec.of(spec, {p: -1})
     inner = SubgroupSpec.of(spec, {p: 0})
-    cf = build_cf(
-        spec,
-        [
-            (Stratum.of({p: (0, POS_INF)}), [Term(Fraction(1), decay, Fraction(0))]),
-            (Stratum.of({p: (-1, -1)}), [Term(c, decay, Fraction(0))]),
-        ],
-    )
     law = Mixture((c, 1 - c), (HaarAnnihilator(outer), HaarAnnihilator(inner)))
     if sigma is not None:
         law = ConvolutionOf((GaussianLine(spec, sigma), law))
-    agreement = compare(law.exact_cf(), cf)
-    if agreement.verdict != "equal":
-        raise SoundnessError(
-            f"the sampling law must match the piecewise definition, "
-            f"got {agreement.verdict} ({agreement.note})"
-        )
+    cf = law.exact_cf()
 
     eq = check_equidistribution(cf, coeffs)
     if eq.verdict != "holds":
@@ -415,7 +325,6 @@ def _two_prime(
             f"the counterexample equation must hold, got {eq.verdict} "
             f"(witness {eq.witness})"
         )
-    _three_case_check(cf, coeffs, p, q, c, decay)
     dec = decompose_gaussian_haar(cf)
     if dec.support.subgroup != outer:
         raise SoundnessError(
@@ -490,9 +399,6 @@ def blurred_counterexample(
     """
     sigma = Fraction(sigma)
     c, system, cf, law, eq, dec = _two_prime(spec, p, q, c, sigma)
-    gauss_support = support_as_subgroup(gaussian_cf(spec, sigma))
-    if gauss_support.kind != "subgroup" or gauss_support.subgroup != SubgroupSpec.whole(spec):
-        raise SoundnessError("the gaussian factor must be supported on the whole dual group")
     coeffs = system.coefficients
     report = _simulated(law, coeffs, n, depth, seed, alpha) if simulate else None
     sentences = [

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -121,9 +122,29 @@ def point_from_json(spec: SteinitzSpec, obj, where: str = "point") -> SolenoidPo
         raise ConfigError(f"{where}.depth must be an integer")
     coord = rational_from_json(obj["coord"], f"{where}.coord")
     try:
-        return SolenoidPoint(spec, obj["depth"], coord)
+        x = SolenoidPoint(spec, obj["depth"], coord)
     except Exception as err:
         raise ConfigError(f"{where}: {err}") from None
+    _require_printable_real_value(x, where)
+    return x
+
+
+def _require_printable_real_value(x: SolenoidPoint, where: str) -> None:
+    """Refuse a point whose real value coord * level(depth) is too long to print.
+
+    Reports print that value as a shift, and str() refuses an integer longer
+    than sys.get_int_max_str_digits().  The numerator is at least
+    2^depth / den(coord), so a deep point is refused before its level is built.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if not limit or x.coord == 0:
+        return
+    bound = 10**limit
+    if 1 << x.depth >= bound * x.coord.denominator or x.real_value.numerator >= bound:
+        raise ConfigError(
+            f"{where}.depth {x.depth} makes the point's real value coord * level({x.depth}) "
+            f"longer than {limit} digits, which no report can print"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,13 @@ class SteinitzSpec:
         return _tower_prefix(self, n)
 
     def level(self, n: int) -> int:
-        """Product of the first n terms of the defining sequence (level 0 is 1)."""
+        """Product of the first n terms of the defining sequence (level 0 is 1).
+
+        Multiplied as one power per prime: a running product over the prefix
+        costs time quadratic in n.
+        """
         prefix = self.tower_prefix(n)
-        return math.prod(prefix)
+        return math.prod(p ** prefix.count(p) for p in self.primes)
 
     def level_valuation(self, p: int, n: int) -> int:
         """How often p occurs among the first n terms."""

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,25 @@ class TestCheck:
         assert code == 2 and doc["coefficients_valid"] is False
         assert "1/1000000000000000003 are not automorphisms" in doc["conclusion"]
 
+    @pytest.mark.parametrize("depth", [20_000, 3_000_000])
+    def test_unprintably_deep_point_is_exit_2(self, tmp_path, capsys, depth):
+        # coord * level(depth) has thousands of digits: a config error naming
+        # the depth, refused before the level of a deep tower is built
+        law = {"kind": "degenerate", "point": {"depth": depth, "coord": "1/3"}}
+        path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"law": law}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", path)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert f"point.depth {depth}" in err and "digits" in err
+
+    def test_long_but_printable_point_still_runs(self, tmp_path, capsys):
+        # 2^14000 / 3 has 4,214 digits, within the integer-string limit
+        law = {"kind": "degenerate", "point": {"depth": 14_000, "coord": "1/3"}}
+        path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"law": law}))
+        code, out, _ = run_cli(capsys, "check", path)
+        assert code == 1 and json.loads(out)["equation"]["verdict"] == "fails"
+
     def test_csv_format(self, tmp_path, capsys):
         path = write_config(tmp_path, GAUSS_HOLDS)
         code, out, _ = run_cli(capsys, "check", path, "--format", "csv")
@@ -309,6 +329,26 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", write_config(tmp_path, cfg))
         assert code == 2 and out == ""
         assert "DepthInsufficient" in err and "int64" in err
+
+    def test_huge_depth_is_refused_at_once(self, tmp_path, capsys):
+        # level(d) >= 2^d, so depth 10^6 is refused before any level is built
+        path = write_config(tmp_path, dict(GAUSS_HOLDS, simulation={"n": 50}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", path, "--depth", "1000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "DepthInsufficient" in err and "depth 1000000 exceeds int64" in err
+
+    @pytest.mark.parametrize("char", ["9007199254740993", "12157665459056928801"])
+    def test_character_beyond_float_resolution_is_exit_2(self, tmp_path, capsys, char):
+        # |y * level| > 2^53 leaves m*t no fractional bits: the estimate
+        # would be noise (|.| of 0.50 and 0.994 where the exact cf is 0)
+        law = {"kind": "gaussian", "sigma": "1/100"}
+        sim = {"n": 20_000, "seed": 0, "charset": [char]}
+        cfg = dict(GAUSS_HOLDS, distribution={"law": law}, simulation=sim)
+        code, out, err = run_cli(capsys, "simulate", write_config(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert "CharacterTooDeep" in err and f"character {char} " in err
 
     def test_non_automorphism_coefficient_is_exit_2(self, tmp_path, capsys):
         cfg = dict(self.CONFIG, coefficients=["1/2", "1/3"])

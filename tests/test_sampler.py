@@ -20,6 +20,7 @@ from soladic.errors import (
     BadWeights,
     CharacterTooDeep,
     DepthInsufficient,
+    DepthUnavailable,
     SpecMismatch,
 )
 from soladic import sampler
@@ -293,6 +294,26 @@ class TestEmpiricalCF:
         with pytest.raises(CharacterTooDeep):
             empirical_cf(batch, [F(1, 8)])
 
+    @pytest.mark.parametrize("y", [2**53 + 1, 3**40])
+    def test_multiplier_beyond_float_resolution(self, y):
+        batch = sample(GaussianLine(DYADIC, F(1, 100)), depth=4, n=100, seed=0)
+        with pytest.raises(CharacterTooDeep, match=f"character {y} "):
+            empirical_cf(batch, [y])
+
+    def test_multiplier_of_two_to_the_53_is_resolved(self):
+        batch = sample(Degenerate(zero_point(DYADIC)), depth=0, n=10, seed=0)
+        assert np.allclose(empirical_cf(batch, [2**53]).estimates, 1.0)
+        with pytest.raises(CharacterTooDeep):
+            empirical_cf(batch, [2**53 + 1])
+
+    @pytest.mark.parametrize(
+        "spec, depth", [(DYADIC, 0), (DYADIC, 4), (DYADIC, 50), (TWO_THREE, 4), (TWO_THREE, 30)]
+    )
+    def test_default_panels_are_unaffected(self, spec, depth):
+        batch = sample(GaussianLine(spec, 1), depth=depth, n=10, seed=0)
+        chars = default_charset(spec, depth)
+        assert len(empirical_cf(batch, chars).estimates) == len(chars)
+
     def test_radius(self):
         batch = sample(GaussianLine(DYADIC, 1), depth=1, n=400, seed=1)
         assert empirical_cf(batch, [1]).radius == pytest.approx(3 / 20)
@@ -349,6 +370,23 @@ class TestLinearForm:
     def test_draw_beyond_int64_raises(self, law, depth):
         with pytest.raises(DepthInsufficient, match="int64"):
             sample(law, depth, 10, seed=0)
+
+    def test_depth_63_and_beyond_refused_before_any_level(self, monkeypatch):
+        # level(d) >= 2^d, so neither entry point needs the tower prefix
+        def no_prefix(spec, n):
+            raise AssertionError(f"tower prefix of length {n} built")
+
+        monkeypatch.setattr(SteinitzSpec, "tower_prefix", no_prefix)
+        law = GaussianLine(DYADIC, 1)
+        for depth in (63, 10**6):
+            with pytest.raises(DepthInsufficient, match=f"depth {depth} exceeds int64"):
+                sample(law, depth, 10, seed=0)
+            with pytest.raises(DepthInsufficient, match=f"depth {depth} exceeds int64"):
+                monte_carlo_equidist(law, [F(1, 2)] * 4, n=10, depth=depth)
+
+    def test_depth_beyond_a_finite_tower_keeps_its_error(self):
+        with pytest.raises(DepthUnavailable):
+            sample(GaussianLine(SteinitzSpec.of({2: 2}), 1), 100, 10, seed=0)
 
     def test_draws_at_the_int64_edge_still_run(self):
         # level 2^62, and a fiber of order 2^63 whose residues still fit

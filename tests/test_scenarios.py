@@ -269,24 +269,35 @@ def count_calls(monkeypatch, name, modules=(charfun, scenarios)):
 class TestOneTwoPrimeConstruction:
     """The sharp and blurred bundles come from one builder that checks once."""
 
+    ONCE = ("check_equidistribution", "decompose_gaussian_haar", "two_prime_coefficients")
+
+    def _counted(self, monkeypatch, build):
+        names = (*self.ONCE, "compare", "positivity_report")
+        calls = {name: count_calls(monkeypatch, name) for name in names}
+        build()
+        return {name: len(seen) for name, seen in calls.items()}
+
     def test_each_check_runs_once_per_blurred_bundle(self, monkeypatch):
-        once = ("check_equidistribution", "decompose_gaussian_haar", "two_prime_coefficients")
-        calls = {name: count_calls(monkeypatch, name) for name in (*once, "positivity_report")}
-        blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), 1)
-        # positivity follows from the law equality, so no numeric check runs
-        assert {name: len(seen) for name, seen in calls.items()} == {
-            **dict.fromkeys(once, 1),
-            "positivity_report": 0,
-        }
+        counts = self._counted(
+            monkeypatch, lambda: blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), 1)
+        )
+        # the cf is read from the law, so the only compare is the equation's,
+        # and positivity follows from it being a law's cf
+        assert counts == {**dict.fromkeys(self.ONCE, 1), "compare": 1, "positivity_report": 0}
+
+    def test_each_check_runs_once_per_sharp_bundle(self, monkeypatch):
+        counts = self._counted(
+            monkeypatch, lambda: two_prime_counterexample(TWO_THREE, 2, 3, F(1, 2))
+        )
+        assert counts == {**dict.fromkeys(self.ONCE, 1), "compare": 1, "positivity_report": 0}
 
     def test_support_is_computed_once_per_cf(self, monkeypatch):
         seen = count_calls(monkeypatch, "support_as_subgroup")
         sharp = two_prime_counterexample(TWO_THREE, 2, 3, F(1, 3))
         assert [args[0] for args in seen] == [sharp.cf]
         seen.clear()
-        # the blurred bundle also checks its gaussian factor, a different cf
         blurred = blurred_counterexample(TWO_THREE, 2, 3, F(1, 3), 1)
-        assert sum(args[0] is blurred.cf for args in seen) == 1 and len(seen) == 2
+        assert [args[0] for args in seen] == [blurred.cf]
         assert blurred.verdict.decomposition.support.subgroup == SubgroupSpec.of(
             TWO_THREE, {2: -1}
         )
@@ -299,17 +310,28 @@ class TestOneTwoPrimeConstruction:
             b = blurred_counterexample(TWO_THREE, 2, 3, F(1, 2), sigma)
         assert compare(b.sampler.exact_cf(), b.cf).verdict == "equal"
 
-    def test_wrong_law_cf_is_a_soundness_error(self, monkeypatch):
-        # positivity rests on the cf being the law's cf, so a law whose cf
-        # swaps the mixture weights must stop both builds (c = 1/2 would not
-        # notice the swap)
-        real = Mixture.exact_cf
-        swapped = lambda law: real(Mixture(law.weights[::-1], law.parts))
-        monkeypatch.setattr(Mixture, "exact_cf", swapped)
-        with pytest.raises(SoundnessError, match="sampling law must match"):
-            two_prime_counterexample(TWO_THREE, 2, 3, F(1, 3))
-        with pytest.raises(SoundnessError, match="sampling law must match"):
-            blurred_counterexample(TWO_THREE, 2, 3, F(1, 3), 1)
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (3, 5), (5, 2)])
+    @pytest.mark.parametrize("sigma", [None, 0, F(1, 10)])
+    def test_exact_shell_values(self, p, q, sigma):
+        # the cf is 1, c and 0 on the shells v_p >= 0, v_p = -1 and v_p <= -2,
+        # each with decay sigma; probes carry unit, q-power and q^order
+        # denominators, q^order being the system's common denominator
+        spec = SteinitzSpec.of({p: math.inf, q: math.inf})
+        c = F(1, 3)
+        if sigma is None:
+            b = two_prime_counterexample(spec, p, q, c)
+        else:
+            b = blurred_counterexample(spec, p, q, c, sigma)
+        decay = sigma or 0
+        qa = math.lcm(*(a.denominator for a in b.coefficients))
+        shells = [
+            ((Term(1, decay, 0),), [F(1), F(q), F(1, qa), F(p)]),
+            ((Term(c, decay, 0),), [F(1, p), F(q, p), F(1, p * qa)]),
+            ((), [F(1, p * p), F(q, p**3), F(1, p * p * qa)]),
+        ]
+        for expected, probes in shells:
+            for y in probes:
+                assert b.cf.piece_at(y) == expected, y
 
 
 class TestClassifyAndConclude:

@@ -92,6 +92,12 @@ class TestScalars:
         back = point_from_json(MIXED, doc)
         assert (back.depth, back.coord) == (x.depth, x.coord)
 
+    def test_point_too_long_to_print_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"point\.depth 20000 .* digits"):
+            point_from_json(DYADIC, {"depth": 20_000, "coord": "1/3"})
+        # the zero point embeds 0 at any depth
+        assert point_from_json(DYADIC, {"depth": 20_000, "coord": "0"}).real_value == 0
+
     def test_point_rejects_extra_keys_and_bad_depth(self):
         with pytest.raises(ConfigError):
             point_from_json(DYADIC, {"depth": 1, "coord": "1/2", "x": 0})

@@ -198,6 +198,16 @@ def test_circle_spec_has_empty_tower():
         circle.level(1)
 
 
+@pytest.mark.parametrize(
+    "mult",
+    [{2: INFINITE}, {2: INFINITE, 3: INFINITE}, {2: 1, 3: INFINITE}, {5: 2, 7: 3}, {2: 3, 3: INFINITE, 5: 1}, {}],
+)
+def test_level_is_the_product_of_the_prefix(mult):
+    spec = SteinitzSpec.of(mult)
+    for n in range(int(min(spec.max_depth, 40)) + 1):
+        assert spec.level(n) == math.prod(spec.tower_prefix(n))
+
+
 def test_levels_multiply_out():
     spec = SteinitzSpec.of({2: INFINITE, 3: INFINITE})
     # A_0 .. A_6 for the alternating sequence 2,3,2,3,...

@@ -6,11 +6,14 @@ one implementation, so a fixed seed gives the same bytes wherever the same
 numpy runs.
 
 Lattice laws put a large batch on a handful of atoms, so per-element work is
-done once per distinct value where that is cheaper: ``cf_sums`` evaluates
-its phases on the atoms and gathers them back per chunk, and
-``kuiper_deltas`` compares the two cdfs only at the last copy of each value.
-The gathered arrays and the points scanned give the same floats as the
-element-by-element definitions, so the results are unchanged byte for byte.
+done once per distinct value where that is cheaper.  ``atom_keys`` sorts a
+batch once to find its atoms and their counts; a batch keeps the result, so
+each caller reads the same sort.  ``cf_sums`` evaluates its phases on the
+atoms and gathers them back per chunk, and ``kuiper_deltas`` takes either
+draws or values with counts and compares the two cdfs only at the last copy
+of each value.  The gathered arrays and the counts give the same floats as
+the element-by-element definitions, so the results are unchanged byte for
+byte.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ _TWO_PI = 2.0 * math.pi
 CF_CHUNK_ROWS = 1 << 16
 
 
-def atom_keys(coords: np.ndarray) -> np.ndarray | None:
-    """The distinct values of coords as sorted float64 bit patterns (uint64).
+def atom_keys(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct values of coords as sorted float64 bit patterns (uint64), with their counts.
 
     Keying by bit pattern keeps -0.0 and 0.0 apart, so each key stands for
     exactly one float and one ``repr``.  Returns None when the distinct
@@ -38,7 +41,8 @@ def atom_keys(coords: np.ndarray) -> np.ndarray | None:
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
     if 2 * np.count_nonzero(starts) > bits.shape[0]:
         return None
-    return bits[starts]
+    first = np.flatnonzero(starts)
+    return bits[first], np.diff(first, append=bits.shape[0])
 
 
 def _phases(t: np.ndarray, m: float) -> np.ndarray:
@@ -48,18 +52,27 @@ def _phases(t: np.ndarray, m: float) -> np.ndarray:
     return np.exp(1j * _TWO_PI * block)
 
 
-def cf_sums(coords: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    """Mean of exp(2 pi i m t) over coords, for each integer multiplier m."""
+_FIND = object()
+
+
+def cf_sums(coords: np.ndarray, multipliers: np.ndarray, atoms=_FIND) -> np.ndarray:
+    """Mean of exp(2 pi i m t) over coords, for each integer multiplier m.
+
+    ``atoms`` is ``atom_keys(coords)`` when the caller already has it; it is
+    found here otherwise.
+    """
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     multipliers = np.ascontiguousarray(multipliers, dtype=np.float64)
     n = coords.shape[0]
-    keys = atom_keys(coords)
-    if keys is not None:
+    if atoms is _FIND:
+        atoms = atom_keys(coords)
+    if atoms is not None:
+        keys = atoms[0]
         table = [_phases(keys.view(np.float64), m) for m in multipliers]
     totals = [0j] * multipliers.shape[0]
     for start in range(0, n, CF_CHUNK_ROWS):
         block = coords[start : start + CF_CHUNK_ROWS]
-        if keys is None:
+        if atoms is None:
             for j, m in enumerate(multipliers):
                 totals[j] += _phases(block, m).sum()
         else:
@@ -72,21 +85,51 @@ def cf_sums(coords: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     return out
 
 
-def kuiper_deltas(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+def kuiper_deltas(
+    a: np.ndarray, b: np.ndarray, a_counts: np.ndarray | None = None, b_counts: np.ndarray | None = None
+) -> tuple[float, float]:
     """(D+, D-) between the empirical cdfs of two unsorted samples.
 
-    F_a - F_b rises only at values of a, so its maximum over the pooled
-    sample is attained at the last copy of some value of a; likewise for
-    F_b - F_a and b.  Only those points are scanned.
+    A sample is its draws, or with ``counts`` a list of values that each
+    stand for that many draws; values may repeat.  F_a - F_b rises only at
+    values of a, so its maximum over the pooled sample is attained at the
+    last copy of some value of a; likewise for F_b - F_a and b.  Only those
+    points are scanned, and F there is the number of draws at or below the
+    point over the sample size: the same integers over the same size, so the
+    same floats, whichever form a sample comes in.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
+    a, b = _sorted_sample(a, a_counts), _sorted_sample(b, b_counts)
     return _max_gap(a, b), _max_gap(b, a)
 
 
-def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """max(0, max of F_a - F_b) for sorted samples, scanned at run ends of a."""
+def _sorted_sample(values: np.ndarray, counts: np.ndarray | None):
+    """(sorted values, draws below each sorted position or None for one draw each, size).
+
+    ``below[k]`` counts the draws held by the first k sorted values; with
+    one draw per value that is k itself, so no array is built.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if counts is None:
+        return np.sort(values), None, values.shape[0]
+    order = np.argsort(values, kind="stable")
+    below = np.zeros(values.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.asarray(counts, dtype=np.int64)[order], out=below[1:])
+    return values[order], below, int(below[-1])
+
+
+def _max_gap(a: tuple, b: tuple) -> float:
+    """max(0, max of F_a - F_b) for sorted samples, scanned at run ends of a.
+
+    Values that compare equal form one run, so a value split across several
+    entries (and -0.0 beside 0.0) is scanned once, at its last entry.
+    """
+    (a, a_below, na), (b, b_below, nb) = a, b
     ends = np.flatnonzero(np.append(a[1:] != a[:-1], True))
-    fa = (ends + 1) / a.shape[0]
-    fb = np.searchsorted(b, a[ends], side="right") / b.shape[0]
+    fa = _share_below(a_below, ends + 1, na)
+    fb = _share_below(b_below, np.searchsorted(b, a[ends], side="right"), nb)
     return float(max((fa - fb).max(), 0.0))
+
+
+def _share_below(below, k: np.ndarray, n: int) -> np.ndarray:
+    """Share of a sample's n draws held by its first k sorted values."""
+    return (k if below is None else below[k]) / n

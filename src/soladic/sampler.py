@@ -10,6 +10,7 @@ depth-N circle coordinates in [0,1), reproducible bit-for-bit from
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -272,7 +273,13 @@ def exact_cf_of(law: SamplerSpec) -> StratifiedCF:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Depth-N circle coordinates of i.i.d. draws, with their seed record."""
+    """Depth-N circle coordinates of i.i.d. draws, with their seed record.
+
+    A batch finds its atoms once, on first use, and keeps them: the sorted
+    distinct coordinates with their counts (``_kernels.atom_keys``), or None
+    when more than half the draws are distinct.  The cf sums, the CSV writer
+    and the Kuiper test all read that one result, so a batch is sorted once.
+    """
 
     spec: SteinitzSpec
     depth: int
@@ -283,14 +290,24 @@ class SampleBatch:
     def n(self) -> int:
         return int(self.coords.shape[0])
 
+    @functools.cached_property
+    def _atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return _kernels.atom_keys(self.coords)
+
     def project(self, depth: int) -> "SampleBatch":
         """Push the batch down the tower to a shallower depth."""
+        if depth == self.depth:
+            return self
+        return SampleBatch(self.spec, depth, self._push_down(self.coords, depth), self.seed_record)
+
+    def _push_down(self, values: np.ndarray, depth: int) -> np.ndarray:
+        """Coordinates at this batch's depth taken down to `depth`, by the float steps of project."""
         if depth > self.depth:
             raise DepthInsufficient(f"cannot project depth {self.depth} up to {depth}")
         if depth == self.depth:
-            return self
+            return values
         ratio = self.spec.level(self.depth) // self.spec.level(depth)
-        return SampleBatch(self.spec, depth, np.mod(self.coords * float(ratio), 1.0), self.seed_record)
+        return np.mod(values * float(ratio), 1.0)
 
 
 def _refuse_int64_depth(spec: SteinitzSpec, depth: int) -> None:
@@ -442,7 +459,7 @@ def empirical_cf(batch: SampleBatch, ys: Sequence[Rational]) -> EmpiricalCF:
                 f"which a float coordinate cannot resolve"
             )
         multipliers.append(float(m))
-    estimates = _kernels.cf_sums(batch.coords, np.array(multipliers))
+    estimates = _kernels.cf_sums(batch.coords, np.array(multipliers), batch._atoms)
     return EmpiricalCF(tuple(ys), estimates, 3.0 / math.sqrt(batch.n))
 
 
@@ -491,11 +508,36 @@ def _snap(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch) -> tuple[float, float]:
-    """Kuiper V statistic and asymptotic p-value for two coordinate batches."""
+def _kuiper_sample(batch: SampleBatch, depth: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The batch at `depth` on the tie grid: (atom values, counts), or (draws, None) without atoms.
+
+    Atom values take the float steps of project and _snap that their draws
+    would take, so each count lands on the value its draws would have.
+    """
+    if batch._atoms is None:
+        values, counts = batch.coords, None
+    else:
+        keys, counts = batch._atoms
+        values = keys.view(np.float64)
+    return _snap(batch._push_down(values, depth)), counts
+
+
+def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | None = None) -> tuple[float, float]:
+    """Kuiper V statistic and asymptotic p-value for two coordinate batches.
+
+    Both batches are taken down the tower to `depth` (by default their own)
+    and snapped to the tie grid.  A batch with atoms is compared through
+    them, each atom standing for its count of draws, and one without
+    through its draws; either way V and p are the floats of the
+    draw-by-draw comparison.
+    """
+    if batch1.spec != batch2.spec:
+        raise SpecMismatch("batches live over different solenoids")
     if batch1.depth != batch2.depth:
         raise ValueError("batches must share a depth")
-    dplus, dminus = _kernels.kuiper_deltas(_snap(batch1.coords), _snap(batch2.coords))
+    depth = batch1.depth if depth is None else depth
+    (a, a_counts), (b, b_counts) = _kuiper_sample(batch1, depth), _kuiper_sample(batch2, depth)
+    dplus, dminus = _kernels.kuiper_deltas(a, b, a_counts, b_counts)
     v = dplus + dminus
     n_eff = batch1.n * batch2.n / (batch1.n + batch2.n)
     return v, _kuiper_p(v, n_eff)
@@ -611,7 +653,7 @@ def monte_carlo_equidist(
         char_rows.append(CharacterGap(y, complex(a), complex(b), float(gap), p, min(1.0, p * tests)))
     kuiper_rows = []
     for d in kuiper_depths:
-        v, p = kuiper_two_sample(reference.project(d), combined.project(d))
+        v, p = kuiper_two_sample(reference, combined, d)
         kuiper_rows.append(KuiperRow(d, v, p, min(1.0, p * tests)))
 
     worst = min(r.adjusted_p for r in char_rows + kuiper_rows)

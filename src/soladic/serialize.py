@@ -30,7 +30,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ._kernels import atom_keys
 from .charfun import NEG_INF, POS_INF, StratifiedCF, Stratum, SubgroupSpec, Term, build_cf
 from .errors import ConfigError
 from .sampler import (
@@ -360,19 +359,20 @@ def batch_to_csv(batch: SampleBatch) -> str:
 
     Rows are built a chunk at a time, so the per-row Python floats and
     strings of one chunk are alive at once, not those of the whole batch.
-    A lattice batch repeats a few atoms, so each distinct value is turned
-    into text once and each chunk gathers its rows from those strings; the
-    text is the same byte for byte as one ``repr`` per row.
+    A lattice batch repeats a few atoms, so each of the batch's atoms is
+    turned into text once and each chunk gathers its rows from those
+    strings; the text is the same byte for byte as one ``repr`` per row.
     """
     coords = np.asarray(batch.coords, dtype=np.float64)
-    keys = atom_keys(coords)
-    if keys is not None:
+    atoms = batch._atoms
+    if atoms is not None:
+        keys = atoms[0]
         texts = np.array([repr(x) for x in keys.view(np.float64).tolist()], dtype=object)
     sep = f"\n{batch.depth},"
     chunks = ["depth,coord"]
     for i in range(0, batch.n, CSV_CHUNK_ROWS):
         block = coords[i : i + CSV_CHUNK_ROWS]
-        if keys is None:
+        if atoms is None:
             rows = map(repr, block.tolist())
         else:
             rows = texts[np.searchsorted(keys, block.view(np.uint64))].tolist()

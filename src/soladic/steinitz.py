@@ -155,11 +155,19 @@ class SteinitzSpec:
         remaining multiplicity is positive, so {2: inf, 3: inf} yields
         2, 3, 2, 3, ...
         """
+        if n < 0:
+            raise DepthUnavailable(f"depth {n} is negative")
         if n > self.max_depth:
             raise DepthUnavailable(
                 f"defining sequence has only {self.max_depth} terms, {n} requested"
             )
-        return _tower_prefix(self, n)
+        # one longest prefix is kept per spec and sliced; a longer request at
+        # least doubles it, so asking for depths one by one builds O(n) terms
+        longest = self.__dict__.get("_prefix", ())
+        if len(longest) < n:
+            longest = _tower_prefix(self, min(max(n, 2 * len(longest)), self.max_depth))
+            object.__setattr__(self, "_prefix", longest)
+        return longest[:n]
 
     def level(self, n: int) -> int:
         """Product of the first n terms of the defining sequence (level 0 is 1).
@@ -176,7 +184,6 @@ class SteinitzSpec:
 
 
 
-@lru_cache(maxsize=None)
 def _tower_prefix(spec: SteinitzSpec, n: int) -> tuple[int, ...]:
     remaining = {p: m for p, m in spec.multiplicities}
     out: list[int] = []

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from soladic import _kernels, serialize
 from soladic.cli import main
 from soladic.sampler import SampleBatch, empirical_cf
 from soladic.serialize import rational_from_json, spec_from_json
@@ -278,6 +279,49 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", path)
         assert code == 1
         assert json.loads(out)["verdict"] == "inconsistent"
+
+    LATTICE = {
+        "solenoid": {"2": "inf", "3": "inf"},
+        "coefficients": ["2/3", "2/3", "1/3"],
+        "distribution": {"law": {"kind": "mixture", "weights": ["1/2", "1/2"], "parts": [
+            {"kind": "haar", "subgroup": {"2": -1}},
+            {"kind": "haar", "subgroup": {"2": 0}},
+        ]}},
+        "simulation": {"n": 5000, "depth": 4, "seed": 3},
+    }
+
+    @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "continuous"])
+    def test_each_batch_finds_its_atoms_once(self, tmp_path, capsys, monkeypatch, lattice):
+        # the cf sums, the Kuiper tower and both CSVs read one atom_keys per batch
+        calls = []
+        atom_keys = _kernels.atom_keys
+
+        def counting_atom_keys(coords):
+            calls.append(id(coords))
+            return atom_keys(coords)
+
+        for module in (_kernels, serialize):  # wherever a module may hold the name
+            monkeypatch.setattr(module, "atom_keys", counting_atom_keys, raising=False)
+        path = write_config(tmp_path, self.LATTICE if lattice else self.CONFIG)
+        code, _, _ = run_cli(capsys, "simulate", path)
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 2
+
+    def test_lattice_run_sorts_each_batch_once(self, tmp_path, capsys, monkeypatch):
+        # the Kuiper tower sorts atoms, not draws
+        n = self.LATTICE["simulation"]["n"]
+        sizes = []
+        sort = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        path = write_config(tmp_path, self.LATTICE)
+        code, _, _ = run_cli(capsys, "simulate", path)
+        assert code == 0
+        assert sizes == [n, n]
 
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, self.CONFIG)

@@ -61,6 +61,38 @@ def test_kuiper_deltas_match_ecdf_scan(case):
     assert kuiper_deltas(b, a) == ecdf_deltas(b, a)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_kuiper_deltas_on_counts_equal_the_expanded_draws(seed):
+    # values may repeat and come unsorted; each stands for its count of draws
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 6, rng.integers(1, 12)) / 6
+    b = rng.integers(0, 6, rng.integers(1, 12)) / 6
+    a_counts = rng.integers(1, 9, a.shape[0])
+    b_counts = rng.integers(1, 9, b.shape[0])
+    a_draws, b_draws = np.repeat(a, a_counts), np.repeat(b, b_counts)
+    want = ecdf_deltas(a_draws, b_draws)
+    assert kuiper_deltas(a, b, a_counts, b_counts) == want
+    assert kuiper_deltas(a, b_draws, a_counts) == want
+    assert kuiper_deltas(a_draws, b, None, b_counts) == want
+
+
+def test_kuiper_deltas_scan_values_that_compare_equal_once(monkeypatch):
+    queries = []
+    searchsorted = np.searchsorted
+
+    def recording_searchsorted(a, v, *args, **kwargs):
+        queries.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels.np, "searchsorted", recording_searchsorted)
+    a = np.array([0.5, -0.0, 0.25, 0.0, np.nextafter(0.25, 1.0), 0.5])
+    b = np.array([0.0, 0.75])
+    got = kuiper_deltas(a, b, np.arange(1, 7), np.array([2, 2]))
+    # -0.0 with 0.0 and the two 0.5 entries are one value each; 0.25 and its neighbour are two
+    assert queries == [4, 2]
+    assert got == ecdf_deltas(np.repeat(a, np.arange(1, 7)), np.repeat(b, 2))
+
+
 @pytest.mark.parametrize("n", [1, (1 << 16) - 1, 1 << 16, (1 << 17) + 3])
 def test_cf_sums_match_one_shot_mean_across_chunks(n):
     t = np.random.default_rng(n).random(n)
@@ -96,9 +128,10 @@ def test_cf_sums_equal_the_dense_loop_on_both_sides_of_the_atom_cutoff(extra):
 
 def test_atom_keys_keep_signed_zeros_apart():
     t = np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5, 0.5, 0.5])
-    keys = atom_keys(t)
+    keys, counts = atom_keys(t)
     assert keys.view(np.float64).tolist() == [0.0, 0.5, -0.0]
     assert [math.copysign(1.0, x) for x in keys.view(np.float64)] == [1.0, 1.0, -1.0]
+    assert counts.tolist() == [2, 4, 2]
 
 
 def test_cf_sums_evaluates_phases_once_per_atom(monkeypatch):

@@ -384,6 +384,19 @@ class TestLinearForm:
             with pytest.raises(DepthInsufficient, match=f"depth {depth} exceeds int64"):
                 monte_carlo_equidist(law, [F(1, 2)] * 4, n=10, depth=depth)
 
+    def test_negative_depths_are_unavailable(self):
+        law = GaussianLine(DYADIC, 1)
+        with pytest.raises(DepthUnavailable, match="negative"):
+            sample(law, -1, 10, seed=0)
+        batch = sample(law, 3, 10, seed=0)
+        with pytest.raises(DepthUnavailable, match="negative"):
+            batch.project(-1)
+        with pytest.raises(DepthUnavailable, match="negative"):
+            kuiper_two_sample(batch, batch, -1)
+        for coeffs in ([F(1, 2)] * 4, [1]):
+            with pytest.raises(DepthUnavailable, match="negative"):
+                monte_carlo_equidist(law, coeffs, n=10, depth=-1)
+
     def test_depth_beyond_a_finite_tower_keeps_its_error(self):
         with pytest.raises(DepthUnavailable):
             sample(GaussianLine(SteinitzSpec.of({2: 2}), 1), 100, 10, seed=0)
@@ -487,11 +500,170 @@ class TestKuiper:
         v, p = kuiper_two_sample(deep.project(4), shallow)
         assert p > 0.01
 
+    def test_solenoid_mismatch_rejected(self):
+        a = sample(GaussianLine(DYADIC, 1), 3, 100, seed=1)
+        b = sample(GaussianLine(SteinitzSpec.of({3: math.inf}), 1), 3, 100, seed=1)
+        with pytest.raises(SpecMismatch):
+            kuiper_two_sample(a, b)
+
     def test_depth_mismatch_rejected(self):
         a = sample(GaussianLine(DYADIC, 1), 3, 100, seed=1)
         b = sample(GaussianLine(DYADIC, 1), 2, 100, seed=1)
         with pytest.raises(ValueError):
             kuiper_two_sample(a, b)
+
+
+def per_draw_kuiper(batch1, batch2, depth):
+    """kuiper_two_sample draw by draw: project, snap and scan every draw."""
+    grid = 2.0**40
+
+    def draws(batch):
+        t = batch.coords
+        if depth != batch.depth:
+            t = np.mod(t * float(batch.spec.level(batch.depth) // batch.spec.level(depth)), 1.0)
+        return np.sort(np.mod(np.round(t * grid), grid) / grid)
+
+    def max_gap(a, b):
+        ends = np.flatnonzero(np.append(a[1:] != a[:-1], True))
+        fa = (ends + 1) / a.shape[0]
+        fb = np.searchsorted(b, a[ends], side="right") / b.shape[0]
+        return float(max((fa - fb).max(), 0.0))
+
+    a, b = draws(batch1), draws(batch2)
+    v = max_gap(a, b) + max_gap(b, a)
+    return v, sampler._kuiper_p(v, batch1.n * batch2.n / (batch1.n + batch2.n))
+
+
+def per_draw_kuiper_rows(report):
+    tests = len(report.character_rows) + len(report.kuiper_rows)
+    rows = []
+    for d in range(1, report.depth + 1) if report.depth >= 1 else [0]:
+        v, p = per_draw_kuiper(report.reference, report.combined, d)
+        rows.append(sampler.KuiperRow(d, v, p, min(1.0, p * tests)))
+    return tuple(rows)
+
+
+LATTICE_MIXTURE = Mixture(
+    (F(1, 2), F(1, 2)),
+    (
+        HaarAnnihilator(SubgroupSpec.of(TWO_THREE, {2: -1})),
+        HaarAnnihilator(SubgroupSpec.of(TWO_THREE, {2: 0})),
+    ),
+)
+DYADIC_LATTICE = Shifted(
+    embed_real(DYADIC, F(1, 4)),
+    Mixture(
+        (F(1, 3), F(2, 3)),
+        (HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: -2})), Degenerate(embed_real(DYADIC, F(3, 8)))),
+    ),
+)
+TWELFTHS = SteinitzSpec.of({2: math.inf, 3: math.inf})  # level 12 at depth 3
+
+
+def hand_batch(coords, depth=3):
+    return SampleBatch(TWELFTHS, depth, np.asarray(coords, dtype=np.float64), "hand-built")
+
+
+def _hand_cases():
+    rng = np.random.default_rng(17)
+    twelfths = rng.integers(0, 12, 700) / 12
+    split = twelfths.copy()
+    split[::3] = np.nextafter(split[::3], 1.0)  # one ulp above, as a linear form leaves atoms
+    split[1::5] = np.nextafter(split[1::5], 0.0)  # and one ulp below
+    skewed = rng.integers(0, 7, 450) / 12
+    zeros = np.where(rng.random(300) < 0.5, -0.0, 0.0)
+    near_one = np.array([1.0 - 2.0**-45, np.nextafter(1.0, 0.0), 0.5, 11 / 12])[rng.integers(0, 4, 200)]
+    # x*ratio lands one ulp below an integer, so it wraps to 0 or to 1.0 on the grid
+    near_thirds = np.array([np.nextafter(1 / 3, 0.0), np.nextafter(2 / 3, 0.0), 1 / 6, np.nextafter(1 / 2, 0.0)])
+    wraps = near_thirds[rng.integers(0, 4, 333)]
+    continuous = rng.random(500)
+    half = 300
+    at_cutoff = rng.permutation(np.concatenate([np.arange(half) / 600, np.arange(half) / 600]))
+    past_cutoff = at_cutoff.copy()
+    past_cutoff[0] = 0.999
+    return {
+        "ulp_split_atoms": (split, skewed),
+        "signed_zeros": (np.concatenate([zeros, twelfths[:100]]), np.concatenate([np.zeros(50), skewed])),
+        "snap_to_one": (near_one, np.concatenate([twelfths[:120], np.zeros(30)])),
+        "wrap_to_zero": (wraps, twelfths),
+        "atoms_against_draws": (split, continuous),
+        "at_the_atom_cutoff": (at_cutoff, skewed),
+        "past_the_atom_cutoff": (past_cutoff, skewed),
+    }
+
+
+HAND_CASES = _hand_cases()
+
+
+class TestKuiperOnAtoms:
+    """The Kuiper test on a batch's atoms gives the floats of the draw-by-draw test."""
+
+    @pytest.mark.parametrize(
+        "law, coeffs",
+        [
+            (LATTICE_MIXTURE, [F(2, 3), F(2, 3), F(1, 3)]),
+            (LATTICE_MIXTURE, [F(2, 3), F(1, 3)]),
+            # the shifted dyadic law is no solution: its rows reject, with V near 1
+            (DYADIC_LATTICE, [F(1, 2)] * 4),
+            (DYADIC_LATTICE, [F(1, 2)] * 3),
+        ],
+        ids=["two_three_system", "two_three_pair", "dyadic_halves", "dyadic_three_halves"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_report_rows_equal_the_per_draw_loop(self, law, coeffs, seed):
+        report = monte_carlo_equidist(law, coeffs, n=3_000 + 1_001 * seed, depth=4, seed=seed)
+        assert report.reference._atoms is not None and report.combined._atoms is not None
+        assert report.kuiper_rows == per_draw_kuiper_rows(report)
+        assert any(row.statistic > 0 for row in report.kuiper_rows)
+
+    @pytest.mark.parametrize("case", HAND_CASES)
+    def test_hand_built_batches_equal_the_per_draw_test(self, case):
+        a, b = hand_batch(HAND_CASES[case][0]), hand_batch(HAND_CASES[case][1])
+        for depth in range(4):
+            assert kuiper_two_sample(a, b, depth) == per_draw_kuiper(a, b, depth)
+            assert kuiper_two_sample(b, a, depth) == per_draw_kuiper(b, a, depth)
+
+    def test_hand_built_cases_cover_both_paths_and_every_tie(self):
+        def has_atoms(coords):
+            return hand_batch(coords)._atoms is not None
+
+        assert has_atoms(HAND_CASES["at_the_atom_cutoff"][0])
+        assert not has_atoms(HAND_CASES["past_the_atom_cutoff"][0])
+        assert not has_atoms(HAND_CASES["atoms_against_draws"][1])
+        assert all(has_atoms(x) for name in ("ulp_split_atoms", "signed_zeros", "snap_to_one", "wrap_to_zero")
+                   for x in HAND_CASES[name])
+        # the unsnapped values differ where the snapped ones tie
+        a, b = (hand_batch(x) for x in HAND_CASES["ulp_split_atoms"])
+        assert kuiper_two_sample(a, b)[0] > 0
+        assert np.unique(a.coords).size > np.unique(np.round(a.coords * 12)).size
+
+    def test_lattice_draws_are_projected_only_inside_the_linear_form(self, monkeypatch):
+        # the Kuiper tower pushes a lattice batch's atoms down, not its draws
+        inside = []
+        push_down, linear_form_ = SampleBatch._push_down, sampler.linear_form
+
+        def tracking_linear_form(*args, **kwargs):
+            inside.append(True)
+            try:
+                return linear_form_(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        outside = []
+
+        def tracking_push_down(batch, values, depth):
+            if not inside:
+                outside.append(np.size(values))
+            return push_down(batch, values, depth)
+
+        monkeypatch.setattr(sampler, "linear_form", tracking_linear_form)
+        monkeypatch.setattr(SampleBatch, "_push_down", tracking_push_down)
+        n = 2_000
+        monte_carlo_equidist(LATTICE_MIXTURE, [F(2, 3), F(2, 3), F(1, 3)], n=n, depth=4, seed=1)
+        assert len(outside) == 2 * 4 and max(outside) <= 24  # both batches at depths 1 to 4
+        outside.clear()
+        monte_carlo_equidist(GaussianLine(DYADIC, 1), [F(1, 2)] * 4, n=n, depth=3, seed=1)
+        assert outside == [n] * (2 * 3)  # draws without atoms take the per-draw path
 
 
 class TestMonteCarloEquidist:

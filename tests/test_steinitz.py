@@ -8,6 +8,7 @@ worked out by hand.
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,42 @@ def test_level_is_the_product_of_the_prefix(mult):
     spec = SteinitzSpec.of(mult)
     for n in range(int(min(spec.max_depth, 40)) + 1):
         assert spec.level(n) == math.prod(spec.tower_prefix(n))
+
+
+@pytest.mark.parametrize("mult", [{2: INFINITE, 3: INFINITE}, {2: 3, 5: 2}, {2: 1, 3: INFINITE}])
+def test_prefixes_asked_in_any_order_match_the_oracle(mult):
+    spec = SteinitzSpec.of(mult)
+    depths = [3, 1, 0, 2, 5, 4, 5, 1]
+    if spec.max_depth == INFINITE:
+        depths += [30, 7, 64, 9]
+    for n in depths:
+        assert list(spec.tower_prefix(n)) == oracle_tower(mult, n)
+        assert spec.level(n) == math.prod(spec.tower_prefix(n))
+
+
+def test_tower_prefix_memory_stays_bounded():
+    # every depth from 0 to 1,999 asked for once keeps one prefix, not one per depth
+    spec = SteinitzSpec.of({2: INFINITE})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        levels = [spec.level(n) for n in range(2_000)]
+        del levels
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_depths_are_unavailable(n):
+    spec = SteinitzSpec.of({2: INFINITE, 3: 2})
+    with pytest.raises(DepthUnavailable, match="negative"):
+        spec.tower_prefix(n)
+    with pytest.raises(DepthUnavailable, match="negative"):
+        spec.level(n)
+    with pytest.raises(DepthUnavailable, match="negative"):
+        spec.level_valuation(2, n)
 
 
 def test_levels_multiply_out():

@@ -49,6 +49,10 @@ POS_INF = math.inf
 
 #: cap on formal terms carried by a single stratum
 MAX_TERMS = 64
+#: characters ``compare`` probes on a cell whose canonical forms differ
+COMPARE_PROBES = 48
+#: characters per stratum that ``support_as_subgroup`` pairs up in its witness hunt
+SUPPORT_PROBES = 24
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +407,11 @@ class StratifiedCF:
             return NotImplemented
         if self.spec != other.spec:
             raise SpecMismatch("cannot multiply functions over different solenoids")
-        pieces = []
-        for sa, ta in self.pieces:
-            for sb, tb in other.pieces:
-                s = sa.intersect(sb)
-                if s is not None and s.occupied(self.spec):
-                    prods = [
-                        Term(x.weight * z.weight, x.decay + z.decay, x.shift + z.shift)
-                        for x in ta
-                        for z in tb
-                    ]
-                    pieces.append((s, prods))
+        pieces = [
+            (cell, [Term(x.weight * z.weight, x.decay + z.decay, x.shift + z.shift) for x in ta for z in tb])
+            for cell, ta, tb in _refine(self.pieces, other.pieces)
+            if ta and tb  # a product vanishes wherever one factor does
+        ]
         return build_cf(self.spec, pieces)
 
     def __pow__(self, k: int) -> "StratifiedCF":
@@ -426,11 +424,8 @@ class StratifiedCF:
         return half * self if k % 2 else half
 
     def conjugate(self) -> "StratifiedCF":
-        pieces = [
-            (s, [Term(t.weight, t.decay, -t.shift) for t in terms])
-            for s, terms in self.pieces
-        ]
-        return build_cf(self.spec, pieces)
+        """The complex conjugate y -> f(-y) of a characteristic function."""
+        return self.precompose(-1)
 
     def mod_square(self) -> "StratifiedCF":
         return self * self.conjugate()
@@ -522,7 +517,7 @@ def mixture(weights: Sequence[Rational], parts: Sequence[StratifiedCF]) -> Strat
             (s, tuple(Term(t.weight * w, t.decay, t.shift) for t in terms))
             for s, terms in f.pieces
         ]
-        acc = _overlay(acc, scaled)
+        acc = [(cell, ta + tb) for cell, ta, tb in _refine(acc, scaled)]
     return build_cf(spec, acc)
 
 
@@ -547,11 +542,6 @@ def _refine(a, b):
             yield rest, (), tb
 
 
-def _overlay(a, b):
-    """Pointwise sum of two piece lists as a common refinement."""
-    return [(cell, ta + tb) for cell, ta, tb in _refine(a, b)]
-
-
 # ---------------------------------------------------------------------------
 # symbolic equality
 
@@ -570,12 +560,13 @@ def _canonical_terms(
     return _merge_terms(Term(t.weight, t.decay, anchor.reduce_shift(t.shift)) for t in terms)
 
 
-def compare(f: StratifiedCF, g: StratifiedCF, probe_budget: int = 48) -> Comparison:
+def compare(f: StratifiedCF, g: StratifiedCF) -> Comparison:
     """Exact decision of pointwise equality over the whole dual group.
 
     "equal" comes from identical canonical forms on every cell of the common
     refinement; "differs" always carries a probed witness whose two values
-    are provably different; anything else is an honest "unknown".
+    are provably different; anything else is an honest "unknown".  A cell
+    whose forms differ is probed at up to ``COMPARE_PROBES`` characters.
     """
     if f.spec != g.spec:
         raise SpecMismatch("cannot compare functions over different solenoids")
@@ -586,7 +577,7 @@ def compare(f: StratifiedCF, g: StratifiedCF, probe_budget: int = 48) -> Compari
             continue  # at most the zero character, where both sides are 1
         if _canonical_terms(spec, cell, ta) == _canonical_terms(spec, cell, tb):
             continue
-        for y in cell.members(spec, probe_budget):
+        for y in cell.members(spec, COMPARE_PROBES):
             same = _values_equal_exact(ta, tb, y)
             if same is False:
                 return Comparison("differs", y)
@@ -617,7 +608,11 @@ def check_equidistribution(f: StratifiedCF, coeffs: Sequence[Rational]) -> Equat
     count k contributes f(alpha y)^k, by repeated squaring.  Every
     coefficient must be an automorphism (``precompose`` raises ValueError).
     """
-    counts = coefficient_counts(coeffs)
+    return _check_counts(f, coefficient_counts(coeffs))
+
+
+def _check_counts(f: StratifiedCF, counts: Sequence[tuple[Fraction, int]]) -> EquationCheck:
+    """``check_equidistribution`` on a system given as (coefficient, count) pairs, counts >= 1."""
     rhs = reduce(mul, (f.precompose(a) ** k for a, k in counts))
     cmp = compare(f, rhs)
     verdict = {"equal": "holds", "differs": "fails", "unknown": "unknown"}[cmp.verdict]
@@ -637,12 +632,13 @@ class SupportCheck:
     note: str = ""
 
 
-def support_as_subgroup(f: StratifiedCF, probe_budget: int = 24) -> SupportCheck:
+def support_as_subgroup(f: StratifiedCF) -> SupportCheck:
     """Decide whether {y : f(y) != 0} is a lower-bound-form subgroup.
 
-    The support of a multi-term piece can be smaller than its stratum (term
-    phases may cancel at isolated characters), so such pieces yield an
-    honest "unknown" instead of a guess.
+    It is one iff it covers the join of the subgroups its strata generate;
+    else ``SUPPORT_PROBES`` characters per stratum are paired to find a sum
+    outside it.  A multi-term piece's support can be smaller than its stratum
+    (phases may cancel at points), so it yields an honest "unknown".
     """
     spec = f.spec
     pieces = [(s, terms) for s, terms in f.pieces if terms]
@@ -651,13 +647,9 @@ def support_as_subgroup(f: StratifiedCF, probe_budget: int = 24) -> SupportCheck
     boxes = [s for s, _ in pieces]
     if all(s.only_zero for s in boxes):
         return SupportCheck("subgroup", SubgroupSpec.zero(spec))
-    proper = [s for s in boxes if not s.only_zero]
-    table: dict[int, int] = {}
-    for p in sorted({p for s in proper for p in s.primes}):
-        low = min(max(s.window(p)[0], -spec.multiplicity(p)) for s in proper)
-        if low != NEG_INF:
-            table[p] = int(low)
-    candidate = SubgroupSpec.of(spec, table)
+    generated = [subgroup_generated_by(spec, s) for s in boxes if not s.only_zero]
+    primes = {p for g in generated for p, _ in g.thresholds}
+    candidate = SubgroupSpec.of(spec, {p: min(g.threshold(p) for g in generated) for p in primes})
     residual = _subtract_many(candidate.stratum(), boxes)
     if not any(r.feasible(spec) for r in residual):
         return SupportCheck("subgroup", candidate)
@@ -665,7 +657,7 @@ def support_as_subgroup(f: StratifiedCF, probe_budget: int = 24) -> SupportCheck
     # be closed under addition; hunt for a concrete witness pair
     samples: list[Fraction] = []
     for s in boxes:
-        samples.extend(s.members(spec, probe_budget))
+        samples.extend(s.members(spec, SUPPORT_PROBES))
     in_support = lambda y: any(s.contains(y) for s in boxes)
     for y1, y2 in itertools.combinations_with_replacement(samples, 2):
         if y1 + y2 != 0 and not in_support(y1 + y2):

@@ -13,6 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
+#: largest common angle denominator the exact zero test works with
+MAX_ORDER = 4096
+
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple[int, ...]:
@@ -40,12 +43,12 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def phase_sum_is_zero(terms: Mapping[Fraction, Fraction], max_order: int = 4096) -> bool:
+def phase_sum_is_zero(terms: Mapping[Fraction, Fraction]) -> bool:
     """Whether sum of weight * exp(2 pi i angle) over (angle -> weight) is zero.
 
     Exact.  Raises ValueError when the common angle denominator exceeds
-    max_order (callers should treat such probes as inconclusive rather than
-    guessing).
+    ``MAX_ORDER`` (callers should treat such probes as inconclusive rather
+    than guessing).
     """
     merged: dict[Fraction, Fraction] = {}
     for angle, w in terms.items():
@@ -55,7 +58,7 @@ def phase_sum_is_zero(terms: Mapping[Fraction, Fraction], max_order: int = 4096)
     if not merged:
         return True
     order = math.lcm(*[a.denominator for a in merged])
-    if order > max_order:
+    if order > MAX_ORDER:
         raise ValueError(f"angle denominator {order} exceeds the exact-test cap")
     coeffs = [Fraction(0)] * order
     for a, w in merged.items():

@@ -168,8 +168,15 @@ class GaussianLine(SamplerSpec):
     def _draw_sum(self, n, counts, depth, rng):
         # k copies sum to a normal law with mean k*mean and deviation sqrt(k)*s
         z = rng.standard_normal(n)
-        z *= np.sqrt(counts) * self.s
-        z += np.multiply(counts, float(self.mean))
+        try:
+            with np.errstate(over="raise"):
+                z *= np.sqrt(counts) * self.s
+                z += np.multiply(counts, float(self.mean))
+        except (OverflowError, FloatingPointError):
+            raise ValueError(
+                "gaussian draws leave the float range of the sampler: sigma, or the "
+                "mean times the copies summed, is beyond about 1.8e308"
+            ) from None
         z /= float(self.spec.level(depth))
         return np.mod(z, 1.0, out=z)
 
@@ -311,13 +318,13 @@ class SampleBatch:
 
 
 def _refuse_int64_depth(spec: SteinitzSpec, depth: int) -> None:
-    """Refuse a depth of 63 or more before any level is built.
+    """Refuse a depth whose tower level exceeds int64.
 
     Every term of the defining sequence is at least 2, so level(d) >= 2^d
-    exceeds int64 from d = 63 on.  A depth beyond the defining sequence is
-    left to the caller's own validation.
+    exceeds int64 from d = 63 on, refused before any level is built.  Below
+    that, building the level raises DepthUnavailable for an invalid depth.
     """
-    if 63 <= depth <= spec.max_depth:
+    if 63 <= depth <= spec.max_depth or spec.level(depth) > np.iinfo(np.int64).max:
         raise DepthInsufficient(f"the tower level at depth {depth} exceeds int64")
 
 
@@ -334,8 +341,6 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
         raise ValueError("need at least one copy")
     spec = law.ambient
     _refuse_int64_depth(spec, depth)
-    if spec.level(depth) > np.iinfo(np.int64).max:  # level() also validates the depth
-        raise DepthInsufficient(f"the tower level at depth {depth} exceeds int64")
     if isinstance(seed, np.random.SeedSequence):
         record = f"{BIT_GENERATOR}(entropy={seed.entropy}, spawn_key={seed.spawn_key})"
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -348,6 +353,25 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
 
 # ---------------------------------------------------------------------------
 # linear forms in independent draws
+
+
+def _sampled_counts(spec: SteinitzSpec, coeffs: Iterable[Rational]) -> list[tuple[Fraction, int]]:
+    """A coefficient system the float linear form can apply, as (coefficient, count) pairs.
+
+    Every coefficient must be an automorphism of the solenoid, with a
+    numerator of at most 2^53 in absolute value, the bound ``empirical_cf``
+    applies to character multipliers: a coordinate times a larger one keeps
+    no fractional bits.  Raises ValueError otherwise.
+    """
+    counts = coefficient_counts(coeffs)
+    for c, _ in counts:
+        if not is_automorphism(spec, c):
+            raise ValueError(f"coefficient {c} is not an automorphism of this solenoid")
+        if abs(c.numerator) > 2**53:
+            raise ValueError(
+                f"coefficient {c} has a numerator beyond 2^53, which a float coordinate cannot resolve"
+            )
+    return counts
 
 
 def required_depth(spec: SteinitzSpec, coeffs: Sequence[Rational], depth: int) -> int:
@@ -381,9 +405,12 @@ def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], dept
 
     ``batches`` may be any iterable with one batch per coefficient, such as
     a generator that draws them on demand; one batch is held at a time.
-    All batches must share spec, depth and size.  The result's depth is the
-    deepest level at which the truncated coordinate arithmetic agrees with
-    the true law of the linear form; pass `depth` to pick a shallower one.
+    All batches must share spec, depth and size, and the coefficients pass
+    the check ``monte_carlo_equidist`` applies (ValueError otherwise): each
+    is an automorphism with a numerator of at most 2^53.  The result's depth
+    is the deepest level at which the truncated coordinate arithmetic agrees
+    with the true law of the linear form; pass `depth` to pick a shallower
+    one.
     """
     coeffs = [Fraction(c) for c in coeffs]
     # A plain iterator, not zip(): zip's recycled result tuple would keep the
@@ -407,11 +434,7 @@ def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], dept
         raise ValueError("need one coefficient per batch")
     if total is None:
         raise ValueError("need at least one batch")
-    counts = coefficient_counts(coeffs)
-    for c, _ in counts:
-        if not is_automorphism(spec, c):
-            raise ValueError(f"coefficient {c} is not an automorphism of this solenoid")
-    need = math.lcm(*(c.denominator for c, _ in counts))
+    need = math.lcm(*(c.denominator for c, _ in _sampled_counts(spec, coeffs)))
     if depth is None:
         depth = next(
             (d for d in range(m_depth, -1, -1) if (spec.level(m_depth) // spec.level(d)) % need == 0),
@@ -622,15 +645,16 @@ def monte_carlo_equidist(
     characteristic-function gaps on the character panel (Hoeffding
     p-values) plus Kuiper two-sample tests at every depth down the tower.
     The verdict applies a Bonferroni correction across all tests at the
-    given level.  The report keeps the reference and combined batches that
-    were tested, and the flat coefficient system.
+    given level alpha, which must lie strictly between 0 and 1 (ValueError
+    otherwise, NaN included).  Coefficients must be automorphisms with
+    numerators of at most 2^53 (ValueError).  The report keeps the reference
+    and combined batches that were tested, and the flat coefficient system.
     """
+    if not 0 < alpha < 1:  # NaN fails both comparisons
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     coeffs = [Fraction(c) for c in coeffs]
     spec = law.ambient
-    counts = coefficient_counts(coeffs)
-    for c, _ in counts:
-        if not is_automorphism(spec, c):
-            raise ValueError(f"coefficient {c} is not an automorphism of this solenoid")
+    counts = _sampled_counts(spec, coeffs)
     distinct = [c for c, _ in counts]
     _refuse_int64_depth(spec, depth)
     deep = required_depth(spec, distinct, depth)

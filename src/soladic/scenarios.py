@@ -29,6 +29,7 @@ from .charfun import (
     EquationCheck,
     StratifiedCF,
     SubgroupSpec,
+    _check_counts,
     check_equidistribution,
     decompose_gaussian_haar,
 )
@@ -534,12 +535,13 @@ def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
 
     Characters of the circle are the integers (empty multiplicity table),
     where the only automorphisms are the sign flips, so every linear form
-    collapses to a signed sum.  When the equation holds the law must be a
-    shift of a subgroup Haar measure: |f| must be 1 on the support, and the
-    order d of the lattice d * Z and the shift are read from
-    ``decompose_gaussian_haar``.  Its failures return its witness (a pair
-    whose sum leaves the support, or a character where the phases disagree);
-    its unknowns, multi-term pieces among them, are reported as unknown.
+    collapses to a signed sum, checked as the pairs (1, m_plus), (-1, m_minus).
+    When the equation holds the law must be a shift of a subgroup Haar
+    measure: |f| must be 1 on the support, and the order d of the lattice
+    d * Z and the shift are read from ``decompose_gaussian_haar``.  Its
+    failures return its witness (a pair whose sum leaves the support, or a
+    character where the phases disagree); its unknowns, multi-term pieces
+    among them, are reported as unknown.
     """
     spec = f.spec
     if spec.primes:
@@ -551,9 +553,9 @@ def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
         raise PreconditionViolated("summand counts must be nonnegative")
     if m_plus + m_minus < 2:
         raise PreconditionViolated("need at least two summands")
-    coeffs = (1,) * m_plus + (-1,) * m_minus
+    counts = [(Fraction(a), k) for a, k in ((-1, m_minus), (1, m_plus)) if k]
 
-    eq = check_equidistribution(f, coeffs)
+    eq = _check_counts(f, counts)
     if eq.verdict == "fails":
         return CircleCheck(
             "fails",

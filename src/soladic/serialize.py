@@ -83,6 +83,20 @@ def rational_from_json(obj, where: str = "rational") -> Fraction:
     raise ConfigError(f"{where} must be an integer or 'num/den' string, got {obj!r}")
 
 
+def _prime_key(key, where: str) -> int:
+    """A prime-table key: decimal digits without sign, spaces, underscores or leading zeros.
+
+    Only that form is read, so two spellings of one prime cannot both stand
+    in a table.
+    """
+    if not isinstance(key, str) or not re.fullmatch(r"[1-9][0-9]*", key):
+        raise ConfigError(f"{where} key {key!r} is not a prime written as plain decimal digits")
+    try:
+        return int(key)
+    except ValueError as err:  # longer than the int conversion limit
+        raise ConfigError(f"{where} key is not a prime: {err}") from None
+
+
 def spec_to_json(spec: SteinitzSpec) -> dict:
     return {
         str(p): ("inf" if spec.multiplicity(p) == math.inf else int(spec.multiplicity(p)))
@@ -95,10 +109,7 @@ def spec_from_json(obj, where: str = "solenoid") -> SteinitzSpec:
         raise ConfigError(f"{where} must be a multiplicity table object")
     table = {}
     for key, value in obj.items():
-        try:
-            p = int(key)
-        except ValueError:
-            raise ConfigError(f"{where} key {key!r} is not a prime") from None
+        p = _prime_key(key, where)
         if value == "inf":
             table[p] = math.inf
         elif isinstance(value, int) and not isinstance(value, bool):
@@ -163,10 +174,7 @@ def subgroup_from_json(spec: SteinitzSpec, obj, where: str = "subgroup") -> Subg
         raise ConfigError(f"{where} must be a threshold table or the string 'zero'")
     table = {}
     for key, value in obj.items():
-        try:
-            p = int(key)
-        except ValueError:
-            raise ConfigError(f"{where} key {key!r} is not a prime") from None
+        p = _prime_key(key, where)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{where}[{key}] must be an integer threshold")
         table[p] = value

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soladic import SteinitzSpec, embed_real
+from soladic import charfun
 from soladic.charfun import (
     MAX_TERMS,
     NEG_INF,
@@ -72,6 +73,70 @@ def oracle_value(pieces, spec, y):
                 total += mag * cmath.exp(2j * math.pi * float((t.shift * y) % 1))
             return total
     return 0j
+
+
+#: a table with a bounded prime, so that some cells are infeasible
+TWO_INF_THREE_2 = SteinitzSpec.of({2: math.inf, 3: 2})
+
+
+def old_product(f, g):
+    """The pairwise-intersection product that the refinement-based one replaced."""
+    pieces = []
+    for sa, ta in f.pieces:
+        for sb, tb in g.pieces:
+            s = sa.intersect(sb)
+            if s is not None and s.occupied(f.spec):
+                prods = [
+                    Term(x.weight * z.weight, x.decay + z.decay, x.shift + z.shift)
+                    for x in ta
+                    for z in tb
+                ]
+                pieces.append((s, prods))
+    return build_cf(f.spec, pieces)
+
+
+def old_conjugate(f):
+    """The term-by-term conjugate that ``precompose(-1)`` replaced."""
+    pieces = [(s, [Term(t.weight, t.decay, -t.shift) for t in terms]) for s, terms in f.pieces]
+    return build_cf(f.spec, pieces)
+
+
+@st.composite
+def cut_cfs(draw, spec=TWO_INF_THREE_2):
+    """A cf over a random partition of the dual group into valuation windows.
+
+    The windows of v_2 are cut at up to two places, each optionally cut again
+    at one place in v_3; the cell holding zero may be split into its
+    ``minus_zero`` remainder and the ``only_zero`` point.  Cells away from
+    zero may be left out (the cf is 0 there), and every kept cell carries one
+    or two terms, normalized to total weight 1 on the cell holding zero.
+    """
+    cuts = sorted(draw(st.sets(st.integers(-3, 3), max_size=2)))
+    edges = [NEG_INF, *cuts, POS_INF]
+    cells = []
+    for lo, top in zip(edges, edges[1:]):
+        window = (lo, top if top == POS_INF else top - 1)
+        if draw(st.booleans()):
+            c3 = draw(st.integers(-2, 2))
+            cells += [{2: window, 3: (NEG_INF, c3 - 1)}, {2: window, 3: (c3, POS_INF)}]
+        else:
+            cells.append({2: window})
+    strata = [Stratum.of(c) for c in cells]
+    if draw(st.booleans()):
+        strata = [Stratum.of(c, minus_zero=True) for c in cells] + [Stratum.zero_only()]
+    weights = st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 3)])
+    decays = st.sampled_from([F(0), F(1, 2), F(1)])
+    shifts = st.sampled_from([F(0), F(1, 2), F(1, 3), F(1, 4), F(-5, 6)])
+    pieces = []
+    for s in strata:
+        if not s.contains_zero() and not draw(st.booleans()):
+            continue
+        terms = [Term(draw(weights), draw(decays), draw(shifts)) for _ in range(draw(st.integers(1, 2)))]
+        if s.contains_zero():
+            total = sum(t.weight for t in terms)
+            terms = [Term(t.weight / total, t.decay, t.shift) for t in terms]
+        pieces.append((s, terms))
+    return build_cf(spec, pieces)
 
 
 def char_panel(spec):
@@ -335,6 +400,27 @@ class TestOperations:
             want = oracle_value(f.pieces, TWO_THREE, y) * oracle_value(h.pieces, TWO_THREE, y)
             assert abs(prod(y) - want) < 1e-12, y
 
+    @settings(deadline=None, max_examples=80)
+    @given(cut_cfs(), cut_cfs())
+    def test_product_and_conjugate_equal_their_old_forms(self, f, g):
+        assert f * g == old_product(f, g)
+        assert f.conjugate() == old_conjugate(f)
+
+    def test_product_skips_cells_where_a_factor_vanishes(self, monkeypatch):
+        # the refinement also yields the cells one factor covers alone; the
+        # product is 0 there, so no piece is built for them
+        f = haar_cf(SubgroupSpec.of(DYADIC, {2: 0}))
+        g = gaussian_cf(DYADIC, 1) * haar_cf(SubgroupSpec.of(DYADIC, {2: -1}))
+        handed = []
+
+        def spy(spec, pieces):
+            handed.append(list(pieces))
+            return build_cf(spec, handed[-1])
+
+        monkeypatch.setattr(charfun, "build_cf", spy)
+        f * g
+        assert [[len(terms) for _, terms in pieces] for pieces in handed] == [[1]]
+
     def test_product_spec_mismatch(self):
         with pytest.raises(SpecMismatch):
             gaussian_cf(DYADIC, 1) * gaussian_cf(CIRCLE, 1)
@@ -466,6 +552,18 @@ class TestCompare:
         # sanity: they really are pointwise equal on a float panel
         for y in char_panel(DYADIC):
             assert abs(f(y) - g(y)) < 1e-12
+
+    def test_probe_cap_is_the_module_constant(self, monkeypatch):
+        # on the odd integers f is 0 and g is 1 where 3 divides y, else 0:
+        # the probes 1 and -1 agree and the third probe, 3, differs
+        odd = Stratum.of({2: (0, 0)})
+        even = (Stratum.of({2: (1, POS_INF)}), [Term(F(1), F(0), F(0))])
+        f = build_cf(DYADIC, [(odd, [Term(F(1, 2), F(0), F(0)), Term(F(1, 2), F(0), F(1, 2))]), even])
+        thirds = [Term(F(1, 3), F(0), F(k, 3)) for k in range(3)]
+        g = build_cf(DYADIC, [(odd, thirds), even])
+        assert compare(f, g) == Comparison("differs", F(3))
+        monkeypatch.setattr(charfun, "COMPARE_PROBES", 2)
+        assert compare(f, g).verdict == "unknown"
 
     def test_compare_is_symmetric_on_verdicts(self):
         f = gaussian_cf(DYADIC, 1)
@@ -619,6 +717,15 @@ class TestSupport:
         assert sc.kind == "not_subgroup"
         y1, y2 = sc.witness
         assert f(y1) != 0 and f(y2) != 0 and f(y1 + y2) == 0
+
+    def test_probe_cap_is_the_module_constant(self, monkeypatch):
+        # v_2 >= 1 together with -2 <= v_2 <= -1: the first member of each
+        # stratum pairs into the support, so the witness needs more probes
+        one = [Term(F(1), F(0), F(0))]
+        f = build_cf(DYADIC, [(Stratum.of({2: (1, POS_INF)}), one), (Stratum.of({2: (-2, -1)}), one)])
+        assert support_as_subgroup(f).kind == "not_subgroup"
+        monkeypatch.setattr(charfun, "SUPPORT_PROBES", 1)
+        assert support_as_subgroup(f).kind == "unknown"
 
     def test_multi_term_piece_gives_unknown(self):
         f = build_cf(

@@ -94,6 +94,34 @@ class TestClassify:
         assert "not valid JSON" in err
 
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"solenoid": {"2": 1, "02": "inf"}}', "02"),
+            ('{"solenoid": {"1_1": "inf"}}', "1_1"),
+            ('{"solenoid": {" 2": 1}}', " 2"),
+            ('{"solenoid": {"+2": 1}}', "+2"),
+        ],
+    )
+    def test_prime_keys_are_read_exactly(self, tmp_path, capsys, text, key):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 2 and out == ""
+        assert f"solenoid key {key!r} is not a prime" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"solenoid": {"2": 1, "2": "inf"}}', '{"solenoid": {"2": 1}, "solenoid": {"3": 1}}'],
+    )
+    def test_duplicate_keys_are_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 2 and out == ""
+        assert "repeats the key" in err
+
+
 class TestCheck:
     def test_holds_exits_0(self, tmp_path, capsys):
         path = write_config(tmp_path, GAUSS_HOLDS)
@@ -382,6 +410,48 @@ class TestSimulate:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "DepthInsufficient" in err and "depth 1000000 exceeds int64" in err
+
+    def test_coefficient_numerator_beyond_float_resolution_is_exit_2(self, tmp_path, capsys):
+        # check decides full Haar with the single coefficient 2^100 exactly;
+        # simulate cannot apply it to a float coordinate
+        cfg = {
+            "solenoid": {"2": "inf"},
+            "coefficients": [str(2**100)],
+            "distribution": {"law": {"kind": "haar", "subgroup": "zero"}},
+        }
+        path = write_config(tmp_path, cfg)
+        code, out, _ = run_cli(capsys, "check", path)
+        assert code == 0 and json.loads(out)["equation"]["verdict"] == "holds"
+        code, out, err = run_cli(capsys, "simulate", path, "--n", "200", "--depth", "2")
+        assert code == 2 and out == ""
+        assert f"coefficient {2**100} has a numerator beyond 2^53" in err
+
+    @pytest.mark.parametrize("param, check_code", [("sigma", 0), ("mean", 3)])
+    def test_gaussian_beyond_the_float_range_is_exit_2(self, tmp_path, capsys, param, check_code):
+        law = {"kind": "gaussian", "sigma": 1, param: "1" + "0" * 400}
+        path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"law": law}))
+        code, _, _ = run_cli(capsys, "check", path)
+        assert code == check_code  # the exact layer still decides, or says unknown
+        code, out, err = run_cli(capsys, "simulate", path, "--n", "200", "--depth", "2")
+        assert code == 2 and out == ""
+        assert "gaussian draws leave the float range" in err
+
+    @pytest.mark.parametrize("alpha", ["-1.0", "1.0", "nan", "inf"])
+    def test_alpha_outside_the_open_unit_interval_is_exit_2(self, tmp_path, capsys, alpha):
+        path = write_config(tmp_path, self.CONFIG)
+        code, out, err = run_cli(capsys, "simulate", path, "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert "alpha must lie strictly between 0 and 1" in err
+
+    @pytest.mark.parametrize("alpha", ["1" + "0" * 400, "NaN", "-Infinity", "0"])
+    def test_alpha_in_config_outside_the_open_unit_interval_is_exit_2(self, tmp_path, capsys, alpha):
+        # JSON numbers reach the check unconverted: a 401-digit integer does
+        # not overflow a float on the way
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(self.CONFIG).replace('"seed": 5', f'"seed": 5, "alpha": {alpha}'))
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 2 and out == ""
+        assert "alpha must lie strictly between 0 and 1" in err
 
     @pytest.mark.parametrize("char", ["9007199254740993", "12157665459056928801"])
     def test_character_beyond_float_resolution_is_exit_2(self, tmp_path, capsys, char):

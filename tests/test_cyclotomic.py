@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from soladic import cyclotomic as cyclotomic_module
 from soladic.cyclotomic import cyclotomic, phase_sum_is_zero
 
 F = Fraction
@@ -67,4 +68,13 @@ def test_oversized_orders_are_refused():
     import pytest
 
     with pytest.raises(ValueError):
-        phase_sum_is_zero({F(1, 9973): F(1)}, max_order=4096)
+        phase_sum_is_zero({F(1, 9973): F(1)})
+
+
+def test_order_cap_is_the_module_constant(monkeypatch):
+    import pytest
+
+    assert not phase_sum_is_zero({F(1, 7): F(1)})
+    monkeypatch.setattr(cyclotomic_module, "MAX_ORDER", 6)
+    with pytest.raises(ValueError, match="exceeds the exact-test cap"):
+        phase_sum_is_zero({F(1, 7): F(1)})

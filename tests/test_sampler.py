@@ -219,6 +219,16 @@ class TestDrawSum:
         out = law._draw_sum(4, counts, 4, np.random.Generator(np.random.PCG64(0)))
         assert out.tolist() == [float(F(3 * k, 128) % 1) for k in counts.tolist()]
 
+    @pytest.mark.parametrize(
+        "sigma, mean, copies",
+        [(10**400, 0, 1), (1, 10**400, 1), (1, -(10**400), 1), (1, 10**308, 4)],
+    )
+    def test_gaussian_beyond_the_float_range_is_refused(self, sigma, mean, copies):
+        law = GaussianLine(DYADIC, sigma, mean)
+        assert law.exact_cf().pieces  # the exact layer keeps the law
+        with pytest.raises(ValueError, match="float range"):
+            sample(law, 2, 10, seed=0, copies=copies)
+
     def test_copies_must_be_positive(self):
         with pytest.raises(ValueError, match="copy"):
             sample(GaussianLine(DYADIC, 1), 2, 10, seed=0, copies=0)
@@ -443,6 +453,18 @@ class TestLinearForm:
         batch = sample(GaussianLine(DYADIC, 1), depth=3, n=10, seed=0)
         with pytest.raises(ValueError):
             linear_form([batch], [F(1, 3)])
+
+    @pytest.mark.parametrize("coeff", [2**54, -(2**100)])
+    def test_numerator_beyond_float_resolution_is_refused(self, coeff):
+        # a coordinate times such a coefficient keeps no fractional bits:
+        # full Haar times 2^100 would come out as all zeros
+        law = HaarAnnihilator(SubgroupSpec.zero(DYADIC))
+        batch = sample(law, 3, 10, seed=0)
+        with pytest.raises(ValueError, match=r"numerator beyond 2\^53"):
+            linear_form([batch], [coeff])
+        with pytest.raises(ValueError, match=r"numerator beyond 2\^53"):
+            monte_carlo_equidist(law, [coeff], n=10, depth=2)
+        assert linear_form([batch], [2**53]).n == 10
 
     def test_generator_of_batches_matches_list(self):
         coeffs = [F(1, 2), F(-1, 2), F(1, 2), F(1, 2)]
@@ -727,6 +749,13 @@ class TestMonteCarloEquidist:
 
         monte_carlo_equidist(law, [F(1, 8)] * 64, n=100, depth=2)  # keep first-use imports out
         assert peak([F(1, 8)] * 64) < 1.5 * peak([F(1, 2)] * 4)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0, 0.0, 1.0, 1, 2.5, math.nan, math.inf])
+    def test_alpha_outside_the_open_unit_interval_is_refused(self, alpha):
+        # alpha -1 would call a failing equation consistent, alpha 1 a
+        # holding one inconsistent
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            monte_carlo_equidist(GaussianLine(DYADIC, 1), [F(1, 2)] * 4, n=10, depth=2, alpha=alpha)
 
     def test_identity_coefficient_consistent(self):
         report = monte_carlo_equidist(

@@ -10,6 +10,7 @@ returned, what raises, and what the conclusion text commits to.
 
 import dataclasses
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -525,6 +526,24 @@ class TestCircleCheck:
         out = circle_check(2, 1, f)
         assert out.kind == "fails"
         assert "single character" in out.note
+
+    @pytest.mark.parametrize("m_plus, m_minus", [(2, 0), (2, 1), (1, 1), (3, 2), (0, 3)])
+    @pytest.mark.parametrize("f", [*CIRCLE_SHIFTS_OF_HAAR, gaussian_cf(CIRCLE, 1)])
+    def test_pairs_agree_with_the_flat_system(self, monkeypatch, f, m_plus, m_minus):
+        paired = circle_check(m_plus, m_minus, f)
+        flat = (1,) * m_plus + (-1,) * m_minus
+        monkeypatch.setattr(scenarios, "_check_counts", lambda g, counts: check_equidistribution(g, flat))
+        assert circle_check(m_plus, m_minus, f) == paired
+
+    def test_cost_does_not_grow_with_the_counts(self):
+        # f(y)^m = f(y) for the shift by 1/3 iff m = 1 mod 3
+        f = gaussian_cf(CIRCLE, 0, F(1, 3))
+        start = time.perf_counter()
+        holds = circle_check(10**12, 0, f)
+        fails = circle_check(10**12 + 1, 0, f)
+        assert time.perf_counter() - start < 0.1
+        assert (holds.kind, holds.shift, holds.order) == ("shift_of_haar", F(1, 3), 1)
+        assert fails.kind == "fails"
 
     def test_solenoid_input_rejected(self):
         with pytest.raises(PreconditionViolated, match="circle"):

@@ -72,6 +72,15 @@ class TestScalars:
             with pytest.raises(ConfigError):
                 spec_from_json(bad)
 
+    @pytest.mark.parametrize("key", ["02", "1_1", " 2", "2 ", "+2", "-2", "0", "２", "1" * 5000])
+    def test_prime_keys_are_plain_decimal_digits(self, key):
+        # int() would read each of these, so two spellings of one prime
+        # could stand in one table; the 5000-digit key is past int()'s limit
+        with pytest.raises(ConfigError, match="is not a prime"):
+            spec_from_json({key: 1})
+        with pytest.raises(ConfigError, match="is not a prime"):
+            subgroup_from_json(DYADIC, {key: 0})
+
     @given(rationals)
     def test_rational_round_trip(self, x):
         assert rational_from_json(rational_to_json(x)) == x

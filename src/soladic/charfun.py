@@ -49,7 +49,7 @@ POS_INF = math.inf
 
 #: cap on formal terms carried by a single stratum
 MAX_TERMS = 64
-#: characters ``compare`` probes on a cell whose canonical forms differ
+#: characters ``compare`` probes on a cell whose canonical forms differ, in each of its two rounds
 COMPARE_PROBES = 48
 #: characters per stratum that ``support_as_subgroup`` pairs up in its witness hunt
 SUPPORT_PROBES = 24
@@ -177,6 +177,26 @@ class Stratum:
                     if y not in seen:
                         seen.add(y)
                         out.append(y)
+                    if len(out) >= limit:
+                        return out
+        return out
+
+    def members_below_zero(self, spec: SteinitzSpec, limit: int = 48) -> list[Fraction]:
+        """New members: ``members`` divided by each table prime the stratum leaves unbounded.
+
+        Every member is integral at such a prime, so these are the only
+        probes below exponent 0 there.
+        """
+        integral = self.members(spec, limit)
+        seen = set(integral)
+        out: list[Fraction] = []
+        for p in spec.primes:
+            if p in self.primes:
+                continue
+            for y in (y / p for y in integral):
+                if y not in seen:
+                    seen.add(y)
+                    out.append(y)
                     if len(out) >= limit:
                         return out
         return out
@@ -500,15 +520,20 @@ def haar_cf(subgroup: SubgroupSpec) -> StratifiedCF:
     return build_cf(subgroup.spec, [piece])
 
 
-def mixture(weights: Sequence[Rational], parts: Sequence[StratifiedCF]) -> StratifiedCF:
-    if len(weights) != len(parts) or not parts:
-        raise BadWeights("need matching, nonempty weights and components")
-    weights = [Fraction(w) for w in weights]
+def _mixture_weights(weights: Sequence[Rational], specs: Sequence[SteinitzSpec]) -> tuple[Fraction, ...]:
+    """Mixture weights as Fractions, checked against the parts' solenoids (BadWeights, SpecMismatch)."""
+    if len(weights) != len(specs) or not specs:
+        raise BadWeights("need matching, nonempty weights and parts")
+    weights = tuple(Fraction(w) for w in weights)
     if any(w < 0 for w in weights) or sum(weights) != 1:
         raise BadWeights("weights must be nonnegative rationals summing to 1")
-    spec = parts[0].spec
-    if any(f.spec != spec for f in parts):
-        raise SpecMismatch("mixture components live over different solenoids")
+    if any(s != specs[0] for s in specs):
+        raise SpecMismatch("mixture parts live over different solenoids")
+    return weights
+
+
+def mixture(weights: Sequence[Rational], parts: Sequence[StratifiedCF]) -> StratifiedCF:
+    weights = _mixture_weights(weights, [f.spec for f in parts])
     acc: list[tuple[Stratum, tuple[Term, ...]]] = []
     for w, f in zip(weights, parts):
         if w == 0:
@@ -518,7 +543,7 @@ def mixture(weights: Sequence[Rational], parts: Sequence[StratifiedCF]) -> Strat
             for s, terms in f.pieces
         ]
         acc = [(cell, ta + tb) for cell, ta, tb in _refine(acc, scaled)]
-    return build_cf(spec, acc)
+    return build_cf(parts[0].spec, acc)
 
 
 def _refine(a, b):
@@ -566,24 +591,31 @@ def compare(f: StratifiedCF, g: StratifiedCF) -> Comparison:
     "equal" comes from identical canonical forms on every cell of the common
     refinement; "differs" always carries a probed witness whose two values
     are provably different; anything else is an honest "unknown".  A cell
-    whose forms differ is probed at up to ``COMPARE_PROBES`` characters.
+    whose forms differ is probed at up to ``COMPARE_PROBES`` of its
+    ``members``; only when no cell yields a witness does a second round
+    probe up to as many ``members_below_zero`` of each such cell, so a
+    witness the first round finds is never displaced.
     """
     if f.spec != g.spec:
         raise SpecMismatch("cannot compare functions over different solenoids")
     spec = f.spec
-    unknown_notes = []
+    undecided = []
     for cell, ta, tb in _refine(f.pieces, g.pieces):
         if not cell.feasible(spec):
             continue  # at most the zero character, where both sides are 1
         if _canonical_terms(spec, cell, ta) == _canonical_terms(spec, cell, tb):
             continue
         for y in cell.members(spec, COMPARE_PROBES):
-            same = _values_equal_exact(ta, tb, y)
-            if same is False:
+            if _values_equal_exact(ta, tb, y) is False:
                 return Comparison("differs", y)
-        unknown_notes.append(f"forms differ on {cell} but every probe agreed")
-    if unknown_notes:
-        return Comparison("unknown", None, "; ".join(unknown_notes))
+        undecided.append((cell, ta, tb))
+    for cell, ta, tb in undecided:
+        for y in cell.members_below_zero(spec, COMPARE_PROBES):
+            if _values_equal_exact(ta, tb, y) is False:
+                return Comparison("differs", y)
+    if undecided:
+        notes = (f"forms differ on {cell} but every probe agreed" for cell, _, _ in undecided)
+        return Comparison("unknown", None, "; ".join(notes))
     return Comparison("equal")
 
 

@@ -19,10 +19,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .charfun import StratifiedCF, SubgroupSpec, gaussian_cf, haar_cf
+from .charfun import StratifiedCF, SubgroupSpec, _mixture_weights, gaussian_cf, haar_cf
 from .charfun import mixture as cf_mixture
 from .errors import (
-    BadWeights,
     CharacterOutsideGroup,
     CharacterTooDeep,
     DepthInsufficient,
@@ -58,11 +57,12 @@ class SamplerSpec:
         raise NotImplementedError
 
 
-def _multiples(x: SolenoidPoint, counts, depth: int):
-    """k*x as a depth-N coordinate for each count k, exact in Fractions per distinct k."""
-    unit = x.real_value / x.spec.level(depth)
-    if np.ndim(counts) == 0:
-        return float(int(counts) * unit % 1)
+def _multiples(r: Fraction, counts, level: int) -> np.ndarray:
+    """k*r/level mod 1 for each count k, exact in Fractions per distinct k.
+
+    Every exact shift enters a draw here: a point, an offset or a gaussian mean.
+    """
+    unit = r / level
     ks, inverse = np.unique(counts, return_inverse=True)
     return np.array([float(int(k) * unit % 1) for k in ks])[inverse]
 
@@ -81,9 +81,7 @@ class Degenerate(SamplerSpec):
         return gaussian_cf(self.ambient, 0, self.x)
 
     def _draw_sum(self, n, counts, depth, rng):
-        out = np.zeros(n)
-        out += _multiples(self.x, counts, depth)
-        return out
+        return np.zeros(n) + _multiples(self.x.real_value, counts, self.ambient.level(depth))
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,8 @@ class GaussianLine(SamplerSpec):
     Parameterized by the rational decay sigma of its characteristic function
     exp(-sigma y^2); the line standard deviation is the derived float
     s = sqrt(sigma / (2 pi^2)), so sigma = 2 pi^2 s^2 holds exactly in the
-    symbolic layer and to double precision in the sampling layer.
+    symbolic layer and to double precision in the sampling layer.  The mean
+    enters the draws exactly, through ``_multiples``, however large it is.
     """
 
     spec: SteinitzSpec
@@ -167,17 +166,18 @@ class GaussianLine(SamplerSpec):
 
     def _draw_sum(self, n, counts, depth, rng):
         # k copies sum to a normal law with mean k*mean and deviation sqrt(k)*s
+        level = self.spec.level(depth)
         z = rng.standard_normal(n)
         try:
             with np.errstate(over="raise"):
                 z *= np.sqrt(counts) * self.s
-                z += np.multiply(counts, float(self.mean))
         except (OverflowError, FloatingPointError):
             raise ValueError(
-                "gaussian draws leave the float range of the sampler: sigma, or the "
-                "mean times the copies summed, is beyond about 1.8e308"
+                "gaussian draws leave the float range of the sampler: sigma is beyond about 1.8e308"
             ) from None
-        z /= float(self.spec.level(depth))
+        z /= float(level)
+        if self.mean:  # a zero mean shifts nothing; skip the sort of array counts
+            z += _multiples(self.mean, counts, level)
         return np.mod(z, 1.0, out=z)
 
 
@@ -187,14 +187,9 @@ class Mixture(SamplerSpec):
     parts: tuple[SamplerSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
         object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.weights) != len(self.parts) or not self.parts:
-            raise BadWeights("need matching, nonempty weights and parts")
-        if any(w < 0 for w in self.weights) or sum(self.weights) != 1:
-            raise BadWeights("weights must be nonnegative rationals summing to 1")
-        if any(p.ambient != self.parts[0].ambient for p in self.parts):
-            raise SpecMismatch("mixture parts live over different solenoids")
+        specs = [p.ambient for p in self.parts]
+        object.__setattr__(self, "weights", _mixture_weights(tuple(self.weights), specs))
 
     @property
     def ambient(self) -> SteinitzSpec:
@@ -235,7 +230,7 @@ class Shifted(SamplerSpec):
 
     def _draw_sum(self, n, counts, depth, rng):
         out = self.law._draw_sum(n, counts, depth, rng)
-        out += _multiples(self.x, counts, depth)
+        out += _multiples(self.x.real_value, counts, self.ambient.level(depth))
         return np.mod(out, 1.0, out=out)
 
 
@@ -647,8 +642,11 @@ def monte_carlo_equidist(
     The verdict applies a Bonferroni correction across all tests at the
     given level alpha, which must lie strictly between 0 and 1 (ValueError
     otherwise, NaN included).  Coefficients must be automorphisms with
-    numerators of at most 2^53 (ValueError).  The report keeps the reference
-    and combined batches that were tested, and the flat coefficient system.
+    numerators of at most 2^53 (ValueError).  A depth whose tower level
+    exceeds the 2^40 tie grid is refused before any draw (DepthInsufficient):
+    there the grid no longer separates the lattice's atoms.  The report keeps
+    the reference and combined batches that were tested, and the flat
+    coefficient system.
     """
     if not 0 < alpha < 1:  # NaN fails both comparisons
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
@@ -657,6 +655,10 @@ def monte_carlo_equidist(
     counts = _sampled_counts(spec, coeffs)
     distinct = [c for c, _ in counts]
     _refuse_int64_depth(spec, depth)
+    if spec.level(depth) > _TIE_GRID:
+        raise DepthInsufficient(
+            f"the tower level at depth {depth} exceeds 2^40, the tie grid of the Kuiper test"
+        )
     deep = required_depth(spec, distinct, depth)
     children = np.random.SeedSequence(seed).spawn(len(counts) + 1)
     reference = sample(law, depth, n, children[0])

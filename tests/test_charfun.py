@@ -212,6 +212,15 @@ class TestStratum:
     def test_members_of_infeasible_stratum_empty(self):
         assert Stratum.of({3: (-1, -1)}).members(DYADIC) == []
 
+    def test_members_below_zero_divide_by_the_unbounded_primes(self):
+        s = Stratum.of({3: (1, 2)})
+        below = s.members_below_zero(TWO_THREE, limit=30)
+        assert below and not set(below) & set(s.members(TWO_THREE, limit=30))
+        assert all(s.contains(y) and y.denominator == 2 for y in below)
+        # a stratum that bounds every table prime has none
+        assert Stratum.of({2: (-2, POS_INF)}).members_below_zero(DYADIC) == []
+        assert Stratum.of({2: (0, 3), 3: (-1, 0)}).members_below_zero(TWO_THREE) == []
+
 
 class TestSubtraction:
     def check_partition(self, spec, box, cutter, pieces, samples):
@@ -564,6 +573,21 @@ class TestCompare:
         assert compare(f, g) == Comparison("differs", F(3))
         monkeypatch.setattr(charfun, "COMPARE_PROBES", 2)
         assert compare(f, g).verdict == "unknown"
+
+    def test_cell_without_bounds_is_probed_below_zero(self):
+        # point masses at the embedded 1 and at 0 agree at every integer
+        one, zero = gaussian_cf(DYADIC, 0, 1), gaussian_cf(DYADIC, 0, 0)
+        assert compare(one, zero) == Comparison("differs", F(1, 2))
+        chk = check_equidistribution(one, [F(1, 2)] * 4)
+        assert (chk.verdict, chk.witness) == ("fails", F(1, 2))
+
+    def test_probes_below_zero_never_displace_a_witness(self):
+        # an earlier cell differs only below zero at 5, a later one at 1/9;
+        # the witness stays the one the integral-at-5 probes find
+        spec = SteinitzSpec.of({3: math.inf, 5: math.inf})
+        f = gaussian_cf(spec, 0, F(-9, 2)) * haar_cf(SubgroupSpec.of(spec, {3: -2}))
+        chk = check_equidistribution(f, [F(1, 3)] * 9)
+        assert (chk.verdict, chk.witness) == ("fails", F(1, 9))
 
     def test_compare_is_symmetric_on_verdicts(self):
         f = gaussian_cf(DYADIC, 1)

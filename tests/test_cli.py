@@ -426,15 +426,48 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert f"coefficient {2**100} has a numerator beyond 2^53" in err
 
-    @pytest.mark.parametrize("param, check_code", [("sigma", 0), ("mean", 3)])
+    @pytest.mark.parametrize("param, check_code", [("sigma", 0)])
     def test_gaussian_beyond_the_float_range_is_exit_2(self, tmp_path, capsys, param, check_code):
         law = {"kind": "gaussian", "sigma": 1, param: "1" + "0" * 400}
         path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"law": law}))
         code, _, _ = run_cli(capsys, "check", path)
-        assert code == check_code  # the exact layer still decides, or says unknown
+        assert code == check_code  # the exact layer still decides
         code, out, err = run_cli(capsys, "simulate", path, "--n", "200", "--depth", "2")
         assert code == 2 and out == ""
         assert "gaussian draws leave the float range" in err
+
+    def test_gaussian_mean_beyond_the_float_range_is_simulated(self, tmp_path, capsys):
+        law = {"kind": "gaussian", "sigma": 1, "mean": "1" + "0" * 400}
+        path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"law": law}))
+        code, _, _ = run_cli(capsys, "check", path)
+        assert code == 3  # the exact layer says unknown
+        code, out, _ = run_cli(capsys, "simulate", path, "--n", "200", "--depth", "2")
+        assert code == 0 and json.loads(out)["verdict"] == "consistent"
+
+    def test_huge_gaussian_mean_keeps_its_fraction(self, tmp_path, capsys):
+        # mean 10^20 + 1/2 breaks the identity, and the draws see its half
+        law = {"kind": "gaussian", "sigma": "1/100", "mean": f"{2 * 10**20 + 1}/2"}
+        path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"law": law}))
+        code, out, _ = run_cli(capsys, "check", path)
+        assert code == 1 and json.loads(out)["equation"]["verdict"] == "fails"
+        code, out, _ = run_cli(capsys, "simulate", path, "--n", "20000")
+        assert code == 1 and json.loads(out)["verdict"] == "inconsistent"
+
+    def test_depth_past_the_tie_grid_is_exit_2(self, tmp_path, capsys):
+        # 3^25 < 2^40 < 3^26: the identity holds, and depth 25 still samples
+        cfg = {
+            "solenoid": {"3": "inf"},
+            "coefficients": ["1/3"] * 9,
+            "distribution": {"law": {"kind": "gaussian", "sigma": "1/100"}},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run_cli(capsys, "check", path)[0] == 0
+        for depth in (26, 28):
+            code, out, err = run_cli(capsys, "simulate", path, "--n", "20000", "--depth", str(depth))
+            assert code == 2 and out == ""
+            assert "DepthInsufficient" in err and f"depth {depth} exceeds 2^40" in err
+        code, out, _ = run_cli(capsys, "simulate", path, "--n", "20000", "--depth", "25")
+        assert code == 0 and json.loads(out)["verdict"] == "consistent"
 
     @pytest.mark.parametrize("alpha", ["-1.0", "1.0", "nan", "inf"])
     def test_alpha_outside_the_open_unit_interval_is_exit_2(self, tmp_path, capsys, alpha):

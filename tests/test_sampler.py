@@ -67,6 +67,8 @@ ALL_VARIANTS = [
     HaarAnnihilator(SubgroupSpec.zero(DYADIC)),
     GaussianLine(DYADIC, F(1, 2)),
     GaussianLine(DYADIC, 2, mean=F(1, 3)),
+    # a mean far beyond float resolution whose fractional half still shifts every draw
+    GaussianLine(DYADIC, F(1, 2), mean=F(2 * 10**20 + 1, 2)),
     Mixture(
         (F(1, 4), F(3, 4)),
         (
@@ -109,6 +111,7 @@ VARIANT_IDS = [
     "haar-trivial",
     "gaussian",
     "gaussian-mean",
+    "gaussian-huge-mean",
     "mixture",
     "shifted",
     "convolution",
@@ -219,15 +222,31 @@ class TestDrawSum:
         out = law._draw_sum(4, counts, 4, np.random.Generator(np.random.PCG64(0)))
         assert out.tolist() == [float(F(3 * k, 128) % 1) for k in counts.tolist()]
 
-    @pytest.mark.parametrize(
-        "sigma, mean, copies",
-        [(10**400, 0, 1), (1, 10**400, 1), (1, -(10**400), 1), (1, 10**308, 4)],
-    )
+    @pytest.mark.parametrize("sigma, mean, copies", [(10**400, 0, 1)])
     def test_gaussian_beyond_the_float_range_is_refused(self, sigma, mean, copies):
         law = GaussianLine(DYADIC, sigma, mean)
         assert law.exact_cf().pieces  # the exact layer keeps the law
         with pytest.raises(ValueError, match="float range"):
             sample(law, 2, 10, seed=0, copies=copies)
+
+    @pytest.mark.parametrize("mean, copies", [(10**400, 1), (-(10**400), 1), (10**308, 4)])
+    def test_gaussian_mean_beyond_the_float_range_is_drawn_exactly(self, mean, copies):
+        # copies * mean is a multiple of the depth-2 level 4, a whole number
+        # of turns, so the draws are the centred law's draws bit for bit
+        shifted = sample(GaussianLine(DYADIC, 1, mean), 2, 10, seed=0, copies=copies)
+        centred = sample(GaussianLine(DYADIC, 1), 2, 10, seed=0, copies=copies)
+        assert shifted.coords.tobytes() == centred.coords.tobytes()
+
+    @pytest.mark.parametrize("mean", [F(3, 8), F(2 * 10**20 + 1, 2), F(-(10**30) - 1, 7)])
+    def test_gaussian_of_zero_sigma_is_its_point_mass(self, mean):
+        # the point keeps the mean modulo the level of the drawn depth
+        depth = 5
+        gauss, point = GaussianLine(DYADIC, 0, mean), Degenerate(embed_real(DYADIC, mean, depth))
+        counts = np.array([0, 1, 2, 3, 7, 1, 0, 4] * 5, dtype=np.int64)
+        for k in (1, 3, counts):
+            a = gauss._draw_sum(counts.size, k, depth, np.random.Generator(np.random.PCG64(0)))
+            b = point._draw_sum(counts.size, k, depth, np.random.Generator(np.random.PCG64(0)))
+            assert a.tobytes() == b.tobytes()
 
     def test_copies_must_be_positive(self):
         with pytest.raises(ValueError, match="copy"):
@@ -393,6 +412,25 @@ class TestLinearForm:
                 sample(law, depth, 10, seed=0)
             with pytest.raises(DepthInsufficient, match=f"depth {depth} exceeds int64"):
                 monte_carlo_equidist(law, [F(1, 2)] * 4, n=10, depth=depth)
+
+    @pytest.mark.parametrize(
+        "table, coeffs, depth",
+        [({3: math.inf}, [F(1, 3)] * 9, 26), ({2: math.inf}, [F(1, 2)] * 2 + [F(1, 4)] * 8, 44)],
+    )
+    def test_depth_past_the_tie_grid_refused_before_any_draw(self, monkeypatch, table, coeffs, depth):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a batch")
+
+        monkeypatch.setattr(sampler, "sample", no_draw)
+        law = GaussianLine(SteinitzSpec.of(table), F(1, 100))
+        with pytest.raises(DepthInsufficient, match=rf"depth {depth} exceeds 2\^40, the tie grid"):
+            monte_carlo_equidist(law, coeffs, n=10, depth=depth)
+
+    def test_depth_at_the_tie_grid_still_runs(self):
+        # level(40) = 2^40 is the grid itself
+        law = GaussianLine(DYADIC, F(1, 100))
+        report = monte_carlo_equidist(law, [F(1, 2)] * 2 + [F(1, 4)] * 8, n=200, depth=40)
+        assert report.depth == 40 and report.verdict == "consistent"
 
     def test_negative_depths_are_unavailable(self):
         law = GaussianLine(DYADIC, 1)

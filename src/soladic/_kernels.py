@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from ._numpy import np
 
 _TWO_PI = 2.0 * math.pi
 

@@ -24,8 +24,7 @@ from functools import partial, reduce
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .cyclotomic import phase_sum_is_zero
 from .errors import (
     BadWeights,

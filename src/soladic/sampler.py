@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import _kernels
+from ._numpy import np
 from .charfun import StratifiedCF, SubgroupSpec, _mixture_weights, gaussian_cf, haar_cf
 from .charfun import mixture as cf_mixture
 from .errors import (

@@ -28,8 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Mapping
 
-import numpy as np
-
+from ._numpy import np
 from .charfun import NEG_INF, POS_INF, StratifiedCF, Stratum, SubgroupSpec, Term, build_cf
 from .errors import ConfigError
 from .sampler import (

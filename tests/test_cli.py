@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -604,3 +607,83 @@ class TestCounterexample:
         code, out, err = run_cli(capsys, "counterexample", path)
         assert code == 2 and out == ""
         assert "TermBudgetExceeded" in err and "more than" in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Each script runs in a new interpreter, where no test has imported numpy yet,
+# and prints one JSON line; "numpy._core" is in sys.modules once numpy has run.
+RUN_MAIN = """
+import contextlib, io, json, sys
+import soladic.cli as cli
+reports = []
+monte_carlo_equidist = cli.monte_carlo_equidist
+def spy(*args, **kwargs):
+    reports.append(monte_carlo_equidist(*args, **kwargs))
+    return reports[-1]
+cli.monte_carlo_equidist = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "numpy": "numpy._core" in sys.modules,
+    "coords": [type(b.coords).__module__ + "." + type(b.coords).__name__
+               for r in reports for b in (r.reference, r.combined)],
+}))
+"""
+
+SAMPLE = """
+import json, sys
+from fractions import Fraction
+import soladic
+on_import = "numpy._core" in sys.modules
+law = soladic.GaussianLine(soladic.SteinitzSpec.of({2: soladic.INFINITE}), Fraction(1))
+coords = soladic.sample(law, 2, 100, 0).coords
+print(json.dumps({
+    "on_import": on_import,
+    "numpy": "numpy._core" in sys.modules,
+    "coords": type(coords).__module__ + "." + type(coords).__name__,
+}))
+"""
+
+
+def fresh_interpreter(tmp_path, script, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestNumpyOnFirstUse:
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("classify", {"solenoid": {"2": "inf"}}),
+            ("check", GAUSS_HOLDS),
+            ("check", {
+                "solenoid": {"2": "inf", "3": "inf"},
+                "coefficients": ["2/3", "2/3", "1/3"],
+                "distribution": {"cf": [{"stratum": [{"prime": 2, "op": ">=", "k": -1}], "terms": [{"c": "1"}]}]},
+            }),
+            ("solve-coeffs", {"p": 2, "l": 2}),
+            ("counterexample", {"p": 2, "q": 3, "c": "1/3"}),
+            ("counterexample", {"p": 2, "q": 3, "c": "1/4", "sigma": "1"}),
+        ],
+        ids=["classify", "check-law", "check-cf", "solve-coeffs", "counterexample-sharp", "counterexample-blurred"],
+    )
+    def test_exact_commands_never_load_numpy(self, tmp_path, command, doc):
+        path = write_config(tmp_path, doc)
+        got = fresh_interpreter(tmp_path, RUN_MAIN, command, path)
+        assert got == {"code": 0, "numpy": False, "coords": []}
+
+    def test_simulate_loads_numpy(self, tmp_path):
+        path = write_config(tmp_path, GAUSS_HOLDS)
+        got = fresh_interpreter(tmp_path, RUN_MAIN, "simulate", path, "--n", 100)
+        assert got == {"code": 0, "numpy": True, "coords": ["numpy.ndarray"] * 2}
+
+    def test_sample_loads_numpy_on_first_use(self, tmp_path):
+        got = fresh_interpreter(tmp_path, SAMPLE)
+        assert got == {"on_import": False, "numpy": True, "coords": "numpy.ndarray"}

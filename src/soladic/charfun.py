@@ -35,6 +35,7 @@ from .errors import (
 from .steinitz import (
     Rational,
     SteinitzSpec,
+    _require_prime,
     classify_solenoid,
     coefficient_counts,
     in_dual_group,
@@ -268,6 +269,7 @@ class SubgroupSpec:
     def of(cls, spec: SteinitzSpec, table: Mapping[int, int]) -> "SubgroupSpec":
         kept = []
         for p in sorted(table):
+            _require_prime(p)  # any prime, in the table or not
             t = table[p]
             if t > -spec.multiplicity(p):
                 kept.append((p, int(t)))
@@ -474,11 +476,13 @@ def build_cf(spec: SteinitzSpec, pieces: Iterable[tuple[Stratum, Iterable[Term]]
     """Normalize and validate a piece list into a StratifiedCF.
 
     Drops unoccupied strata and zero atoms, merges duplicate terms, checks
-    pairwise disjointness, nonnegative parameters, and the value-one
-    constraint at the zero character.
+    that the strata's primes are prime, pairwise disjointness, nonnegative
+    parameters, and the value-one constraint at the zero character.
     """
     cleaned: list[tuple[Stratum, tuple[Term, ...]]] = []
     for stratum, terms in pieces:
+        for p in stratum.primes:
+            _require_prime(p)
         merged = _merge_terms(terms)
         if not stratum.occupied(spec) or not merged:
             continue

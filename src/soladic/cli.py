@@ -26,7 +26,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .charfun import StratifiedCF
@@ -34,6 +33,8 @@ from .errors import ConfigError, PreconditionViolated, SoladicError, SoundnessEr
 from .sampler import SamplerSpec, monte_carlo_equidist
 from .scenarios import ScenarioVerdict, blurred_counterexample, classify_and_conclude, two_prime_counterexample
 from .serialize import (
+    _int_from_json,
+    _rationals_from_json,
     _require_keys,
     batch_to_csv,
     cf_from_json,
@@ -80,20 +81,6 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _int_field(doc: dict, key: str, where: str = "config") -> int:
-    v = doc[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be an integer")
-    return v
-
-
-def _coefficients(doc: dict) -> list[Fraction]:
-    raw = doc.get("coefficients")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("config.coefficients must be a nonempty list of rationals")
-    return [rational_from_json(c, f"coefficients[{i}]") for i, c in enumerate(raw)]
-
-
 def _distribution(spec: SteinitzSpec, doc: dict) -> "StratifiedCF | SamplerSpec":
     dist = doc.get("distribution")
     if not isinstance(dist, dict) or len(dist) != 1 or next(iter(dist)) not in ("cf", "law"):
@@ -121,7 +108,7 @@ def _resolve_seed(args, sim: dict) -> int:
         except ValueError:
             raise ConfigError(f"SOLADIC_SEED must be an integer, got {env!r}") from None
     elif "seed" in sim:
-        seed, source = _int_field(sim, "seed", "config.simulation"), "config.simulation.seed"
+        seed, source = _int_from_json(sim["seed"], "config.simulation.seed"), "config.simulation.seed"
     else:
         return 0
     if seed < 0:
@@ -216,7 +203,7 @@ def cmd_check(args) -> int:
     doc = _load_config(args.config)
     _require_keys(doc, {"solenoid", "coefficients", "distribution"}, set(), "config")
     spec = spec_from_json(doc["solenoid"])
-    coeffs = _coefficients(doc)
+    coeffs = _rationals_from_json(doc["coefficients"], "config.coefficients")
     dist = _distribution(spec, doc)
     f = dist if isinstance(dist, StratifiedCF) else dist.exact_cf()
     verdict = classify_and_conclude(spec, coeffs, f)
@@ -233,18 +220,16 @@ def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     _require_keys(doc, {"solenoid", "coefficients", "distribution"}, {"simulation"}, "config")
     spec = spec_from_json(doc["solenoid"])
-    coeffs = _coefficients(doc)
+    coeffs = _rationals_from_json(doc["coefficients"], "config.coefficients")
     dist = _distribution(spec, doc)
     if isinstance(dist, StratifiedCF):
         raise ConfigError("simulate needs a sampling law; give distribution.law, not distribution.cf")
     sim = _simulation_block(doc)
     n = args.n if args.n is not None else sim.get("n", 100_000)
+    n = _int_from_json(n, "simulation n", "a positive integer", least=1)
     depth = args.depth if args.depth is not None else sim.get("depth", 4)
+    depth = _int_from_json(depth, "simulation depth", "a nonnegative integer", least=0)
     alpha = args.alpha if args.alpha is not None else sim.get("alpha", 0.01)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigError("simulation n must be a positive integer")
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-        raise ConfigError("simulation depth must be a nonnegative integer")
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
         raise ConfigError(
             "simulation alpha must be a JSON number, e.g. 0.01; "
@@ -252,9 +237,7 @@ def cmd_simulate(args) -> int:
         )
     charset = sim.get("charset")
     if charset is not None:
-        if not isinstance(charset, list) or not charset:
-            raise ConfigError("simulation charset must be a nonempty list of rationals")
-        charset = [rational_from_json(y, f"simulation.charset[{i}]") for i, y in enumerate(charset)]
+        charset = _rationals_from_json(charset, "simulation.charset")
     seed = _resolve_seed(args, sim)
 
     try:
@@ -283,8 +266,8 @@ def cmd_simulate(args) -> int:
 def cmd_solve_coeffs(args) -> int:
     doc = _load_config(args.config)
     _require_keys(doc, {"p", "l"}, set(), "config")
-    p = _int_field(doc, "p")
-    length = _int_field(doc, "l")
+    p = _int_from_json(doc["p"], "config.p")
+    length = _int_from_json(doc["l"], "config.l")
     try:
         table = solve_multiplicities(p, length)
     except ValueError as err:
@@ -305,8 +288,8 @@ def cmd_solve_coeffs(args) -> int:
 def cmd_counterexample(args) -> int:
     doc = _load_config(args.config)
     _require_keys(doc, {"p", "q", "c"}, {"sigma", "solenoid"}, "config")
-    p = _int_field(doc, "p")
-    q = _int_field(doc, "q")
+    p = _int_from_json(doc["p"], "config.p")
+    q = _int_from_json(doc["q"], "config.q")
     c = rational_from_json(doc["c"], "config.c")
     sigma = rational_from_json(doc.get("sigma", 0), "config.sigma")
     try:

@@ -109,17 +109,18 @@ class HaarAnnihilator(SamplerSpec):
             out = rng.random(n)
         else:
             d = fiber_order(self.E, depth)
-            if d - 1 > np.iinfo(np.int64).max:  # rng.integers draws residues as int64
-                raise DepthInsufficient(
-                    f"the haar fiber of {self.E} at depth {depth} has order {d}, beyond int64"
-                )
             out = rng.integers(0, d, size=n) / d
         out *= np.asarray(counts) > 0
         return out
 
 
 def fiber_order(subgroup: SubgroupSpec, depth: int) -> int:
-    """Least positive m with m/A_depth inside the subgroup."""
+    """Least positive m with m/A_depth inside the subgroup.
+
+    DepthInsufficient when m - 1 exceeds int64, in which rng.integers draws
+    residues.  p^e >= 2^(e (bits(p) - 1)), so an oversize prime power is
+    refused before it is built.
+    """
     spec = subgroup.spec
     if subgroup.trivial:
         raise DepthInsufficient("the zero subgroup has no finite fiber at any depth")
@@ -127,7 +128,10 @@ def fiber_order(subgroup: SubgroupSpec, depth: int) -> int:
     for p, t in subgroup.thresholds:
         e = t + spec.level_valuation(p, depth)
         if e > 0:
-            d *= p**e
+            if e * (p.bit_length() - 1) > 63 or (d := d * p**e) > 1 << 63:
+                raise DepthInsufficient(
+                    f"the haar fiber of {subgroup} at depth {depth} has an order beyond int64"
+                )
     return d
 
 

@@ -3,6 +3,9 @@
 Grammar conventions, kept strict in both directions:
 
 * multiplicity tables: ``{"2": "inf", "3": 1}``
+* integers are JSON integers, never ``true`` or ``1.5``; a prime is a table
+  or subgroup key of plain decimal digits, or a stratum's integer
+  ``"prime"``, and must be prime, in the table or not
 * rationals: ``"num/den"`` strings in lowest terms (plain integers and
   signed ``"num"`` or unreduced ``"num/den"`` strings allowed on input;
   floats, decimals and exponents are rejected because they are not exact)
@@ -42,7 +45,7 @@ from .sampler import (
     SamplerSpec,
     Shifted,
 )
-from .steinitz import SteinitzSpec
+from .steinitz import SteinitzSpec, _require_prime
 from .tower import SolenoidPoint
 
 
@@ -61,9 +64,17 @@ def _require_keys(obj: Mapping, required: set, optional: set, where: str) -> Non
 # scalars
 
 
+def _print_limit() -> int:
+    """sys.get_int_max_str_digits(): str() refuses an integer with more digits; 0 is no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def rational_to_json(x) -> str:
     x = Fraction(x)
-    return str(x)  # "num/den" in lowest terms, "num" when the denominator is 1
+    try:
+        return str(x)  # "num/den" in lowest terms, "num" when the denominator is 1
+    except ValueError:  # an integer longer than the print limit
+        raise ConfigError(f"a report value is longer than {_print_limit()} digits, which no report can print") from None
 
 
 def rational_from_json(obj, where: str = "rational") -> Fraction:
@@ -82,18 +93,41 @@ def rational_from_json(obj, where: str = "rational") -> Fraction:
     raise ConfigError(f"{where} must be an integer or 'num/den' string, got {obj!r}")
 
 
-def _prime_key(key, where: str) -> int:
-    """A prime-table key: decimal digits without sign, spaces, underscores or leading zeros.
+def _int_from_json(obj, where: str, what: str = "an integer", least: int | None = None) -> int:
+    """A JSON integer, at least ``least`` when that is given; true and false are not integers."""
+    if not isinstance(obj, int) or isinstance(obj, bool) or (least is not None and obj < least):
+        raise ConfigError(f"{where} must be {what}")
+    return obj
 
-    Only that form is read, so two spellings of one prime cannot both stand
-    in a table.
+
+def _prime_from_json(obj, where: str, *, key: bool = False) -> int:
+    """A prime, in the solenoid's table or not: a JSON integer, or a table key.
+
+    A key is read only as decimal digits without sign, spaces, underscores or
+    leading zeros, so two spellings of one prime cannot both stand in a table.
     """
-    if not isinstance(key, str) or not re.fullmatch(r"[1-9][0-9]*", key):
-        raise ConfigError(f"{where} key {key!r} is not a prime written as plain decimal digits")
+    if key:
+        if not isinstance(obj, str) or not re.fullmatch(r"[1-9][0-9]*", obj):
+            raise ConfigError(f"{where} key {obj!r} is not a prime written as plain decimal digits")
+        try:
+            p = int(obj)
+        except ValueError as err:  # longer than the int conversion limit
+            raise ConfigError(f"{where} key is not a prime: {err}") from None
+        where = f"{where} key {obj!r}"
+    else:
+        p = _int_from_json(obj, where)
     try:
-        return int(key)
-    except ValueError as err:  # longer than the int conversion limit
-        raise ConfigError(f"{where} key is not a prime: {err}") from None
+        _require_prime(p)
+    except ValueError as err:  # not prime, or past the primality test's proven range
+        raise ConfigError(f"{where}: {err}") from None
+    return p
+
+
+def _rationals_from_json(obj, where: str) -> list[Fraction]:
+    """A nonempty JSON list, each entry read by rational_from_json; a string is not a list."""
+    if not isinstance(obj, list) or not obj:
+        raise ConfigError(f"{where} must be a nonempty list of rationals")
+    return [rational_from_json(x, f"{where}[{i}]") for i, x in enumerate(obj)]
 
 
 def spec_to_json(spec: SteinitzSpec) -> dict:
@@ -108,13 +142,11 @@ def spec_from_json(obj, where: str = "solenoid") -> SteinitzSpec:
         raise ConfigError(f"{where} must be a multiplicity table object")
     table = {}
     for key, value in obj.items():
-        p = _prime_key(key, where)
+        p = _prime_from_json(key, where, key=True)
         if value == "inf":
             table[p] = math.inf
-        elif isinstance(value, int) and not isinstance(value, bool):
-            table[p] = value
         else:
-            raise ConfigError(f"{where}[{key}] must be a positive integer or 'inf'")
+            table[p] = _int_from_json(value, f"{where}[{key}]", "a positive integer or 'inf'")
     try:
         return SteinitzSpec.of(table)
     except ValueError as err:
@@ -127,11 +159,10 @@ def point_to_json(x: SolenoidPoint) -> dict:
 
 def point_from_json(spec: SteinitzSpec, obj, where: str = "point") -> SolenoidPoint:
     _require_keys(obj, {"depth", "coord"}, set(), where)
-    if not isinstance(obj["depth"], int) or isinstance(obj["depth"], bool):
-        raise ConfigError(f"{where}.depth must be an integer")
+    depth = _int_from_json(obj["depth"], f"{where}.depth")
     coord = rational_from_json(obj["coord"], f"{where}.coord")
     try:
-        x = SolenoidPoint(spec, obj["depth"], coord)
+        x = SolenoidPoint(spec, depth, coord)
     except Exception as err:
         raise ConfigError(f"{where}: {err}") from None
     _require_printable_real_value(x, where)
@@ -141,11 +172,10 @@ def point_from_json(spec: SteinitzSpec, obj, where: str = "point") -> SolenoidPo
 def _require_printable_real_value(x: SolenoidPoint, where: str) -> None:
     """Refuse a point whose real value coord * level(depth) is too long to print.
 
-    Reports print that value as a shift, and str() refuses an integer longer
-    than sys.get_int_max_str_digits().  The numerator is at least
+    Reports print that value as a shift.  The numerator is at least
     2^depth / den(coord), so a deep point is refused before its level is built.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _print_limit()
     if not limit or x.coord == 0:
         return
     bound = 10**limit
@@ -153,6 +183,19 @@ def _require_printable_real_value(x: SolenoidPoint, where: str) -> None:
         raise ConfigError(
             f"{where}.depth {x.depth} makes the point's real value coord * level({x.depth}) "
             f"longer than {limit} digits, which no report can print"
+        )
+
+
+def _require_printable_power(p: int, e: int, where: str) -> None:
+    """Refuse an exponent whose prime power p^|e| is too long to print, as a point's depth is.
+
+    p^|e| >= 2^(|e| (bits(p) - 1)) and 2^4 > 10, so a power is built only
+    when it has fewer than 8 * limit bits.
+    """
+    limit = _print_limit()
+    if limit and (abs(e) * (p.bit_length() - 1) >= 4 * limit or p ** abs(e) >= 10**limit):
+        raise ConfigError(
+            f"{where} {e} makes {p}^{abs(e)} longer than {limit} digits, which no report can print"
         )
 
 
@@ -173,10 +216,9 @@ def subgroup_from_json(spec: SteinitzSpec, obj, where: str = "subgroup") -> Subg
         raise ConfigError(f"{where} must be a threshold table or the string 'zero'")
     table = {}
     for key, value in obj.items():
-        p = _prime_key(key, where)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{where}[{key}] must be an integer threshold")
-        table[p] = value
+        p = _prime_from_json(key, where, key=True)
+        table[p] = _int_from_json(value, f"{where}[{key}]", "an integer threshold")
+        _require_printable_power(p, table[p], f"{where}[{key}]")
     return SubgroupSpec.of(spec, table)
 
 
@@ -206,15 +248,13 @@ def stratum_from_json(obj, only_zero: bool, minus_zero: bool, where: str) -> Str
     windows: dict[int, tuple] = {}
     for i, entry in enumerate(obj):
         _require_keys(entry, {"prime", "op", "k"}, set(), f"{where}[{i}]")
-        p, op, k = entry["prime"], entry["op"], entry["k"]
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ConfigError(f"{where}[{i}].prime must be an integer")
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ConfigError(f"{where}[{i}].k must be an integer")
-        if op not in _OPS:
+        p = _prime_from_json(entry["prime"], f"{where}[{i}].prime")
+        k = _int_from_json(entry["k"], f"{where}[{i}].k")
+        _require_printable_power(p, k, f"{where}[{i}].k")
+        if entry["op"] not in _OPS:
             raise ConfigError(f"{where}[{i}].op must be one of >=, =, <=")
         lo, hi = windows.get(p, (NEG_INF, POS_INF))
-        op = _OPS[op]
+        op = _OPS[entry["op"]]
         if op in (">=", "="):
             lo = max(lo, k)
         if op in ("<=", "="):
@@ -328,7 +368,7 @@ def law_from_json(spec: SteinitzSpec, obj, where: str = "law") -> SamplerSpec:
             )
         if kind == "mixture":
             _require_keys(obj, {"kind", "weights", "parts"}, set(), where)
-            weights = [rational_from_json(w, f"{where}.weights") for w in obj["weights"]]
+            weights = _rationals_from_json(obj["weights"], f"{where}.weights")
             parts = [
                 law_from_json(spec, p, f"{where}.parts[{i}]") for i, p in enumerate(obj["parts"])
             ]

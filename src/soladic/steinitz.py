@@ -63,6 +63,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(p: int) -> None:
+    """ValueError unless p is prime; valuation(y, p) loops forever at p = 1."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def _split_by_table(spec: SteinitzSpec, n: int) -> tuple[dict[int, int], int]:
     """Exponents of the table's primes in n != 0, and the rest of |n|.
 
@@ -120,8 +126,7 @@ class SteinitzSpec:
         items = []
         for p in sorted(table):
             m = table[p]
-            if not _is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            _require_prime(p)
             if m != INFINITE and (not isinstance(m, int) or m < 1):
                 raise ValueError(f"multiplicity of {p} must be a positive int or INFINITE")
             items.append((p, m))
@@ -250,8 +255,7 @@ def solve_multiplicities(p: int, length: int) -> list[tuple[int, ...]]:
     counted first and TermBudgetExceeded is raised, before any is listed,
     when there are more than MAX_SOLUTIONS.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if length < 1:
         raise ValueError("length must be >= 1")
     # a solution of a shorter length extends by zeros, so the count only

@@ -280,6 +280,19 @@ class TestSubgroupSpec:
         assert e.thresholds == ((3, 0),)
         assert SubgroupSpec.of(spec, {2: -5}).thresholds == ()
 
+    @pytest.mark.parametrize("p", [4, 1, 0, -3])
+    def test_non_prime_keys_rejected(self, p):
+        # v_4 >= 1 read as a prime constraint gave a wrong verdict; v_1 looped forever
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            SubgroupSpec.of(DYADIC, {p: 1})
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            SubgroupSpec.of(DYADIC, {p: -5})  # a vacuous threshold is checked too
+
+    def test_prime_outside_the_table_is_kept(self):
+        e = SubgroupSpec.of(DYADIC, {7: 1})
+        assert e.thresholds == ((7, 1),)
+        assert e.contains(F(7, 2)) and not e.contains(F(1, 2))
+
     def test_contains(self):
         e = SubgroupSpec.of(TWO_THREE, {2: 0})
         assert e.contains(F(1, 3))
@@ -365,6 +378,12 @@ class TestConstruction:
             build_cf(DYADIC, [(Stratum.whole(), [Term(F(1, 2), F(0), F(0))])])
         with pytest.raises(ValueError):
             build_cf(DYADIC, [(Stratum.of({2: (-2, -1)}), [Term(F(1), F(0), F(0))])])
+
+    @pytest.mark.parametrize("p", [4, 1, 0])
+    def test_non_prime_stratum_rejected(self, p):
+        stratum = Stratum.of({p: (0, POS_INF)})
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            build_cf(DYADIC, [(stratum, [Term(F(1), F(0), F(0))])])
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):

@@ -687,3 +687,146 @@ class TestNumpyOnFirstUse:
     def test_sample_loads_numpy_on_first_use(self, tmp_path):
         got = fresh_interpreter(tmp_path, SAMPLE)
         assert got == {"on_import": False, "numpy": True, "coords": "numpy.ndarray"}
+
+
+def _law(law):
+    return dict(GAUSS_HOLDS, distribution={"law": law})
+
+
+def _cf(constraint):
+    return dict(GAUSS_HOLDS, distribution={"cf": [{"stratum": [constraint], "terms": [{"c": 1}]}]})
+
+
+# field -> (command, config holding the value v, the path the error names)
+READ_FIELDS = {
+    "solenoid multiplicity": ("classify", lambda v: {"solenoid": {"2": v}}, "solenoid[2]"),
+    "point depth": (
+        "check",
+        lambda v: _law({"kind": "degenerate", "point": {"depth": v, "coord": "1/2"}}),
+        "distribution.law.point.depth",
+    ),
+    "subgroup threshold": (
+        "check",
+        lambda v: _law({"kind": "haar", "subgroup": {"2": v}}),
+        "distribution.law.subgroup[2]",
+    ),
+    "stratum prime": ("check", lambda v: _cf({"prime": v, "op": ">=", "k": 0}), "distribution.cf[0].stratum[0].prime"),
+    "stratum k": ("check", lambda v: _cf({"prime": 2, "op": ">=", "k": v}), "distribution.cf[0].stratum[0].k"),
+    "simulation n": ("simulate", lambda v: dict(GAUSS_HOLDS, simulation={"n": v}), "simulation n"),
+    "simulation depth": ("simulate", lambda v: dict(GAUSS_HOLDS, simulation={"n": 10, "depth": v}), "simulation depth"),
+    "simulation seed": (
+        "simulate",
+        lambda v: dict(GAUSS_HOLDS, simulation={"n": 10, "seed": v}),
+        "config.simulation.seed",
+    ),
+    "simulation charset": (
+        "simulate",
+        lambda v: dict(GAUSS_HOLDS, simulation={"n": 10, "charset": v}),
+        "simulation.charset",
+    ),
+    "coefficients": ("check", lambda v: dict(GAUSS_HOLDS, coefficients=v), "config.coefficients"),
+    "mixture weights": (
+        "check",
+        lambda v: _law({"kind": "mixture", "weights": v, "parts": [{"kind": "gaussian", "sigma": 1}]}),
+        "distribution.law.weights",
+    ),
+    "counterexample p": ("counterexample", lambda v: {"p": v, "q": 3, "c": "1/2"}, "config.p"),
+    "counterexample q": ("counterexample", lambda v: {"p": 2, "q": v, "c": "1/2"}, "config.q"),
+    "solve-coeffs p": ("solve-coeffs", lambda v: {"p": v, "l": 2}, "config.p"),
+    "solve-coeffs l": ("solve-coeffs", lambda v: {"p": 2, "l": v}, "config.l"),
+}
+
+
+# The CLI in a new interpreter whose address space is capped at 1 GiB, so
+# that a command that tries to build a huge integer fails instead of
+# exhausting the machine's memory.
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from soladic.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestConfigReaders:
+    @pytest.mark.parametrize("value", [True, 1.5, "7", {}], ids=["true", "1.5", "string", "object"])
+    @pytest.mark.parametrize("field", sorted(READ_FIELDS))
+    def test_wrong_type_is_a_config_error(self, tmp_path, capsys, monkeypatch, field, value):
+        # each field is read as an integer, a prime or a nonempty list of rationals
+        monkeypatch.delenv("SOLADIC_SEED", raising=False)
+        command, config, where = READ_FIELDS[field]
+        code, out, err = run_cli(capsys, command, write_config(tmp_path, config(value)))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and where in err
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            (_law({"kind": "haar", "subgroup": {"4": 1}}), "distribution.law.subgroup key '4': 4 is not prime"),
+            (_cf({"prime": 4, "op": ">=", "k": 0}), "distribution.cf[0].stratum[0].prime: 4 is not prime"),
+            (_cf({"prime": 0, "op": ">=", "k": 0}), "distribution.cf[0].stratum[0].prime: 0 is not prime"),
+        ],
+        ids=["subgroup-4", "stratum-4", "stratum-0"],
+    )
+    def test_non_prime_is_a_config_error(self, tmp_path, capsys, doc, named):
+        # v_4 was read as a prime constraint: "holds" and gaussian_haar on
+        # {"4": 1}, though f(4) = 1 and f(2)^4 = 0; prime 0 divided by zero
+        code, out, err = run_cli(capsys, "check", write_config(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err == f"config error: {named}\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [_law({"kind": "haar", "subgroup": {"7": 1}}), _cf({"prime": 7, "op": ">=", "k": 1})],
+        ids=["subgroup", "stratum"],
+    )
+    def test_prime_outside_the_table_is_valid(self, tmp_path, capsys, doc):
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, doc))
+        report = json.loads(out)
+        assert code == 0 and report["equation"]["verdict"] == "holds"
+        assert report["decomposition"]["subgroup"] == {"7": 1}
+
+    def test_mixture_weights_must_be_a_list(self, tmp_path, capsys):
+        # the string "10" was read character by character as the weights (1, 0)
+        law = {"kind": "mixture", "weights": "10",
+               "parts": [{"kind": "gaussian", "sigma": 1}, {"kind": "haar", "subgroup": {"2": 0}}]}
+        code, out, err = run_cli(capsys, "check", write_config(tmp_path, _law(law)))
+        assert code == 2 and out == ""
+        assert err == "config error: distribution.law.weights must be a nonempty list of rationals\n"
+
+    def test_unprintable_threshold_is_a_config_error(self, tmp_path, capsys):
+        # 2^20000 has 6,021 digits: check found "fails", then raised while printing the witness
+        doc = _law({"kind": "haar", "subgroup": {"2": 20000}})
+        code, out, err = run_cli(capsys, "check", write_config(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: distribution.law.subgroup[2] 20000 makes 2^20000 longer than")
+
+    def test_unprintable_report_value_is_a_config_error(self, tmp_path, capsys):
+        # 2^7000 and 3^5000 each print, but a witness built from both does not
+        doc = {
+            "solenoid": {"2": "inf", "3": "inf"},
+            "coefficients": ["2/3", "2/3", "1/3"],
+            "distribution": {"law": {"kind": "haar", "subgroup": {"2": 7000, "3": 5000}}},
+        }
+        code, out, err = run_cli(capsys, "check", write_config(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: a report value is longer than")
+
+    @pytest.mark.parametrize(
+        "command, doc, named",
+        [
+            ("check", _law({"kind": "haar", "subgroup": {"1": 1}}), "subgroup key '1': 1 is not prime"),
+            ("check", _cf({"prime": 1, "op": ">=", "k": 0}), "stratum[0].prime: 1 is not prime"),
+            ("simulate", _law({"kind": "haar", "subgroup": {"2": 10**12}}), "subgroup[2] 1000000000000 makes"),
+        ],
+        ids=["subgroup-1", "stratum-1", "threshold-10^12"],
+    )
+    def test_endless_runs_end_in_a_config_error(self, tmp_path, command, doc, named):
+        # valuation(y, 1) looped forever; simulate built 2^(10^12) before its int64 check
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED_MAIN, command, str(write_config(tmp_path, doc))],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("config error:") and named in done.stderr

@@ -139,6 +139,13 @@ class TestSampling:
         # A_4 = 36 on the 2,3 tower: need v_2(m) >= 2 and v_3(m) >= 3
         assert fiber_order(SubgroupSpec.of(TWO_THREE, {2: 0, 3: 1}), 4) == 4 * 27
 
+    def test_fiber_order_refuses_orders_past_int64(self):
+        # the order at depth 2 is 2^(threshold + 2); rng.integers draws residues below 2^63
+        assert fiber_order(SubgroupSpec.of(DYADIC, {2: 61}), 2) == 2**63
+        for threshold in (62, 10**5):
+            with pytest.raises(DepthInsufficient, match="beyond int64"):
+                fiber_order(SubgroupSpec.of(DYADIC, {2: threshold}), 2)
+
     def test_haar_fiber_support(self):
         e = SubgroupSpec.of(DYADIC, {2: -1})
         batch = sample(HaarAnnihilator(e), depth=4, n=400, seed=5)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -107,6 +108,12 @@ class TestScalars:
         # the zero point embeds 0 at any depth
         assert point_from_json(DYADIC, {"depth": 20_000, "coord": "0"}).real_value == 0
 
+    def test_value_too_long_to_print_is_a_config_error(self):
+        digits = sys.get_int_max_str_digits()
+        assert rational_to_json(F(1, 10 ** (digits - 1))) == "1/1" + "0" * (digits - 1)
+        with pytest.raises(ConfigError, match=f"a report value is longer than {digits} digits"):
+            rational_to_json(F(-(10**digits), 3))
+
     def test_point_rejects_extra_keys_and_bad_depth(self):
         with pytest.raises(ConfigError):
             point_from_json(DYADIC, {"depth": 1, "coord": "1/2", "x": 0})
@@ -132,6 +139,25 @@ class TestSubgroupsAndStrata:
             subgroup_from_json(DYADIC, {"2": "deep"})
         with pytest.raises(ConfigError):
             subgroup_from_json(DYADIC, 7)
+
+    def test_exponent_too_long_to_print_is_a_config_error(self):
+        limit = sys.get_int_max_str_digits()
+        top = (10**limit).bit_length() - 1  # 2^top is the longest printable power of 2
+        for e in (top, -top):
+            assert subgroup_from_json(DYADIC, {"2": e}).thresholds == ((2, e),)
+            stratum_from_json([{"prime": 2, "op": ">=", "k": e}], False, False, "stratum")
+        for e in (top + 1, -top - 1, 10**400):
+            with pytest.raises(ConfigError, match=rf"subgroup\[2\] {e} makes 2\^{abs(e)} longer"):
+                subgroup_from_json(DYADIC, {"2": e})
+            with pytest.raises(ConfigError, match=rf"stratum\[0\]\.k {e} makes"):
+                stratum_from_json([{"prime": 2, "op": "<=", "k": e}], False, False, "stratum")
+
+    def test_stratum_primes_are_prime_integers(self):
+        # a prime outside the table is a valid constraint
+        assert stratum_from_json([{"prime": 7, "op": ">=", "k": 1}], False, False, "s").bounds == ((7, 1, POS_INF),)
+        for bad, message in ((4, "4 is not prime"), (1, "1 is not prime"), ("7", "must be an integer")):
+            with pytest.raises(ConfigError, match=rf"s\[0\]\.prime.*{message}"):
+                stratum_from_json([{"prime": bad, "op": ">=", "k": 1}], False, False, "s")
 
     def test_stratum_emits_two_sided_windows(self):
         s = Stratum.of({2: (-1, 3), 3: (0, 0)})

@@ -9,11 +9,14 @@ Lattice laws put a large batch on a handful of atoms, so per-element work is
 done once per distinct value where that is cheaper.  ``atom_keys`` sorts a
 batch once to find its atoms and their counts; a batch keeps the result, so
 each caller reads the same sort.  ``cf_sums`` evaluates its phases on the
-atoms and gathers them back per chunk, and ``kuiper_deltas`` takes either
-draws or values with counts and compares the two cdfs only at the last copy
-of each value.  The gathered arrays and the counts give the same floats as
-the element-by-element definitions, so the results are unchanged byte for
-byte.
+atoms and gathers them back per chunk; on continuous draws it works a chunk
+at a time in buffers it reuses for every character.  ``kuiper_deltas``
+pools both samples, draws or atoms with counts, into one array of sort
+keys, sorts it once (in place for draws, by one argsort with counts) and
+scans it a chunk at a time, carrying the running counts, so its
+temporaries beyond the keys are bounded by the chunk.  The same integers
+over the same sizes give the same floats as the element-by-element
+definitions, so the results are unchanged byte for byte.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ _TWO_PI = 2.0 * math.pi
 
 #: draws per block of cf_sums; the block sums fix its summation order
 CF_CHUNK_ROWS = 1 << 16
+
+#: pooled keys per block of the Kuiper scan
+SCAN_CHUNK_ROWS = 1 << 16
 
 
 def atom_keys(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -45,11 +51,20 @@ def atom_keys(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return bits[first], np.diff(first, append=bits.shape[0])
 
 
-def _phases(t: np.ndarray, m: float) -> np.ndarray:
-    """exp(2 pi i m t) with m t reduced to [0, 1) first."""
-    block = t * m
-    block -= np.floor(block)
-    return np.exp(1j * _TWO_PI * block)
+def _phases(t: np.ndarray, m: float, arg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(2 pi i m t) into out, with m t reduced to [0, 1) first.
+
+    ``arg`` is complex scratch of t's length whose real part is +0; only
+    its imaginary part is written, with 2 pi frac(m t).  That is the number
+    ``1j * 2 pi * frac`` gives, real part 0*x - 2pi*0 = +0 and imaginary
+    part fl(2pi x), fused or not, so the phases are the same floats.
+    """
+    frac = arg.imag
+    np.multiply(t, m, out=frac)
+    floor = np.floor(frac, out=out.real)
+    frac -= floor
+    frac *= _TWO_PI
+    return np.exp(arg, out=out)
 
 
 _FIND = object()
@@ -68,13 +83,18 @@ def cf_sums(coords: np.ndarray, multipliers: np.ndarray, atoms=_FIND) -> np.ndar
         atoms = atom_keys(coords)
     if atoms is not None:
         keys = atoms[0]
-        table = [_phases(keys.view(np.float64), m) for m in multipliers]
+        arg = np.zeros(keys.shape[0], dtype=np.complex128)
+        table = [_phases(keys.view(np.float64), m, arg, np.empty_like(arg)) for m in multipliers]
+    else:  # one pair of chunk buffers for every chunk and character
+        arg = np.zeros(min(n, CF_CHUNK_ROWS), dtype=np.complex128)
+        chunk_phases = np.empty_like(arg)
     totals = [0j] * multipliers.shape[0]
     for start in range(0, n, CF_CHUNK_ROWS):
         block = coords[start : start + CF_CHUNK_ROWS]
         if atoms is None:
+            rows = block.shape[0]
             for j, m in enumerate(multipliers):
-                totals[j] += _phases(block, m).sum()
+                totals[j] += _phases(block, m, arg[:rows], chunk_phases[:rows]).sum()
         else:
             where = np.searchsorted(keys, block.view(np.uint64))
             for j, phases in enumerate(table):
@@ -86,50 +106,91 @@ def cf_sums(coords: np.ndarray, multipliers: np.ndarray, atoms=_FIND) -> np.ndar
 
 
 def kuiper_deltas(
-    a: np.ndarray, b: np.ndarray, a_counts: np.ndarray | None = None, b_counts: np.ndarray | None = None
+    a: np.ndarray,
+    b: np.ndarray,
+    a_counts: np.ndarray | None = None,
+    b_counts: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """(D+, D-) between the empirical cdfs of two unsorted samples.
+    """(D+, D-) between the empirical cdfs of two unsorted samples of nonnegative values.
 
     A sample is its draws, or with ``counts`` a list of values that each
-    stand for that many draws; values may repeat.  F_a - F_b rises only at
-    values of a, so its maximum over the pooled sample is attained at the
-    last copy of some value of a; likewise for F_b - F_a and b.  Only those
-    points are scanned, and F there is the number of draws at or below the
-    point over the sample size: the same integers over the same size, so the
-    same floats, whichever form a sample comes in.
+    stand for that many draws; values may repeat.  Both samples are pooled
+    as sort keys: a value's float64 bit pattern shifted up one bit, with the
+    sample label (a 0, b 1) in bit 0.  For nonnegative floats the bit
+    patterns keep the order, and the shift pushes out the sign bit, the one
+    bit in which -0.0 differs from 0.0.  So one sort of the keys sorts the
+    pooled sample, and values that compare equal form one run of keys.
+    Scanning the runs' last keys with the running draw counts ca and cb
+    gives d = ca/na - cb/nb at every pooled value, and D+ = max(0, max d),
+    D- = max(0, max -d): the same integers over the same sizes, so the same
+    floats, whichever form a sample comes in.  A negative or NaN value is a
+    ValueError.
+
+    The keys are built in ``out`` when it is given: a uint64 array of
+    len(a) + len(b) entries, which ``a`` and ``b`` may be the float64 halves
+    of (they are then overwritten).  A caller that computes the values into
+    those halves holds one pooled array, not three.
     """
-    a, b = _sorted_sample(a, a_counts), _sorted_sample(b, b_counts)
-    return _max_gap(a, b), _max_gap(b, a)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    keys = np.empty(a.shape[0] + b.shape[0], dtype=np.uint64) if out is None else out
+    for label, values, part in ((0, a, keys[: a.shape[0]]), (1, b, keys[a.shape[0] :])):
+        floats = part.view(np.float64)
+        np.copyto(floats, values)
+        if floats.shape[0] and not floats.min() >= 0.0:
+            raise ValueError("kuiper_deltas needs nonnegative values")
+        part <<= np.uint64(1)
+        part |= np.uint64(label)
+    if a_counts is None and b_counts is None:
+        keys.sort()
+        return _scan(keys, None, a.shape[0], b.shape[0])
+    a_counts, b_counts = _counts(a, a_counts), _counts(b, b_counts)
+    order = np.argsort(keys)
+    weights = np.concatenate([a_counts, b_counts])[order]
+    return _scan(keys[order], weights, int(a_counts.sum()), int(b_counts.sum()))
 
 
-def _sorted_sample(values: np.ndarray, counts: np.ndarray | None):
-    """(sorted values, draws below each sorted position or None for one draw each, size).
-
-    ``below[k]`` counts the draws held by the first k sorted values; with
-    one draw per value that is k itself, so no array is built.
-    """
-    values = np.asarray(values, dtype=np.float64)
+def _counts(values: np.ndarray, counts: np.ndarray | None) -> np.ndarray:
+    """A sample's draws per value: its counts, or one each."""
     if counts is None:
-        return np.sort(values), None, values.shape[0]
-    order = np.argsort(values, kind="stable")
-    below = np.zeros(values.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.asarray(counts, dtype=np.int64)[order], out=below[1:])
-    return values[order], below, int(below[-1])
+        return np.ones(values.shape[0], dtype=np.int64)
+    return np.asarray(counts, dtype=np.int64)
 
 
-def _max_gap(a: tuple, b: tuple) -> float:
-    """max(0, max of F_a - F_b) for sorted samples, scanned at run ends of a.
+def _scan(keys: np.ndarray, weights: np.ndarray | None, na: int, nb: int) -> tuple[float, float]:
+    """(D+, D-) from sorted pooled keys, their draw counts (None for one draw each) and the sample sizes.
 
-    Values that compare equal form one run, so a value split across several
-    entries (and -0.0 beside 0.0) is scanned once, at its last entry.
+    The keys are read a chunk at a time; the draws below the chunk are
+    carried into the next one, so the temporaries are chunk-sized.  D- is
+    taken as -min d: negation is exact, and a -0.0 there loses to the
+    starting 0.0 as +0.0 would.
     """
-    (a, a_below, na), (b, b_below, nb) = a, b
-    ends = np.flatnonzero(np.append(a[1:] != a[:-1], True))
-    fa = _share_below(a_below, ends + 1, na)
-    fb = _share_below(b_below, np.searchsorted(b, a[ends], side="right"), nb)
-    return float(max((fa - fb).max(), 0.0))
-
-
-def _share_below(below, k: np.ndarray, n: int) -> np.ndarray:
-    """Share of a sample's n draws held by its first k sorted values."""
-    return (k if below is None else below[k]) / n
+    total = keys.shape[0]
+    below = below_b = 0  # draws of both samples, and of b alone, below the chunk
+    dplus = dminus = 0.0
+    for start in range(0, total, SCAN_CHUNK_ROWS):
+        stop = min(start + SCAN_CHUNK_ROWS, total)
+        chunk = keys[start:stop]
+        # a run ends where the key changes above the label bit
+        ends = np.empty(chunk.shape[0], dtype=bool)
+        np.greater(chunk[1:] ^ chunk[:-1], 1, out=ends[:-1])
+        ends[-1] = stop == total or (keys[stop] ^ chunk[-1]) > 1
+        cb = (chunk & np.uint64(1)).view(np.int64)
+        if weights is None:
+            both = np.arange(below + 1, below + chunk.shape[0] + 1)
+        else:
+            w = weights[start:stop]
+            cb *= w
+            both = np.cumsum(w)
+            both += below
+        np.cumsum(cb, out=cb)
+        cb += below_b
+        below, below_b = int(both[-1]), int(cb[-1])
+        cb, ca = cb[ends], both[ends]
+        if not cb.shape[0]:
+            continue
+        ca -= cb
+        d = ca / na
+        d -= cb / nb
+        dplus, dminus = max(dplus, float(d.max())), max(dminus, -float(d.min()))
+    return dplus, dminus

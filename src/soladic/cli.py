@@ -36,7 +36,6 @@ from .serialize import (
     _int_from_json,
     _rationals_from_json,
     _require_keys,
-    batch_to_csv,
     cf_from_json,
     cf_to_json,
     dump_stable,
@@ -48,6 +47,7 @@ from .serialize import (
     spec_from_json,
     spec_to_json,
     subgroup_to_json,
+    write_batch_csv,
 )
 from .steinitz import SteinitzSpec, classify_solenoid, solve_multiplicities
 
@@ -250,8 +250,8 @@ def cmd_simulate(args) -> int:
     base = Path(args.config)
     ref_path = base.with_suffix(".reference.csv")
     comb_path = base.with_suffix(".combined.csv")
-    ref_path.write_text(batch_to_csv(report.reference))
-    comb_path.write_text(batch_to_csv(report.combined))
+    write_batch_csv(report.reference, ref_path)
+    write_batch_csv(report.combined, comb_path)
 
     out = {
         "command": "simulate",

@@ -305,14 +305,22 @@ class SampleBatch:
             return self
         return SampleBatch(self.spec, depth, self._push_down(self.coords, depth), self.seed_record)
 
-    def _push_down(self, values: np.ndarray, depth: int) -> np.ndarray:
-        """Coordinates at this batch's depth taken down to `depth`, by the float steps of project."""
+    def _push_down(self, values: np.ndarray, depth: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Coordinates at this batch's depth taken down to `depth`, by the float steps of project.
+
+        With ``out`` the result is written there, else a new array is made
+        unless the depth is the batch's own.
+        """
         if depth > self.depth:
             raise DepthInsufficient(f"cannot project depth {self.depth} up to {depth}")
         if depth == self.depth:
-            return values
+            if out is None:
+                return values
+            np.copyto(out, values)
+            return out
         ratio = self.spec.level(self.depth) // self.spec.level(depth)
-        return np.mod(values * float(ratio), 1.0)
+        out = np.multiply(values, float(ratio), out=out)
+        return np.mod(out, 1.0, out=out)
 
 
 def _refuse_int64_depth(spec: SteinitzSpec, depth: int) -> None:
@@ -512,7 +520,7 @@ def _kuiper_p(v: float, n_eff: float) -> float:
 _TIE_GRID = float(1 << 40)
 
 
-def _snap(coords: np.ndarray) -> np.ndarray:
+def _snap(coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Quantize circle coordinates to a fixed binary grid.
 
     Lattice-valued laws produce atoms, and different arithmetic paths (direct
@@ -520,27 +528,22 @@ def _snap(coords: np.ndarray) -> np.ndarray:
     left unquantized, that splits ties and fabricates a huge ECDF gap.  The
     grid of 2^-40 is far below any statistical resolution yet far above
     accumulated rounding error, and the modulus keeps wrap-around values on
-    the zero atom.
+    the zero atom.  The result goes to ``out`` (which may be ``coords``), or
+    to the one new n-sized array.
     """
-    out = coords * _TIE_GRID  # the one n-sized copy; the rest works in place
+    out = np.multiply(coords, _TIE_GRID, out=out)  # the rest works in place
     np.round(out, out=out)
     np.mod(out, _TIE_GRID, out=out)
     out /= _TIE_GRID
     return out
 
 
-def _kuiper_sample(batch: SampleBatch, depth: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The batch at `depth` on the tie grid: (atom values, counts), or (draws, None) without atoms.
-
-    Atom values take the float steps of project and _snap that their draws
-    would take, so each count lands on the value its draws would have.
-    """
+def _kuiper_sample(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray | None]:
+    """The values the Kuiper test takes down the tower: (atom values, counts), or (draws, None) without atoms."""
     if batch._atoms is None:
-        values, counts = batch.coords, None
-    else:
-        keys, counts = batch._atoms
-        values = keys.view(np.float64)
-    return _snap(batch._push_down(values, depth)), counts
+        return batch.coords, None
+    keys, counts = batch._atoms
+    return keys.view(np.float64), counts
 
 
 def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | None = None) -> tuple[float, float]:
@@ -550,15 +553,22 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     and snapped to the tie grid.  A batch with atoms is compared through
     them, each atom standing for its count of draws, and one without
     through its draws; either way V and p are the floats of the
-    draw-by-draw comparison.
+    draw-by-draw comparison.  Atom values take the float steps of project
+    and _snap that their draws would take, so each count lands on the value
+    its draws would have.  The steps run in place in the halves of one
+    pooled array, in which the kernel then builds its sort keys.
     """
     if batch1.spec != batch2.spec:
         raise SpecMismatch("batches live over different solenoids")
     if batch1.depth != batch2.depth:
         raise ValueError("batches must share a depth")
     depth = batch1.depth if depth is None else depth
-    (a, a_counts), (b, b_counts) = _kuiper_sample(batch1, depth), _kuiper_sample(batch2, depth)
-    dplus, dminus = _kernels.kuiper_deltas(a, b, a_counts, b_counts)
+    (a, a_counts), (b, b_counts) = _kuiper_sample(batch1), _kuiper_sample(batch2)
+    keys = np.empty(a.shape[0] + b.shape[0], dtype=np.uint64)
+    a_out, b_out = np.split(keys.view(np.float64), [a.shape[0]])
+    for batch, values, out in ((batch1, a, a_out), (batch2, b, b_out)):
+        _snap(batch._push_down(values, depth, out=out), out=out)
+    dplus, dminus = _kernels.kuiper_deltas(a_out, b_out, a_counts, b_counts, out=keys)
     v = dplus + dminus
     n_eff = batch1.n * batch2.n / (batch1.n + batch2.n)
     return v, _kuiper_p(v, n_eff)

@@ -13,8 +13,9 @@ Grammar conventions, kept strict in both directions:
 * subgroups: mapping prime -> threshold, or the string ``"zero"``
 * characteristic functions: list of pieces
   ``{"stratum": [{"prime": p, "op": ">="|"="|"<=", "k": t}], "terms":
-  [{"c": w, "sigma": d, "shift": s}]}`` with optional boolean piece keys
-  ``"only_zero"`` and ``"minus_zero"`` for the two partition flags
+  [{"c": w, "sigma": d, "shift": s}]}`` with optional piece keys
+  ``"only_zero"`` and ``"minus_zero"`` for the two partition flags, each
+  JSON ``true`` or ``false``
 * sampling laws: tagged unions on a ``"kind"`` key
 
 Unknown keys are rejected everywhere, so a config either round-trips
@@ -29,7 +30,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from ._numpy import np
 from .charfun import NEG_INF, POS_INF, StratifiedCF, Stratum, SubgroupSpec, Term, build_cf
@@ -97,6 +98,13 @@ def _int_from_json(obj, where: str, what: str = "an integer", least: int | None 
     """A JSON integer, at least ``least`` when that is given; true and false are not integers."""
     if not isinstance(obj, int) or isinstance(obj, bool) or (least is not None and obj < least):
         raise ConfigError(f"{where} must be {what}")
+    return obj
+
+
+def _bool_from_json(obj, where: str) -> bool:
+    """A JSON true or false; a string, a number or null is not a boolean."""
+    if not isinstance(obj, bool):
+        raise ConfigError(f"{where} must be true or false")
     return obj
 
 
@@ -297,8 +305,8 @@ def cf_from_json(spec: SteinitzSpec, obj, where: str = "cf") -> StratifiedCF:
         _require_keys(entry, {"stratum", "terms"}, {"only_zero", "minus_zero"}, here)
         stratum = stratum_from_json(
             entry["stratum"],
-            bool(entry.get("only_zero", False)),
-            bool(entry.get("minus_zero", False)),
+            _bool_from_json(entry.get("only_zero", False), f"{here}.only_zero"),
+            _bool_from_json(entry.get("minus_zero", False), f"{here}.minus_zero"),
             f"{here}.stratum",
         )
         if not isinstance(entry["terms"], list) or not entry["terms"]:
@@ -397,34 +405,54 @@ def law_from_json(spec: SteinitzSpec, obj, where: str = "law") -> SamplerSpec:
 # batches and reports
 
 
-#: rows converted to Python floats and strings at a time by batch_to_csv
-CSV_CHUNK_ROWS = 65_536
+#: rows converted to Python floats and strings at a time by the CSV writers;
+#: a chunk's floats, strings and text are alive together, so it bounds their memory
+CSV_CHUNK_ROWS = 16_384
 
 
-def batch_to_csv(batch: SampleBatch) -> str:
-    """The batch as ``depth,coord`` rows, coordinates in shortest round-trip repr.
+def _csv_chunks(batch: SampleBatch) -> Iterator[str]:
+    """The batch's CSV text in pieces: the header, then one piece per chunk of rows.
 
-    Rows are built a chunk at a time, so the per-row Python floats and
-    strings of one chunk are alive at once, not those of the whole batch.
-    A lattice batch repeats a few atoms, so each of the batch's atoms is
-    turned into text once and each chunk gathers its rows from those
-    strings; the text is the same byte for byte as one ``repr`` per row.
+    Rows are ``depth,coord``, coordinates in shortest round-trip repr, each
+    ending in a newline.  Only the per-row Python floats and strings of one
+    chunk are alive at once, not those of the whole batch.  A lattice batch
+    repeats a few atoms, so each of the batch's atoms is turned into text
+    once and each chunk gathers its rows from those strings; the text is the
+    same byte for byte as one ``repr`` per row.
     """
     coords = np.asarray(batch.coords, dtype=np.float64)
     atoms = batch._atoms
     if atoms is not None:
         keys = atoms[0]
         texts = np.array([repr(x) for x in keys.view(np.float64).tolist()], dtype=object)
-    sep = f"\n{batch.depth},"
-    chunks = ["depth,coord"]
+    first, sep = f"{batch.depth},", f"\n{batch.depth},"
+    yield "depth,coord\n"
     for i in range(0, batch.n, CSV_CHUNK_ROWS):
         block = coords[i : i + CSV_CHUNK_ROWS]
         if atoms is None:
             rows = map(repr, block.tolist())
         else:
             rows = texts[np.searchsorted(keys, block.view(np.uint64))].tolist()
-        chunks.append(sep.join(rows))
-    return sep.join(chunks) + "\n"
+        yield first + sep.join(rows) + "\n"
+
+
+def batch_to_csv(batch: SampleBatch) -> str:
+    """The batch as CSV text: a ``depth,coord`` header and one row per draw.
+
+    The text is the join of ``_csv_chunks``; ``write_batch_csv`` writes the
+    same bytes to a file without holding the whole text.
+    """
+    return "".join(_csv_chunks(batch))
+
+
+def write_batch_csv(batch: SampleBatch, path) -> None:
+    """Write ``batch_to_csv(batch)`` to path a chunk of rows at a time.
+
+    Each chunk is written as it is built, so memory stays at one chunk's
+    text whatever the batch size, and the file is the same byte for byte.
+    """
+    with open(path, "w") as out:
+        out.writelines(_csv_chunks(batch))
 
 
 def _complex_to_json(z: complex) -> dict:

@@ -1,6 +1,7 @@
 """End-to-end command tests: config in, report + exit code out."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -299,6 +300,21 @@ class TestSimulate:
         _, first, _ = run_cli(capsys, "simulate", path)
         _, second, _ = run_cli(capsys, "simulate", path)
         assert first == second
+
+    def test_gaussian_run_matches_pinned_fixture(self, tmp_path, capsys, monkeypatch):
+        # a continuous run, whose cf sums, Kuiper scan and CSV rows take the per-draw paths;
+        # the CI determinism step compares its gaussian.stdout with the same fixture
+        monkeypatch.delenv("SOLADIC_SEED", raising=False)
+        path = write_config(tmp_path, GAUSS_HOLDS, "gaussian.json")
+        code, out, _ = run_cli(capsys, "simulate", path, "--n", 100_000, "--seed", 0)
+        assert code == 0
+        assert out == (FIXTURES / "simulate_gaussian.stdout").read_text()
+        digests = {
+            "reference": "0e5e2019ca335ef07c873475be1f018666b865955c8a606f5efc8239e9dafa79",
+            "combined": "29f3ad78534c78d90237e7c16a9915d2d5ddf468276c0775520c6af3407092c8",
+        }
+        for side, digest in digests.items():
+            assert hashlib.sha256((tmp_path / f"gaussian.{side}.csv").read_bytes()).hexdigest() == digest
 
     def test_inconsistent_exits_1(self, tmp_path, capsys):
         broken = dict(
@@ -785,6 +801,33 @@ class TestConfigReaders:
         report = json.loads(out)
         assert code == 0 and report["equation"]["verdict"] == "holds"
         assert report["decomposition"]["subgroup"] == {"7": 1}
+
+    @pytest.mark.parametrize("only_zero, minus_zero, named", [
+        ("false", "no", "distribution.cf[0].only_zero"),
+        (True, "no", "distribution.cf[1].minus_zero"),
+        ("false", True, "distribution.cf[0].only_zero"),
+        (True, 1, "distribution.cf[1].minus_zero"),
+        (None, True, "distribution.cf[0].only_zero"),
+    ], ids=["both-strings", "no-string", "false-string", "one", "null"])
+    def test_piece_flags_must_be_json_booleans(self, tmp_path, capsys, only_zero, minus_zero, named):
+        # read with bool(), "false" and "no" counted as true: the first case was the gaussian
+        # split at zero, and check exited 0 with "holds"
+        cf = [
+            {"stratum": [], "terms": [{"c": 1}], "only_zero": only_zero},
+            {"stratum": [], "terms": [{"c": 1, "sigma": 1}], "minus_zero": minus_zero},
+        ]
+        code, out, err = run_cli(capsys, "check", write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": cf})))
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and f"{named} must be true or false" in err
+
+    def test_piece_flags_read_json_booleans(self, tmp_path, capsys):
+        cf = [
+            {"stratum": [], "terms": [{"c": 1}], "only_zero": True},
+            {"stratum": [], "terms": [{"c": 1, "sigma": 1}], "minus_zero": True},
+        ]
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": cf})))
+        assert code == 0
+        assert json.loads(out)["equation"]["verdict"] == "holds"
 
     def test_mixture_weights_must_be_a_list(self, tmp_path, capsys):
         # the string "10" was read character by character as the weights (1, 0)

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from soladic import _kernels
-from soladic._kernels import CF_CHUNK_ROWS, atom_keys, cf_sums, kuiper_deltas
+from soladic._kernels import CF_CHUNK_ROWS, SCAN_CHUNK_ROWS, atom_keys, cf_sums, kuiper_deltas
 
 
 def ecdf_deltas(a, b):
-    """(D+, D-) by evaluating both empirical cdfs at every pooled point."""
-    a, b = list(a), list(b)
+    """(D+, D-) by evaluating both empirical cdfs at every distinct pooled value."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     dplus = dminus = 0.0
-    for x in a + b:
-        d = sum(v <= x for v in a) / len(a) - sum(v <= x for v in b) / len(b)
+    for x in np.unique(np.concatenate([a, b])):
+        d = np.count_nonzero(a <= x) / a.size - np.count_nonzero(b <= x) / b.size
         dplus, dminus = max(dplus, d), max(dminus, -d)
     return dplus, dminus
 
@@ -76,21 +76,61 @@ def test_kuiper_deltas_on_counts_equal_the_expanded_draws(seed):
     assert kuiper_deltas(a_draws, b, None, b_counts) == want
 
 
-def test_kuiper_deltas_scan_values_that_compare_equal_once(monkeypatch):
-    queries = []
-    searchsorted = np.searchsorted
-
-    def recording_searchsorted(a, v, *args, **kwargs):
-        queries.append(np.size(v))
-        return searchsorted(a, v, *args, **kwargs)
-
-    monkeypatch.setattr(_kernels.np, "searchsorted", recording_searchsorted)
+def test_kuiper_deltas_count_values_that_compare_equal_as_one_run():
+    # -0.0 with 0.0 and the two 0.5 entries are one value each; 0.25 and its neighbour are two
     a = np.array([0.5, -0.0, 0.25, 0.0, np.nextafter(0.25, 1.0), 0.5])
     b = np.array([0.0, 0.75])
-    got = kuiper_deltas(a, b, np.arange(1, 7), np.array([2, 2]))
-    # -0.0 with 0.0 and the two 0.5 entries are one value each; 0.25 and its neighbour are two
-    assert queries == [4, 2]
-    assert got == ecdf_deltas(np.repeat(a, np.arange(1, 7)), np.repeat(b, 2))
+    a_counts, b_counts = np.arange(1, 7), np.array([2, 2])
+    assert kuiper_deltas(a, b, a_counts, b_counts) == ecdf_deltas(np.repeat(a, a_counts), np.repeat(b, b_counts))
+    # equal samples: scanned inside a run, after a's entries and before b's, D+ would be 1/2
+    a = np.array([-0.0, -0.0, 0.0, 0.5, 0.5, 0.5])
+    b = np.array([0.0, 0.0, -0.0, 0.5, 0.5, 0.5])
+    assert kuiper_deltas(a, b) == ecdf_deltas(a, b) == (0.0, 0.0)
+    assert kuiper_deltas(a[[0, 3]], b[[0, 3]], [3, 3], [3, 3]) == (0.0, 0.0)
+    assert kuiper_deltas(a, b, np.ones(6, dtype=np.int64)) == (0.0, 0.0)
+    # a value split across entries with counts is one run too
+    assert kuiper_deltas([0.25, 0.5, 0.25, 0.25], [0.25, 0.5], [1, 6, 3, 2], [6, 6]) == (0.0, 0.0)
+    # ...while a value one ulp above zero is a run of its own
+    above = np.nextafter(0.0, 1.0)
+    assert kuiper_deltas([0.0, 0.5], [above, 0.5]) == ecdf_deltas([0.0, 0.5], [above, 0.5]) == (0.5, 0.0)
+
+
+def test_kuiper_deltas_refuse_values_the_keys_cannot_order():
+    for bad in (-0.25, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kuiper_deltas(np.array([0.5, bad]), np.array([0.5]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            kuiper_deltas(np.array([0.5]), np.array([bad]), None, [2])
+
+
+def _chunk_case(pooled, form, seed):
+    """(a, b, a_counts, b_counts) with `pooled` entries in all, drawn on a coarse grid so runs cross chunks."""
+    rng = np.random.default_rng(seed)
+    if form == "tied":  # one run: scanned where a chunk ends inside it, D would be positive
+        return np.full(pooled * 3 // 5, 0.25), np.full(pooled - pooled * 3 // 5, 0.25), None, None
+    na = pooled // 3
+    a = rng.integers(0, 97, na) / 97
+    b = rng.integers(0, 97, pooled - na) ** 2 / 97**2  # a different law, so D is not 0
+    a[::5] = -0.0
+    b[::11] = rng.random(b[::11].shape[0])  # values of one entry each
+    if form == "draws":
+        return a, b, None, None
+    a_counts = rng.integers(1, 5, a.shape[0])
+    if form == "mixed":
+        return a, b, a_counts, None
+    return a, b, a_counts, rng.integers(1, 5, b.shape[0])
+
+
+@pytest.mark.parametrize("form", ["draws", "counts", "mixed", "tied"])
+@pytest.mark.parametrize("pooled", [SCAN_CHUNK_ROWS - 1, SCAN_CHUNK_ROWS, SCAN_CHUNK_ROWS + 1])
+def test_kuiper_deltas_match_ecdf_scan_across_a_scan_chunk(pooled, form):
+    a, b, a_counts, b_counts = _chunk_case(pooled, form, pooled)
+    a_draws = a if a_counts is None else np.repeat(a, a_counts)
+    b_draws = b if b_counts is None else np.repeat(b, b_counts)
+    want = ecdf_deltas(a_draws, b_draws)
+    assert (want == (0.0, 0.0)) == (form == "tied")
+    assert kuiper_deltas(a, b, a_counts, b_counts) == want
+    assert kuiper_deltas(b, a, b_counts, a_counts) == want[::-1]
 
 
 @pytest.mark.parametrize("n", [1, (1 << 16) - 1, 1 << 16, (1 << 17) + 3])

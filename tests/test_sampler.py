@@ -704,6 +704,21 @@ class TestKuiperOnAtoms:
         assert kuiper_two_sample(a, b)[0] > 0
         assert np.unique(a.coords).size > np.unique(np.round(a.coords * 12)).size
 
+    def test_continuous_tower_holds_one_pooled_array(self):
+        # one uint64 key per draw of both batches, 16 n bytes, and chunk-sized scan buffers;
+        # sorting and scanning copies of the two batches took about 64 n
+        n = 200_000
+        a = sample(GaussianLine(DYADIC, 1), 4, n, 1)
+        b = sample(GaussianLine(DYADIC, 1), 4, n, 2)
+        assert a._atoms is None and b._atoms is None  # found before the measure
+        tracemalloc.start()
+        try:
+            kuiper_two_sample(a, b, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * n + (2 << 20)
+
     def test_lattice_draws_are_projected_only_inside_the_linear_form(self, monkeypatch):
         # the Kuiper tower pushes a lattice batch's atoms down, not its draws
         inside = []
@@ -718,10 +733,10 @@ class TestKuiperOnAtoms:
 
         outside = []
 
-        def tracking_push_down(batch, values, depth):
+        def tracking_push_down(batch, values, depth, **kwargs):
             if not inside:
                 outside.append(np.size(values))
-            return push_down(batch, values, depth)
+            return push_down(batch, values, depth, **kwargs)
 
         monkeypatch.setattr(sampler, "linear_form", tracking_linear_form)
         monkeypatch.setattr(SampleBatch, "_push_down", tracking_push_down)

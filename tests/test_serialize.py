@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -48,6 +49,7 @@ from soladic.serialize import (
     stratum_from_json,
     stratum_to_json,
     subgroup_from_json,
+    write_batch_csv,
     subgroup_to_json,
 )
 from soladic.scenarios import two_prime_counterexample
@@ -284,8 +286,8 @@ class TestBatchesAndReports:
 
     @pytest.mark.parametrize("n", [1, 65_535, 65_536, 65_537, 200_001])
     def test_batch_csv_matches_one_repr_per_row(self, n):
-        # rows are built in chunks of 65,536, and a lattice batch's from one
-        # repr per atom; the text must depend on neither
+        # rows are built in chunks of 16,384 (65,536 is four of them), and a
+        # lattice batch's from one repr per atom; the text must depend on neither
         haar = HaarAnnihilator(SubgroupSpec.of(TWO_THREE, {2: 0}))
         # -0.0 and 0.0 are equal but print differently, so they must stay apart
         atoms = np.array([0.0, -0.0, 1e-05, 0.9999999999999996])
@@ -300,6 +302,30 @@ class TestBatchesAndReports:
             reference = "depth,coord\n" + "".join(f"{batch.depth},{c!r}\n" for c in batch.coords.tolist())
             # compared as lists of lines, so a failure names the first bad row instead of diffing the text
             assert batch_to_csv(batch).split("\n") == reference.split("\n")
+
+    @pytest.mark.parametrize("n", [1, 65_537])
+    def test_streamed_csv_is_the_joined_text(self, tmp_path, n):
+        path = tmp_path / "batch.csv"
+        for batch in (
+            sample(GaussianLine(DYADIC, F(1, 3)), 3, n, 7),
+            sample(HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 0})), 3, n, 7),
+        ):
+            write_batch_csv(batch, path)
+            assert path.read_bytes() == batch_to_csv(batch).encode()
+
+    def test_streamed_csv_memory_does_not_grow_with_the_batch(self, tmp_path):
+        # one chunk of rows is alive at a time; the joined text of 4e5 rows alone would be ~9 MB
+        def peak(n):
+            batch = sample(GaussianLine(DYADIC, 1), 3, n, 7)
+            assert batch._atoms is None  # found before the measure, as the report's cf sums find it
+            tracemalloc.start()
+            try:
+                write_batch_csv(batch, tmp_path / "batch.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400_000) - peak(200_000) < 1 << 20
 
     def test_report_json_is_byte_stable(self):
         law = HaarAnnihilator(SubgroupSpec.zero(DYADIC))

@@ -123,7 +123,7 @@ def _maybe_rational(x) -> "str | None":
 def _verdict_to_json(v: ScenarioVerdict) -> dict:
     eq = v.equation
     dec = v.decomposition
-    out = {
+    return {
         "scenario": v.scenario,
         "class": {
             "kind": v.solenoid.kind,
@@ -148,9 +148,6 @@ def _verdict_to_json(v: ScenarioVerdict) -> dict:
         },
         "conclusion": v.conclusion,
     }
-    if v.simulation is not None:
-        out["simulation"] = equidist_report_to_json(v.simulation)
-    return out
 
 
 def _flatten(prefix: str, obj, rows: list) -> None:
@@ -242,7 +239,7 @@ def cmd_simulate(args) -> int:
 
     try:
         report = monte_carlo_equidist(dist, coeffs, n=n, depth=depth, charset=charset, seed=seed, alpha=alpha)
-    except ValueError as err:  # alpha, the coefficients or the law are out of the sampler's range
+    except (ValueError, MemoryError) as err:  # alpha, the coefficients or the law out of range, or n beyond memory
         raise ConfigError(str(err)) from None
 
     # Drop the batches behind the report beside the config, so the CSVs hold

@@ -469,25 +469,35 @@ class EmpiricalCF:
     radius: float  # 3/sqrt(n) confidence disk around each estimate
 
 
-def empirical_cf(batch: SampleBatch, ys: Sequence[Rational]) -> EmpiricalCF:
-    """Mean of the character values over the batch, for each character."""
-    ys = [Fraction(y) for y in ys]
-    level = batch.spec.level(batch.depth)
+def _multipliers(spec: SteinitzSpec, depth: int, ys: Sequence[Fraction]) -> list[float]:
+    """Integer multipliers y * A_depth of the characters on depth-`depth` coordinates.
+
+    CharacterOutsideGroup for a y outside the dual group, CharacterTooDeep
+    for one the depth does not resolve or whose multiplier exceeds 2^53.
+    """
+    level = spec.level(depth)
     multipliers = []
     for y in ys:
-        if not in_dual_group(batch.spec, y):
+        if not in_dual_group(spec, y):
             raise CharacterOutsideGroup(f"{y} is not a character of this solenoid")
         m = y * level
         if m.denominator != 1:
             raise CharacterTooDeep(
-                f"character {y} needs more than the batch's {batch.depth} levels"
+                f"character {y} needs more than the batch's {depth} levels"
             )
         if abs(m) > 2**53:  # m*t keeps no fractional bits for t >= 1/2
             raise CharacterTooDeep(
-                f"character {y} has multiplier {m} beyond 2^53 at depth {batch.depth}, "
+                f"character {y} has multiplier {m} beyond 2^53 at depth {depth}, "
                 f"which a float coordinate cannot resolve"
             )
         multipliers.append(float(m))
+    return multipliers
+
+
+def empirical_cf(batch: SampleBatch, ys: Sequence[Rational]) -> EmpiricalCF:
+    """Mean of the character values over the batch, for each character."""
+    ys = [Fraction(y) for y in ys]
+    multipliers = _multipliers(batch.spec, batch.depth, ys)
     estimates = _kernels.cf_sums(batch.coords, np.array(multipliers), batch._atoms)
     return EmpiricalCF(tuple(ys), estimates, 3.0 / math.sqrt(batch.n))
 
@@ -657,9 +667,11 @@ def monte_carlo_equidist(
     otherwise, NaN included).  Coefficients must be automorphisms with
     numerators of at most 2^53 (ValueError).  A depth whose tower level
     exceeds the 2^40 tie grid is refused before any draw (DepthInsufficient):
-    there the grid no longer separates the lattice's atoms.  The report keeps
-    the reference and combined batches that were tested, and the flat
-    coefficient system.
+    there the grid no longer separates the lattice's atoms.  So are a
+    sampling depth for the coefficients whose level exceeds int64
+    (DepthInsufficient) and a character the depth cannot resolve (the
+    errors of ``empirical_cf``).  The report keeps the reference and
+    combined batches that were tested, and the flat coefficient system.
     """
     if not 0 < alpha < 1:  # NaN fails both comparisons
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
@@ -673,13 +685,15 @@ def monte_carlo_equidist(
             f"the tower level at depth {depth} exceeds 2^40, the tie grid of the Kuiper test"
         )
     deep = required_depth(spec, distinct, depth)
+    _refuse_int64_depth(spec, deep)
+    chars = tuple(Fraction(y) for y in charset) if charset is not None else default_charset(spec, depth)
+    _multipliers(spec, depth, chars)  # both batches are tested at `depth`
     children = np.random.SeedSequence(seed).spawn(len(counts) + 1)
     reference = sample(law, depth, n, children[0])
     # one batch per distinct coefficient, drawn and summed one at a time
     parts = (sample(law, deep, n, child, copies=k) for (_, k), child in zip(counts, children[1:]))
     combined = linear_form(parts, distinct, depth=depth)
 
-    chars = tuple(Fraction(y) for y in charset) if charset is not None else default_charset(spec, depth)
     ref_cf = empirical_cf(reference, chars)
     comb_cf = empirical_cf(combined, chars)
     kuiper_depths = list(range(1, depth + 1)) if depth >= 1 else [0]

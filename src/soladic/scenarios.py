@@ -12,6 +12,11 @@ The split between the two failure channels is deliberate:
   preconditions hold the mathematics guarantees the outcome, so a failure
   here can only be a defect in this package, never a property of the input.
 
+Every check here is exact, so no statistical outcome raises SoundnessError.
+Monte Carlo is a separate cross-check: to simulate a scenario law, pass it
+to ``monte_carlo_equidist``, as in
+``monte_carlo_equidist(bundle.sampler, bundle.coefficients, n=..., seed=...)``.
+
 Verdict prose is generated from the component results and then re-validated
 against them, so the text can never drift away from what was checked.
 """
@@ -34,20 +39,11 @@ from .charfun import (
     decompose_gaussian_haar,
 )
 from .errors import PreconditionViolated, SoundnessError
-from .sampler import (
-    ConvolutionOf,
-    EquidistReport,
-    GaussianLine,
-    HaarAnnihilator,
-    Mixture,
-    SamplerSpec,
-    monte_carlo_equidist,
-)
+from .sampler import ConvolutionOf, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec
 from .steinitz import (
     Rational,
     SolenoidClass,
     SteinitzSpec,
-    TwoPrimeCoefficients,
     classify_solenoid,
     coefficient_counts,
     is_automorphism,
@@ -70,10 +66,6 @@ _DEC_PHRASE = {
     "not_of_form": "is not of gaussian-times-haar form",
     "unknown": "the decomposition could not be decided",
 }
-_SIM_PHRASE = {
-    "consistent": "monte carlo simulation is consistent",
-    "inconsistent": "monte carlo simulation is inconsistent",
-}
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,6 @@ class ScenarioVerdict:
     equation: EquationCheck | None
     decomposition: Decomposition | None
     conclusion: str
-    simulation: EquidistReport | None = None
 
 
 def _assert_coherent(v: ScenarioVerdict) -> ScenarioVerdict:
@@ -101,7 +92,6 @@ def _assert_coherent(v: ScenarioVerdict) -> ScenarioVerdict:
     checks = [
         (_EQ_PHRASE, None if v.equation is None else v.equation.verdict),
         (_DEC_PHRASE, None if v.decomposition is None else v.decomposition.kind),
-        (_SIM_PHRASE, None if v.simulation is None else v.simulation.verdict),
     ]
     for phrases, actual in checks:
         for key, phrase in phrases.items():
@@ -129,33 +119,11 @@ def _verdict(
     eq: EquationCheck | None,
     dec: Decomposition,
     sentences: Sequence[str],
-    report: EquidistReport | None = None,
     valid: bool = True,
 ) -> ScenarioVerdict:
-    """A verdict whose conclusion is the class sentence, then `sentences`, then
-    the simulation sentence when there is a report, checked for coherence."""
-    sentences = [_class_sentence(klass), *sentences]
-    if report is not None:
-        sentences.append(
-            f"{_SIM_PHRASE[report.verdict]} at alpha = {report.alpha} with n = {report.n}"
-        )
-    conclusion = "; ".join(sentences) + "."
-    return _assert_coherent(
-        ScenarioVerdict(scenario, klass, coeffs, valid, eq, dec, conclusion, report)
-    )
-
-
-def _simulated(
-    law: SamplerSpec, coeffs: Sequence[Fraction], n: int, depth: int, seed: int, alpha: float
-) -> EquidistReport:
-    """Monte Carlo report of a law whose equation already holds exactly; it must agree."""
-    report = monte_carlo_equidist(law, coeffs, n=n, depth=depth, seed=seed, alpha=alpha)
-    if report.verdict != "consistent":
-        raise SoundnessError(
-            f"exact equation holds but the simulation disagrees "
-            f"(min adjusted p = {report.min_adjusted_p})"
-        )
-    return report
+    """A verdict whose conclusion is the class sentence, then `sentences`, checked for coherence."""
+    conclusion = "; ".join([_class_sentence(klass), *sentences]) + "."
+    return _assert_coherent(ScenarioVerdict(scenario, klass, coeffs, valid, eq, dec, conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +150,6 @@ def gaussian_haar_scenario(
     subgroup: SubgroupSpec,
     shift: "Rational | SolenoidPoint" = 0,
     coeffs: Sequence[Rational] = (),
-    simulate: bool = False,
-    n: int = 100_000,
-    depth: int = 4,
-    seed: int = 0,
-    alpha: float = 0.01,
 ) -> ScenarioVerdict:
     """Equidistribution of a shifted Gaussian convolved with subgroup Haar.
 
@@ -196,10 +159,11 @@ def gaussian_haar_scenario(
     with its linear form, provided the subgroup is invariant under division
     by p and the shift is killed by the coefficient-sum defect.  After the
     preconditions pass, the law is built once as a sampling law and its cf
-    is read from it; the exact equation check, the decomposition round-trip
-    (which, with the threshold precondition, also gives the division
-    invariance), and (optionally) the Monte Carlo run on that same law must
-    all succeed.
+    is read from it; the exact equation check and the decomposition
+    round-trip (which, with the threshold precondition, also gives the
+    division invariance) must both succeed.  The law is
+    ``ConvolutionOf((GaussianLine(spec, sigma, r), HaarAnnihilator(subgroup)))``
+    with r the shift's real value; ``monte_carlo_equidist`` can simulate it.
     """
     sigma = Fraction(sigma)
     if sigma < 0:
@@ -255,14 +219,13 @@ def gaussian_haar_scenario(
                 f"shift {dec.shift} vs {subgroup.reduce_shift(r)}"
             )
 
-    report = _simulated(law, coeffs, n, depth, seed, alpha) if simulate else None
     sentences = [
         f"{_EQ_PHRASE[eq.verdict]} for the {len(coeffs)} signed powers of {p}",
         f"the law {_DEC_PHRASE[dec.kind]} "
         f"(sigma = {dec.sigma}, subgroup {dec.subgroup}, shift {dec.shift})",
         f"the subgroup is invariant under division by {p}",
     ]
-    return _verdict("gaussian-haar-invariance", klass, coeffs, eq, dec, sentences, report)
+    return _verdict("gaussian-haar-invariance", klass, coeffs, eq, dec, sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +248,16 @@ class CounterexampleBundle:
 
 def _two_prime(
     spec: SteinitzSpec, p: int, q: int, c: Rational, sigma: Fraction | None
-) -> tuple[Fraction, TwoPrimeCoefficients, StratifiedCF, SamplerSpec, EquationCheck, Decomposition]:
-    """Build the two-prime construction and run each of its exact checks once.
+) -> CounterexampleBundle:
+    """Build the two-prime construction, run each of its exact checks once, and bundle it.
 
     The law is the mixture c * haar(v_p >= -1) + (1-c) * haar(v_p >= 0);
     sigma None keeps it sharp, a number (zero included) convolves it with a
     centred gaussian of that sigma.  Its cf is read from the law, so it is
     1 on v_p >= 0, c on v_p = -1 and 0 elsewhere, each shell carrying the
     decay exp(-sigma y^2), and it is positive definite as the cf of a law
-    (Bochner).  Returns (c, system, cf, law, equation, decomposition); the
-    equation and the decomposition are each checked once on that cf, and the
-    support is read from the decomposition.
+    (Bochner).  The equation and the decomposition are each checked once on
+    that cf, and the support is read from the decomposition.
     """
     if sigma is not None and sigma < 0:
         raise PreconditionViolated("sigma must be nonnegative")
@@ -335,20 +297,36 @@ def _two_prime(
         raise SoundnessError(
             f"the law must not decompose as gaussian times haar, got {dec}"
         )
-    return c, system, cf, law, eq, dec
+
+    if sigma is None:
+        scenario = "two-prime-counterexample"
+        sentences = [
+            f"{_EQ_PHRASE[eq.verdict]} for the {len(coeffs)} coefficients "
+            f"({system.count} copies of {p}/{q}^{system.order} and one 1/{q}^{system.order})",
+            f"yet the law {_DEC_PHRASE[dec.kind]}: it is the two-level haar mixture "
+            f"{c} * haar({outer}) + {1 - c} * haar({inner})",
+            "the single-unbounded-prime characterization does not extend to this solenoid",
+            "the cf is positive definite: it equals the characteristic function of its sampling law",
+        ]
+    else:
+        scenario = "blurred-counterexample"
+        sentences = [
+            f"{_EQ_PHRASE[eq.verdict]} for the same {len(coeffs)} coefficients after "
+            f"blurring by a gaussian with sigma = {sigma}",
+            f"the blurred law {_DEC_PHRASE[dec.kind]} although its gaussian factor "
+            f"is supported on the whole dual group",
+            f"the nonvanishing set of the blurred cf is still the proper subgroup {outer}",
+        ]
+        if sigma > 0:
+            sentences.append(
+                "the blurred law itself has full group support: its cf equals one "
+                "only at the zero character"
+            )
+    verdict = _verdict(scenario, classify_solenoid(spec), coeffs, eq, dec, sentences)
+    return CounterexampleBundle(coeffs, cf, law, verdict, c, p, q, sigma or Fraction(0))
 
 
-def two_prime_counterexample(
-    spec: SteinitzSpec,
-    p: int,
-    q: int,
-    c: Rational,
-    simulate: bool = False,
-    n: int = 100_000,
-    depth: int = 4,
-    seed: int = 0,
-    alpha: float = 0.01,
-) -> CounterexampleBundle:
+def two_prime_counterexample(spec: SteinitzSpec, p: int, q: int, c: Rational) -> CounterexampleBundle:
     """Two-level Haar mixture that satisfies the equation on a two-prime solenoid.
 
     With both p and q unbounded, the coefficient system of b copies of p/q^a
@@ -356,37 +334,13 @@ def two_prime_counterexample(
     c * haar(v_p >= -1) + (1-c) * haar(v_p >= 0) is equidistributed with its
     linear form while provably failing to be a Gaussian convolved with the
     Haar law of any subgroup.  Every claim is checked exactly; the bundled
-    sampler realizes the same law for simulation.
+    sampler realizes the same law for ``monte_carlo_equidist``.
     """
-    c, system, cf, law, eq, dec = _two_prime(spec, p, q, c, None)
-    coeffs = system.coefficients
-    report = _simulated(law, coeffs, n, depth, seed, alpha) if simulate else None
-    outer = SubgroupSpec.of(spec, {p: -1})
-    inner = SubgroupSpec.of(spec, {p: 0})
-    sentences = [
-        f"{_EQ_PHRASE[eq.verdict]} for the {len(coeffs)} coefficients "
-        f"({system.count} copies of {p}/{q}^{system.order} and one 1/{q}^{system.order})",
-        f"yet the law {_DEC_PHRASE[dec.kind]}: it is the two-level haar mixture "
-        f"{c} * haar({outer}) + {1 - c} * haar({inner})",
-        "the single-unbounded-prime characterization does not extend to this solenoid",
-        "the cf is positive definite: it equals the characteristic function of its sampling law",
-    ]
-    klass = classify_solenoid(spec)
-    verdict = _verdict("two-prime-counterexample", klass, coeffs, eq, dec, sentences, report)
-    return CounterexampleBundle(coeffs, cf, law, verdict, c, p, q)
+    return _two_prime(spec, p, q, c, None)
 
 
 def blurred_counterexample(
-    spec: SteinitzSpec,
-    p: int,
-    q: int,
-    c: Rational,
-    sigma: Rational,
-    simulate: bool = False,
-    n: int = 100_000,
-    depth: int = 4,
-    seed: int = 0,
-    alpha: float = 0.01,
+    spec: SteinitzSpec, p: int, q: int, c: Rational, sigma: Rational
 ) -> CounterexampleBundle:
     """Gaussian blur of the two-prime counterexample: full support, same defect.
 
@@ -398,26 +352,7 @@ def blurred_counterexample(
     artifact of living on a proper subgroup.  sigma = 0 degenerates to the
     sharp construction.
     """
-    sigma = Fraction(sigma)
-    c, system, cf, law, eq, dec = _two_prime(spec, p, q, c, sigma)
-    coeffs = system.coefficients
-    report = _simulated(law, coeffs, n, depth, seed, alpha) if simulate else None
-    sentences = [
-        f"{_EQ_PHRASE[eq.verdict]} for the same {len(coeffs)} coefficients after "
-        f"blurring by a gaussian with sigma = {sigma}",
-        f"the blurred law {_DEC_PHRASE[dec.kind]} although its gaussian factor "
-        f"is supported on the whole dual group",
-        f"the nonvanishing set of the blurred cf is still the proper subgroup "
-        f"{SubgroupSpec.of(spec, {p: -1})}",
-    ]
-    if sigma > 0:
-        sentences.append(
-            "the blurred law itself has full group support: its cf equals one "
-            "only at the zero character"
-        )
-    klass = classify_solenoid(spec)
-    verdict = _verdict("blurred-counterexample", klass, coeffs, eq, dec, sentences, report)
-    return CounterexampleBundle(coeffs, cf, law, verdict, c, p, q, sigma)
+    return _two_prime(spec, p, q, c, Fraction(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,21 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert "CharacterTooDeep" in err and f"character {char} " in err
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({}, "Unable to allocate"),  # 10^17 draws are 711 PiB, beyond any address space
+            ({"simulation": {"n": 10**17, "charset": ["1/3"]}}, "CharacterOutsideGroup"),
+            ({"coefficients": ["1/1152921504606846976"]}, "depth 64 exceeds int64"),  # 1/2^60
+        ],
+    )
+    def test_refusals_at_a_sample_size_beyond_memory_are_exit_2(self, tmp_path, capsys, patch, message):
+        # every refusal but the allocation's own comes before the first draw
+        cfg = {**GAUSS_HOLDS, "simulation": {"n": 10**17}, **patch}
+        code, out, err = run_cli(capsys, "simulate", write_config(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_non_automorphism_coefficient_is_exit_2(self, tmp_path, capsys):
         cfg = dict(self.CONFIG, coefficients=["1/2", "1/3"])
         code, out, err = run_cli(capsys, "simulate", write_config(tmp_path, cfg))

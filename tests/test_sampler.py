@@ -18,6 +18,7 @@ import pytest
 from soladic import SteinitzSpec, SubgroupSpec, embed_real, zero_point
 from soladic.errors import (
     BadWeights,
+    CharacterOutsideGroup,
     CharacterTooDeep,
     DepthInsufficient,
     DepthUnavailable,
@@ -432,6 +433,23 @@ class TestLinearForm:
         law = GaussianLine(SteinitzSpec.of(table), F(1, 100))
         with pytest.raises(DepthInsufficient, match=rf"depth {depth} exceeds 2\^40, the tie grid"):
             monte_carlo_equidist(law, coeffs, n=10, depth=depth)
+
+    @pytest.mark.parametrize(
+        "coeffs, charset, error, message",
+        [
+            ([F(1, 2)] * 4, [F(1, 3)], CharacterOutsideGroup, "1/3 is not a character"),
+            ([F(1, 2)] * 4, [F(1, 32)], CharacterTooDeep, "needs more than the batch's 4 levels"),
+            ([F(1, 2)] * 4, [F(2**50)], CharacterTooDeep, "beyond 2\\^53 at depth 4"),
+            ([F(1, 2**60)], None, DepthInsufficient, "depth 64 exceeds int64"),  # the sampling depth
+        ],
+    )
+    def test_late_refusals_come_before_any_draw(self, monkeypatch, coeffs, charset, error, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a batch")
+
+        monkeypatch.setattr(sampler, "sample", no_draw)
+        with pytest.raises(error, match=message):
+            monte_carlo_equidist(GaussianLine(DYADIC, 1), coeffs, n=10, depth=4, charset=charset)
 
     def test_depth_at_the_tie_grid_still_runs(self):
         # level(40) = 2^40 is the grid itself

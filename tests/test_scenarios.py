@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soladic import (
+    ConvolutionOf,
     GaussianLine,
     HaarAnnihilator,
     Mixture,
@@ -38,6 +39,7 @@ from soladic import (
     gaussian_haar_scenario,
     haar_cf,
     mixture,
+    monte_carlo_equidist,
     positivity_report,
     support_as_subgroup,
     two_prime_counterexample,
@@ -60,7 +62,6 @@ class TestGaussianHaarScenario:
         assert v.decomposition.kind == "gaussian_haar"
         assert v.decomposition.sigma == 1
         assert v.decomposition.subgroup == SubgroupSpec.whole(DYADIC)
-        assert v.simulation is None
 
     def test_degenerate_sigma_zero(self):
         v = gaussian_haar_scenario(DYADIC, 0, SubgroupSpec.whole(DYADIC), 0, HALF4)
@@ -95,13 +96,14 @@ class TestGaussianHaarScenario:
         assert "decomposes as a gaussian convolved with subgroup haar" in v.conclusion
         assert "is not of gaussian-times-haar form" not in v.conclusion
 
-    def test_simulation_attaches_consistent_report(self):
-        v = gaussian_haar_scenario(
-            DYADIC, 1, SubgroupSpec.whole(DYADIC), 0, HALF4,
-            simulate=True, n=20_000, depth=3, seed=7,
-        )
-        assert v.simulation.verdict == "consistent"
-        assert "monte carlo simulation is consistent" in v.conclusion
+    def test_scenario_law_simulates_consistently(self):
+        # a scenario law goes through the one Monte Carlo entry point
+        v = gaussian_haar_scenario(DYADIC, 1, SubgroupSpec.whole(DYADIC), 0, HALF4)
+        law = ConvolutionOf((GaussianLine(DYADIC, 1), HaarAnnihilator(SubgroupSpec.whole(DYADIC))))
+        assert compare(law.exact_cf(), gaussian_cf(DYADIC, v.decomposition.sigma)).verdict == "equal"
+        report = monte_carlo_equidist(law, v.coefficients, n=20_000, depth=3, seed=7)
+        assert report.verdict == "consistent"
+        assert "monte carlo" not in v.conclusion
 
     @pytest.mark.parametrize(
         "kwargs, clause",

@@ -49,10 +49,8 @@ POS_INF = math.inf
 
 #: cap on formal terms carried by a single stratum
 MAX_TERMS = 64
-#: characters ``compare`` probes on a cell whose canonical forms differ, in each of its two rounds
-COMPARE_PROBES = 48
-#: characters per stratum that ``support_as_subgroup`` pairs up in its witness hunt
-SUPPORT_PROBES = 24
+#: length cap of ``Stratum.members``, the one probe list of a cell
+MAX_PROBES = 96
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +115,24 @@ class Stratum:
                 return False
         return True
 
+    def __str__(self):
+        """The cell in the ``v_p>=k`` notation of ``SubgroupSpec``, for reasons and errors."""
+        if self.only_zero:
+            return "{0}"
+        parts = []
+        for p, lo, hi in self.bounds:
+            if lo == hi:
+                parts.append(f"v_{p}={int(lo)}")
+            elif hi == POS_INF:
+                parts.append(f"v_{p}>={int(lo)}")
+            elif lo == NEG_INF:
+                parts.append(f"v_{p}<={int(hi)}")
+            else:
+                parts.append(f"{int(lo)}<=v_{p}<={int(hi)}")
+        if self.minus_zero:
+            parts.append("y!=0")
+        return " & ".join(parts) or "whole dual group"
+
     def contains_zero(self) -> bool:
         if self.only_zero:
             return True
@@ -148,12 +164,16 @@ class Stratum:
     def occupied(self, spec: SteinitzSpec) -> bool:
         return self.contains_zero() or self.feasible(spec)
 
-    def members(self, spec: SteinitzSpec, limit: int = 48) -> list[Fraction]:
-        """Deterministic nonzero members, small denominators first.
+    def members(self, spec: SteinitzSpec) -> list[Fraction]:
+        """Deterministic nonzero members, the cell's one probe list, at most ``MAX_PROBES``.
 
-        Used for witness probing, so diversity matters more than coverage:
-        exponents sweep the window edges and the unit part runs over signed
-        integers coprime to the constrained primes.
+        Used for witness probing, so diversity matters more than coverage.
+        The integral members come first: exponents sweep the window edges
+        and the unit part runs over signed integers coprime to the
+        constrained primes.  Then come those divided by p, for every table
+        prime p the stratum leaves unconstrained, then by p^2 and by p^3
+        (as far as the table allows): the only probes below exponent 0 at p.
+        Repeats are dropped.
         """
         if self.only_zero or not self.feasible(spec):
             return []
@@ -166,40 +186,18 @@ class Stratum:
             else:
                 exps = [int(eff_lo) + d for d in range(3) if eff_lo + d <= hi]
             axes.append(exps)
-        units = [u for u in (1, 3, 5, 7, 11, 13, 2, 9) if math.gcd(u, math.prod(self.primes) if self.primes else 1) == 1]
-        out: list[Fraction] = []
-        seen = set()
-        for combo in itertools.product(*axes) if axes else [()]:
-            base = math.prod(Fraction(p) ** e for (p, _, _), e in zip(self.bounds, combo)) if axes else Fraction(1)
-            for u in units:
-                for sign in (1, -1):
-                    y = sign * u * base
-                    if y not in seen:
-                        seen.add(y)
-                        out.append(y)
-                    if len(out) >= limit:
-                        return out
-        return out
-
-    def members_below_zero(self, spec: SteinitzSpec, limit: int = 48) -> list[Fraction]:
-        """New members: ``members`` divided by each table prime the stratum leaves unbounded.
-
-        Every member is integral at such a prime, so these are the only
-        probes below exponent 0 there.
-        """
-        integral = self.members(spec, limit)
-        seen = set(integral)
-        out: list[Fraction] = []
-        for p in spec.primes:
-            if p in self.primes:
-                continue
-            for y in (y / p for y in integral):
-                if y not in seen:
-                    seen.add(y)
-                    out.append(y)
-                    if len(out) >= limit:
-                        return out
-        return out
+        units = [u for u in (1, 3, 5, 7, 11, 13, 2, 9) if math.gcd(u, math.prod(self.primes)) == 1]
+        signed = (
+            sign * u * math.prod((Fraction(p) ** e for p, e in zip(self.primes, combo)), start=Fraction(1))
+            for combo in itertools.product(*axes)
+            for u in units
+            for sign in (1, -1)
+        )
+        integral = list(itertools.islice(signed, MAX_PROBES))
+        free = [p for p in spec.primes if p not in self.primes]
+        divisors = [Fraction(p) ** k for k in (1, 2, 3) for p in free if k <= spec.multiplicity(p)]
+        probes = dict.fromkeys(itertools.chain(integral, (y / d for d in divisors for y in integral)))
+        return list(probes)[:MAX_PROBES]
 
 
 def _subtract(box: Stratum, cutter: Stratum) -> list[Stratum]:
@@ -593,11 +591,10 @@ def compare(f: StratifiedCF, g: StratifiedCF) -> Comparison:
 
     "equal" comes from identical canonical forms on every cell of the common
     refinement; "differs" always carries a probed witness whose two values
-    are provably different; anything else is an honest "unknown".  A cell
-    whose forms differ is probed at up to ``COMPARE_PROBES`` of its
-    ``members``; only when no cell yields a witness does a second round
-    probe up to as many ``members_below_zero`` of each such cell, so a
-    witness the first round finds is never displaced.
+    are provably different; anything else is an honest "unknown".  Each
+    cell whose forms differ is probed once along its ``members``, in
+    ``_refine`` order, so the witness is the first differing probe of the
+    first cell that has one.
     """
     if f.spec != g.spec:
         raise SpecMismatch("cannot compare functions over different solenoids")
@@ -608,16 +605,12 @@ def compare(f: StratifiedCF, g: StratifiedCF) -> Comparison:
             continue  # at most the zero character, where both sides are 1
         if _canonical_terms(spec, cell, ta) == _canonical_terms(spec, cell, tb):
             continue
-        for y in cell.members(spec, COMPARE_PROBES):
+        for y in cell.members(spec):
             if _values_equal_exact(ta, tb, y) is False:
                 return Comparison("differs", y)
-        undecided.append((cell, ta, tb))
-    for cell, ta, tb in undecided:
-        for y in cell.members_below_zero(spec, COMPARE_PROBES):
-            if _values_equal_exact(ta, tb, y) is False:
-                return Comparison("differs", y)
+        undecided.append(cell)
     if undecided:
-        notes = (f"forms differ on {cell} but every probe agreed" for cell, _, _ in undecided)
+        notes = (f"forms differ on {cell} but every probe agreed" for cell in undecided)
         return Comparison("unknown", None, "; ".join(notes))
     return Comparison("equal")
 
@@ -671,9 +664,10 @@ def support_as_subgroup(f: StratifiedCF) -> SupportCheck:
     """Decide whether {y : f(y) != 0} is a lower-bound-form subgroup.
 
     It is one iff it covers the join of the subgroups its strata generate;
-    else ``SUPPORT_PROBES`` characters per stratum are paired to find a sum
-    outside it.  A multi-term piece's support can be smaller than its stratum
-    (phases may cancel at points), so it yields an honest "unknown".
+    else the ``members`` of its strata, the probes ``compare`` uses, are
+    paired to find a sum outside it.  A multi-term piece's support can be
+    smaller than its stratum (phases may cancel at points), so it yields an
+    honest "unknown".
     """
     spec = f.spec
     pieces = [(s, terms) for s, terms in f.pieces if terms]
@@ -690,9 +684,7 @@ def support_as_subgroup(f: StratifiedCF) -> SupportCheck:
         return SupportCheck("subgroup", candidate)
     # the union is a proper subset of the enveloping subgroup, so it cannot
     # be closed under addition; hunt for a concrete witness pair
-    samples: list[Fraction] = []
-    for s in boxes:
-        samples.extend(s.members(spec, SUPPORT_PROBES))
+    samples = [y for s in boxes for y in s.members(spec)]
     in_support = lambda y: any(s.contains(y) for s in boxes)
     for y1, y2 in itertools.combinations_with_replacement(samples, 2):
         if y1 + y2 != 0 and not in_support(y1 + y2):
@@ -745,7 +737,7 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     if sc.kind == "not_subgroup":
         return decided(
             "not_of_form",
-            reason=f"support is not a subgroup (witness pair {sc.witness})",
+            reason="support is not a subgroup (witness pair {}, {})".format(*sc.witness),
             witness=sc.witness,
         )
     if sc.kind == "unknown":

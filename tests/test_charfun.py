@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soladic import SteinitzSpec, embed_real
+from soladic import Degenerate, SolenoidPoint, SteinitzSpec, embed_real
 from soladic import charfun
 from soladic.charfun import (
     MAX_TERMS,
@@ -40,7 +40,7 @@ from soladic.charfun import (
     support_as_subgroup,
 )
 from soladic.errors import BadWeights, CharacterOutsideGroup, SpecMismatch
-from soladic.steinitz import two_prime_coefficients
+from soladic.steinitz import in_dual_group, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
 TWO_THREE = SteinitzSpec.of({2: math.inf, 3: math.inf})
@@ -154,6 +154,19 @@ def char_panel(spec):
 
 
 class TestStratum:
+    @pytest.mark.parametrize(
+        "stratum, text",
+        [
+            (Stratum.whole(), "whole dual group"),
+            (Stratum.zero_only(), "{0}"),
+            (Stratum((), minus_zero=True), "y!=0"),
+            (Stratum.of({2: (0, POS_INF)}, minus_zero=True), "v_2>=0 & y!=0"),
+            (Stratum.of({2: (-2, -1), 3: (NEG_INF, 4), 5: (1, 1)}), "-2<=v_2<=-1 & v_3<=4 & v_5=1"),
+        ],
+    )
+    def test_str_uses_the_valuation_notation(self, stratum, text):
+        assert str(stratum) == text
+
     def test_whole_contains_everything(self):
         s = Stratum.whole()
         assert s.contains(F(5, 8))
@@ -203,7 +216,7 @@ class TestStratum:
 
     def test_members_land_inside(self):
         s = Stratum.of({2: (-2, -1), 3: (1, POS_INF)})
-        ms = s.members(TWO_THREE, limit=30)
+        ms = s.members(TWO_THREE)
         assert ms
         for y in ms:
             assert y != 0
@@ -212,14 +225,42 @@ class TestStratum:
     def test_members_of_infeasible_stratum_empty(self):
         assert Stratum.of({3: (-1, -1)}).members(DYADIC) == []
 
-    def test_members_below_zero_divide_by_the_unbounded_primes(self):
-        s = Stratum.of({3: (1, 2)})
-        below = s.members_below_zero(TWO_THREE, limit=30)
-        assert below and not set(below) & set(s.members(TWO_THREE, limit=30))
-        assert all(s.contains(y) and y.denominator == 2 for y in below)
-        # a stratum that bounds every table prime has none
-        assert Stratum.of({2: (-2, POS_INF)}).members_below_zero(DYADIC) == []
-        assert Stratum.of({2: (0, 3), 3: (-1, 0)}).members_below_zero(TWO_THREE) == []
+    @pytest.mark.parametrize(
+        "cell, integral, below, deeper",
+        [
+            (
+                Stratum.of({2: (0, 0)}),
+                "1 -1 3 -3 5 -5 7 -7 11 -11 13 -13 9 -9",
+                "1/3 -1/3 5/3 -5/3 7/3 -7/3 11/3 -11/3 13/3 -13/3",
+                {9, 27},
+            ),
+            (
+                Stratum.whole(),
+                "1 -1 3 -3 5 -5 7 -7 11 -11 13 -13 2 -2 9 -9",
+                "1/2 -1/2 3/2 -3/2 5/2 -5/2 7/2 -7/2 11/2 -11/2 13/2 -13/2 9/2 -9/2 "
+                "1/3 -1/3 5/3 -5/3 7/3 -7/3 11/3 -11/3 13/3 -13/3 2/3 -2/3",
+                {4, 8, 9, 27},
+            ),
+        ],
+        ids=["v_2=0", "whole"],
+    )
+    def test_members_extend_the_integral_probes_below_zero(self, cell, integral, below, deeper):
+        # the integral probes, then those divided by each table prime the cell
+        # leaves unconstrained, then by the squares and the cubes; repeats
+        # (2/2, 3/3, 9/3) dropped
+        ms = cell.members(TWO_THREE)
+        head = [F(y) for y in (integral + " " + below).split()]
+        assert ms[: len(head)] == head
+        assert len(ms) == len(set(ms)) <= charfun.MAX_PROBES
+        assert all(cell.contains(y) for y in ms)
+        assert {y.denominator for y in ms[len(head):]} <= deeper
+
+    def test_members_respect_the_table_and_the_cell(self):
+        # 3 has multiplicity 1, so no probe divides by 9; a cell that bounds
+        # every table prime has no probe below its window
+        spec = SteinitzSpec.of({2: 1, 3: math.inf})
+        assert all(in_dual_group(spec, y) for y in Stratum.whole().members(spec))
+        assert all(y.denominator == 1 for y in Stratum.of({2: (0, 3), 3: (0, 0)}).members(TWO_THREE))
 
 
 class TestSubtraction:
@@ -590,7 +631,7 @@ class TestCompare:
         thirds = [Term(F(1, 3), F(0), F(k, 3)) for k in range(3)]
         g = build_cf(DYADIC, [(odd, thirds), even])
         assert compare(f, g) == Comparison("differs", F(3))
-        monkeypatch.setattr(charfun, "COMPARE_PROBES", 2)
+        monkeypatch.setattr(charfun, "MAX_PROBES", 2)
         assert compare(f, g).verdict == "unknown"
 
     def test_cell_without_bounds_is_probed_below_zero(self):
@@ -600,11 +641,22 @@ class TestCompare:
         chk = check_equidistribution(one, [F(1, 2)] * 4)
         assert (chk.verdict, chk.witness) == ("fails", F(1, 2))
 
-    def test_probes_below_zero_never_displace_a_witness(self):
-        # an earlier cell differs only below zero at 5, a later one at 1/9;
-        # the witness stays the one the integral-at-5 probes find
+    def test_witness_is_the_first_differing_probe_of_the_first_cell(self):
+        # the sides differ by exp(2 pi i 9 y): on the first cell, v_3 >= -1,
+        # only below zero at 5 (first at 1/15); on the later cell v_3 = -2
+        # already at 1/9.  Each cell is probed once, in refinement order.
         spec = SteinitzSpec.of({3: math.inf, 5: math.inf})
         f = gaussian_cf(spec, 0, F(-9, 2)) * haar_cf(SubgroupSpec.of(spec, {3: -2}))
+        chk = check_equidistribution(f, [F(1, 3)] * 9)
+        assert (chk.verdict, chk.witness) == ("fails", F(1, 15))
+        first = Stratum.of({3: (-1, POS_INF)})
+        assert first.members(spec).index(F(1, 15)) > first.members(spec).index(F(1, 3))
+
+    def test_point_one_level_below_the_integral_probes(self):
+        # the point with real value 3/2: f(1/9) = exp(pi i / 3), while the
+        # right side there is f(1/27)^9 = -1; every probe in Z and in Z/3 agrees
+        spec = SteinitzSpec.of({3: math.inf})
+        f = Degenerate(SolenoidPoint(spec, 1, F(1, 2))).exact_cf()
         chk = check_equidistribution(f, [F(1, 3)] * 9)
         assert (chk.verdict, chk.witness) == ("fails", F(1, 9))
 
@@ -767,7 +819,7 @@ class TestSupport:
         one = [Term(F(1), F(0), F(0))]
         f = build_cf(DYADIC, [(Stratum.of({2: (1, POS_INF)}), one), (Stratum.of({2: (-2, -1)}), one)])
         assert support_as_subgroup(f).kind == "not_subgroup"
-        monkeypatch.setattr(charfun, "SUPPORT_PROBES", 1)
+        monkeypatch.setattr(charfun, "MAX_PROBES", 1)
         assert support_as_subgroup(f).kind == "unknown"
 
     def test_multi_term_piece_gives_unknown(self):
@@ -906,6 +958,13 @@ class TestDecompositionIgnoresCuts:
         d = decompose_gaussian_haar(f)
         y1, y2 = d.witness
         assert f(y1) != 0 and f(y2) != 0 and f(y1 + y2) == 0
+
+    def test_support_reason_prints_the_pair_as_rationals(self):
+        one = [Term(F(1), F(0), F(0))]
+        f = build_cf(DYADIC, [(Stratum.of({2: (0, POS_INF)}), one), (Stratum.of({2: (-2, -2)}), one)])
+        d = decompose_gaussian_haar(f)
+        assert d.witness == (F(1, 4), F(1, 4))
+        assert d.reason == "support is not a subgroup (witness pair 1/4, 1/4)"
 
 
 class TestPositivity:

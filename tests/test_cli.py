@@ -198,6 +198,24 @@ class TestCheck:
         assert code == 3
         assert json.loads(out)["equation"]["verdict"] == "unknown"
 
+    def test_point_one_level_below_the_integral_probes_fails(self, tmp_path, capsys):
+        # the point with real value 3/2 differs from the right side first at 1/9
+        law = {"kind": "degenerate", "point": {"depth": 1, "coord": "1/2"}}
+        cfg = {"solenoid": {"3": "inf"}, "coefficients": ["1/3"] * 9, "distribution": {"law": law}}
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, cfg))
+        assert code == 1
+        assert json.loads(out)["equation"] == {"degenerate": False, "note": "", "verdict": "fails", "witness": "1/9"}
+
+    def test_overlapping_strata_name_their_cells(self, tmp_path, capsys):
+        pieces = [
+            {"stratum": [{"prime": 2, "op": ">=", "k": 0}], "terms": [{"c": "1"}]},
+            {"stratum": [{"prime": 2, "op": "=", "k": 1}], "terms": [{"c": "1"}]},
+        ]
+        path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": pieces}))
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2 and out == ""
+        assert "strata overlap: v_2>=0 and v_2=1" in err
+
     def test_huge_prime_coefficient_is_not_an_automorphism(self, tmp_path, capsys):
         cfg = dict(GAUSS_HOLDS, coefficients=["1/1000000000000000003"])
         code, out, _ = run_cli(capsys, "check", write_config(tmp_path, cfg))

@@ -3,10 +3,12 @@
 A function is stored as finitely many pairwise-disjoint strata (conjunctions
 of per-prime valuation constraints) each carrying a formal sum of terms
 ``weight * exp(-decay * y^2) * exp(2 pi i shift y)``, with an implicit value
-of zero off all strata.  Weights, decays and shifts are exact rationals, so
-products, mixtures, precompositions by automorphisms and equality checks can
-all be decided symbolically; equality returns a first-class "unknown" rather
-than guessing whenever the symbolic comparison is inconclusive.
+of zero off all strata.  No stratum holds the zero character, where every
+characteristic function is 1.  Weights, decays and shifts are exact
+rationals, so products, mixtures, precompositions by automorphisms and
+equality checks can all be decided symbolically; equality returns a
+first-class "unknown" rather than guessing whenever the symbolic comparison
+is inconclusive.
 
 Shifts are real-line embed values: every exactly representable point of the
 solenoid pairs with a character y as exp(2 pi i r y) for its embedded real
@@ -59,29 +61,22 @@ MAX_PROBES = 96
 
 @dataclass(frozen=True)
 class Stratum:
-    """Conjunction of per-prime valuation window constraints.
+    """A cell: the nonzero characters inside per-prime valuation windows.
 
     ``bounds`` is a sorted tuple of (prime, lo, hi) with lo <= hi, meaning
     lo <= v_p(y) <= hi (infinite endpoints drop the constraint on that side).
-    ``only_zero`` restricts to the zero character alone; ``minus_zero``
-    removes the zero character from an otherwise ordinary window.  These two
-    flags exist so refinements of partitions stay exact partitions.
+    No cell holds the zero character: every characteristic function is 1
+    there, so ``StratifiedCF`` places that value itself.
     """
 
     bounds: tuple[tuple[int, int | float, int | float], ...] = ()
-    only_zero: bool = False
-    minus_zero: bool = False
 
     @classmethod
     def whole(cls) -> "Stratum":
         return cls()
 
     @classmethod
-    def zero_only(cls) -> "Stratum":
-        return cls((), only_zero=True)
-
-    @classmethod
-    def of(cls, windows: Mapping[int, tuple], *, minus_zero: bool = False) -> "Stratum":
+    def of(cls, windows: Mapping[int, tuple]) -> "Stratum":
         bounds = []
         for p in sorted(windows):
             lo, hi = windows[p]
@@ -90,9 +85,7 @@ class Stratum:
             if lo == NEG_INF and hi == POS_INF:
                 continue
             bounds.append((p, lo, hi))
-        if minus_zero and any(hi != POS_INF for _, _, hi in bounds):
-            minus_zero = False  # zero was never inside; keep the form canonical
-        return cls(tuple(bounds), minus_zero=minus_zero)
+        return cls(tuple(bounds))
 
     def window(self, p: int) -> tuple:
         for q, lo, hi in self.bounds:
@@ -106,10 +99,8 @@ class Stratum:
 
     def contains(self, y: Rational) -> bool:
         y = Fraction(y)
-        if self.only_zero:
-            return y == 0
         if y == 0:
-            return self.contains_zero()
+            return False
         for p, lo, hi in self.bounds:
             if not (lo <= valuation(y, p) <= hi):
                 return False
@@ -117,8 +108,6 @@ class Stratum:
 
     def __str__(self):
         """The cell in the ``v_p>=k`` notation of ``SubgroupSpec``, for reasons and errors."""
-        if self.only_zero:
-            return "{0}"
         parts = []
         for p, lo, hi in self.bounds:
             if lo == hi:
@@ -129,43 +118,26 @@ class Stratum:
                 parts.append(f"v_{p}<={int(hi)}")
             else:
                 parts.append(f"{int(lo)}<=v_{p}<={int(hi)}")
-        if self.minus_zero:
-            parts.append("y!=0")
         return " & ".join(parts) or "whole dual group"
 
-    def contains_zero(self) -> bool:
-        if self.only_zero:
-            return True
-        if self.minus_zero:
-            return False
-        return all(hi == POS_INF for _, _, hi in self.bounds)
-
     def intersect(self, other: "Stratum") -> "Stratum | None":
-        if self.only_zero or other.only_zero:
-            box = other if self.only_zero else self
-            return Stratum.zero_only() if box.contains_zero() else None
         windows: dict[int, tuple] = {}
         for p, lo, hi in self.bounds + other.bounds:
             l0, h0 = windows.get(p, (NEG_INF, POS_INF))
             windows[p] = (max(l0, lo), min(h0, hi))
         if any(lo > hi for lo, hi in windows.values()):
             return None
-        return Stratum.of(windows, minus_zero=self.minus_zero or other.minus_zero)
+        return Stratum.of(windows)
 
     def feasible(self, spec: SteinitzSpec) -> bool:
-        """Whether the stratum holds at least one nonzero character."""
-        if self.only_zero:
-            return False
+        """Whether the stratum holds at least one character."""
         for p, lo, hi in self.bounds:
             if max(lo, -spec.multiplicity(p)) > hi:
                 return False
         return True
 
-    def occupied(self, spec: SteinitzSpec) -> bool:
-        return self.contains_zero() or self.feasible(spec)
-
     def members(self, spec: SteinitzSpec) -> list[Fraction]:
-        """Deterministic nonzero members, the cell's one probe list, at most ``MAX_PROBES``.
+        """Deterministic members, the cell's one probe list, at most ``MAX_PROBES``.
 
         Used for witness probing, so diversity matters more than coverage.
         The integral members come first: exponents sweep the window edges
@@ -175,7 +147,7 @@ class Stratum:
         (as far as the table allows): the only probes below exponent 0 at p.
         Repeats are dropped.
         """
-        if self.only_zero or not self.feasible(spec):
+        if not self.feasible(spec):
             return []
         axes: list[list[int]] = []
         for p, lo, hi in self.bounds:
@@ -202,14 +174,6 @@ class Stratum:
 
 def _subtract(box: Stratum, cutter: Stratum) -> list[Stratum]:
     """box minus cutter, as disjoint strata."""
-    if cutter.only_zero:
-        if not box.contains_zero():
-            return [box]
-        if box.only_zero:
-            return []
-        return [Stratum(box.bounds, minus_zero=True)]
-    if box.only_zero:
-        return [] if cutter.contains_zero() else [box]
     current = {p: box.window(p) for p in set(box.primes) | set(cutter.primes)}
     out: list[Stratum] = []
     for p, clo, chi in cutter.bounds:
@@ -220,16 +184,12 @@ def _subtract(box: Stratum, cutter: Stratum) -> list[Stratum]:
         if ilo != NEG_INF and lo <= ilo - 1:
             piece = dict(current)
             piece[p] = (lo, ilo - 1)
-            out.append(Stratum.of(piece, minus_zero=box.minus_zero))
+            out.append(Stratum.of(piece))
         if ihi != POS_INF and ihi + 1 <= hi:
             piece = dict(current)
             piece[p] = (ihi + 1, hi)
-            out.append(Stratum.of(piece, minus_zero=box.minus_zero))
+            out.append(Stratum.of(piece))
         current[p] = (ilo, ihi)
-    core_holds_zero = box.contains_zero() and all(hi == POS_INF for _, hi in current.values())
-    if cutter.minus_zero and core_holds_zero:
-        # the remaining core sits inside cutter's window but keeps its zero
-        out.append(Stratum.zero_only())
     return out
 
 
@@ -295,9 +255,10 @@ class SubgroupSpec:
             return False
         return all(valuation(y, p) >= t for p, t in self.thresholds)
 
-    def stratum(self) -> Stratum:
+    def stratum(self) -> Stratum | None:
+        """The subgroup's nonzero characters as a cell; None for the zero subgroup, which has none."""
         if self.trivial:
-            return Stratum.zero_only()
+            return None
         return Stratum.of({p: (t, POS_INF) for p, t in self.thresholds})
 
     def reduce_shift(self, r: Rational) -> Fraction:
@@ -320,17 +281,11 @@ class SubgroupSpec:
         return r % step
 
     def __str__(self):
-        if self.trivial:
-            return "{0}"
-        if not self.thresholds:
-            return "whole dual group"
-        return " & ".join(f"v_{p}>={t}" for p, t in self.thresholds)
+        return "{0}" if self.trivial else str(self.stratum())
 
 
 def subgroup_generated_by(spec: SteinitzSpec, stratum: Stratum) -> SubgroupSpec:
     """Smallest lower-bound subgroup containing the stratum."""
-    if stratum.only_zero:
-        return SubgroupSpec.zero(spec)
     table = {}
     for p, lo, hi in stratum.bounds:
         eff_lo = max(lo, -spec.multiplicity(p))
@@ -403,7 +358,7 @@ def _values_equal_exact(a: Sequence[Term], b: Sequence[Term], y: Fraction):
 
 @dataclass(frozen=True)
 class StratifiedCF:
-    """Finitely-stratified symbolic characteristic function (zero off-strata)."""
+    """Finitely-stratified symbolic characteristic function (1 at zero, 0 off the strata)."""
 
     spec: SteinitzSpec
     pieces: tuple[tuple[Stratum, tuple[Term, ...]], ...]
@@ -412,6 +367,8 @@ class StratifiedCF:
         y = Fraction(y)
         if not in_dual_group(self.spec, y):
             raise CharacterOutsideGroup(f"{y} is not a character of this solenoid")
+        if y == 0:
+            return 1 + 0j  # every characteristic function is 1 at the zero character
         return _terms_value(self.piece_at(y), y)
 
     def piece_at(self, y: Rational) -> tuple[Term, ...]:
@@ -456,16 +413,12 @@ class StratifiedCF:
             raise ValueError(f"{alpha} is not an automorphism of this solenoid")
         pieces = []
         for stratum, terms in self.pieces:
-            if stratum.only_zero:
-                moved = stratum  # alpha * y = 0 iff y = 0
-            else:
-                windows = {}
-                for p, lo, hi in stratum.bounds:
-                    v = valuation(alpha, p)
-                    windows[p] = (lo - v if lo != NEG_INF else lo, hi - v if hi != POS_INF else hi)
-                moved = Stratum.of(windows, minus_zero=stratum.minus_zero)
+            windows = {}
+            for p, lo, hi in stratum.bounds:
+                v = valuation(alpha, p)
+                windows[p] = (lo - v if lo != NEG_INF else lo, hi - v if hi != POS_INF else hi)
             pieces.append(
-                (moved, [Term(t.weight, t.decay * alpha**2, t.shift * alpha) for t in terms])
+                (Stratum.of(windows), [Term(t.weight, t.decay * alpha**2, t.shift * alpha) for t in terms])
             )
         return build_cf(self.spec, pieces)
 
@@ -473,16 +426,17 @@ class StratifiedCF:
 def build_cf(spec: SteinitzSpec, pieces: Iterable[tuple[Stratum, Iterable[Term]]]) -> StratifiedCF:
     """Normalize and validate a piece list into a StratifiedCF.
 
-    Drops unoccupied strata and zero atoms, merges duplicate terms, checks
-    that the strata's primes are prime, pairwise disjointness, nonnegative
-    parameters, and the value-one constraint at the zero character.
+    Drops infeasible strata and zero atoms, merges duplicate terms, and
+    checks that the strata's primes are prime, that the parameters are
+    nonnegative and that no two feasible strata overlap.  The value 1 at the
+    zero character, which no stratum holds, needs no check.
     """
     cleaned: list[tuple[Stratum, tuple[Term, ...]]] = []
     for stratum, terms in pieces:
         for p in stratum.primes:
             _require_prime(p)
         merged = _merge_terms(terms)
-        if not stratum.occupied(spec) or not merged:
+        if not stratum.feasible(spec) or not merged:
             continue
         for t in merged:
             if t.weight < 0:
@@ -490,15 +444,11 @@ def build_cf(spec: SteinitzSpec, pieces: Iterable[tuple[Stratum, Iterable[Term]]
             if t.decay < 0:
                 raise ValueError("decay parameters must be nonnegative")
         cleaned.append((stratum, merged))
-    cleaned.sort(key=lambda piece: (piece[0].only_zero, piece[0].bounds, piece[0].minus_zero))
+    cleaned.sort(key=lambda piece: piece[0].bounds)
     for (sa, _), (sb, _) in itertools.combinations(cleaned, 2):
         inter = sa.intersect(sb)
-        if inter is not None and inter.occupied(spec):
+        if inter is not None and inter.feasible(spec):
             raise ValueError(f"strata overlap: {sa} and {sb}")
-    at_zero = [terms for s, terms in cleaned if s.contains_zero()]
-    total = sum((t.weight for terms in at_zero for t in terms), Fraction(0))
-    if total != 1:
-        raise ValueError("a characteristic function must equal 1 at the zero character")
     return StratifiedCF(spec, tuple(cleaned))
 
 
@@ -517,8 +467,9 @@ def gaussian_cf(
 
 def haar_cf(subgroup: SubgroupSpec) -> StratifiedCF:
     """Indicator of a subgroup: the characteristic function of a Haar law."""
-    piece = (subgroup.stratum(), [Term(Fraction(1), Fraction(0), Fraction(0))])
-    return build_cf(subgroup.spec, [piece])
+    cell = subgroup.stratum()
+    pieces = [] if cell is None else [(cell, [Term(Fraction(1), Fraction(0), Fraction(0))])]
+    return build_cf(subgroup.spec, pieces)
 
 
 def _mixture_weights(weights: Sequence[Rational], specs: Sequence[SteinitzSpec]) -> tuple[Fraction, ...]:
@@ -590,11 +541,12 @@ def compare(f: StratifiedCF, g: StratifiedCF) -> Comparison:
     """Exact decision of pointwise equality over the whole dual group.
 
     "equal" comes from identical canonical forms on every cell of the common
-    refinement; "differs" always carries a probed witness whose two values
-    are provably different; anything else is an honest "unknown".  Each
-    cell whose forms differ is probed once along its ``members``, in
-    ``_refine`` order, so the witness is the first differing probe of the
-    first cell that has one.
+    refinement; "differs" always carries a witness whose two values are
+    provably different; anything else is an honest "unknown".  Each cell
+    whose forms differ is probed once along its ``members``, in ``_refine``
+    order, so the witness is the first differing probe of the first cell
+    that has one.  Only when no probe differs anywhere does a cell whose two
+    forms are single terms get ``_shift_witness``, its closed-form witness.
     """
     if f.spec != g.spec:
         raise SpecMismatch("cannot compare functions over different solenoids")
@@ -602,17 +554,45 @@ def compare(f: StratifiedCF, g: StratifiedCF) -> Comparison:
     undecided = []
     for cell, ta, tb in _refine(f.pieces, g.pieces):
         if not cell.feasible(spec):
-            continue  # at most the zero character, where both sides are 1
-        if _canonical_terms(spec, cell, ta) == _canonical_terms(spec, cell, tb):
+            continue  # no character lies in it
+        ca, cb = _canonical_terms(spec, cell, ta), _canonical_terms(spec, cell, tb)
+        if ca == cb:
             continue
         for y in cell.members(spec):
             if _values_equal_exact(ta, tb, y) is False:
                 return Comparison("differs", y)
-        undecided.append(cell)
+        undecided.append((cell, ta, tb, ca, cb))
+    for cell, ta, tb, ca, cb in undecided:
+        if len(ca) == len(cb) == 1 and ca[0].shift != cb[0].shift:
+            y = _shift_witness(spec, cell, ca[0].shift - cb[0].shift)
+            if _values_equal_exact(ta, tb, y) is False:
+                return Comparison("differs", y)
     if undecided:
-        notes = (f"forms differ on {cell} but every probe agreed" for cell in undecided)
+        notes = (f"forms differ on {cell} but every probe agreed" for cell, *_ in undecided)
         return Comparison("unknown", None, "; ".join(notes))
     return Comparison("equal")
+
+
+def _shift_witness(spec: SteinitzSpec, cell: Stratum, d: Fraction) -> Fraction:
+    """A member y of the cell, built from its valuation floors, with d * y not an integer where one can be.
+
+    The floor at p is max(lo_p, -multiplicity(p)).  The first prime r whose
+    floor plus v_r(d) is negative gets that floor, or -v_r(d) - 1 capped by
+    hi_r when r is unbounded below; every other constrained prime gets its
+    floor, or its upper end when it has none.  Two single-term forms that
+    differ only in their shifts, by d, then differ at y.
+    """
+    exps = {}
+    for p, lo, hi in cell.bounds:
+        floor = max(lo, -spec.multiplicity(p))
+        exps[p] = hi if floor == NEG_INF else floor
+    for r in sorted({*spec.primes, *cell.primes}):
+        lo, hi = cell.window(r)
+        floor = max(lo, -spec.multiplicity(r))
+        if floor + valuation(d, r) < 0:
+            exps[r] = min(-valuation(d, r) - 1, hi) if floor == NEG_INF else floor
+            break
+    return math.prod((Fraction(p) ** int(e) for p, e in exps.items()), start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +654,9 @@ def support_as_subgroup(f: StratifiedCF) -> SupportCheck:
     if any(len(terms) > 1 for _, terms in pieces):
         return SupportCheck("unknown", note="multi-term strata may vanish at points")
     boxes = [s for s, _ in pieces]
-    if all(s.only_zero for s in boxes):
+    if not boxes:
         return SupportCheck("subgroup", SubgroupSpec.zero(spec))
-    generated = [subgroup_generated_by(spec, s) for s in boxes if not s.only_zero]
+    generated = [subgroup_generated_by(spec, s) for s in boxes]
     primes = {p for g in generated for p, _ in g.thresholds}
     candidate = SubgroupSpec.of(spec, {p: min(g.threshold(p) for g in generated) for p in primes})
     residual = _subtract_many(candidate.stratum(), boxes)
@@ -746,7 +726,7 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     invariant = _division_invariance(f.spec, subgroup)
     if subgroup.trivial:
         return decided("gaussian_haar", Fraction(0), Fraction(0), subgroup, invariant)
-    pieces = [(s, terms[0]) for s, terms in f.pieces if terms and not s.only_zero]
+    pieces = [(s, terms[0]) for s, terms in f.pieces if terms]
     for _, term in pieces:  # single-term guaranteed by the support check
         if term.weight != 1:
             return decided(

@@ -7,6 +7,7 @@ canonical report to stdout, and signals its verdict through the exit code:
 * 1 - verdict-negative: the equation fails or the simulation is inconsistent
 * 2 - usage or config error, including a coefficient that is not an
   automorphism of the solenoid (``check`` still prints its report first)
+  and a ``cf`` that the paper's theorem shows is not positive definite
 * 3 - the checker could not decide (verdict unknown)
 
 ``--seed`` beats the SOLADIC_SEED environment variable, which beats the
@@ -29,7 +30,7 @@ import sys
 from pathlib import Path
 
 from .charfun import StratifiedCF
-from .errors import ConfigError, PreconditionViolated, SoladicError, SoundnessError
+from .errors import ConfigError, PreconditionViolated, SoladicError, SoundnessError, UndecomposedSolution
 from .sampler import SamplerSpec, monte_carlo_equidist
 from .scenarios import ScenarioVerdict, blurred_counterexample, classify_and_conclude, two_prime_counterexample
 from .serialize import (
@@ -203,7 +204,16 @@ def cmd_check(args) -> int:
     coeffs = _rationals_from_json(doc["coefficients"], "config.coefficients")
     dist = _distribution(spec, doc)
     f = dist if isinstance(dist, StratifiedCF) else dist.exact_cf()
-    verdict = classify_and_conclude(spec, coeffs, f)
+    try:
+        verdict = classify_and_conclude(spec, coeffs, f)
+    except UndecomposedSolution:
+        if f is not dist:
+            raise  # a law's own cf: a defect of this package, reported with its traceback
+        raise ConfigError(
+            "distribution.cf is not positive definite: it satisfies the equation under a "
+            "unit-square system over a solenoid with at most one unbounded prime, where every "
+            "characteristic function that does is a gaussian times a haar indicator, and it is not one"
+        ) from None
     report = {"command": "check", "solenoid": spec_to_json(spec), **_verdict_to_json(verdict)}
     _emit(report, args.format)
     if not verdict.coefficients_valid:  # an input error, whatever else was decided

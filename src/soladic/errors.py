@@ -43,3 +43,12 @@ class ConfigError(SoladicError):
 
 class SoundnessError(SoladicError):
     """An internal cross-check failed; components disagree where they must not."""
+
+
+class UndecomposedSolution(SoundnessError):
+    """A cf solves the equation where the paper's theorem forces gaussian-times-haar form, yet has none.
+
+    No characteristic function can do that, so for a law's own cf it is a
+    defect of this package, and for a function given as such it shows that
+    the function is not positive definite.
+    """

@@ -38,7 +38,7 @@ from .charfun import (
     check_equidistribution,
     decompose_gaussian_haar,
 )
-from .errors import PreconditionViolated, SoundnessError
+from .errors import PreconditionViolated, SoundnessError, UndecomposedSolution
 from .sampler import ConvolutionOf, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec
 from .steinitz import (
     Rational,
@@ -396,7 +396,7 @@ def classify_and_conclude(
         and eq.verdict == "holds"
         and dec.kind == "not_of_form"
     ):
-        raise SoundnessError(
+        raise UndecomposedSolution(
             "the equation holds under a valid unit-square system over a "
             "solenoid with at most one unbounded prime, yet the law failed "
             "to decompose; the decomposition machinery is defective"
@@ -505,7 +505,7 @@ def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
         return CircleCheck("unknown", note=dec.reason)
     for s, terms in f.pieces:  # single-term once the decomposition is decided
         t = terms[0]
-        if not s.only_zero and (t.weight != 1 or t.decay != 0):
+        if t.weight != 1 or t.decay != 0:
             raise SoundnessError(
                 f"the equation held although |f| differs from 1 on {s}; "
                 f"the equation checker is defective"

@@ -14,8 +14,9 @@ Grammar conventions, kept strict in both directions:
 * characteristic functions: list of pieces
   ``{"stratum": [{"prime": p, "op": ">="|"="|"<=", "k": t}], "terms":
   [{"c": w, "sigma": d, "shift": s}]}`` with optional piece keys
-  ``"only_zero"`` and ``"minus_zero"`` for the two partition flags, each
-  JSON ``true`` or ``false``
+  ``"only_zero"`` and ``"minus_zero"``, each JSON ``true`` or ``false``;
+  a piece holds the nonzero characters of its stratum, and the flags place
+  f(0) = 1 (see ``cf_from_json``)
 * sampling laws: tagged unions on a ``"kind"`` key
 
 Unknown keys are rejected everywhere, so a config either round-trips
@@ -30,7 +31,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from ._numpy import np
 from .charfun import NEG_INF, POS_INF, StratifiedCF, Stratum, SubgroupSpec, Term, build_cf
@@ -246,11 +247,12 @@ def stratum_to_json(s: Stratum) -> list[dict]:
 _OPS = {">=": ">=", "=": "=", "<=": "<=", "≥": ">=", "≤": "<="}
 
 
-def stratum_from_json(obj, only_zero: bool, minus_zero: bool, where: str) -> Stratum:
+def stratum_from_json(obj, only_zero: bool, where: str) -> Stratum | None:
+    """A cell from its constraint list, or None for an ``only_zero`` piece: no cell holds zero."""
     if only_zero:
         if obj:
             raise ConfigError(f"{where}: an only_zero stratum takes no constraints")
-        return Stratum.zero_only()
+        return None
     if not isinstance(obj, list):
         raise ConfigError(f"{where} must be a list of constraints")
     windows: dict[int, tuple] = {}
@@ -269,46 +271,50 @@ def stratum_from_json(obj, only_zero: bool, minus_zero: bool, where: str) -> Str
             hi = min(hi, k)
         windows[p] = (lo, hi)
     try:
-        return Stratum.of(windows, minus_zero=minus_zero)
+        return Stratum.of(windows)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from None
 
 
+def _around_zero(s: Stratum) -> bool:
+    """Whether zero is a limit of the cell: no window is bounded above."""
+    return all(hi == POS_INF for _, _, hi in s.bounds)
+
+
+def _term_to_json(t: Term) -> dict:
+    return {"c": rational_to_json(t.weight), "sigma": rational_to_json(t.decay), "shift": rational_to_json(t.shift)}
+
+
 def cf_to_json(f: StratifiedCF) -> list[dict]:
-    pieces = []
-    for stratum, terms in f.pieces:
-        piece: dict[str, Any] = {
-            "stratum": stratum_to_json(stratum),
-            "terms": [
-                {
-                    "c": rational_to_json(t.weight),
-                    "sigma": rational_to_json(t.decay),
-                    "shift": rational_to_json(t.shift),
-                }
-                for t in terms
-            ],
-        }
-        if stratum.only_zero:
-            piece["only_zero"] = True
-        if stratum.minus_zero:
+    """The pieces of f, flag-free when the piece around zero sums to 1 there.
+
+    Otherwise that piece is marked ``minus_zero`` and an ``only_zero`` piece
+    of weight 1 follows, so that the list states f(0) = 1 as configs do.
+    """
+    pieces = [{"stratum": stratum_to_json(s), "terms": [_term_to_json(t) for t in terms]} for s, terms in f.pieces]
+    around = [(piece, terms) for piece, (s, terms) in zip(pieces, f.pieces) if _around_zero(s)]
+    if sum(t.weight for _, terms in around for t in terms) != 1:
+        for piece, _ in around:
             piece["minus_zero"] = True
-        pieces.append(piece)
+        pieces.append({"stratum": [], "terms": [_term_to_json(Term(1, 0, 0))], "only_zero": True})
     return pieces
 
 
 def cf_from_json(spec: SteinitzSpec, obj, where: str = "cf") -> StratifiedCF:
+    """The cf of a piece list; f(0) = 1 is checked here, as the config states it.
+
+    The value at zero is carried by the ``only_zero`` pieces and by an
+    unflagged piece around zero: there must be one such piece, summing to 1.
+    """
     if not isinstance(obj, list):
         raise ConfigError(f"{where} must be a list of pieces")
-    pieces = []
+    read = []
     for i, entry in enumerate(obj):
         here = f"{where}[{i}]"
         _require_keys(entry, {"stratum", "terms"}, {"only_zero", "minus_zero"}, here)
-        stratum = stratum_from_json(
-            entry["stratum"],
-            _bool_from_json(entry.get("only_zero", False), f"{here}.only_zero"),
-            _bool_from_json(entry.get("minus_zero", False), f"{here}.minus_zero"),
-            f"{here}.stratum",
-        )
+        only_zero = _bool_from_json(entry.get("only_zero", False), f"{here}.only_zero")
+        minus_zero = _bool_from_json(entry.get("minus_zero", False), f"{here}.minus_zero")
+        stratum = stratum_from_json(entry["stratum"], only_zero, f"{here}.stratum")
         if not isinstance(entry["terms"], list) or not entry["terms"]:
             raise ConfigError(f"{here}.terms must be a nonempty list")
         terms = []
@@ -321,11 +327,26 @@ def cf_from_json(spec: SteinitzSpec, obj, where: str = "cf") -> StratifiedCF:
                     rational_from_json(t.get("shift", 0), f"{here}.terms[{j}].shift"),
                 )
             )
-        pieces.append((stratum, terms))
+        read.append((stratum, minus_zero, terms))
+    pieces, at_zero = [], []
     try:
-        return build_cf(spec, pieces)
+        for stratum, minus_zero, terms in read:
+            # each piece's own checks first, in order; an only_zero piece's as a whole cell's
+            kept = build_cf(spec, [(Stratum.whole() if stratum is None else stratum, terms)]).pieces
+            if stratum is not None:
+                pieces.append((stratum, terms))
+            if kept and (stratum is None or (not minus_zero and _around_zero(stratum))):
+                at_zero.append((stratum, kept[0][1]))
+        f = build_cf(spec, pieces)
     except Exception as err:
         raise ConfigError(f"{where}: {err}") from None
+    at_zero.sort(key=lambda piece: piece[0] is None)  # a cell first, only_zero pieces after it
+    if len(at_zero) > 1:  # two cells around zero already overlap in build_cf
+        first = "{0}" if at_zero[0][0] is None else at_zero[0][0]
+        raise ConfigError(f"{where}: strata overlap: {first} and {{0}}")
+    if sum(t.weight for _, terms in at_zero for t in terms) != 1:
+        raise ConfigError(f"{where}: a characteristic function must equal 1 at the zero character")
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ from soladic.charfun import (
     subgroup_generated_by,
     support_as_subgroup,
 )
-from soladic.errors import BadWeights, CharacterOutsideGroup, SpecMismatch
+from soladic.errors import BadWeights, CharacterOutsideGroup, ConfigError, SpecMismatch
+from soladic.serialize import cf_from_json
 from soladic.steinitz import in_dual_group, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
@@ -65,6 +66,8 @@ MULTI_TERM = mixture(
 def oracle_value(pieces, spec, y):
     """Direct float evaluation of a piece list, bypassing StratifiedCF."""
     y = F(y)
+    if y == 0:
+        return 1 + 0j  # no piece holds the zero character
     for stratum, terms in pieces:
         if stratum.contains(y):
             total = 0j
@@ -85,7 +88,7 @@ def old_product(f, g):
     for sa, ta in f.pieces:
         for sb, tb in g.pieces:
             s = sa.intersect(sb)
-            if s is not None and s.occupied(f.spec):
+            if s is not None and s.feasible(f.spec):
                 prods = [
                     Term(x.weight * z.weight, x.decay + z.decay, x.shift + z.shift)
                     for x in ta
@@ -106,10 +109,9 @@ def cut_cfs(draw, spec=TWO_INF_THREE_2):
     """A cf over a random partition of the dual group into valuation windows.
 
     The windows of v_2 are cut at up to two places, each optionally cut again
-    at one place in v_3; the cell holding zero may be split into its
-    ``minus_zero`` remainder and the ``only_zero`` point.  Cells away from
-    zero may be left out (the cf is 0 there), and every kept cell carries one
-    or two terms, normalized to total weight 1 on the cell holding zero.
+    at one place in v_3.  Cells away from zero may be left out (the cf is 0
+    there), and every kept cell carries one or two terms, normalized to total
+    weight 1 on the cell around zero, the one with no window bounded above.
     """
     cuts = sorted(draw(st.sets(st.integers(-3, 3), max_size=2)))
     edges = [NEG_INF, *cuts, POS_INF]
@@ -122,17 +124,16 @@ def cut_cfs(draw, spec=TWO_INF_THREE_2):
         else:
             cells.append({2: window})
     strata = [Stratum.of(c) for c in cells]
-    if draw(st.booleans()):
-        strata = [Stratum.of(c, minus_zero=True) for c in cells] + [Stratum.zero_only()]
     weights = st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 3)])
     decays = st.sampled_from([F(0), F(1, 2), F(1)])
     shifts = st.sampled_from([F(0), F(1, 2), F(1, 3), F(1, 4), F(-5, 6)])
     pieces = []
     for s in strata:
-        if not s.contains_zero() and not draw(st.booleans()):
+        around_zero = all(hi == POS_INF for _, _, hi in s.bounds)
+        if not around_zero and not draw(st.booleans()):
             continue
         terms = [Term(draw(weights), draw(decays), draw(shifts)) for _ in range(draw(st.integers(1, 2)))]
-        if s.contains_zero():
+        if around_zero:
             total = sum(t.weight for t in terms)
             terms = [Term(t.weight / total, t.decay, t.shift) for t in terms]
         pieces.append((s, terms))
@@ -158,9 +159,9 @@ class TestStratum:
         "stratum, text",
         [
             (Stratum.whole(), "whole dual group"),
-            (Stratum.zero_only(), "{0}"),
-            (Stratum((), minus_zero=True), "y!=0"),
-            (Stratum.of({2: (0, POS_INF)}, minus_zero=True), "v_2>=0 & y!=0"),
+            (Stratum.of({2: (0, POS_INF)}), "v_2>=0"),
+            (Stratum.of({3: (NEG_INF, 4)}), "v_3<=4"),
+            (Stratum.of({2: (-2, -1)}), "-2<=v_2<=-1"),
             (Stratum.of({2: (-2, -1), 3: (NEG_INF, 4), 5: (1, 1)}), "-2<=v_2<=-1 & v_3<=4 & v_5=1"),
         ],
     )
@@ -168,32 +169,20 @@ class TestStratum:
         assert str(stratum) == text
 
     def test_whole_contains_everything(self):
+        # every nonzero character; no cell holds zero, where a cf is 1
         s = Stratum.whole()
         assert s.contains(F(5, 8))
-        assert s.contains(F(0))
-        assert s.contains_zero()
+        assert not s.contains(F(0))
 
     def test_window_membership(self):
         s = Stratum.of({2: (0, POS_INF)})
         assert s.contains(F(3))
-        assert s.contains(F(0))
+        assert not s.contains(F(0))
         assert not s.contains(F(1, 2))
         single = Stratum.of({2: (-1, -1)})
         assert single.contains(F(1, 2))
         assert not single.contains(F(1, 4))
         assert not single.contains(F(0))
-
-    def test_zero_flags(self):
-        z = Stratum.zero_only()
-        assert z.contains(F(0))
-        assert not z.contains(F(1))
-        punctured = Stratum((), minus_zero=True)
-        assert not punctured.contains(F(0))
-        assert punctured.contains(F(7, 4))
-
-    def test_minus_zero_normalizes_away_on_bounded_windows(self):
-        s = Stratum.of({2: (0, 3)}, minus_zero=True)
-        assert not s.minus_zero  # the window already excludes zero
 
     def test_intersect(self):
         a = Stratum.of({2: (0, POS_INF)})
@@ -201,10 +190,6 @@ class TestStratum:
         c = a.intersect(b)
         assert c == Stratum.of({2: (0, 2), 3: (1, POS_INF)})
         assert a.intersect(Stratum.of({2: (-3, -1)})) is None
-
-    def test_intersect_with_zero_only(self):
-        assert Stratum.zero_only().intersect(Stratum.whole()) == Stratum.zero_only()
-        assert Stratum.zero_only().intersect(Stratum.of({2: (0, 4)})) is None
 
     def test_feasible_respects_group_floor(self):
         deep = Stratum.of({2: (NEG_INF, -2)})
@@ -291,18 +276,6 @@ class TestSubtraction:
         samples = [F(a, 36) for a in range(-40, 41)]
         self.check_partition(TWO_THREE, box, cutter, pieces, samples)
 
-    def test_zero_only_cutter_punches_out_zero(self):
-        from soladic.charfun import _subtract
-
-        pieces = _subtract(Stratum.whole(), Stratum.zero_only())
-        assert pieces == [Stratum((), minus_zero=True)]
-
-    def test_punctured_cutter_leaves_zero(self):
-        from soladic.charfun import _subtract
-
-        pieces = _subtract(Stratum.whole(), Stratum((), minus_zero=True))
-        assert pieces == [Stratum.zero_only()]
-
     def test_disjoint_cutter_is_noop(self):
         from soladic.charfun import _subtract
 
@@ -366,10 +339,20 @@ class TestSubgroupSpec:
     def test_reduce_shift_trivial_subgroup(self):
         assert SubgroupSpec.zero(TWO_THREE).reduce_shift(F(22, 7)) == 0
 
+    @pytest.mark.parametrize(
+        "subgroup, text",
+        [
+            (SubgroupSpec.zero(TWO_THREE), "{0}"),
+            (SubgroupSpec.whole(TWO_THREE), "whole dual group"),
+            (SubgroupSpec.of(TWO_THREE, {3: 0, 2: -1}), "v_2>=-1 & v_3>=0"),
+        ],
+    )
+    def test_str_is_its_cells(self, subgroup, text):
+        assert str(subgroup) == text
+
     def test_generated_by_stratum(self):
         cell = Stratum.of({2: (-1, -1)})
         assert subgroup_generated_by(DYADIC, cell) == SubgroupSpec.of(DYADIC, {2: -1})
-        assert subgroup_generated_by(DYADIC, Stratum.zero_only()).trivial
         free = Stratum.of({2: (NEG_INF, 0)})
         assert subgroup_generated_by(DYADIC, free) == SubgroupSpec.whole(DYADIC)
 
@@ -415,10 +398,13 @@ class TestConstruction:
             f(F(1, 3))
 
     def test_zero_value_constraint_enforced(self):
-        with pytest.raises(ValueError):
-            build_cf(DYADIC, [(Stratum.whole(), [Term(F(1, 2), F(0), F(0))])])
-        with pytest.raises(ValueError):
-            build_cf(DYADIC, [(Stratum.of({2: (-2, -1)}), [Term(F(1), F(0), F(0))])])
+        # no cell holds zero, so f(0) = 1 is checked where cf configs are read
+        for doc in (
+            [{"stratum": [], "terms": [{"c": "1/2"}]}],
+            [{"stratum": [{"prime": 2, "op": ">=", "k": -2}, {"prime": 2, "op": "<=", "k": -1}], "terms": [{"c": 1}]}],
+        ):
+            with pytest.raises(ConfigError, match="must equal 1 at the zero character"):
+                cf_from_json(DYADIC, doc)
 
     @pytest.mark.parametrize("p", [4, 1, 0])
     def test_non_prime_stratum_rejected(self, p):
@@ -441,7 +427,7 @@ class TestConstruction:
             build_cf(
                 DYADIC,
                 [
-                    (Stratum.zero_only(), [Term(F(2), F(0), F(0)), Term(F(-1), F(0), F(1, 2))]),
+                    (Stratum.whole(), [Term(F(2), F(0), F(0)), Term(F(-1), F(0), F(1, 2))]),
                 ],
             )
 
@@ -598,6 +584,29 @@ class TestCompare:
         c = compare(f, g)
         assert c.verdict == "differs"
         assert abs(f(c.witness) - g(c.witness)) > 1e-12
+
+    @pytest.mark.parametrize(
+        "f, coeffs, witness",
+        [
+            # a point mass at real value 4: the right side is the point at 12,
+            # and 4 - 12 = -8 first pairs to a phase other than 1 at 1/16
+            (gaussian_cf(DYADIC, 0, 4), [F(1, 2)] * 2 + [F(1, 4)] * 8, F(1, 16)),
+            # the shift 9/4 on haar(v_2 >= 2) over {3: inf}: the sides' shifts
+            # differ by 9/2, so v_3 goes to -v_3(9/2) - 1 = -3 and v_2 to its floor 2
+            (
+                gaussian_cf(SteinitzSpec.of({3: math.inf}), 0, F(9, 4))
+                * haar_cf(SubgroupSpec.of(SteinitzSpec.of({3: math.inf}), {2: 2})),
+                [F(1, 3)] * 9,
+                F(4, 27),
+            ),
+        ],
+        ids=["point-4", "shifted-haar"],
+    )
+    def test_single_term_cells_get_a_closed_form_witness(self, f, coeffs, witness):
+        # every probe of the cell agrees; the two single terms differ by a
+        # shift, and the witness is built from the cell's valuation floors
+        eq = check_equidistribution(f, coeffs)
+        assert (eq.verdict, eq.witness) == ("fails", witness)
 
     def test_honest_unknown_on_cancelling_phases(self):
         # on odd integers y, 1/2 + 1/2 exp(pi i y) = 0, so this two-term piece
@@ -952,7 +961,6 @@ class TestDecompositionIgnoresCuts:
             CIRCLE,
             [
                 (Stratum.of({2: (0, 0)}), [Term(F(1), 0, 0)]),
-                (Stratum.zero_only(), [Term(F(1), 0, 0)]),
             ],
         )
         d = decompose_gaussian_haar(f)

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soladic import _kernels, serialize
+from soladic import UndecomposedSolution, _kernels, scenarios, serialize
+from soladic.charfun import Decomposition
 from soladic.cli import main
 from soladic.sampler import SampleBatch, empirical_cf
 from soladic.serialize import rational_from_json, spec_from_json
@@ -182,21 +183,40 @@ class TestCheck:
         assert decompositions[0]["kind"] == "gaussian_haar"
 
     def test_undecidable_exits_3(self, tmp_path, capsys):
-        # a pure character whose phase denominator exceeds the exact-arithmetic
-        # working cap: the two sides differ formally but no probe can prove it
+        # a pure character whose phase denominator, the prime 4099, exceeds the
+        # exact-arithmetic working cap of 4096 at every character of {2: inf}:
+        # the two sides differ formally but no probe can prove it
         path = write_config(
             tmp_path,
             {
                 "solenoid": {"2": "inf"},
                 "coefficients": ["1/2", "1/2", "1/2"],
                 "distribution": {
-                    "cf": [{"stratum": [], "terms": [{"c": "1", "shift": f"1/{2**40}"}]}]
+                    "cf": [{"stratum": [], "terms": [{"c": "1", "shift": "1/4099"}]}]
                 },
             },
         )
         code, out, _ = run_cli(capsys, "check", path)
         assert code == 3
         assert json.loads(out)["equation"]["verdict"] == "unknown"
+
+    @pytest.mark.parametrize(
+        "law, coefficients, witness",
+        [
+            ({"cf": [{"stratum": [], "terms": [{"c": "1", "shift": f"1/{2**40}"}]}]}, ["1/2"] * 3, str(2**40)),
+            ({"law": {"kind": "degenerate", "point": {"depth": 3, "coord": "1/2"}}}, ["1/2"] * 2 + ["1/4"] * 8, "1/16"),
+        ],
+        ids=["shift-2^-40", "point-4"],
+    )
+    def test_single_term_cells_get_a_closed_form_witness(self, tmp_path, capsys, law, coefficients, witness):
+        # each side is one character on the whole dual group, and no probe of
+        # its list tells them apart: the shift 1/2^40 made every probe's phase
+        # too fine to decide, and the point with real value 4 first differs
+        # from the right side at 1/16; both exited 3 with "unknown"
+        cfg = {"solenoid": {"2": "inf"}, "coefficients": coefficients, "distribution": law}
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, cfg))
+        assert code == 1
+        assert json.loads(out)["equation"] == {"degenerate": False, "note": "", "verdict": "fails", "witness": witness}
 
     def test_point_one_level_below_the_integral_probes_fails(self, tmp_path, capsys):
         # the point with real value 3/2 differs from the right side first at 1/9
@@ -476,8 +496,9 @@ class TestSimulate:
     def test_gaussian_mean_beyond_the_float_range_is_simulated(self, tmp_path, capsys):
         law = {"kind": "gaussian", "sigma": 1, "mean": "1" + "0" * 400}
         path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"law": law}))
-        code, _, _ = run_cli(capsys, "check", path)
-        assert code == 3  # the exact layer says unknown
+        code, out, _ = run_cli(capsys, "check", path)
+        # the shifts differ by 10^400, so the exact layer's witness is 1/2^401
+        assert code == 1 and json.loads(out)["equation"]["witness"] == f"1/{2**401}"
         code, out, _ = run_cli(capsys, "simulate", path, "--n", "200", "--depth", "2")
         assert code == 0 and json.loads(out)["verdict"] == "consistent"
 
@@ -746,6 +767,18 @@ def _cf(constraint):
     return dict(GAUSS_HOLDS, distribution={"cf": [{"stratum": [constraint], "terms": [{"c": 1}]}]})
 
 
+def _piece(stratum, *terms, **flags):
+    return {"stratum": stratum, "terms": list(terms), **flags}
+
+
+def _v2(op, k):
+    return {"prime": 2, "op": op, "k": k}
+
+
+ONE, GAUSS = {"c": 1}, {"c": 1, "sigma": 1}
+NOT_ONE_AT_ZERO = "a characteristic function must equal 1 at the zero character"
+
+
 # field -> (command, config holding the value v, the path the error names)
 READ_FIELDS = {
     "solenoid multiplicity": ("classify", lambda v: {"solenoid": {"2": v}}, "solenoid[2]"),
@@ -861,6 +894,70 @@ class TestConfigReaders:
         code, out, _ = run_cli(capsys, "check", write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": cf})))
         assert code == 0
         assert json.loads(out)["equation"]["verdict"] == "holds"
+
+    @pytest.mark.parametrize(
+        "cf, code, named",
+        [
+            ([_piece([], {"c": "1/2"})], 2, NOT_ONE_AT_ZERO),
+            ([_piece([], ONE, only_zero=True), _piece([], GAUSS, minus_zero=True)], 0, ("holds", None, "gaussian_haar")),
+            (
+                [_piece([], ONE, only_zero=True), _piece([], {"c": "1/2", "sigma": 1}, minus_zero=True)],
+                1,
+                ("fails", "1", "not_of_form"),
+            ),
+            ([_piece([], ONE, only_zero=True), _piece([], GAUSS)], 2, "strata overlap: whole dual group and {0}"),
+            ([_piece([], {"c": "1/2"}, only_zero=True)] * 2, 2, "strata overlap: {0} and {0}"),
+            ([_piece([], {"c": 0}, only_zero=True)], 2, NOT_ONE_AT_ZERO),
+            ([_piece([], {"c": 2}, {"c": -1, "shift": "1/2"}, only_zero=True)], 2, "term weights must be nonnegative"),
+            ([_piece([], {"c": 1, "sigma": -1}, only_zero=True)], 2, "decay parameters must be nonnegative"),
+            ([_piece([_v2(">=", 0)], ONE, only_zero=True)], 2, "[0].stratum: an only_zero stratum takes no constraints"),
+            ([_piece([], ONE, only_zero=True)], 0, ("holds", None, "gaussian_haar")),
+            ([_piece([_v2("<=", 0)], ONE)], 2, NOT_ONE_AT_ZERO),
+            ([_piece([_v2(">=", 0)], ONE)], 1, ("fails", "1", "gaussian_haar")),
+            ([_piece([_v2(">=", 0)], ONE), _piece([_v2("=", 1)], ONE)], 2, "strata overlap: v_2>=0 and v_2=1"),
+            (
+                [_piece([_v2("<=", 0)], ONE, minus_zero=True), _piece([_v2(">=", 1)], ONE)],
+                0,
+                ("holds", None, "gaussian_haar"),
+            ),
+            (
+                [_piece([_v2(">=", 0)], {"c": "1/3"}, minus_zero=True), _piece([], ONE, only_zero=True)],
+                1,
+                ("fails", "2", "not_of_form"),
+            ),
+        ],
+        ids=[
+            "whole-half", "split-gaussian", "split-gaussian-half", "zero-and-whole-gaussian", "two-zero-halves",
+            "zero-c0", "zero-negative-weight", "zero-negative-sigma", "zero-constrained", "zero-alone",
+            "v2<=0", "v2>=0", "v2>=0-and-v2=1", "v2<=0-minus-zero-and-v2>=1", "v2>=0-third-and-zero",
+        ],
+    )
+    def test_the_reader_states_f_of_zero(self, tmp_path, capsys, cf, code, named):
+        # no cell holds zero: cf_from_json reads the only_zero and minus_zero
+        # flags, refuses a config whose pieces do not give f(0) = 1, and names
+        # the same faults as when every cell could hold zero
+        got, out, err = run_cli(capsys, "check", write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": cf})))
+        assert got == code
+        if code == 2:
+            assert out == "" and err.startswith("config error: distribution.cf") and err.endswith(f"{named}\n")
+        else:
+            report = json.loads(out)
+            assert (report["equation"]["verdict"], report["equation"]["witness"], report["decomposition"]["kind"]) == named
+
+    def test_non_positive_definite_cf_is_a_config_error(self, tmp_path, capsys):
+        # 1 on v_7>=1 and exp(-y^2) elsewhere solves the equation, yet is no
+        # gaussian times a haar indicator: f(7) = 1 but f(8) != f(1).  The
+        # theorem guard ended check in a SoundnessError traceback
+        cf = [_piece([{"prime": 7, "op": ">=", "k": 1}], ONE), _piece([{"prime": 7, "op": "<=", "k": 0}], GAUSS)]
+        code, out, err = run_cli(capsys, "check", write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": cf})))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: distribution.cf is not positive definite")
+
+    def test_theorem_guard_on_a_law_stays_a_traceback(self, tmp_path, capsys, monkeypatch):
+        # a law's own cf is positive definite, so the guard firing is a defect of the package
+        monkeypatch.setattr(scenarios, "decompose_gaussian_haar", lambda f: Decomposition("not_of_form"))
+        with pytest.raises(UndecomposedSolution):
+            main(["check", str(write_config(tmp_path, GAUSS_HOLDS))])
 
     def test_mixture_weights_must_be_a_list(self, tmp_path, capsys):
         # the string "10" was read character by character as the weights (1, 0)

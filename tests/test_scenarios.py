@@ -400,7 +400,6 @@ class TestClassifyAndConclude:
                 DYADIC,
                 [
                     (Stratum.of({2: (0, 0)}), [Term(F(1), 0, 0)]),
-                    (Stratum.zero_only(), [Term(F(1), 0, 0)]),
                 ],
             ),
         ],
@@ -510,7 +509,6 @@ class TestCircleCheck:
             CIRCLE,
             [
                 (Stratum.of({2: (0, 0)}), [Term(F(1), 0, 0)]),
-                (Stratum.zero_only(), [Term(F(1), 0, 0)]),
             ],
         )
         out = circle_check(2, 1, f)

@@ -28,9 +28,11 @@ from soladic import (
     gaussian_cf,
     haar_cf,
     linear_form,
+    mixture,
     monte_carlo_equidist,
     sample,
 )
+from corpus import law_corpus
 from soladic.charfun import NEG_INF, POS_INF
 from soladic.serialize import (
     batch_to_csv,
@@ -147,19 +149,19 @@ class TestSubgroupsAndStrata:
         top = (10**limit).bit_length() - 1  # 2^top is the longest printable power of 2
         for e in (top, -top):
             assert subgroup_from_json(DYADIC, {"2": e}).thresholds == ((2, e),)
-            stratum_from_json([{"prime": 2, "op": ">=", "k": e}], False, False, "stratum")
+            stratum_from_json([{"prime": 2, "op": ">=", "k": e}], False, "stratum")
         for e in (top + 1, -top - 1, 10**400):
             with pytest.raises(ConfigError, match=rf"subgroup\[2\] {e} makes 2\^{abs(e)} longer"):
                 subgroup_from_json(DYADIC, {"2": e})
             with pytest.raises(ConfigError, match=rf"stratum\[0\]\.k {e} makes"):
-                stratum_from_json([{"prime": 2, "op": "<=", "k": e}], False, False, "stratum")
+                stratum_from_json([{"prime": 2, "op": "<=", "k": e}], False, "stratum")
 
     def test_stratum_primes_are_prime_integers(self):
         # a prime outside the table is a valid constraint
-        assert stratum_from_json([{"prime": 7, "op": ">=", "k": 1}], False, False, "s").bounds == ((7, 1, POS_INF),)
+        assert stratum_from_json([{"prime": 7, "op": ">=", "k": 1}], False, "s").bounds == ((7, 1, POS_INF),)
         for bad, message in ((4, "4 is not prime"), (1, "1 is not prime"), ("7", "must be an integer")):
             with pytest.raises(ConfigError, match=rf"s\[0\]\.prime.*{message}"):
-                stratum_from_json([{"prime": bad, "op": ">=", "k": 1}], False, False, "s")
+                stratum_from_json([{"prime": bad, "op": ">=", "k": 1}], False, "s")
 
     def test_stratum_emits_two_sided_windows(self):
         s = Stratum.of({2: (-1, 3), 3: (0, 0)})
@@ -167,16 +169,16 @@ class TestSubgroupsAndStrata:
         assert {"prime": 2, "op": ">=", "k": -1} in doc
         assert {"prime": 2, "op": "<=", "k": 3} in doc
         assert {"prime": 3, "op": "=", "k": 0} in doc
-        assert stratum_from_json(doc, False, False, "t") == s
+        assert stratum_from_json(doc, False, "t") == s
 
     def test_stratum_accepts_unicode_ops(self):
         doc = [{"prime": 2, "op": "≥", "k": 0}, {"prime": 3, "op": "≤", "k": 1}]
-        s = stratum_from_json(doc, False, False, "t")
+        s = stratum_from_json(doc, False, "t")
         assert {p: (lo, hi) for p, lo, hi in s.bounds} == {2: (0, POS_INF), 3: (NEG_INF, 1)}
 
     def test_stratum_rejects_bad_op(self):
         with pytest.raises(ConfigError):
-            stratum_from_json([{"prime": 2, "op": ">", "k": 0}], False, False, "t")
+            stratum_from_json([{"prime": 2, "op": ">", "k": 0}], False, "t")
 
 
 class TestCharacteristicFunctions:
@@ -190,17 +192,34 @@ class TestCharacteristicFunctions:
         assert compare(cf_from_json(MIXED, cf_to_json(g)), g).verdict == "equal"
 
     def test_partition_flags_survive(self):
-        f = build_cf(
-            DYADIC,
-            [
-                (Stratum.zero_only(), [Term(F(1), F(0), F(0))]),
-                (Stratum.of({2: (0, POS_INF)}, minus_zero=True), [Term(F(1, 3), F(0), F(0))]),
-            ],
-        )
+        # the piece around zero sums to 1/3, so the writer marks it minus_zero
+        # and states f(0) = 1 in an only_zero piece; a haar cf needs no flag
+        f = build_cf(DYADIC, [(Stratum.of({2: (0, POS_INF)}), [Term(F(1, 3), F(0), F(0))])])
         doc = cf_to_json(f)
         flags = {(p.get("only_zero", False), p.get("minus_zero", False)) for p in doc}
         assert flags == {(True, False), (False, True)}
         assert compare(cf_from_json(DYADIC, doc), f).verdict == "equal"
+        haar = haar_cf(SubgroupSpec.of(DYADIC, {2: 0}))
+        assert [set(piece) for piece in cf_to_json(haar)] == [{"stratum", "terms"}]
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            mixture([F(1, 2), F(1, 2)], [gaussian_cf(DYADIC, 1), haar_cf(SubgroupSpec.zero(DYADIC))]),
+            haar_cf(SubgroupSpec.zero(DYADIC)),
+        ],
+        ids=["gaussian-and-zero-haar", "zero-haar"],
+    )
+    def test_only_zero_pieces_round_trip(self, f):
+        # no piece sums to 1 around zero, so the writer appends the only_zero piece
+        doc = cf_to_json(f)
+        assert doc[-1] == {"stratum": [], "terms": [{"c": "1", "sigma": "0", "shift": "0"}], "only_zero": True}
+        assert cf_from_json(DYADIC, doc) == f
+
+    def test_corpus_cfs_round_trip(self):
+        for spec, _, law in law_corpus(0, 300):
+            f = law.exact_cf()
+            assert cf_from_json(spec, cf_to_json(f)) == f, law
 
     def test_terms_default_sigma_and_shift(self):
         doc = [{"stratum": [], "terms": [{"c": "1"}]}]

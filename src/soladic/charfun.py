@@ -445,11 +445,20 @@ def build_cf(spec: SteinitzSpec, pieces: Iterable[tuple[Stratum, Iterable[Term]]
                 raise ValueError("decay parameters must be nonnegative")
         cleaned.append((stratum, merged))
     cleaned.sort(key=lambda piece: piece[0].bounds)
-    for (sa, _), (sb, _) in itertools.combinations(cleaned, 2):
+    overlap = _first_overlap(spec, [s for s, _ in cleaned])
+    if overlap is not None:
+        i, j, _ = overlap
+        raise ValueError(f"strata overlap: {cleaned[i][0]} and {cleaned[j][0]}")
+    return StratifiedCF(spec, tuple(cleaned))
+
+
+def _first_overlap(spec: SteinitzSpec, strata: Sequence[Stratum]) -> tuple[int, int, Stratum] | None:
+    """Positions i < j of the first two strata that share a feasible cell, and that cell."""
+    for (i, sa), (j, sb) in itertools.combinations(enumerate(strata), 2):
         inter = sa.intersect(sb)
         if inter is not None and inter.feasible(spec):
-            raise ValueError(f"strata overlap: {sa} and {sb}")
-    return StratifiedCF(spec, tuple(cleaned))
+            return i, j, inter
+    return None
 
 
 def gaussian_cf(

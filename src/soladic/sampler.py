@@ -51,7 +51,8 @@ class SamplerSpec:
 
         `counts` is one int for all n draws, or an int64 array of length n;
         a count of 0 gives exactly 0.  Every variant draws the sum in closed
-        form, so the cost does not grow with the count.
+        form, so the cost does not grow with the count.  A variant refuses
+        before it allocates, so ``_refuse_undrawable`` checks a law with n = 0.
         """
         raise NotImplementedError
 
@@ -162,7 +163,13 @@ class GaussianLine(SamplerSpec):
 
     @property
     def s(self) -> float:
-        return math.sqrt(float(self.sigma) / (2 * math.pi**2))
+        """The line standard deviation; ValueError for a sigma past the float range."""
+        try:
+            return math.sqrt(float(self.sigma) / (2 * math.pi**2))
+        except OverflowError:
+            raise ValueError(
+                "gaussian draws leave the float range of the sampler: sigma is beyond about 1.8e308"
+            ) from None
 
     def exact_cf(self) -> StratifiedCF:
         return gaussian_cf(self.spec, self.sigma, self.mean)
@@ -171,13 +178,7 @@ class GaussianLine(SamplerSpec):
         # k copies sum to a normal law with mean k*mean and deviation sqrt(k)*s
         level = self.spec.level(depth)
         z = rng.standard_normal(n)
-        try:
-            with np.errstate(over="raise"):
-                z *= np.sqrt(counts) * self.s
-        except (OverflowError, FloatingPointError):
-            raise ValueError(
-                "gaussian draws leave the float range of the sampler: sigma is beyond about 1.8e308"
-            ) from None
+        z *= np.sqrt(counts) * self.s
         z /= float(level)
         if self.mean:  # a zero mean shifts nothing; skip the sort of array counts
             z += _multiples(self.mean, counts, level)
@@ -323,15 +324,19 @@ class SampleBatch:
         return np.mod(out, 1.0, out=out)
 
 
-def _refuse_int64_depth(spec: SteinitzSpec, depth: int) -> None:
-    """Refuse a depth whose tower level exceeds int64.
+def _refuse_undrawable(law: SamplerSpec, depth: int) -> None:
+    """Refuse, before any draw, a depth at which the law cannot be drawn.
 
-    Every term of the defining sequence is at least 2, so level(d) >= 2^d
-    exceeds int64 from d = 63 on, refused before any level is built.  Below
-    that, building the level raises DepthUnavailable for an invalid depth.
+    Every tower term is at least 2, so level(d) >= 2^d exceeds int64 from
+    d = 63 on, refused before any level is built; building a lower one
+    raises DepthUnavailable for an invalid depth.  Then a draw of no values
+    refuses what a real draw would: a haar fiber past int64
+    (``fiber_order``), a sigma past the float range.
     """
+    spec = law.ambient
     if 63 <= depth <= spec.max_depth or spec.level(depth) > np.iinfo(np.int64).max:
         raise DepthInsufficient(f"the tower level at depth {depth} exceeds int64")
+    law._draw_sum(0, 1, depth, np.random.default_rng(0))
 
 
 def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> SampleBatch:
@@ -345,8 +350,7 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
         raise ValueError("need at least one draw")
     if copies < 1:
         raise ValueError("need at least one copy")
-    spec = law.ambient
-    _refuse_int64_depth(spec, depth)
+    _refuse_undrawable(law, depth)
     if isinstance(seed, np.random.SeedSequence):
         record = f"{BIT_GENERATOR}(entropy={seed.entropy}, spawn_key={seed.spawn_key})"
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -354,7 +358,7 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
         record = f"{BIT_GENERATOR}(seed={seed})"
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     coords = law._draw_sum(n, copies, depth, rng)
-    return SampleBatch(spec, depth, coords, record)
+    return SampleBatch(law.ambient, depth, coords, record)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +411,17 @@ def required_depth(spec: SteinitzSpec, coeffs: Sequence[Rational], depth: int) -
 
 
 def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], depth: int | None = None) -> SampleBatch:
-    """Per-draw sum of coefficient-scaled batches, reported at a sound depth.
+    """Per-draw sum of coefficient-scaled batches, taken down to `depth`.
 
     ``batches`` may be any iterable with one batch per coefficient, such as
     a generator that draws them on demand; one batch is held at a time.
-    All batches must share spec, depth and size, and the coefficients pass
-    the check ``monte_carlo_equidist`` applies (ValueError otherwise): each
-    is an automorphism with a numerator of at most 2^53.  The result's depth
-    is the deepest level at which the truncated coordinate arithmetic agrees
-    with the true law of the linear form; pass `depth` to pick a shallower
-    one.
+    All batches must share spec, depth and size.  `depth` defaults to the
+    batches' own.  When the first batch arrives, before any sum, the
+    coefficients pass the check ``monte_carlo_equidist`` applies (ValueError
+    otherwise: each is an automorphism with a numerator of at most 2^53),
+    and the batches must be at least ``required_depth`` deep for `depth`
+    (DepthInsufficient otherwise), so that the truncated coordinate
+    arithmetic agrees with the true law of the linear form there.
     """
     coeffs = [Fraction(c) for c in coeffs]
     # A plain iterator, not zip(): zip's recycled result tuple would keep the
@@ -429,6 +434,12 @@ def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], dept
             raise ValueError("need one batch per coefficient")
         if total is None:
             spec, m_depth, n, record = b.spec, b.depth, b.n, b.seed_record
+            depth = m_depth if depth is None else depth
+            _sampled_counts(spec, coeffs)
+            if required_depth(spec, coeffs, depth) > m_depth:
+                raise DepthInsufficient(
+                    f"batches at depth {m_depth} are too shallow for an exact depth-{depth} linear form"
+                )
             total = np.zeros(n)
         elif b.spec != spec:
             raise SpecMismatch("batches live over different solenoids")
@@ -440,20 +451,6 @@ def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], dept
         raise ValueError("need one coefficient per batch")
     if total is None:
         raise ValueError("need at least one batch")
-    need = math.lcm(*(c.denominator for c, _ in _sampled_counts(spec, coeffs)))
-    if depth is None:
-        depth = next(
-            (d for d in range(m_depth, -1, -1) if (spec.level(m_depth) // spec.level(d)) % need == 0),
-            None,
-        )
-        if depth is None:
-            raise DepthInsufficient(
-                f"no depth at or below {m_depth} absorbs coefficient denominators {need}"
-            )
-    elif depth > m_depth or (spec.level(m_depth) // spec.level(depth)) % need:
-        raise DepthInsufficient(
-            f"batches at depth {m_depth} are too shallow for an exact depth-{depth} linear form"
-        )
     combined = SampleBatch(spec, m_depth, np.mod(total, 1.0), record)
     return combined.project(depth)
 
@@ -530,6 +527,12 @@ def _kuiper_p(v: float, n_eff: float) -> float:
 _TIE_GRID = float(1 << 40)
 
 
+def _refuse_past_tie_grid(spec: SteinitzSpec, depth: int) -> None:
+    """Refuse a Kuiper depth whose tower level exceeds the tie grid: there it no longer separates atoms."""
+    if spec.level(depth) > _TIE_GRID:
+        raise DepthInsufficient(f"the tower level at depth {depth} exceeds 2^40, the tie grid of the Kuiper test")
+
+
 def _snap(coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Quantize circle coordinates to a fixed binary grid.
 
@@ -560,7 +563,8 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     """Kuiper V statistic and asymptotic p-value for two coordinate batches.
 
     Both batches are taken down the tower to `depth` (by default their own)
-    and snapped to the tie grid.  A batch with atoms is compared through
+    and snapped to the tie grid; a depth whose tower level exceeds the grid
+    is refused (DepthInsufficient).  A batch with atoms is compared through
     them, each atom standing for its count of draws, and one without
     through its draws; either way V and p are the floats of the
     draw-by-draw comparison.  Atom values take the float steps of project
@@ -573,6 +577,7 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     if batch1.depth != batch2.depth:
         raise ValueError("batches must share a depth")
     depth = batch1.depth if depth is None else depth
+    _refuse_past_tie_grid(batch1.spec, depth)
     (a, a_counts), (b, b_counts) = _kuiper_sample(batch1), _kuiper_sample(batch2)
     keys = np.empty(a.shape[0] + b.shape[0], dtype=np.uint64)
     a_out, b_out = np.split(keys.view(np.float64), [a.shape[0]])
@@ -667,10 +672,10 @@ def monte_carlo_equidist(
     otherwise, NaN included).  Coefficients must be automorphisms with
     numerators of at most 2^53 (ValueError).  A depth whose tower level
     exceeds the 2^40 tie grid is refused before any draw (DepthInsufficient):
-    there the grid no longer separates the lattice's atoms.  So are a
-    sampling depth for the coefficients whose level exceeds int64
-    (DepthInsufficient) and a character the depth cannot resolve (the
-    errors of ``empirical_cf``).  The report keeps the reference and
+    there the grid no longer separates the lattice's atoms.  So are a law
+    that cannot be drawn at that depth or at the coefficients' sampling
+    depth (``_refuse_undrawable``) and a character the depth cannot resolve
+    (the errors of ``empirical_cf``).  The report keeps the reference and
     combined batches that were tested, and the flat coefficient system.
     """
     if not 0 < alpha < 1:  # NaN fails both comparisons
@@ -679,13 +684,10 @@ def monte_carlo_equidist(
     spec = law.ambient
     counts = _sampled_counts(spec, coeffs)
     distinct = [c for c, _ in counts]
-    _refuse_int64_depth(spec, depth)
-    if spec.level(depth) > _TIE_GRID:
-        raise DepthInsufficient(
-            f"the tower level at depth {depth} exceeds 2^40, the tie grid of the Kuiper test"
-        )
+    _refuse_undrawable(law, depth)
+    _refuse_past_tie_grid(spec, depth)
     deep = required_depth(spec, distinct, depth)
-    _refuse_int64_depth(spec, deep)
+    _refuse_undrawable(law, deep)
     chars = tuple(Fraction(y) for y in charset) if charset is not None else default_charset(spec, depth)
     _multipliers(spec, depth, chars)  # both batches are tested at `depth`
     children = np.random.SeedSequence(seed).spawn(len(counts) + 1)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from ._numpy import np
-from .charfun import NEG_INF, POS_INF, StratifiedCF, Stratum, SubgroupSpec, Term, build_cf
+from .charfun import NEG_INF, POS_INF, StratifiedCF, Stratum, SubgroupSpec, Term, _first_overlap, build_cf
 from .errors import ConfigError
 from .sampler import (
     ConvolutionOf,
@@ -305,6 +305,7 @@ def cf_from_json(spec: SteinitzSpec, obj, where: str = "cf") -> StratifiedCF:
 
     The value at zero is carried by the ``only_zero`` pieces and by an
     unflagged piece around zero: there must be one such piece, summing to 1.
+    Two pieces that overlap are named by their indices and the shared cell.
     """
     if not isinstance(obj, list):
         raise ConfigError(f"{where} must be a list of pieces")
@@ -328,25 +329,26 @@ def cf_from_json(spec: SteinitzSpec, obj, where: str = "cf") -> StratifiedCF:
                 )
             )
         read.append((stratum, minus_zero, terms))
-    pieces, at_zero = [], []
+    cells, at_zero = [], []
     try:
-        for stratum, minus_zero, terms in read:
+        for i, (stratum, minus_zero, terms) in enumerate(read):
             # each piece's own checks first, in order; an only_zero piece's as a whole cell's
             kept = build_cf(spec, [(Stratum.whole() if stratum is None else stratum, terms)]).pieces
-            if stratum is not None:
-                pieces.append((stratum, terms))
+            if stratum is not None and kept:
+                cells.append((i, stratum, terms))
             if kept and (stratum is None or (not minus_zero and _around_zero(stratum))):
-                at_zero.append((stratum, kept[0][1]))
-        f = build_cf(spec, pieces)
+                at_zero.append((i, kept[0][1]))
     except Exception as err:
         raise ConfigError(f"{where}: {err}") from None
-    at_zero.sort(key=lambda piece: piece[0] is None)  # a cell first, only_zero pieces after it
-    if len(at_zero) > 1:  # two cells around zero already overlap in build_cf
-        first = "{0}" if at_zero[0][0] is None else at_zero[0][0]
-        raise ConfigError(f"{where}: strata overlap: {first} and {{0}}")
+    overlap = _first_overlap(spec, [s for _, s, _ in cells])
+    if overlap is not None:
+        i, j, shared = overlap
+        raise ConfigError(f"{where}[{cells[i][0]}] and {where}[{cells[j][0]}] overlap on {shared}")
+    if len(at_zero) > 1:  # two cells around zero already overlap above
+        raise ConfigError(f"{where}[{at_zero[0][0]}] and {where}[{at_zero[1][0]}] overlap on {{0}}")
     if sum(t.weight for _, terms in at_zero for t in terms) != 1:
         raise ConfigError(f"{where}: a characteristic function must equal 1 at the zero character")
-    return f
+    return build_cf(spec, [(s, terms) for _, s, terms in cells])
 
 
 # ---------------------------------------------------------------------------

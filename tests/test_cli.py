@@ -234,7 +234,16 @@ class TestCheck:
         path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": pieces}))
         code, out, err = run_cli(capsys, "check", path)
         assert code == 2 and out == ""
-        assert "strata overlap: v_2>=0 and v_2=1" in err
+        assert "distribution.cf[0] and distribution.cf[1] overlap on v_2=1" in err
+        # a minus_zero piece's cell is the whole group too: the indices tell the pieces apart
+        pieces = [
+            {"stratum": [], "terms": [{"c": 1}]},
+            {"stratum": [], "terms": [{"c": 1, "sigma": 1}], "minus_zero": True},
+        ]
+        path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": pieces}))
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 2 and out == ""
+        assert "distribution.cf[0] and distribution.cf[1] overlap on whole dual group" in err
 
     def test_huge_prime_coefficient_is_not_an_automorphism(self, tmp_path, capsys):
         cfg = dict(GAUSS_HOLDS, coefficients=["1/1000000000000000003"])
@@ -561,6 +570,17 @@ class TestSimulate:
             ({}, "Unable to allocate"),  # 10^17 draws are 711 PiB, beyond any address space
             ({"simulation": {"n": 10**17, "charset": ["1/3"]}}, "CharacterOutsideGroup"),
             ({"coefficients": ["1/1152921504606846976"]}, "depth 64 exceeds int64"),  # 1/2^60
+            # a haar fiber that fits int64 at depth 4 but not at the sampling depth 5
+            ({"distribution": {"law": {"kind": "haar", "subgroup": {"2": 59}}}}, "at depth 5 has an order beyond int64"),
+            # a mixture whose gaussian part has sigma 10^324, past the float range
+            (
+                {"distribution": {"law": {
+                    "kind": "mixture",
+                    "weights": ["1/2", "1/2"],
+                    "parts": [{"kind": "haar", "subgroup": {"2": 0}}, {"kind": "gaussian", "sigma": "1" + "0" * 324}],
+                }}},
+                "gaussian draws leave the float range",
+            ),
         ],
     )
     def test_refusals_at_a_sample_size_beyond_memory_are_exit_2(self, tmp_path, capsys, patch, message):
@@ -777,6 +797,7 @@ def _v2(op, k):
 
 ONE, GAUSS = {"c": 1}, {"c": 1, "sigma": 1}
 NOT_ONE_AT_ZERO = "a characteristic function must equal 1 at the zero character"
+FIRST_TWO_OVERLAP = "distribution.cf[0] and distribution.cf[1] overlap on "
 
 
 # field -> (command, config holding the value v, the path the error names)
@@ -905,8 +926,8 @@ class TestConfigReaders:
                 1,
                 ("fails", "1", "not_of_form"),
             ),
-            ([_piece([], ONE, only_zero=True), _piece([], GAUSS)], 2, "strata overlap: whole dual group and {0}"),
-            ([_piece([], {"c": "1/2"}, only_zero=True)] * 2, 2, "strata overlap: {0} and {0}"),
+            ([_piece([], ONE, only_zero=True), _piece([], GAUSS)], 2, FIRST_TWO_OVERLAP + "{0}"),
+            ([_piece([], {"c": "1/2"}, only_zero=True)] * 2, 2, FIRST_TWO_OVERLAP + "{0}"),
             ([_piece([], {"c": 0}, only_zero=True)], 2, NOT_ONE_AT_ZERO),
             ([_piece([], {"c": 2}, {"c": -1, "shift": "1/2"}, only_zero=True)], 2, "term weights must be nonnegative"),
             ([_piece([], {"c": 1, "sigma": -1}, only_zero=True)], 2, "decay parameters must be nonnegative"),
@@ -914,7 +935,7 @@ class TestConfigReaders:
             ([_piece([], ONE, only_zero=True)], 0, ("holds", None, "gaussian_haar")),
             ([_piece([_v2("<=", 0)], ONE)], 2, NOT_ONE_AT_ZERO),
             ([_piece([_v2(">=", 0)], ONE)], 1, ("fails", "1", "gaussian_haar")),
-            ([_piece([_v2(">=", 0)], ONE), _piece([_v2("=", 1)], ONE)], 2, "strata overlap: v_2>=0 and v_2=1"),
+            ([_piece([_v2(">=", 0)], ONE), _piece([_v2("=", 1)], ONE)], 2, FIRST_TWO_OVERLAP + "v_2=1"),
             (
                 [_piece([_v2("<=", 0)], ONE, minus_zero=True), _piece([_v2(">=", 1)], ONE)],
                 0,

@@ -435,21 +435,46 @@ class TestLinearForm:
             monte_carlo_equidist(law, coeffs, n=10, depth=depth)
 
     @pytest.mark.parametrize(
-        "coeffs, charset, error, message",
+        "coeffs, charset, error, message, law",
         [
-            ([F(1, 2)] * 4, [F(1, 3)], CharacterOutsideGroup, "1/3 is not a character"),
-            ([F(1, 2)] * 4, [F(1, 32)], CharacterTooDeep, "needs more than the batch's 4 levels"),
-            ([F(1, 2)] * 4, [F(2**50)], CharacterTooDeep, "beyond 2\\^53 at depth 4"),
-            ([F(1, 2**60)], None, DepthInsufficient, "depth 64 exceeds int64"),  # the sampling depth
+            ([F(1, 2)] * 4, [F(1, 3)], CharacterOutsideGroup, "1/3 is not a character", GaussianLine(DYADIC, 1)),
+            (
+                [F(1, 2)] * 4,
+                [F(1, 32)],
+                CharacterTooDeep,
+                "needs more than the batch's 4 levels",
+                GaussianLine(DYADIC, 1),
+            ),
+            ([F(1, 2)] * 4, [F(2**50)], CharacterTooDeep, "beyond 2\\^53 at depth 4", GaussianLine(DYADIC, 1)),
+            # the sampling depth
+            ([F(1, 2**60)], None, DepthInsufficient, "depth 64 exceeds int64", GaussianLine(DYADIC, 1)),
+            # a fiber of order 2^63 at depth 4, 2^64 at the sampling depth 5
+            (
+                [F(1, 2)] * 4,
+                None,
+                DepthInsufficient,
+                "at depth 5 has an order beyond int64",
+                HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 59})),
+            ),
+            (
+                [F(1, 2)] * 4,
+                None,
+                ValueError,
+                "float range",
+                Mixture(
+                    (F(1, 2), F(1, 2)),
+                    (HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 0})), GaussianLine(DYADIC, 10**324)),
+                ),
+            ),
         ],
     )
-    def test_late_refusals_come_before_any_draw(self, monkeypatch, coeffs, charset, error, message):
+    def test_late_refusals_come_before_any_draw(self, monkeypatch, coeffs, charset, error, message, law):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a batch")
 
         monkeypatch.setattr(sampler, "sample", no_draw)
         with pytest.raises(error, match=message):
-            monte_carlo_equidist(GaussianLine(DYADIC, 1), coeffs, n=10, depth=4, charset=charset)
+            monte_carlo_equidist(law, coeffs, n=10, depth=4, charset=charset)
 
     def test_depth_at_the_tie_grid_still_runs(self):
         # level(40) = 2^40 is the grid itself
@@ -494,12 +519,12 @@ class TestLinearForm:
 
     def test_depth_projection_is_sound(self):
         # halves need one spare level: sampling at depth 4 supports an exact
-        # depth-3 linear form but not depth 4
+        # depth-3 linear form but not one at the batches' own depth 4
         batches = [sample(GaussianLine(DYADIC, 1), 4, 100, seed=s) for s in (1, 2, 3, 4)]
-        out = linear_form(batches, [F(1, 2)] * 4)
+        out = linear_form(batches, [F(1, 2)] * 4, depth=3)
         assert out.depth == 3
-        with pytest.raises(DepthInsufficient):
-            linear_form(batches, [F(1, 2)] * 4, depth=4)
+        with pytest.raises(DepthInsufficient, match="depth 4 are too shallow for an exact depth-4"):
+            linear_form(batches, [F(1, 2)] * 4)
 
     def test_gaussian_halves_reproduce_gaussian(self):
         # four independent copies scaled by 1/2 have the same law
@@ -532,8 +557,8 @@ class TestLinearForm:
     def test_generator_of_batches_matches_list(self):
         coeffs = [F(1, 2), F(-1, 2), F(1, 2), F(1, 2)]
         batches = [sample(GaussianLine(DYADIC, 1), 4, 100, seed=s) for s in (1, 2, 3, 4)]
-        listed = linear_form(batches, coeffs)
-        drawn = linear_form((b for b in batches), coeffs)
+        listed = linear_form(batches, coeffs, depth=3)
+        drawn = linear_form((b for b in batches), coeffs, depth=3)
         assert drawn.depth == listed.depth == 3
         assert drawn.seed_record == listed.seed_record
         assert np.array_equal(drawn.coords, listed.coords)
@@ -542,7 +567,22 @@ class TestLinearForm:
     def test_generator_length_must_match_coefficients(self, count):
         batches = (sample(GaussianLine(DYADIC, 1), 4, 100, seed=s) for s in range(count))
         with pytest.raises(ValueError):
-            linear_form(batches, [F(1, 2)] * 4)
+            linear_form(batches, [F(1, 2)] * 4, depth=3)
+
+    @pytest.mark.parametrize(
+        "coeffs, depth, error, message",
+        [
+            ([F(1, 3), 1], 3, ValueError, "1/3 is not an automorphism"),
+            ([F(1, 2), F(1, 2)], None, DepthInsufficient, "too shallow"),
+        ],
+    )
+    def test_coefficients_and_depth_are_checked_at_the_first_batch(self, coeffs, depth, error, message):
+        def batches():
+            yield sample(GaussianLine(DYADIC, 1), 4, 10, seed=0)
+            raise AssertionError("advanced past the first batch")
+
+        with pytest.raises(error, match=message):
+            linear_form(batches(), coeffs, depth=depth)
 
 
 class TestKuiper:
@@ -590,6 +630,15 @@ class TestKuiper:
         b = sample(GaussianLine(SteinitzSpec.of({3: math.inf}), 1), 3, 100, seed=1)
         with pytest.raises(SpecMismatch):
             kuiper_two_sample(a, b)
+
+    def test_depth_past_the_tie_grid_is_refused(self):
+        # the points 0 and 1/16 lie 2^-48 apart at depth 44, closer than the
+        # 2^-40 grid, which would merge them into one atom
+        a = sample(Degenerate(embed_real(DYADIC, 0)), 44, 1000, seed=0)
+        b = sample(Degenerate(embed_real(DYADIC, F(1, 16))), 44, 1000, seed=1)
+        for depth in (None, 41):
+            with pytest.raises(DepthInsufficient, match=r"depth \d+ exceeds 2\^40, the tie grid"):
+                kuiper_two_sample(a, b, depth)
 
     def test_depth_mismatch_rejected(self):
         a = sample(GaussianLine(DYADIC, 1), 3, 100, seed=1)

@@ -314,7 +314,7 @@ class TestBatchesAndReports:
             sample(GaussianLine(DYADIC, F(1, 3), mean=F(1, 5)), 3, n, 7),
             sample(HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 0})), 3, n, 7),
             # atoms one ulp apart, as a linear form of draws leaves them
-            linear_form([sample(haar, 3, n, 7), sample(haar, 3, n, 8)], [F(2, 3), F(1, 3)]),
+            linear_form([sample(haar, 3, n, 7), sample(haar, 3, n, 8)], [F(2, 3), F(1, 3)], depth=1),
             SampleBatch(DYADIC, 3, np.random.default_rng(n).choice(atoms, n), "hand built"),
         ]
         for batch in batches:

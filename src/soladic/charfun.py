@@ -129,12 +129,13 @@ class Stratum:
             return None
         return Stratum.of(windows)
 
+    def floor(self, p: int, spec: SteinitzSpec) -> int | float:
+        """The least valuation at p of a character in the cell: the larger of lo_p and -multiplicity(p)."""
+        return max(self.window(p)[0], -spec.multiplicity(p))
+
     def feasible(self, spec: SteinitzSpec) -> bool:
         """Whether the stratum holds at least one character."""
-        for p, lo, hi in self.bounds:
-            if max(lo, -spec.multiplicity(p)) > hi:
-                return False
-        return True
+        return all(self.floor(p, spec) <= hi for p, _, hi in self.bounds)
 
     def members(self, spec: SteinitzSpec) -> list[Fraction]:
         """Deterministic members, the cell's one probe list, at most ``MAX_PROBES``.
@@ -150,13 +151,13 @@ class Stratum:
         if not self.feasible(spec):
             return []
         axes: list[list[int]] = []
-        for p, lo, hi in self.bounds:
-            eff_lo = max(lo, -spec.multiplicity(p))
-            if eff_lo == NEG_INF:
+        for p, _, hi in self.bounds:
+            floor = self.floor(p, spec)
+            if floor == NEG_INF:
                 top = 0 if hi == POS_INF else int(hi)
                 exps = [top, top - 1, top - 3]
             else:
-                exps = [int(eff_lo) + d for d in range(3) if eff_lo + d <= hi]
+                exps = [int(floor) + d for d in range(3) if floor + d <= hi]
             axes.append(exps)
         units = [u for u in (1, 3, 5, 7, 11, 13, 2, 9) if math.gcd(u, math.prod(self.primes)) == 1]
         signed = (
@@ -286,12 +287,8 @@ class SubgroupSpec:
 
 def subgroup_generated_by(spec: SteinitzSpec, stratum: Stratum) -> SubgroupSpec:
     """Smallest lower-bound subgroup containing the stratum."""
-    table = {}
-    for p, lo, hi in stratum.bounds:
-        eff_lo = max(lo, -spec.multiplicity(p))
-        if eff_lo != NEG_INF:
-            table[p] = int(eff_lo)
-    return SubgroupSpec.of(spec, table)
+    floors = {p: stratum.floor(p, spec) for p in stratum.primes}
+    return SubgroupSpec.of(spec, {p: int(floor) for p, floor in floors.items() if floor != NEG_INF})
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +582,20 @@ def compare(f: StratifiedCF, g: StratifiedCF) -> Comparison:
 def _shift_witness(spec: SteinitzSpec, cell: Stratum, d: Fraction) -> Fraction:
     """A member y of the cell, built from its valuation floors, with d * y not an integer where one can be.
 
-    The floor at p is max(lo_p, -multiplicity(p)).  The first prime r whose
+    The floor at p is ``Stratum.floor``.  The first prime r whose
     floor plus v_r(d) is negative gets that floor, or -v_r(d) - 1 capped by
     hi_r when r is unbounded below; every other constrained prime gets its
     floor, or its upper end when it has none.  Two single-term forms that
     differ only in their shifts, by d, then differ at y.
     """
     exps = {}
-    for p, lo, hi in cell.bounds:
-        floor = max(lo, -spec.multiplicity(p))
+    for p, _, hi in cell.bounds:
+        floor = cell.floor(p, spec)
         exps[p] = hi if floor == NEG_INF else floor
     for r in sorted({*spec.primes, *cell.primes}):
-        lo, hi = cell.window(r)
-        floor = max(lo, -spec.multiplicity(r))
+        floor = cell.floor(r, spec)
         if floor + valuation(d, r) < 0:
-            exps[r] = min(-valuation(d, r) - 1, hi) if floor == NEG_INF else floor
+            exps[r] = min(-valuation(d, r) - 1, cell.window(r)[1]) if floor == NEG_INF else floor
             break
     return math.prod((Fraction(p) ** int(e) for p, e in exps.items()), start=Fraction(1))
 
@@ -654,15 +650,15 @@ def support_as_subgroup(f: StratifiedCF) -> SupportCheck:
 
     It is one iff it covers the join of the subgroups its strata generate;
     else the ``members`` of its strata, the probes ``compare`` uses, are
-    paired to find a sum outside it.  A multi-term piece's support can be
-    smaller than its stratum (phases may cancel at points), so it yields an
-    honest "unknown".
+    paired to find a sum outside it.  A piece whose ``_canonical_terms``
+    share one shift is a character times positive gaussians, nonzero on its
+    cell; several phases may cancel at points, so they yield an "unknown".
     """
     spec = f.spec
-    pieces = [(s, terms) for s, terms in f.pieces if terms]
-    if any(len(terms) > 1 for _, terms in pieces):
-        return SupportCheck("unknown", note="multi-term strata may vanish at points")
-    boxes = [s for s, _ in pieces]
+    for s, terms in f.pieces:
+        if len({t.shift for t in _canonical_terms(spec, s, terms)}) > 1:
+            return SupportCheck("unknown", note=f"terms of several phases may cancel on {s}")
+    boxes = [s for s, _ in f.pieces]
     if not boxes:
         return SupportCheck("subgroup", SubgroupSpec.zero(spec))
     generated = [subgroup_generated_by(spec, s) for s in boxes]
@@ -712,10 +708,11 @@ def _division_invariance(spec: SteinitzSpec, subgroup: SubgroupSpec) -> bool | N
 def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     """Try to write f as exp(-sigma y^2) * (shift character) * (subgroup indicator).
 
-    The support must be a subgroup and every weight 1.  The candidate takes
-    sigma and the shift from a piece whose cell generates the support (one
-    always does) and is then decided by ``compare``, so pieces whose shifts
-    differ by characters trivial on their own cell still decompose.  The
+    The support must be a subgroup and each piece's ``_canonical_terms`` one
+    term of weight 1.  The candidate takes sigma and the shift from the
+    canonical term of a piece whose cell generates the support (one always
+    does) and is then decided by ``compare``, so pieces whose shifts differ
+    by characters trivial on their own cell still decompose.  The
     witness is the support's pair when it is not a subgroup, or the character
     where f and the candidate differ.  Every outcome carries the
     ``support_as_subgroup`` check it was decided from, so callers read the
@@ -735,15 +732,15 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     invariant = _division_invariance(f.spec, subgroup)
     if subgroup.trivial:
         return decided("gaussian_haar", Fraction(0), Fraction(0), subgroup, invariant)
-    pieces = [(s, terms[0]) for s, terms in f.pieces if terms]
-    for _, term in pieces:  # single-term guaranteed by the support check
-        if term.weight != 1:
+    canonical = [(s, _canonical_terms(f.spec, s, terms)) for s, terms in f.pieces]
+    for _, terms in canonical:
+        if len(terms) == 1 and terms[0].weight != 1:
             return decided(
                 "not_of_form",
-                reason=f"piecewise weights are not identically 1 (found {term.weight})",
+                reason=f"piecewise weights are not identically 1 (found {terms[0].weight})",
             )
-    base = next(t for s, t in pieces if subgroup_generated_by(f.spec, s) == subgroup)
-    sigma, shift = base.decay, subgroup.reduce_shift(base.shift)
+    base = next(terms[0] for s, terms in canonical if subgroup_generated_by(f.spec, s) == subgroup)
+    sigma, shift = base.decay, base.shift
     cmp = compare(f, gaussian_cf(f.spec, sigma, shift) * haar_cf(subgroup))
     if cmp.verdict == "unknown":
         return decided("unknown", reason=cmp.note)

@@ -34,6 +34,7 @@ from .charfun import (
     EquationCheck,
     StratifiedCF,
     SubgroupSpec,
+    _canonical_terms,
     _check_counts,
     check_equidistribution,
     decompose_gaussian_haar,
@@ -472,11 +473,11 @@ def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
     where the only automorphisms are the sign flips, so every linear form
     collapses to a signed sum, checked as the pairs (1, m_plus), (-1, m_minus).
     When the equation holds the law must be a shift of a subgroup Haar
-    measure: |f| must be 1 on the support, and the order d of the lattice
-    d * Z and the shift are read from ``decompose_gaussian_haar``.  Its
-    failures return its witness (a pair whose sum leaves the support, or a
-    character where the phases disagree); its unknowns, multi-term pieces
-    among them, are reported as unknown.
+    measure: each piece's ``_canonical_terms`` must be one term of weight 1
+    and decay 0, and the order d of the lattice d * Z and the shift are
+    read from ``decompose_gaussian_haar``.  Its failures return its witness
+    (a pair whose sum leaves the support, or a character where the phases
+    disagree); its unknowns are reported as unknown.
     """
     spec = f.spec
     if spec.primes:
@@ -503,9 +504,9 @@ def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
     dec = decompose_gaussian_haar(f)
     if dec.kind == "unknown":
         return CircleCheck("unknown", note=dec.reason)
-    for s, terms in f.pieces:  # single-term once the decomposition is decided
-        t = terms[0]
-        if t.weight != 1 or t.decay != 0:
+    for s, terms in f.pieces:
+        canonical = _canonical_terms(spec, s, terms)
+        if len(canonical) != 1 or canonical[0].weight != 1 or canonical[0].decay != 0:
             raise SoundnessError(
                 f"the equation held although |f| differs from 1 on {s}; "
                 f"the equation checker is defective"

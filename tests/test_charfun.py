@@ -52,6 +52,8 @@ BLURRED_TWO_LEVEL = gaussian_cf(TWO_THREE, F(1, 10)) * mixture(
     [F(1, 2), F(1, 2)],
     [haar_cf(SubgroupSpec.of(TWO_THREE, {2: -1})), haar_cf(SubgroupSpec.of(TWO_THREE, {2: 0}))],
 )
+#: gaussians of two decays mixed: one phase, so nonzero everywhere
+TWO_GAUSSIANS = mixture([F(1, 2), F(1, 2)], [gaussian_cf(DYADIC, 1), gaussian_cf(DYADIC, 2)])
 #: a cf with several terms on more than one stratum
 MULTI_TERM = mixture(
     [F(1, 3), F(1, 3), F(1, 3)],
@@ -190,6 +192,19 @@ class TestStratum:
         c = a.intersect(b)
         assert c == Stratum.of({2: (0, 2), 3: (1, POS_INF)})
         assert a.intersect(Stratum.of({2: (-3, -1)})) is None
+
+    @pytest.mark.parametrize(
+        "spec, p, floor",
+        [
+            (DYADIC, 2, NEG_INF),
+            (TWO_THREE, 3, -2),
+            (SteinitzSpec.of({2: 1, 3: math.inf}), 2, -1),
+            (DYADIC, 3, 0),
+        ],
+        ids=["unbounded", "window", "finite-multiplicity", "outside-the-table"],
+    )
+    def test_floor_is_the_window_or_the_group_bound(self, spec, p, floor):
+        assert Stratum.of({2: (NEG_INF, 4), 3: (-2, POS_INF)}).floor(p, spec) == floor
 
     def test_feasible_respects_group_floor(self):
         deep = Stratum.of({2: (NEG_INF, -2)})
@@ -842,7 +857,15 @@ class TestSupport:
                 (Stratum.of({2: (1, POS_INF)}), [Term(F(1), F(0), F(0))]),
             ],
         )
-        assert support_as_subgroup(f).kind == "unknown"
+        # the phases 0 and 1/2 cancel on every odd integer
+        sc = support_as_subgroup(f)
+        assert sc.kind == "unknown"
+        assert sc.note == "terms of several phases may cancel on v_2=0"
+
+    def test_one_phase_piece_vanishes_nowhere(self):
+        sc = support_as_subgroup(TWO_GAUSSIANS)
+        assert sc.kind == "subgroup"
+        assert sc.subgroup == SubgroupSpec.whole(DYADIC)
 
 
 class TestDecomposition:
@@ -877,6 +900,20 @@ class TestDecomposition:
         assert d2.p_invariant is True
         d3 = decompose_gaussian_haar(gaussian_cf(TWO_THREE, 1))
         assert d3.p_invariant is None  # two unbounded primes, no single scale
+
+    def test_gaussians_of_two_decays_are_not_of_form(self):
+        d = decompose_gaussian_haar(TWO_GAUSSIANS)
+        assert d.kind == "not_of_form"
+        assert d.witness == 1
+        assert compare(TWO_GAUSSIANS, gaussian_cf(DYADIC, 1)) == Comparison("differs", F(1))
+
+    def test_terms_that_agree_on_their_cell_decompose(self):
+        # the shifts 0 and 1 give every character of v_2 >= 0 the same phase
+        halves = [Term(F(1, 2), F(0), F(0)), Term(F(1, 2), F(0), F(1))]
+        f = build_cf(DYADIC, [(Stratum.of({2: (0, POS_INF)}), halves)])
+        d = decompose_gaussian_haar(f)
+        assert d.kind == "gaussian_haar"
+        assert (d.subgroup, d.shift, d.sigma) == (SubgroupSpec.of(DYADIC, {2: 0}), 0, 0)
 
     def test_mixture_is_not_of_form(self):
         f = mixture(

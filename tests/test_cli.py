@@ -144,6 +144,16 @@ class TestCheck:
         assert doc["equation"]["verdict"] == "fails"
         assert doc["equation"]["witness"] is not None
 
+    def test_two_gaussian_mixture_is_not_of_form(self, tmp_path, capsys):
+        gaussians = [{"kind": "gaussian", "sigma": sigma} for sigma in (1, 2)]
+        law = {"kind": "mixture", "weights": ["1/2", "1/2"], "parts": gaussians}
+        path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"law": law}))
+        code, out, _ = run_cli(capsys, "check", path)
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["equation"]["witness"] == "1"
+        assert doc["decomposition"]["kind"] == "not_of_form"
+
     def test_explicit_cf_distribution(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -515,6 +515,13 @@ class TestCircleCheck:
         assert out.kind == "fails"
         assert "not a subgroup" in out.note
 
+    def test_cancelling_phases_stay_unknown(self):
+        # half the point mass at 0, half at 1/2: 1 on even and 0 on odd integers
+        f = mixture([F(1, 2), F(1, 2)], [gaussian_cf(CIRCLE, 0), gaussian_cf(CIRCLE, 0, F(1, 2))])
+        out = circle_check(2, 1, f)
+        assert out.kind == "unknown"
+        assert out.note == "terms of several phases may cancel on whole dual group"
+
     def test_incoherent_phases_are_caught(self):
         f = build_cf(
             CIRCLE,

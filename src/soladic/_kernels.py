@@ -30,6 +30,9 @@ _TWO_PI = 2.0 * math.pi
 #: draws per block of cf_sums; the block sums fix its summation order
 CF_CHUNK_ROWS = 1 << 16
 
+#: rows per block of a sampler draw; the draws do not depend on it
+DRAW_CHUNK_ROWS = 1 << 16
+
 #: pooled keys per block of the Kuiper scan
 SCAN_CHUNK_ROWS = 1 << 16
 

@@ -745,12 +745,15 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     if cmp.verdict == "unknown":
         return decided("unknown", reason=cmp.note)
     if cmp.verdict == "differs":
-        return decided(
-            "not_of_form",
-            reason=f"parameters vary across the support: at character {cmp.witness} f "
-            f"differs from the gaussian of sigma {sigma} and shift {shift} on {subgroup}",
-            witness=cmp.witness,
-        )
+        # the support check leaves each piece one phase, so several terms are several decays
+        cell, terms = next((s, terms) for s, terms in canonical if s.contains(cmp.witness))
+        found = f"at character {cmp.witness} f differs from the gaussian of sigma {sigma} and shift {shift}"
+        if len(terms) > 1:
+            decays = ", ".join(str(t.decay) for t in terms)
+            reason = f"the piece on {cell} is not one gaussian: its terms have decays {decays}; {found}"
+        else:
+            reason = f"parameters vary across the support: {found} on {subgroup}"
+        return decided("not_of_form", reason=reason, witness=cmp.witness)
     return decided("gaussian_haar", shift, sigma, subgroup, invariant)
 
 

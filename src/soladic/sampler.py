@@ -6,6 +6,12 @@ shift, convolution).  Every variant knows its own exact characteristic
 function, which is what the statistical checks compare against: draws are
 depth-N circle coordinates in [0,1), reproducible bit-for-bit from
 (law, depth, n, seed) via independent split random streams.
+
+A draw allocates its n coordinates once and fills them a block of
+``_kernels.DRAW_CHUNK_ROWS`` rows at a time, each stream continuing from
+block to block, so the draws do not depend on the block size.  Memory is
+8 bytes per draw for the batch plus block-sized temporaries, whatever the
+law tree.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _kernels
 from ._numpy import np
@@ -46,15 +52,39 @@ class SamplerSpec:
     def exact_cf(self) -> StratifiedCF:
         raise NotImplementedError
 
+    def _block_adder(self, depth: int, rng: np.random.Generator) -> Callable[[np.ndarray, object], None]:
+        """The block step of one draw of the law at `depth` from `rng`.
+
+        This runs once per draw: it spawns the streams of the law's parts and
+        refuses what the draw cannot do (a haar fiber past int64, a sigma
+        past the float range).  The step ``add(out, counts)`` then adds to
+        each row of `out` the sum of its `counts` i.i.d. copies of the law,
+        `counts` being one int or an int64 array of len(out).  Consecutive
+        steps continue every stream, so the rows do not depend on how a draw
+        is cut into blocks.
+        """
+        raise NotImplementedError
+
     def _draw_sum(self, n: int, counts, depth: int, rng: np.random.Generator) -> np.ndarray:
         """n depth-N coordinates, each the sum of `counts` i.i.d. copies of the law.
 
         `counts` is one int for all n draws, or an int64 array of length n;
         a count of 0 gives exactly 0.  Every variant draws the sum in closed
-        form, so the cost does not grow with the count.  A variant refuses
-        before it allocates, so ``_refuse_undrawable`` checks a law with n = 0.
+        form, so the cost does not grow with the count.  The law refuses
+        before the n coordinates are allocated, so ``_refuse_undrawable``
+        checks it with n = 0; they are then filled a block at a time.
         """
-        raise NotImplementedError
+        add = self._block_adder(depth, rng)
+        out = np.zeros(n)
+        for rows in _row_blocks(n):
+            add(out[rows], counts if np.ndim(counts) == 0 else counts[rows])
+        return out
+
+
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_kernels.DRAW_CHUNK_ROWS`` rows that cover range(n)."""
+    step = _kernels.DRAW_CHUNK_ROWS
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 def _multiples(r: Fraction, counts, level: int) -> np.ndarray:
@@ -80,8 +110,13 @@ class Degenerate(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return gaussian_cf(self.ambient, 0, self.x)
 
-    def _draw_sum(self, n, counts, depth, rng):
-        return np.zeros(n) + _multiples(self.x.real_value, counts, self.ambient.level(depth))
+    def _block_adder(self, depth, rng):
+        x, level = self.x.real_value, self.ambient.level(depth)
+
+        def add(out, counts):
+            out += _multiples(x, counts, level)
+
+        return add
 
 
 @dataclass(frozen=True)
@@ -105,14 +140,15 @@ class HaarAnnihilator(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return haar_cf(self.E)
 
-    def _draw_sum(self, n, counts, depth, rng):
-        if self.E.trivial:
-            out = rng.random(n)
-        else:
-            d = fiber_order(self.E, depth)
-            out = rng.integers(0, d, size=n) / d
-        out *= np.asarray(counts) > 0
-        return out
+    def _block_adder(self, depth, rng):
+        d = None if self.E.trivial else fiber_order(self.E, depth)
+
+        def add(out, counts):
+            x = rng.random(len(out)) if d is None else rng.integers(0, d, size=len(out)) / d
+            x *= np.asarray(counts) > 0
+            out += x
+
+        return add
 
 
 def fiber_order(subgroup: SubgroupSpec, depth: int) -> int:
@@ -174,15 +210,19 @@ class GaussianLine(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return gaussian_cf(self.spec, self.sigma, self.mean)
 
-    def _draw_sum(self, n, counts, depth, rng):
+    def _block_adder(self, depth, rng):
         # k copies sum to a normal law with mean k*mean and deviation sqrt(k)*s
-        level = self.spec.level(depth)
-        z = rng.standard_normal(n)
-        z *= np.sqrt(counts) * self.s
-        z /= float(level)
-        if self.mean:  # a zero mean shifts nothing; skip the sort of array counts
-            z += _multiples(self.mean, counts, level)
-        return np.mod(z, 1.0, out=z)
+        s, level = self.s, self.spec.level(depth)
+
+        def add(out, counts):
+            z = rng.standard_normal(len(out))
+            z *= np.sqrt(counts) * s
+            z /= float(level)
+            if self.mean:  # a zero mean shifts nothing; skip the sort of array counts
+                z += _multiples(self.mean, counts, level)
+            out += np.mod(z, 1.0, out=z)
+
+        return add
 
 
 @dataclass(frozen=True)
@@ -202,16 +242,21 @@ class Mixture(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return cf_mixture(self.weights, [p.exact_cf() for p in self.parts])
 
-    def _draw_sum(self, n, counts, depth, rng):
+    def _block_adder(self, depth, rng):
         # split each draw's copies among the parts; a part that receives
         # none of a draw's copies adds exactly 0 to it
         probs = np.array([float(w) for w in self.weights])
         probs /= probs.sum()
-        split = rng.multinomial(counts, probs, size=None if np.ndim(counts) else n)
-        out = np.zeros(n)
-        for part, child, k in zip(self.parts, rng.spawn(len(self.parts)), split.T):
-            out += part._draw_sum(n, k, depth, child)
-        return np.mod(out, 1.0, out=out)
+        adders = [part._block_adder(depth, child) for part, child in zip(self.parts, rng.spawn(len(self.parts)))]
+
+        def add(out, counts):
+            split = rng.multinomial(counts, probs, size=None if np.ndim(counts) else len(out))
+            total = np.zeros(len(out))
+            for add_part, k in zip(adders, split.T):
+                add_part(total, k)
+            out += np.mod(total, 1.0, out=total)
+
+        return add
 
 
 @dataclass(frozen=True)
@@ -232,10 +277,17 @@ class Shifted(SamplerSpec):
     def exact_cf(self) -> StratifiedCF:
         return gaussian_cf(self.ambient, 0, self.x) * self.law.exact_cf()
 
-    def _draw_sum(self, n, counts, depth, rng):
-        out = self.law._draw_sum(n, counts, depth, rng)
-        out += _multiples(self.x.real_value, counts, self.ambient.level(depth))
-        return np.mod(out, 1.0, out=out)
+    def _block_adder(self, depth, rng):
+        add_law = self.law._block_adder(depth, rng)
+        x, level = self.x.real_value, self.ambient.level(depth)
+
+        def add(out, counts):
+            total = np.zeros(len(out))
+            add_law(total, counts)
+            total += _multiples(x, counts, level)
+            out += np.mod(total, 1.0, out=total)
+
+        return add
 
 
 @dataclass(frozen=True)
@@ -261,16 +313,16 @@ class ConvolutionOf(SamplerSpec):
             out = out * p.exact_cf()
         return out
 
-    def _draw_sum(self, n, counts, depth, rng):
-        total = np.zeros(n)
-        for part, child in zip(self.parts, rng.spawn(len(self.parts))):
-            total += part._draw_sum(n, counts, depth, child)
-        return np.mod(total, 1.0, out=total)
+    def _block_adder(self, depth, rng):
+        adders = [part._block_adder(depth, child) for part, child in zip(self.parts, rng.spawn(len(self.parts)))]
 
+        def add(out, counts):
+            total = np.zeros(len(out))
+            for add_part in adders:
+                add_part(total, counts)
+            out += np.mod(total, 1.0, out=total)
 
-def exact_cf_of(law: SamplerSpec) -> StratifiedCF:
-    """The true characteristic function of the sampling law."""
-    return law.exact_cf()
+        return add
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +396,8 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
 
     With `copies` = k each coordinate is the sum of k independent draws of
     the law, drawn in closed form as one draw of the k-fold convolution, so
-    the cost does not grow with k.
+    the cost does not grow with k.  The n coordinates are allocated once,
+    after the law is checked, and filled a block of rows at a time.
     """
     if n < 1:
         raise ValueError("need at least one draw")
@@ -414,7 +467,8 @@ def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], dept
     """Per-draw sum of coefficient-scaled batches, taken down to `depth`.
 
     ``batches`` may be any iterable with one batch per coefficient, such as
-    a generator that draws them on demand; one batch is held at a time.
+    a generator that draws them on demand; one batch is held at a time, and
+    it is scaled a block of rows at a time into the running sum.
     All batches must share spec, depth and size.  `depth` defaults to the
     batches' own.  When the first batch arrives, before any sum, the
     coefficients pass the check ``monte_carlo_equidist`` applies (ValueError
@@ -445,13 +499,15 @@ def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], dept
             raise SpecMismatch("batches live over different solenoids")
         elif b.depth != m_depth or b.n != n:
             raise ValueError("batches must share depth and size")
-        total += b.coords * float(c)
+        scale = float(c)
+        for rows in _row_blocks(n):
+            total[rows] += b.coords[rows] * scale
         del b
     if next(batches, None) is not None:
         raise ValueError("need one coefficient per batch")
     if total is None:
         raise ValueError("need at least one batch")
-    combined = SampleBatch(spec, m_depth, np.mod(total, 1.0), record)
+    combined = SampleBatch(spec, m_depth, np.mod(total, 1.0, out=total), record)
     return combined.project(depth)
 
 
@@ -625,11 +681,6 @@ class EquidistReport:
     verdict: str  # "consistent" | "inconsistent"
     reference: SampleBatch = field(repr=False)
     combined: SampleBatch = field(repr=False)
-
-    @property
-    def min_adjusted_p(self) -> float:
-        rows = list(self.character_rows) + list(self.kuiper_rows)
-        return min(r.adjusted_p for r in rows)
 
 
 def _two_sample_cf_p(n: int, gap: float) -> float:

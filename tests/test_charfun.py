@@ -905,6 +905,8 @@ class TestDecomposition:
         d = decompose_gaussian_haar(TWO_GAUSSIANS)
         assert d.kind == "not_of_form"
         assert d.witness == 1
+        # one cell, one phase: no parameter varies, the piece is a sum of two gaussians
+        assert d.reason.startswith("the piece on whole dual group is not one gaussian: its terms have decays 1, 2;")
         assert compare(TWO_GAUSSIANS, gaussian_cf(DYADIC, 1)) == Comparison("differs", F(1))
 
     def test_terms_that_agree_on_their_cell_decompose(self):

@@ -153,6 +153,7 @@ class TestCheck:
         assert code == 1
         assert doc["equation"]["witness"] == "1"
         assert doc["decomposition"]["kind"] == "not_of_form"
+        assert "is not one gaussian: its terms have decays 1, 2" in doc["decomposition"]["reason"]
 
     def test_explicit_cf_distribution(self, tmp_path, capsys):
         path = write_config(
@@ -372,6 +373,49 @@ class TestSimulate:
         }
         for side, digest in digests.items():
             assert hashlib.sha256((tmp_path / f"gaussian.{side}.csv").read_bytes()).hexdigest() == digest
+
+    # the CI determinism step's lattice and shifted configs: mixture draws, a
+    # nonzero-mean gaussian and a shifted point, whose exact shifts take array counts
+    PINNED_MIXTURES = {
+        "lattice": (
+            {
+                "solenoid": {"2": "inf", "3": "inf"},
+                "coefficients": ["2/3", "2/3", "1/3"],
+                "distribution": {"law": {"kind": "mixture", "weights": ["1/2", "1/2"], "parts": [
+                    {"kind": "haar", "subgroup": {"2": -1}},
+                    {"kind": "haar", "subgroup": {"2": 0}},
+                ]}},
+                "simulation": {"n": 100000, "depth": 4, "seed": 0, "alpha": 0.01},
+            },
+            "0c8f8321b3d81710956f877867be6e4ed21c9d92082e8808f1df1ed785d443c4",
+            "cfe9c86866dd78c0c101a86c7eda52e5cfeeac8388e590a427111c28429a8a59",
+        ),
+        "shifted": (
+            {
+                "solenoid": {"2": "inf"},
+                "coefficients": ["1"],
+                "distribution": {"law": {"kind": "mixture", "weights": ["1/3", "2/3"], "parts": [
+                    {"kind": "gaussian", "sigma": "1/10", "mean": "7/3"},
+                    {"kind": "shifted", "point": {"depth": 1, "coord": "1/3"},
+                     "law": {"kind": "degenerate", "point": {"depth": 0, "coord": "1/2"}}},
+                ]}},
+                "simulation": {"n": 100000, "depth": 4, "seed": 0, "alpha": 0.01},
+            },
+            "41238edd390db59fa019135fc437abc6d18e2e62368c1b03f1b99e09350a1ccf",
+            "c813e9df0b2e458b1dcd392ab59d58f605647f7234d3a4295e7074f4646e6e4e",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_MIXTURES))
+    def test_mixture_run_matches_pinned_fixture(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.delenv("SOLADIC_SEED", raising=False)
+        doc, reference, combined = self.PINNED_MIXTURES[name]
+        path = write_config(tmp_path, doc, f"{name}.json")
+        code, out, _ = run_cli(capsys, "simulate", path)
+        assert code == 0
+        assert out == (FIXTURES / f"simulate_{name}.stdout").read_text()
+        for side, digest in (("reference", reference), ("combined", combined)):
+            assert hashlib.sha256((tmp_path / f"{name}.{side}.csv").read_bytes()).hexdigest() == digest
 
     def test_inconsistent_exits_1(self, tmp_path, capsys):
         broken = dict(

@@ -24,7 +24,7 @@ from soladic.errors import (
     DepthUnavailable,
     SpecMismatch,
 )
-from soladic import sampler
+from soladic import _kernels, sampler
 from soladic.sampler import (
     ConvolutionOf,
     Degenerate,
@@ -36,7 +36,6 @@ from soladic.sampler import (
     Shifted,
     default_charset,
     empirical_cf,
-    exact_cf_of,
     fiber_order,
     kuiper_two_sample,
     linear_form,
@@ -118,6 +117,16 @@ VARIANT_IDS = [
     "convolution",
     "nested",
 ]
+
+
+# past 2^32 a haar fiber takes rng.integers' 64-bit path
+HAAR_PAST_2_32 = HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 30}))
+BLOCK_LAWS = ALL_VARIANTS + [
+    NESTED,
+    HAAR_PAST_2_32,
+    Mixture((F(1, 2), F(1, 2)), (HAAR_PAST_2_32, GaussianLine(DYADIC, 1, mean=F(-7, 3)))),
+]
+BLOCK_IDS = VARIANT_IDS + ["haar-past-2^32", "mixture-past-2^32"]
 
 
 class TestSampling:
@@ -223,6 +232,36 @@ class TestDrawSum:
         assert np.all(out[counts == 0] == 0.0)
         assert np.all((out >= 0.0) & (out < 1.0))
 
+    @pytest.mark.parametrize("copies", [1, 3])
+    @pytest.mark.parametrize("law", BLOCK_LAWS, ids=BLOCK_IDS)
+    def test_draws_do_not_depend_on_the_block_size(self, monkeypatch, law, copies):
+        # every stream continues from block to block; with 3 copies the
+        # mixtures hand array counts to their parts
+        for rows, n in ((1, 500), (7, 5_000), (4096, 5_000)):
+            assert n <= _kernels.DRAW_CHUNK_ROWS  # one block
+            whole = sample(law, 4, n, 7, copies=copies).coords.tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "DRAW_CHUNK_ROWS", rows)
+                assert sample(law, 4, n, 7, copies=copies).coords.tobytes() == whole, rows
+
+    @pytest.mark.parametrize("parts", [2, 6])
+    def test_peak_per_draw_does_not_grow_with_the_parts(self, monkeypatch, parts):
+        # the batch's 8 bytes a draw plus block-sized temporaries; drawing
+        # every row at once took 40 bytes a draw for 2 parts and 72 for 6
+        monkeypatch.setattr(_kernels, "DRAW_CHUNK_ROWS", 4096)
+        law = Mixture(
+            (F(1, parts),) * parts,
+            tuple(HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: t})) for t in range(-1, parts - 1)),
+        )
+        n = 200_000
+        tracemalloc.start()
+        try:
+            sample(law, 4, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + (1 << 20)
+
     def test_degenerate_sum_is_exact(self):
         # k * 3/8 at depth 4 (level 16) is 3k/128 mod 1, computed in Fractions
         law = Degenerate(embed_real(DYADIC, F(3, 8)))
@@ -316,7 +355,7 @@ class TestEmpiricalCF:
         for law in ALL_VARIANTS:
             batch = sample(law, depth=4, n=n, seed=2024)
             est = empirical_cf(batch, chars)
-            cf = exact_cf_of(law)
+            cf = law.exact_cf()
             for y, value in zip(chars, est.estimates):
                 assert abs(value - cf(y)) <= est.radius, (law, y)
 
@@ -533,7 +572,7 @@ class TestLinearForm:
         batches = [sample(law, 5, n, seed=100 + j) for j in range(4)]
         combined = linear_form(batches, [F(1, 2)] * 4, depth=3)
         est = empirical_cf(combined, probe_chars(DYADIC, 3))
-        cf = exact_cf_of(law)
+        cf = law.exact_cf()
         for y, value in zip(est.chars, est.estimates):
             assert abs(value - cf(y)) <= est.radius
 
@@ -821,7 +860,7 @@ class TestMonteCarloEquidist:
             GaussianLine(DYADIC, 1), [F(1, 2)] * 4, n=20_000, depth=4, seed=11
         )
         assert report.verdict == "consistent"
-        assert report.min_adjusted_p >= report.alpha
+        assert min(r.adjusted_p for r in report.character_rows + report.kuiper_rows) >= report.alpha
 
     def test_gaussian_broken_case(self):
         report = monte_carlo_equidist(

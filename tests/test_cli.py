@@ -417,6 +417,29 @@ class TestSimulate:
         for side, digest in (("reference", reference), ("combined", combined)):
             assert hashlib.sha256((tmp_path / f"{name}.{side}.csv").read_bytes()).hexdigest() == digest
 
+    def test_parts_run_matches_pinned_fixture(self, tmp_path, capsys, monkeypatch):
+        # the shifted law under two distinct coefficients of two copies each, at
+        # three blocks of draws (the last one ragged): the linear form adds each
+        # part's rows into its sum, part by part; the squares sum to 5/8, so
+        # the run is rightly inconsistent
+        monkeypatch.delenv("SOLADIC_SEED", raising=False)
+        doc = dict(
+            self.PINNED_MIXTURES["shifted"][0],
+            coefficients=["1/2", "1/2", "1/4", "1/4"],
+            simulation={"n": 150_001, "depth": 4, "seed": 0, "alpha": 0.01},
+        )
+        path = write_config(tmp_path, doc, "parts.json")
+        code, out, _ = run_cli(capsys, "simulate", path)
+        assert code == 1
+        assert json.loads(out)["verdict"] == "inconsistent"
+        assert out == (FIXTURES / "simulate_parts.stdout").read_text()
+        digests = {
+            "reference": "f1a3617a7729c76b35de1c141521cffd7192fc66b01023a42d36d6148e3c1e57",
+            "combined": "b5663c74fb8da9f3cfd98ff2bd8f705c85d08c68402c1cf43818756d1ee2290a",
+        }
+        for side, digest in digests.items():
+            assert hashlib.sha256((tmp_path / f"parts.{side}.csv").read_bytes()).hexdigest() == digest
+
     def test_inconsistent_exits_1(self, tmp_path, capsys):
         broken = dict(
             self.CONFIG,

@@ -6,11 +6,13 @@ one implementation, so a fixed seed gives the same bytes wherever the same
 numpy runs.
 
 Lattice laws put a large batch on a handful of atoms, so per-element work is
-done once per distinct value where that is cheaper.  ``atom_keys`` sorts a
-batch once to find its atoms and their counts; a batch keeps the result, so
-each caller reads the same sort.  ``cf_sums`` evaluates its phases on the
-atoms and gathers them back per chunk; on continuous draws it works a chunk
-at a time in buffers it reuses for every character.  ``kuiper_deltas``
+done once per distinct value where that is cheaper.  ``atom_keys`` finds a
+batch's atoms and their counts a block at a time, merging each sorted
+block's distinct values into a running table that it gives up on once the
+table outgrows a block; a batch keeps the result, so each caller reads the
+same atoms.  ``cf_sums`` evaluates its phases on the atoms and gathers them
+back per chunk; on continuous draws it works a chunk at a time in buffers it
+reuses for every character.  ``kuiper_deltas``
 pools both samples, draws or atoms with counts, into one array of sort
 keys, sorts it once (in place for draws, by one argsort with counts) and
 scans it a chunk at a time, carrying the running counts, so its
@@ -27,7 +29,8 @@ from ._numpy import np
 
 _TWO_PI = 2.0 * math.pi
 
-#: draws per block of cf_sums; the block sums fix its summation order
+#: draws per block of cf_sums and of atom_keys; the block sums fix cf_sums' summation
+#: order, and atom_keys keeps at most this many atoms
 CF_CHUNK_ROWS = 1 << 16
 
 #: rows per block of a sampler draw; the draws do not depend on it
@@ -41,17 +44,37 @@ def atom_keys(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The distinct values of coords as sorted float64 bit patterns (uint64), with their counts.
 
     Keying by bit pattern keeps -0.0 and 0.0 apart, so each key stands for
-    exactly one float and one ``repr``.  Returns None when the distinct
-    values are more than half the draws, where per-value work saves little.
+    exactly one float and one ``repr``.  The draws are sorted a block of
+    ``CF_CHUNK_ROWS`` at a time, and each block's distinct keys and counts
+    are merged into a running table.  Returns None as soon as that table
+    holds more than min(n // 2, CF_CHUNK_ROWS) keys, where per-value work
+    saves little, so the table never outgrows one block.
     """
-    # a sort and a run mask: np.unique hashes (numpy 2.x), ~30x slower on 1e6 distinct values
-    bits = np.sort(np.ascontiguousarray(coords, dtype=np.float64).view(np.uint64))
-    starts = np.ones(bits.shape, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    if 2 * np.count_nonzero(starts) > bits.shape[0]:
-        return None
-    first = np.flatnonzero(starts)
-    return bits[first], np.diff(first, append=bits.shape[0])
+    n = coords.shape[0]
+    cap = min(n // 2, CF_CHUNK_ROWS)
+    keys, counts = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+    for start in range(0, n, CF_CHUNK_ROWS):
+        block = np.ascontiguousarray(coords[start : start + CF_CHUNK_ROWS], dtype=np.float64)
+        # a sort and a run mask: np.unique hashes (numpy 2.x), ~30x slower on 1e6 distinct values
+        bits = np.sort(block.view(np.uint64))
+        starts = np.ones(bits.shape, dtype=bool)
+        np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        runs = bits[first], np.diff(first, append=bits.shape[0])
+        keys, counts = _merge_runs(keys, counts, *runs) if start else runs
+        if keys.shape[0] > cap:
+            return None
+    return keys, counts
+
+
+def _merge_runs(keys, counts, new_keys, new_counts) -> tuple[np.ndarray, np.ndarray]:
+    """Two sorted tables of distinct keys with their counts, merged into one."""
+    at = np.searchsorted(keys, new_keys)
+    seen = at < keys.shape[0]
+    seen[seen] = keys[at[seen]] == new_keys[seen]
+    counts[at[seen]] += new_counts[seen]  # distinct new keys meet distinct old ones
+    fresh = ~seen
+    return np.insert(keys, at[fresh], new_keys[fresh]), np.insert(counts, at[fresh], new_counts[fresh])
 
 
 def _phases(t: np.ndarray, m: float, arg: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -400,9 +400,6 @@ class StratifiedCF:
         """The complex conjugate y -> f(-y) of a characteristic function."""
         return self.precompose(-1)
 
-    def mod_square(self) -> "StratifiedCF":
-        return self * self.conjugate()
-
     def precompose(self, alpha: Rational) -> "StratifiedCF":
         """The function y -> f(alpha * y); alpha must be an automorphism."""
         alpha = Fraction(alpha)

@@ -7,11 +7,15 @@ function, which is what the statistical checks compare against: draws are
 depth-N circle coordinates in [0,1), reproducible bit-for-bit from
 (law, depth, n, seed) via independent split random streams.
 
-A draw allocates its n coordinates once and fills them a block of
-``_kernels.DRAW_CHUNK_ROWS`` rows at a time, each stream continuing from
-block to block, so the draws do not depend on the block size.  Memory is
-8 bytes per draw for the batch plus block-sized temporaries, whatever the
-law tree.
+A draw yields its coordinates a block of ``_kernels.DRAW_CHUNK_ROWS`` rows
+at a time, each stream continuing from block to block, so the draws do not
+depend on the block size.  That one block loop serves both consumers:
+``sample`` fills a batch from it, allocated once, and ``linear_form`` adds
+each part's blocks, scaled, straight into its running sum, which it then
+takes mod 1 and down the tower in place.  So ``monte_carlo_equidist`` holds
+two n-sized arrays, the reference batch and the combined sum, 8 bytes per
+draw each, plus block-sized temporaries, whatever the law tree and however
+many coefficients.
 """
 
 from __future__ import annotations
@@ -65,26 +69,47 @@ class SamplerSpec:
         """
         raise NotImplementedError
 
-    def _draw_sum(self, n: int, counts, depth: int, rng: np.random.Generator) -> np.ndarray:
-        """n depth-N coordinates, each the sum of `counts` i.i.d. copies of the law.
+    def _blocks(self, n: int, counts, depth: int, rng: np.random.Generator) -> Iterator[tuple[slice, np.ndarray]]:
+        """n depth-N coordinates, each the sum of `counts` i.i.d. copies of the law, a block at a time.
 
         `counts` is one int for all n draws, or an int64 array of length n;
         a count of 0 gives exactly 0.  Every variant draws the sum in closed
         form, so the cost does not grow with the count.  The law refuses
-        before the n coordinates are allocated, so ``_refuse_undrawable``
-        checks it with n = 0; they are then filled a block at a time.
+        here, when the draw is set up; the blocks are then drawn as they are
+        read, as ``(rows, values)`` pairs in row order.  This is the one block
+        loop of the sampler: ``_draw_sum`` and ``sample`` fill a batch from
+        it, and ``linear_form`` adds it into its sum.
         """
         add = self._block_adder(depth, rng)
-        out = np.zeros(n)
-        for rows in _row_blocks(n):
-            add(out[rows], counts if np.ndim(counts) == 0 else counts[rows])
-        return out
+
+        def blocks():
+            for rows in _row_blocks(n):
+                values = np.zeros(rows.stop - rows.start)
+                add(values, counts if np.ndim(counts) == 0 else counts[rows])
+                yield rows, values
+
+        return blocks()
+
+    def _draw_sum(self, n: int, counts, depth: int, rng: np.random.Generator) -> np.ndarray:
+        """The coordinates of ``_blocks`` in one array, allocated once the law has refused or not.
+
+        ``_refuse_undrawable`` checks a law through a draw of n = 0.
+        """
+        return _filled(n, self._blocks(n, counts, depth, rng))
 
 
 def _row_blocks(n: int) -> Iterator[slice]:
     """Consecutive slices of at most ``_kernels.DRAW_CHUNK_ROWS`` rows that cover range(n)."""
     step = _kernels.DRAW_CHUNK_ROWS
-    return (slice(start, start + step) for start in range(0, n, step))
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+
+def _filled(n: int, blocks: Iterable[tuple[slice, np.ndarray]]) -> np.ndarray:
+    """n coordinates from their blocks."""
+    out = np.empty(n)
+    for rows, values in blocks:
+        out[rows] = values
+    return out
 
 
 def _multiples(r: Fraction, counts, level: int) -> np.ndarray:
@@ -335,8 +360,9 @@ class SampleBatch:
 
     A batch finds its atoms once, on first use, and keeps them: the sorted
     distinct coordinates with their counts (``_kernels.atom_keys``), or None
-    when more than half the draws are distinct.  The cf sums, the CSV writer
-    and the Kuiper test all read that one result, so a batch is sorted once.
+    when they are more than half the draws or more than one block of
+    ``_kernels.CF_CHUNK_ROWS``.  The cf sums, the CSV writer and the Kuiper
+    test all read that one result, so a batch is sorted once.
     """
 
     spec: SteinitzSpec
@@ -351,6 +377,10 @@ class SampleBatch:
     @functools.cached_property
     def _atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
         return _kernels.atom_keys(self.coords)
+
+    def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """The coordinates as ``(rows, values)`` pairs, a block of rows at a time, as a ``Draw`` yields them."""
+        return ((rows, self.coords[rows]) for rows in _row_blocks(self.n))
 
     def project(self, depth: int) -> "SampleBatch":
         """Push the batch down the tower to a shallower depth."""
@@ -391,13 +421,37 @@ def _refuse_undrawable(law: SamplerSpec, depth: int) -> None:
     law._draw_sum(0, 1, depth, np.random.default_rng(0))
 
 
-def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> SampleBatch:
-    """Draw n i.i.d. depth-N coordinates of the law, reproducibly from seed.
+@dataclass(frozen=True, eq=False)
+class Draw:
+    """n i.i.d. depth-N coordinates of a law, seeded and checked but drawn only as they are read.
+
+    ``blocks()`` draws them as ``(rows, values)`` pairs, a block of rows at a
+    time, each stream continuing from block to block; a draw is read once.
+    ``linear_form`` takes a draw in place of a batch, so that no part of its
+    sum is ever held whole.
+    """
+
+    law: SamplerSpec
+    depth: int
+    n: int
+    copies: int
+    seed_record: str
+    rng: np.random.Generator = field(repr=False)
+
+    @property
+    def spec(self) -> SteinitzSpec:
+        return self.law.ambient
+
+    def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        return self.law._blocks(self.n, self.copies, self.depth, self.rng)
+
+
+def draw(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Draw:
+    """The draw that ``sample`` makes, not yet drawn: the law is refused here if it cannot be drawn.
 
     With `copies` = k each coordinate is the sum of k independent draws of
     the law, drawn in closed form as one draw of the k-fold convolution, so
-    the cost does not grow with k.  The n coordinates are allocated once,
-    after the law is checked, and filled a block of rows at a time.
+    the cost does not grow with k.
     """
     if n < 1:
         raise ValueError("need at least one draw")
@@ -410,8 +464,17 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
     else:
         record = f"{BIT_GENERATOR}(seed={seed})"
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    coords = law._draw_sum(n, copies, depth, rng)
-    return SampleBatch(law.ambient, depth, coords, record)
+    return Draw(law, depth, n, copies, record, rng)
+
+
+def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> SampleBatch:
+    """Draw n i.i.d. depth-N coordinates of the law, reproducibly from seed.
+
+    The coordinates are those of ``draw(law, depth, n, seed, copies)``,
+    allocated once, after the law is checked, and filled from its blocks.
+    """
+    part = draw(law, depth, n, seed, copies)
+    return SampleBatch(part.spec, depth, _filled(n, part.blocks()), part.seed_record)
 
 
 # ---------------------------------------------------------------------------
@@ -463,31 +526,34 @@ def required_depth(spec: SteinitzSpec, coeffs: Sequence[Rational], depth: int) -
     return m
 
 
-def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], depth: int | None = None) -> SampleBatch:
-    """Per-draw sum of coefficient-scaled batches, taken down to `depth`.
+def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational], depth: int | None = None) -> SampleBatch:
+    """Per-draw sum of coefficient-scaled parts, taken down to `depth`.
 
-    ``batches`` may be any iterable with one batch per coefficient, such as
-    a generator that draws them on demand; one batch is held at a time, and
-    it is scaled a block of rows at a time into the running sum.
-    All batches must share spec, depth and size.  `depth` defaults to the
-    batches' own.  When the first batch arrives, before any sum, the
-    coefficients pass the check ``monte_carlo_equidist`` applies (ValueError
-    otherwise: each is an automorphism with a numerator of at most 2^53),
-    and the batches must be at least ``required_depth`` deep for `depth`
-    (DepthInsufficient otherwise), so that the truncated coordinate
-    arithmetic agrees with the true law of the linear form there.
+    ``batches`` may be any iterable with one part per coefficient: drawn
+    batches, or ``Draw``s, whose rows are drawn as they are added.  Each
+    part is read a block of rows at a time and scaled into the running sum,
+    part after part, so the sum is the one n-sized array the linear form
+    holds; a generator of batches has one batch alive at a time.  The sum
+    is taken mod 1 and down to `depth` in place.  All parts must share
+    spec, depth and size.  `depth` defaults to the parts' own.  When the
+    first part arrives, before any sum, the coefficients pass the check
+    ``monte_carlo_equidist`` applies (ValueError otherwise: each is an
+    automorphism with a numerator of at most 2^53), and the parts must be at
+    least ``required_depth`` deep for `depth` (DepthInsufficient otherwise),
+    so that the truncated coordinate arithmetic agrees with the true law of
+    the linear form there.
     """
     coeffs = [Fraction(c) for c in coeffs]
     # A plain iterator, not zip(): zip's recycled result tuple would keep the
-    # previous batch alive while the next one is drawn.
-    batches = iter(batches)
+    # previous part alive while the next one is drawn.
+    parts = iter(batches)
     total = None
     for c in coeffs:
-        b = next(batches, None)
-        if b is None:
+        part = next(parts, None)
+        if part is None:
             raise ValueError("need one batch per coefficient")
         if total is None:
-            spec, m_depth, n, record = b.spec, b.depth, b.n, b.seed_record
+            spec, m_depth, n, record = part.spec, part.depth, part.n, part.seed_record
             depth = m_depth if depth is None else depth
             _sampled_counts(spec, coeffs)
             if required_depth(spec, coeffs, depth) > m_depth:
@@ -495,20 +561,22 @@ def linear_form(batches: Iterable[SampleBatch], coeffs: Sequence[Rational], dept
                     f"batches at depth {m_depth} are too shallow for an exact depth-{depth} linear form"
                 )
             total = np.zeros(n)
-        elif b.spec != spec:
+        elif part.spec != spec:
             raise SpecMismatch("batches live over different solenoids")
-        elif b.depth != m_depth or b.n != n:
+        elif part.depth != m_depth or part.n != n:
             raise ValueError("batches must share depth and size")
         scale = float(c)
-        for rows in _row_blocks(n):
-            total[rows] += b.coords[rows] * scale
-        del b
-    if next(batches, None) is not None:
+        for rows, values in part.blocks():
+            total[rows] += values * scale
+        # a block of a drawn batch is a view that keeps the whole batch alive
+        part = values = None
+    if next(parts, None) is not None:
         raise ValueError("need one coefficient per batch")
     if total is None:
         raise ValueError("need at least one batch")
-    combined = SampleBatch(spec, m_depth, np.mod(total, 1.0, out=total), record)
-    return combined.project(depth)
+    np.mod(total, 1.0, out=total)
+    SampleBatch(spec, m_depth, total, record)._push_down(total, depth, out=total)
+    return SampleBatch(spec, depth, total, record)
 
 
 # ---------------------------------------------------------------------------
@@ -711,13 +779,14 @@ def monte_carlo_equidist(
     """Compare one draw's law against the linear form of independent copies.
 
     Draws a reference batch of the law and, for each distinct coefficient
-    alpha with count k, one batch whose draws are sums of k independent
-    copies; the linear form is the sum of alpha times those batches.  The
-    seed spawns one child stream per batch: the first for the reference,
-    then one per distinct coefficient in increasing order.  The two
-    resulting samples are tested for equality in law: empirical
-    characteristic-function gaps on the character panel (Hoeffding
-    p-values) plus Kuiper two-sample tests at every depth down the tower.
+    alpha with count k, one draw whose coordinates are sums of k independent
+    copies; the linear form is the sum of alpha times those draws, each
+    added into it a block at a time.  The seed spawns one child stream per
+    draw: the first for the reference, then one per distinct coefficient in
+    increasing order.  The two resulting samples are tested for equality in
+    law: empirical characteristic-function gaps on the character panel
+    (Hoeffding p-values) plus Kuiper two-sample tests at every depth down
+    the tower.
     The verdict applies a Bonferroni correction across all tests at the
     given level alpha, which must lie strictly between 0 and 1 (ValueError
     otherwise, NaN included).  Coefficients must be automorphisms with
@@ -743,8 +812,8 @@ def monte_carlo_equidist(
     _multipliers(spec, depth, chars)  # both batches are tested at `depth`
     children = np.random.SeedSequence(seed).spawn(len(counts) + 1)
     reference = sample(law, depth, n, children[0])
-    # one batch per distinct coefficient, drawn and summed one at a time
-    parts = (sample(law, deep, n, child, copies=k) for (_, k), child in zip(counts, children[1:]))
+    # one draw per distinct coefficient, added into the sum a block at a time
+    parts = (draw(law, deep, n, child, copies=k) for (_, k), child in zip(counts, children[1:]))
     combined = linear_form(parts, distinct, depth=depth)
 
     ref_cf = empirical_cf(reference, chars)

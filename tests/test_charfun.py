@@ -503,7 +503,7 @@ class TestOperations:
 
     def test_mod_square_of_shift_is_one(self):
         f = gaussian_cf(DYADIC, 0, F(7, 16))
-        sq = f.mod_square()
+        sq = f * f.conjugate()
         assert compare(sq, gaussian_cf(DYADIC, 0)).verdict == "equal"
 
     def test_precompose_gaussian(self):

@@ -1,6 +1,7 @@
 """The two numeric kernels against brute-force definitions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,13 +158,31 @@ def test_cf_sums_on_lattice_equal_the_dense_loop(n):
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_cf_sums_equal_the_dense_loop_on_both_sides_of_the_atom_cutoff(extra):
-    # n/2 distinct values take the per-atom path, n/2 + 1 the per-draw one
-    n = 2 * CF_CHUNK_ROWS + 6
-    distinct = n // 2 + extra
-    t = np.arange(distinct) / distinct
-    t = np.random.default_rng(extra).permutation(np.concatenate([t, t[: n - distinct]]))
-    assert (atom_keys(t) is None) == bool(extra)
-    assert np.array_equal(cf_sums(t, MULTIPLIERS), dense_cf_sums(t, MULTIPLIERS))
+    # min(n // 2, CF_CHUNK_ROWS) distinct values take the per-atom path, one more the
+    # per-draw one: n // 2 binds below two blocks of draws, one block above
+    for n in (CF_CHUNK_ROWS + 5, 2 * CF_CHUNK_ROWS + 6, 3 * CF_CHUNK_ROWS + 7):
+        distinct = min(n // 2, CF_CHUNK_ROWS) + extra
+        t = np.random.default_rng(extra).permutation(np.resize(np.arange(distinct) / distinct, n))
+        assert (atom_keys(t) is None) == bool(extra), n
+        assert np.array_equal(cf_sums(t, MULTIPLIERS), dense_cf_sums(t, MULTIPLIERS))
+
+
+def test_atom_keys_sort_a_block_at_a_time(monkeypatch):
+    # a block's sorted copy and run mask, and a table of 4 atoms; a sorted
+    # copy of the whole batch and its run mask took 9 bytes a draw
+    monkeypatch.setattr(_kernels, "CF_CHUNK_ROWS", 4096)
+    n = 200_000
+    t = np.random.default_rng(0).integers(0, 4, n) / 4
+    atom_keys(t[:100])  # keep first-use imports out
+    tracemalloc.start()
+    try:
+        keys, counts = atom_keys(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.view(np.float64).tolist() == [0.0, 0.25, 0.5, 0.75]
+    assert counts.tolist() == [np.count_nonzero(t == x) for x in (0.0, 0.25, 0.5, 0.75)]
+    assert peak < 1 << 20
 
 
 def test_atom_keys_keep_signed_zeros_apart():

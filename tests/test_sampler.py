@@ -44,6 +44,7 @@ from soladic.sampler import (
     sample,
     _two_sample_cf_p,
 )
+from soladic.serialize import law_from_json
 from soladic.steinitz import coefficient_counts, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
@@ -244,6 +245,20 @@ class TestDrawSum:
                 patch.setattr(_kernels, "DRAW_CHUNK_ROWS", rows)
                 assert sample(law, 4, n, 7, copies=copies).coords.tobytes() == whole, rows
 
+    @pytest.mark.parametrize("case", ["lattice", "shifted"])
+    def test_linear_form_draws_do_not_depend_on_the_block_size(self, monkeypatch, case):
+        # each part's rows go straight into the sum, part after part, every
+        # stream continuing from block to block
+        law, coeffs = EQUIDIST_CASES[case]
+        for rows, n in ((1, 500), (7, 5_000), (4096, 5_000)):
+            assert n <= _kernels.DRAW_CHUNK_ROWS  # one block
+            whole = monte_carlo_equidist(law, coeffs, n=n, depth=4, seed=7)
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "DRAW_CHUNK_ROWS", rows)
+                cut = monte_carlo_equidist(law, coeffs, n=n, depth=4, seed=7)
+            assert cut.reference.coords.tobytes() == whole.reference.coords.tobytes(), rows
+            assert cut.combined.coords.tobytes() == whole.combined.coords.tobytes(), rows
+
     @pytest.mark.parametrize("parts", [2, 6])
     def test_peak_per_draw_does_not_grow_with_the_parts(self, monkeypatch, parts):
         # the batch's 8 bytes a draw plus block-sized temporaries; drawing
@@ -311,13 +326,14 @@ class TestDrawSum:
         )
         coeffs = two_prime_coefficients(p, q).coefficients
         calls = []
-        original = sampler.sample
+        original = sampler.draw
 
         def counted(law, depth, n, seed, copies=1):
             calls.append(copies)
             return original(law, depth, n, seed, copies)
 
-        monkeypatch.setattr(sampler, "sample", counted)
+        # every draw starts here: the reference's through sample, each part's in the linear form
+        monkeypatch.setattr(sampler, "draw", counted)
         report = monte_carlo_equidist(law, coeffs, n=500, depth=2, seed=0)
         assert len(calls) == len(coefficient_counts(coeffs)) + 1 == 3
         assert calls == [1] + [k for _, k in coefficient_counts(coeffs)]
@@ -468,7 +484,7 @@ class TestLinearForm:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a batch")
 
-        monkeypatch.setattr(sampler, "sample", no_draw)
+        monkeypatch.setattr(sampler, "draw", no_draw)  # sample draws through it too
         law = GaussianLine(SteinitzSpec.of(table), F(1, 100))
         with pytest.raises(DepthInsufficient, match=rf"depth {depth} exceeds 2\^40, the tie grid"):
             monte_carlo_equidist(law, coeffs, n=10, depth=depth)
@@ -511,7 +527,7 @@ class TestLinearForm:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a batch")
 
-        monkeypatch.setattr(sampler, "sample", no_draw)
+        monkeypatch.setattr(sampler, "draw", no_draw)  # sample draws through it too
         with pytest.raises(error, match=message):
             monte_carlo_equidist(law, coeffs, n=10, depth=4, charset=charset)
 
@@ -730,6 +746,27 @@ DYADIC_LATTICE = Shifted(
         (HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: -2})), Degenerate(embed_real(DYADIC, F(3, 8)))),
     ),
 )
+# the CI determinism step's shifted law: a nonzero-mean gaussian and a shifted point below a mixture
+SHIFTED_MIXTURE = law_from_json(
+    DYADIC,
+    {
+        "kind": "mixture",
+        "weights": ["1/3", "2/3"],
+        "parts": [
+            {"kind": "gaussian", "sigma": "1/10", "mean": "7/3"},
+            {
+                "kind": "shifted",
+                "point": {"depth": 1, "coord": "1/3"},
+                "law": {"kind": "degenerate", "point": {"depth": 0, "coord": "1/2"}},
+            },
+        ],
+    },
+)
+# two distinct coefficients, of counts 2 and 1, and of counts 2 and 2
+EQUIDIST_CASES = {
+    "lattice": (LATTICE_MIXTURE, [F(2, 3), F(2, 3), F(1, 3)]),
+    "shifted": (SHIFTED_MIXTURE, [F(1, 2), F(1, 2), F(1, 4), F(1, 4)]),
+}
 TWELFTHS = SteinitzSpec.of({2: math.inf, 3: math.inf})  # level 12 at depth 3
 
 
@@ -915,6 +952,23 @@ class TestMonteCarloEquidist:
 
         monte_carlo_equidist(law, [F(1, 8)] * 64, n=100, depth=2)  # keep first-use imports out
         assert peak([F(1, 8)] * 64) < 1.5 * peak([F(1, 2)] * 4)
+
+    def test_holds_two_arrays_of_draws(self, monkeypatch):
+        # the reference and the running sum, 8 bytes a draw each, plus block-sized
+        # temporaries: about 17.4 bytes a draw; a whole part batch beside them
+        # took 25.1, within 16 n + 2 MiB at this n, so the slack is 1 MiB
+        for name in ("DRAW_CHUNK_ROWS", "CF_CHUNK_ROWS", "SCAN_CHUNK_ROWS"):
+            monkeypatch.setattr(_kernels, name, 4096)
+        law, coeffs = EQUIDIST_CASES["lattice"]
+        monte_carlo_equidist(law, coeffs, n=100, depth=4)  # keep first-use imports out
+        n = 200_000
+        tracemalloc.start()
+        try:
+            monte_carlo_equidist(law, coeffs, n=n, depth=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n + (1 << 20)
 
     @pytest.mark.parametrize("alpha", [-1.0, 0, 0.0, 1.0, 1, 2.5, math.nan, math.inf])
     def test_alpha_outside_the_open_unit_interval_is_refused(self, alpha):

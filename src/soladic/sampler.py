@@ -91,7 +91,7 @@ class SamplerSpec:
         return blocks()
 
     def _draw_sum(self, n: int, counts, depth: int, rng: np.random.Generator) -> np.ndarray:
-        """The coordinates of ``_blocks`` in one array, allocated once the law has refused or not.
+        """The coordinates of ``_blocks`` in one array, allocated after the law's refusals.
 
         ``_refuse_undrawable`` checks a law through a draw of n = 0.
         """

@@ -40,6 +40,12 @@ GAUSS_HOLDS = {
     "distribution": {"law": {"kind": "gaussian", "sigma": 1}},
 }
 
+CIRCLE_POINT = {
+    "solenoid": {},
+    "coefficients": ["1", "1", "-1"],
+    "distribution": {"law": {"kind": "degenerate", "point": {"depth": 0, "coord": "1/3"}}},
+}
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -192,6 +198,13 @@ class TestCheck:
             decompositions.append(json.loads(out)["decomposition"])
         assert decompositions[0] == decompositions[1]
         assert decompositions[0]["kind"] == "gaussian_haar"
+
+    def test_circle_run_matches_pinned_fixture(self, tmp_path, capsys):
+        # the point at 1/3 on the circle under (1, 1, -1): a shift of haar on the whole
+        # circle's dual; the CI console-script step compares its output with the same fixture
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, CIRCLE_POINT, "circle.json"))
+        assert code == 0
+        assert out == (FIXTURES / "check_circle.stdout").read_text()
 
     def test_undecidable_exits_3(self, tmp_path, capsys):
         # a pure character whose phase denominator, the prime 4099, exceeds the

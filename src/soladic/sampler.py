@@ -460,11 +460,13 @@ def draw(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Draw:
     _refuse_undrawable(law, depth)
     if isinstance(seed, np.random.SeedSequence):
         record = f"{BIT_GENERATOR}(entropy={seed.entropy}, spawn_key={seed.spawn_key})"
-        rng = np.random.Generator(np.random.PCG64(seed))
+        # a fresh copy of the seed its record names: the law's parts spawn their streams
+        # from it, and spawning from the caller's object would change a second call's draws
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
     else:
         record = f"{BIT_GENERATOR}(seed={seed})"
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return Draw(law, depth, n, copies, record, rng)
+        seed = np.random.SeedSequence(seed)
+    return Draw(law, depth, n, copies, record, np.random.Generator(np.random.PCG64(seed)))
 
 
 def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> SampleBatch:

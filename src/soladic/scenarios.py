@@ -35,7 +35,6 @@ from .charfun import (
     StratifiedCF,
     SubgroupSpec,
     _canonical_terms,
-    _check_counts,
     check_equidistribution,
     decompose_gaussian_haar,
 )
@@ -159,10 +158,11 @@ def gaussian_haar_scenario(
     mu = shift * gaussian(sigma) * haar(annihilated subgroup) equidistributed
     with its linear form, provided the subgroup is invariant under division
     by p and the shift is killed by the coefficient-sum defect.  After the
-    preconditions pass, the law is built once as a sampling law and its cf
-    is read from it; the exact equation check and the decomposition
-    round-trip (which, with the threshold precondition, also gives the
-    division invariance) must both succeed.  The law is
+    preconditions pass, the law is built once as a sampling law, its cf is
+    read from it and run through ``classify_and_conclude``, and that verdict
+    is returned: its equation must hold and its decomposition must round-trip
+    (which, with the threshold precondition, also gives the division
+    invariance).  The law is
     ``ConvolutionOf((GaussianLine(spec, sigma, r), HaarAnnihilator(subgroup)))``
     with r the shift's real value; ``monte_carlo_equidist`` can simulate it.
     """
@@ -202,14 +202,13 @@ def gaussian_haar_scenario(
         )
 
     law = ConvolutionOf((GaussianLine(spec, sigma, r), HaarAnnihilator(subgroup)))
-    f = law.exact_cf()
-    eq = check_equidistribution(f, coeffs)
+    verdict = classify_and_conclude(spec, coeffs, law.exact_cf())
+    eq, dec = verdict.equation, verdict.decomposition
     if eq.verdict != "holds":
         raise SoundnessError(
             f"the invariance equation must hold after the preconditions, "
             f"got {eq.verdict} (witness {eq.witness})"
         )
-    dec = decompose_gaussian_haar(f)
     if dec.kind != "gaussian_haar" or dec.subgroup != subgroup:
         raise SoundnessError(f"decomposition failed to round-trip: {dec}")
     if not subgroup.trivial:
@@ -219,14 +218,7 @@ def gaussian_haar_scenario(
                 f"recovered parameters differ: sigma {dec.sigma} vs {sigma}, "
                 f"shift {dec.shift} vs {subgroup.reduce_shift(r)}"
             )
-
-    sentences = [
-        f"{_EQ_PHRASE[eq.verdict]} for the {len(coeffs)} signed powers of {p}",
-        f"the law {_DEC_PHRASE[dec.kind]} "
-        f"(sigma = {dec.sigma}, subgroup {dec.subgroup}, shift {dec.shift})",
-        f"the subgroup is invariant under division by {p}",
-    ]
-    return _verdict("gaussian-haar-invariance", klass, coeffs, eq, dec, sentences)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +359,15 @@ def classify_and_conclude(
 
     Classifies the solenoid, validates the coefficients, checks the
     functional equation, and attempts the Gaussian-times-Haar decomposition.
-    Two structural guarantees are enforced on the way out: over a solenoid
+    Three structural guarantees are enforced on the way out: over a solenoid
     with at most one unbounded prime, a decided equation that holds under a
-    valid unit-square system must come with a successful decomposition; and
-    a nowhere-vanishing cf that decomposes must carry no haar factor
-    (its subgroup must be the whole dual group).  Indeterminate component
+    valid unit-square system must come with a successful decomposition;
+    with no unbounded prime the only automorphisms are the sign flips, so a
+    holding equation of two or more coefficients forces |f| = 1 wherever f
+    is nonzero, and with a decided decomposition each piece must be one term
+    of weight 1 and decay 0 (a shift of haar on a finite subgroup); and a
+    nowhere-vanishing cf that decomposes must carry no haar factor (its
+    subgroup must be the whole dual group).  Indeterminate component
     results are surfaced verbatim, never asserted against.
     """
     if f.spec != spec:
@@ -402,6 +398,20 @@ def classify_and_conclude(
             "solenoid with at most one unbounded prime, yet the law failed "
             "to decompose; the decomposition machinery is defective"
         )
+    if (
+        klass.kind == "no_infinite_prime"
+        and valid
+        and len(coeffs) >= 2
+        and eq.verdict == "holds"
+        and dec.kind != "unknown"
+    ):
+        for s, terms in f.pieces:
+            canonical = _canonical_terms(spec, s, terms)
+            if len(canonical) != 1 or canonical[0].weight != 1 or canonical[0].decay != 0:
+                raise SoundnessError(
+                    f"the equation held although |f| differs from 1 on {s}; "
+                    f"the equation checker is defective"
+                )
     nowhere_zero = dec.support.subgroup == SubgroupSpec.whole(spec)
     if nowhere_zero and dec.kind == "gaussian_haar" and dec.subgroup != SubgroupSpec.whole(spec):
         raise SoundnessError(
@@ -443,103 +453,3 @@ def classify_and_conclude(
     else:
         sentences.append(f"{_DEC_PHRASE[dec.kind]} ({dec.reason})")
     return _verdict("classify-and-conclude", klass, coeffs, eq, dec, sentences, valid=valid)
-
-
-# ---------------------------------------------------------------------------
-# the circle case
-
-
-@dataclass(frozen=True)
-class CircleCheck:
-    """Outcome of the signed-sum invariance check over the integer characters.
-
-    kind "shift_of_haar" reports the law as the shift by x of Haar measure
-    on the cyclic subgroup of the circle of order d (support d * Z in the
-    character group; x canonical in [0, 1/d)); order 0 encodes the full
-    circle, whose cf is the indicator of the zero character.
-    """
-
-    kind: str  # "shift_of_haar" | "fails" | "unknown"
-    shift: Fraction | None = None
-    order: int | None = None
-    witness: object = None
-    note: str = ""
-
-
-def circle_check(m_plus: int, m_minus: int, f: StratifiedCF) -> CircleCheck:
-    """Decide whether f on the integers matches f(y)^m_plus * f(-y)^m_minus.
-
-    Characters of the circle are the integers (empty multiplicity table),
-    where the only automorphisms are the sign flips, so every linear form
-    collapses to a signed sum, checked as the pairs (1, m_plus), (-1, m_minus).
-    When the equation holds the law must be a shift of a subgroup Haar
-    measure: each piece's ``_canonical_terms`` must be one term of weight 1
-    and decay 0, and the order d of the lattice d * Z and the shift are
-    read from ``decompose_gaussian_haar``.  Its failures return its witness
-    (a pair whose sum leaves the support, or a character where the phases
-    disagree); its unknowns are reported as unknown.
-    """
-    spec = f.spec
-    if spec.primes:
-        raise PreconditionViolated(
-            "the multiplicity table must be empty: this check runs on the "
-            "circle, whose characters are the integers"
-        )
-    if m_plus < 0 or m_minus < 0:
-        raise PreconditionViolated("summand counts must be nonnegative")
-    if m_plus + m_minus < 2:
-        raise PreconditionViolated("need at least two summands")
-    counts = [(Fraction(a), k) for a, k in ((-1, m_minus), (1, m_plus)) if k]
-
-    eq = _check_counts(f, counts)
-    if eq.verdict == "fails":
-        return CircleCheck(
-            "fails",
-            witness=eq.witness,
-            note=f"the signed-sum equation fails at character {eq.witness}",
-        )
-    if eq.verdict == "unknown":
-        return CircleCheck("unknown", note=eq.note)
-
-    dec = decompose_gaussian_haar(f)
-    if dec.kind == "unknown":
-        return CircleCheck("unknown", note=dec.reason)
-    for s, terms in f.pieces:
-        canonical = _canonical_terms(spec, s, terms)
-        if len(canonical) != 1 or canonical[0].weight != 1 or canonical[0].decay != 0:
-            raise SoundnessError(
-                f"the equation held although |f| differs from 1 on {s}; "
-                f"the equation checker is defective"
-            )
-    if dec.support.kind == "not_subgroup":
-        y1, y2 = dec.support.witness
-        return CircleCheck(
-            "fails",
-            witness=dec.witness,
-            note=f"the support is not a subgroup: {y1} and {y2} are in it "
-            f"but their sum is not",
-        )
-    if dec.kind == "not_of_form":
-        return CircleCheck(
-            "fails",
-            witness=dec.witness,
-            note=f"the phases on the support do not assemble into a "
-            f"single character (mismatch at {dec.witness})",
-        )
-    if dec.subgroup.trivial:
-        return CircleCheck(
-            "shift_of_haar",
-            shift=Fraction(0),
-            order=0,
-            note="the cf is the indicator of the zero character: haar measure "
-            "of the full circle",
-        )
-    d = math.prod(prime**t for prime, t in dec.subgroup.thresholds)
-    x = dec.shift
-    return CircleCheck(
-        "shift_of_haar",
-        shift=x,
-        order=d,
-        note=f"f is the character y -> exp(2 pi i {x} y) on {d}Z: the law is "
-        f"the shift by {x} of haar measure on the order-{d} cyclic subgroup",
-    )

@@ -45,7 +45,7 @@ from soladic import (
 )
 from soladic.scenarios import (
     blurred_counterexample,
-    circle_check,
+    classify_and_conclude,
     gaussian_haar_scenario,
     two_prime_counterexample,
 )
@@ -293,9 +293,10 @@ def test_criterion_7_positive_definiteness():
 
 
 def test_criterion_8_circle_shift_recovery():
-    """On the circle, the shifted indicator of the d-multiples lattice is
-    recognized as a shift of Haar with (shift, d) recovered exactly for
-    d in {1,2,3,6}; positive-width gaussians fail.  Zero tolerance."""
+    """On the circle, under the signs (1, 1, -1), the shifted indicator of the
+    d-multiples lattice is recognized as a shift of Haar with (shift, d)
+    recovered exactly for d in {1,2,3,6}; positive-width gaussians fail.
+    Zero tolerance."""
     cases = [
         (F(0), {}, 1),
         (F(1, 3), {}, 1),
@@ -306,15 +307,19 @@ def test_criterion_8_circle_shift_recovery():
         (F(1, 7), {2: 1, 3: 1}, 6),
     ]
     assert {d for _, _, d in cases} == {1, 2, 3, 6}
+    signs = [1, 1, -1]
     for shift, table, d in cases:
         lattice = SubgroupSpec.of(CIRCLE, table)
         f = gaussian_cf(CIRCLE, 0, shift) * haar_cf(lattice)
-        chk = circle_check(2, 1, f)
-        assert chk.kind == "shift_of_haar"
-        assert chk.order == d
-        assert chk.shift == lattice.reduce_shift(shift)
+        verdict = classify_and_conclude(CIRCLE, signs, f)
+        dec = verdict.decomposition
+        assert (verdict.equation.verdict, dec.kind, dec.sigma) == ("holds", "gaussian_haar", 0)
+        assert dec.subgroup == lattice
+        assert math.prod(p**t for p, t in dec.subgroup.thresholds) == d
+        assert dec.shift == lattice.reduce_shift(shift)
     for sigma in (F(1), F(7, 3)):
-        assert circle_check(2, 1, gaussian_cf(CIRCLE, sigma)).kind == "fails"
+        eq = classify_and_conclude(CIRCLE, signs, gaussian_cf(CIRCLE, sigma)).equation
+        assert eq.verdict == "fails" and eq.witness is not None
 
 
 def test_criterion_9_randomized_structural_invariants():

@@ -9,6 +9,7 @@ implementation existed.
 
 import cmath
 import math
+import time
 from fractions import Fraction as F
 from functools import reduce
 from operator import mul
@@ -796,6 +797,16 @@ class TestEquidistribution:
         assert chk.verdict == "holds"
         assert len(coeffs) == 41_944
         assert calls == [F(1, 1024), F(5, 1024)]
+
+    def test_cost_does_not_grow_with_the_counts(self):
+        # on the circle f(y)^m = f(y) for the shift by 1/3 iff m = 1 mod 3
+        f = gaussian_cf(CIRCLE, 0, F(1, 3))
+        start = time.perf_counter()
+        holds = charfun._check_counts(f, [(F(1), 10**12)])
+        fails = charfun._check_counts(f, [(F(1), 10**12 + 1)])
+        assert time.perf_counter() - start < 0.1
+        assert holds.verdict == "holds"
+        assert fails.verdict == "fails" and fails.witness is not None
 
     def test_repeated_single_coefficient_is_not_degenerate(self):
         chk = check_equidistribution(haar_cf(SubgroupSpec.whole(DYADIC)), [1, 1])

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soladic import UndecomposedSolution, _kernels, scenarios, serialize
-from soladic.charfun import Decomposition
+from soladic import SoundnessError, UndecomposedSolution, _kernels, scenarios, serialize
+from soladic.charfun import Decomposition, EquationCheck
 from soladic.cli import main
 from soladic.sampler import SampleBatch, empirical_cf
 from soladic.serialize import rational_from_json, spec_from_json
@@ -1069,6 +1069,14 @@ class TestConfigReaders:
         monkeypatch.setattr(scenarios, "decompose_gaussian_haar", lambda f: Decomposition("not_of_form"))
         with pytest.raises(UndecomposedSolution):
             main(["check", str(write_config(tmp_path, GAUSS_HOLDS))])
+
+    def test_circle_guard_on_a_law_stays_a_traceback(self, tmp_path, capsys, monkeypatch):
+        # on the circle a holding equation forces |f| = 1 on every piece; a gaussian of
+        # sigma 1 breaks that, so an equation checker that says "holds" is a defect
+        monkeypatch.setattr(scenarios, "check_equidistribution", lambda f, coeffs: EquationCheck("holds", None, False))
+        doc = {"solenoid": {}, "coefficients": ["1", "1"], "distribution": {"law": {"kind": "gaussian", "sigma": 1}}}
+        with pytest.raises(SoundnessError, match="the equation checker is defective"):
+            main(["check", str(write_config(tmp_path, doc))])
 
     def test_mixture_weights_must_be_a_list(self, tmp_path, capsys):
         # the string "10" was read character by character as the weights (1, 0)

@@ -179,6 +179,16 @@ class TestSampling:
         c = sample(ALL_VARIANTS[3], depth=4, n=200, seed=124)
         assert not np.array_equal(a.coords, c.coords)
 
+    def test_one_seed_sequence_draws_the_same_twice(self):
+        # a mixture or a convolution spawns its parts' streams from the seed; drawing
+        # from a copy of it leaves the caller's object as it was
+        for law in ALL_VARIANTS + [NESTED]:
+            ss = np.random.SeedSequence(0)
+            a, b = sample(law, 4, 5, ss), sample(law, 4, 5, ss)
+            assert np.array_equal(a.coords, b.coords)
+            assert a.seed_record == b.seed_record == "PCG64(entropy=0, spawn_key=())"
+            assert ss.n_children_spawned == 0
+
     def test_seed_record_mentions_generator(self):
         batch = sample(GaussianLine(DYADIC, 1), depth=2, n=10, seed=7)
         assert "PCG64" in batch.seed_record and "7" in batch.seed_record

@@ -3,15 +3,16 @@
 The frozen numbers here were derived by hand before the scenarios existed:
 mixture values on the three valuation shells (1, c, 0), the blurred
 pointwise values exp(-1), exp(-1/4)/2 and 0 at y = 1, 1/2, 1/4, and the
-circle recoveries (shift, order).  Scenario internals re-assert most of
+circle recoveries (shift, subgroup).  Scenario internals re-assert most of
 their own claims, so these tests focus on the outward contract: what is
 returned, what raises, and what the conclusion text commits to.
 """
 
 import dataclasses
 import math
-import time
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +31,8 @@ from soladic import (
     Term,
     build_cf,
     blurred_counterexample,
-    check_equidistribution,
-    circle_check,
     classify_and_conclude,
     compare,
-    decompose_gaussian_haar,
     gaussian_cf,
     gaussian_haar_scenario,
     haar_cf,
@@ -45,7 +43,7 @@ from soladic import (
     two_prime_counterexample,
 )
 from soladic import charfun, scenarios
-from soladic.charfun import NEG_INF, POS_INF
+from soladic.charfun import NEG_INF, POS_INF, EquationCheck
 from soladic.scenarios import _assert_coherent
 
 DYADIC = SteinitzSpec.of({2: math.inf})
@@ -447,21 +445,32 @@ CIRCLE_SHIFTS_OF_HAAR = [
 ]
 
 
+def circle_verdict(f, m_plus=2, m_minus=1):
+    """The pipeline's verdict on the circle under m_plus copies of 1 and m_minus of -1."""
+    return classify_and_conclude(CIRCLE, [1] * m_plus + [-1] * m_minus, f)
+
+
+def shift_of_haar(v):
+    """(shift, subgroup) of a verdict that reads as a shift of haar: holds, and gaussian_haar of sigma 0."""
+    dec = v.decomposition
+    assert (v.equation.verdict, dec.kind, dec.sigma) == ("holds", "gaussian_haar", 0)
+    return dec.shift, dec.subgroup
+
+
 class TestCircleCheck:
+    """The circle's case of ``classify_and_conclude``: with only the sign flips as
+    automorphisms, a holding equation makes the law a shift of haar on a finite subgroup."""
+
     def test_constant_one_is_degenerate_haar_shift(self):
-        out = circle_check(2, 1, gaussian_cf(CIRCLE, 0))
-        assert (out.kind, out.shift, out.order) == ("shift_of_haar", 0, 1)
+        assert shift_of_haar(circle_verdict(gaussian_cf(CIRCLE, 0))) == (0, lattice(1))
 
     @pytest.mark.parametrize("m_plus, m_minus", [(2, 0), (2, 1), (2, 2), (5, 2)])
     def test_constant_one_passes_any_signature(self, m_plus, m_minus):
-        out = circle_check(m_plus, m_minus, gaussian_cf(CIRCLE, 0))
-        assert out.kind == "shift_of_haar"
+        assert shift_of_haar(circle_verdict(gaussian_cf(CIRCLE, 0), m_plus, m_minus)) == (0, lattice(1))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_lattice_indicator_recovers_order(self, d):
-        f = haar_cf(lattice(d))
-        out = circle_check(2, 1, f)
-        assert (out.kind, out.shift, out.order) == ("shift_of_haar", 0, d)
+        assert shift_of_haar(circle_verdict(haar_cf(lattice(d)))) == (0, lattice(d))
 
     @pytest.mark.parametrize(
         "x, table, d",
@@ -474,35 +483,33 @@ class TestCircleCheck:
     )
     def test_shift_recovered_exactly(self, x, table, d):
         f = gaussian_cf(CIRCLE, 0, x) * haar_cf(SubgroupSpec.of(CIRCLE, table))
-        out = circle_check(2, 1, f)
-        assert (out.kind, out.shift, out.order) == ("shift_of_haar", x, d)
+        assert shift_of_haar(circle_verdict(f)) == (x, lattice(d))
 
     @pytest.mark.parametrize("m_plus, m_minus", [(2, 1), (3, 2), (1, 1), (2, 0)])
     def test_gaussian_fails_every_signature(self, m_plus, m_minus):
-        out = circle_check(m_plus, m_minus, gaussian_cf(CIRCLE, 1))
-        assert out.kind == "fails"
-        assert out.witness is not None
+        eq = circle_verdict(gaussian_cf(CIRCLE, 1), m_plus, m_minus).equation
+        assert eq.verdict == "fails"
+        assert eq.witness is not None
 
     def test_incompatible_shift_fails_the_equation(self):
         f = gaussian_cf(CIRCLE, 0, F(1, 12)) * haar_cf(SubgroupSpec.of(CIRCLE, {2: 1, 3: 1}))
-        out = circle_check(2, 2, f)
-        assert out.kind == "fails"
+        eq = circle_verdict(f, 2, 2).equation
+        assert eq.verdict == "fails"
+        assert eq.witness is not None
 
     def test_even_odd_point_mass_is_a_shift(self):
-        out = circle_check(2, 1, EVEN_ODD_POINT_MASS)
-        assert (out.kind, out.shift, out.order) == ("shift_of_haar", F(1, 2), 1)
+        assert shift_of_haar(circle_verdict(EVEN_ODD_POINT_MASS)) == (F(1, 2), lattice(1))
 
     @pytest.mark.parametrize("f", CIRCLE_SHIFTS_OF_HAAR)
     def test_agrees_with_the_decomposition(self, f):
-        out = circle_check(2, 1, f)
-        d = decompose_gaussian_haar(f)
-        assert (out.kind, d.kind) == ("shift_of_haar", "gaussian_haar")
-        assert out.shift == d.shift
-        assert d.subgroup == (SubgroupSpec.zero(CIRCLE) if out.order == 0 else lattice(out.order))
+        # the report names the subgroup and the shift that the circle's reading takes
+        v = circle_verdict(f)
+        shift, subgroup = shift_of_haar(v)
+        assert f"(sigma = 0, subgroup {subgroup}, shift {shift})" in v.conclusion
 
     def test_zero_indicator_is_full_circle_haar(self):
-        out = circle_check(2, 1, haar_cf(SubgroupSpec.zero(CIRCLE)))
-        assert (out.kind, out.shift, out.order) == ("shift_of_haar", 0, 0)
+        v = circle_verdict(haar_cf(SubgroupSpec.zero(CIRCLE)))
+        assert shift_of_haar(v) == (0, SubgroupSpec.zero(CIRCLE))
 
     def test_non_subgroup_support_is_caught(self):
         f = build_cf(
@@ -511,16 +518,18 @@ class TestCircleCheck:
                 (Stratum.of({2: (0, 0)}), [Term(F(1), 0, 0)]),
             ],
         )
-        out = circle_check(2, 1, f)
-        assert out.kind == "fails"
-        assert "not a subgroup" in out.note
+        v = circle_verdict(f)
+        dec = v.decomposition
+        assert (v.equation.verdict, dec.kind, dec.support.kind) == ("holds", "not_of_form", "not_subgroup")
+        assert dec.witness == dec.support.witness == (1, 1)
+        assert "not a subgroup" in dec.reason
 
     def test_cancelling_phases_stay_unknown(self):
         # half the point mass at 0, half at 1/2: 1 on even and 0 on odd integers
         f = mixture([F(1, 2), F(1, 2)], [gaussian_cf(CIRCLE, 0), gaussian_cf(CIRCLE, 0, F(1, 2))])
-        out = circle_check(2, 1, f)
-        assert out.kind == "unknown"
-        assert out.note == "terms of several phases may cancel on whole dual group"
+        v = circle_verdict(f)
+        assert (v.equation.verdict, v.decomposition.kind) == ("holds", "unknown")
+        assert v.decomposition.reason == "terms of several phases may cancel on whole dual group"
 
     def test_incoherent_phases_are_caught(self):
         f = build_cf(
@@ -530,35 +539,34 @@ class TestCircleCheck:
                 (Stratum.of({2: (1, POS_INF)}), [Term(F(1), 0, 0)]),
             ],
         )
-        out = circle_check(2, 1, f)
-        assert out.kind == "fails"
-        assert "single character" in out.note
+        v = circle_verdict(f)
+        assert (v.equation.verdict, v.decomposition.kind) == ("holds", "not_of_form")
+        assert v.decomposition.witness == 2
 
     @pytest.mark.parametrize("m_plus, m_minus", [(2, 0), (2, 1), (1, 1), (3, 2), (0, 3)])
     @pytest.mark.parametrize("f", [*CIRCLE_SHIFTS_OF_HAAR, gaussian_cf(CIRCLE, 1)])
-    def test_pairs_agree_with_the_flat_system(self, monkeypatch, f, m_plus, m_minus):
-        paired = circle_check(m_plus, m_minus, f)
+    def test_pairs_agree_with_the_flat_system(self, f, m_plus, m_minus):
+        # the pipeline counts the signs; the reference precomposes and multiplies once per copy
         flat = (1,) * m_plus + (-1,) * m_minus
-        monkeypatch.setattr(scenarios, "_check_counts", lambda g, counts: check_equidistribution(g, flat))
-        assert circle_check(m_plus, m_minus, f) == paired
+        reference = compare(f, reduce(mul, (f.precompose(c) for c in flat)))
+        verdict = {"equal": "holds", "differs": "fails", "unknown": "unknown"}[reference.verdict]
+        eq = circle_verdict(f, m_plus, m_minus).equation
+        assert (eq.verdict, eq.witness, eq.note) == (verdict, reference.witness, reference.note)
 
-    def test_cost_does_not_grow_with_the_counts(self):
-        # f(y)^m = f(y) for the shift by 1/3 iff m = 1 mod 3
-        f = gaussian_cf(CIRCLE, 0, F(1, 3))
-        start = time.perf_counter()
-        holds = circle_check(10**12, 0, f)
-        fails = circle_check(10**12 + 1, 0, f)
-        assert time.perf_counter() - start < 0.1
-        assert (holds.kind, holds.shift, holds.order) == ("shift_of_haar", F(1, 3), 1)
-        assert fails.kind == "fails"
+    @pytest.mark.parametrize("table", [{}, {2: 3}, {3: 1, 5: 2}], ids=["circle", "2^3", "3*5^2"])
+    def test_rule_catches_a_defective_equation_checker(self, monkeypatch, table):
+        # every table without an unbounded prime has only the sign flips, so the rule
+        # holds there too; a gaussian of sigma 1 is not of modulus one
+        spec = SteinitzSpec.of(table)
+        monkeypatch.setattr(scenarios, "check_equidistribution", lambda f, coeffs: EquationCheck("holds", None, False))
+        with pytest.raises(SoundnessError, match="differs from 1 on whole dual group; the equation checker is defective"):
+            classify_and_conclude(spec, [1, -1], gaussian_cf(spec, 1))
 
-    def test_solenoid_input_rejected(self):
-        with pytest.raises(PreconditionViolated, match="circle"):
-            circle_check(2, 1, gaussian_cf(DYADIC, 0))
-
-    def test_single_summand_rejected(self):
-        with pytest.raises(PreconditionViolated, match="at least two"):
-            circle_check(1, 0, gaussian_cf(CIRCLE, 0))
+    def test_rule_spares_a_single_coefficient(self):
+        # one coefficient restates invariance under one sign flip, which a gaussian has
+        v = classify_and_conclude(CIRCLE, [-1], gaussian_cf(CIRCLE, 1))
+        assert (v.equation.verdict, v.equation.degenerate) == ("holds", True)
+        assert (v.decomposition.kind, v.decomposition.sigma) == ("gaussian_haar", 1)
 
 
 class TestVerdictCoherence:

@@ -542,6 +542,7 @@ class TestCircleCheck:
         v = circle_verdict(f)
         assert (v.equation.verdict, v.decomposition.kind) == ("holds", "not_of_form")
         assert v.decomposition.witness == 2
+        assert "parameters vary across the support: at character 2" in v.decomposition.reason
 
     @pytest.mark.parametrize("m_plus, m_minus", [(2, 0), (2, 1), (1, 1), (3, 2), (0, 3)])
     @pytest.mark.parametrize("f", [*CIRCLE_SHIFTS_OF_HAAR, gaussian_cf(CIRCLE, 1)])

@@ -710,8 +710,12 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     canonical term of a piece whose cell generates the support (one always
     does) and is then decided by ``compare``, so pieces whose shifts differ
     by characters trivial on their own cell still decompose.  The
-    witness is the support's pair when it is not a subgroup, or the character
-    where f and the candidate differ.  Every outcome carries the
+    witness is the support's pair when it is not a subgroup; for a piece of
+    one term w exp(-d y^2) e(s y) with w != 1, the cell's first member: there
+    |f| = w exp(-d y^2), which at a rational y != 0 never equals
+    exp(-sigma y^2) (Lindemann-Weierstrass), so no candidate matches it;
+    otherwise the character where f and the candidate differ.  So every
+    ``not_of_form`` carries a witness.  Every outcome carries the
     ``support_as_subgroup`` check it was decided from, so callers read the
     support from it instead of computing it again.
     """
@@ -730,11 +734,12 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     if subgroup.trivial:
         return decided("gaussian_haar", Fraction(0), Fraction(0), subgroup, invariant)
     canonical = [(s, _canonical_terms(f.spec, s, terms)) for s, terms in f.pieces]
-    for _, terms in canonical:
+    for cell, terms in canonical:
         if len(terms) == 1 and terms[0].weight != 1:
             return decided(
                 "not_of_form",
                 reason=f"piecewise weights are not identically 1 (found {terms[0].weight})",
+                witness=cell.members(f.spec)[0],
             )
     base = next(terms[0] for s, terms in canonical if subgroup_generated_by(f.spec, s) == subgroup)
     sigma, shift = base.decay, base.shift

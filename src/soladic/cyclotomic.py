@@ -46,7 +46,9 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
 def phase_sum_is_zero(terms: Mapping[Fraction, Fraction]) -> bool:
     """Whether sum of weight * exp(2 pi i angle) over (angle -> weight) is zero.
 
-    Exact.  Raises ValueError when the common angle denominator exceeds
+    Exact.  Equal angles are merged first: a sum with no term left is zero,
+    and one with one term is not, at any angle.  With two or more terms,
+    raises ValueError when their common angle denominator exceeds
     ``MAX_ORDER`` (callers should treat such probes as inconclusive rather
     than guessing).
     """
@@ -55,8 +57,8 @@ def phase_sum_is_zero(terms: Mapping[Fraction, Fraction]) -> bool:
         a = Fraction(angle) % 1
         merged[a] = merged.get(a, Fraction(0)) + Fraction(w)
     merged = {a: w for a, w in merged.items() if w != 0}
-    if not merged:
-        return True
+    if len(merged) <= 1:  # one nonzero weight times a root of unity never vanishes
+        return not merged
     order = math.lcm(*[a.denominator for a in merged])
     if order > MAX_ORDER:
         raise ValueError(f"angle denominator {order} exceeds the exact-test cap")

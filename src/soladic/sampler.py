@@ -7,15 +7,15 @@ function, which is what the statistical checks compare against: draws are
 depth-N circle coordinates in [0,1), reproducible bit-for-bit from
 (law, depth, n, seed) via independent split random streams.
 
-A draw yields its coordinates a block of ``_kernels.DRAW_CHUNK_ROWS`` rows
-at a time, each stream continuing from block to block, so the draws do not
-depend on the block size.  That one block loop serves both consumers:
-``sample`` fills a batch from it, allocated once, and ``linear_form`` adds
-each part's blocks, scaled, straight into its running sum, which it then
-takes mod 1 and down the tower in place.  So ``monte_carlo_equidist`` holds
-two n-sized arrays, the reference batch and the combined sum, 8 bytes per
-draw each, plus block-sized temporaries, whatever the law tree and however
-many coefficients.
+``Draw.blocks`` is the one block loop: it yields a draw's coordinates a
+block of ``_kernels.DRAW_CHUNK_ROWS`` rows at a time, each stream continuing
+from block to block, so the draws do not depend on the block size.  It
+serves both consumers: ``sample`` fills a batch from it, allocated once,
+and ``linear_form`` adds each part's blocks, scaled, straight into its
+running sum, which it then takes mod 1 and down the tower in place.  So
+``monte_carlo_equidist`` holds two n-sized arrays, the reference batch and
+the combined sum, 8 bytes per draw each, plus block-sized temporaries,
+whatever the law tree and however many coefficients.
 """
 
 from __future__ import annotations
@@ -63,53 +63,18 @@ class SamplerSpec:
         refuses what the draw cannot do (a haar fiber past int64, a sigma
         past the float range).  The step ``add(out, counts)`` then adds to
         each row of `out` the sum of its `counts` i.i.d. copies of the law,
-        `counts` being one int or an int64 array of len(out).  Consecutive
-        steps continue every stream, so the rows do not depend on how a draw
-        is cut into blocks.
+        `counts` being one int or an int64 array of len(out); a count of 0
+        adds exactly 0.  Every variant draws the sum in closed form, so the
+        cost does not grow with the count.  Consecutive steps continue every
+        stream, so the rows do not depend on how a draw is cut into blocks.
         """
         raise NotImplementedError
-
-    def _blocks(self, n: int, counts, depth: int, rng: np.random.Generator) -> Iterator[tuple[slice, np.ndarray]]:
-        """n depth-N coordinates, each the sum of `counts` i.i.d. copies of the law, a block at a time.
-
-        `counts` is one int for all n draws, or an int64 array of length n;
-        a count of 0 gives exactly 0.  Every variant draws the sum in closed
-        form, so the cost does not grow with the count.  The law refuses
-        here, when the draw is set up; the blocks are then drawn as they are
-        read, as ``(rows, values)`` pairs in row order.  This is the one block
-        loop of the sampler: ``_draw_sum`` and ``sample`` fill a batch from
-        it, and ``linear_form`` adds it into its sum.
-        """
-        add = self._block_adder(depth, rng)
-
-        def blocks():
-            for rows in _row_blocks(n):
-                values = np.zeros(rows.stop - rows.start)
-                add(values, counts if np.ndim(counts) == 0 else counts[rows])
-                yield rows, values
-
-        return blocks()
-
-    def _draw_sum(self, n: int, counts, depth: int, rng: np.random.Generator) -> np.ndarray:
-        """The coordinates of ``_blocks`` in one array, allocated after the law's refusals.
-
-        ``_refuse_undrawable`` checks a law through a draw of n = 0.
-        """
-        return _filled(n, self._blocks(n, counts, depth, rng))
 
 
 def _row_blocks(n: int) -> Iterator[slice]:
     """Consecutive slices of at most ``_kernels.DRAW_CHUNK_ROWS`` rows that cover range(n)."""
     step = _kernels.DRAW_CHUNK_ROWS
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
-
-
-def _filled(n: int, blocks: Iterable[tuple[slice, np.ndarray]]) -> np.ndarray:
-    """n coordinates from their blocks."""
-    out = np.empty(n)
-    for rows, values in blocks:
-        out[rows] = values
-    return out
 
 
 def _multiples(r: Fraction, counts, level: int) -> np.ndarray:
@@ -386,24 +351,25 @@ class SampleBatch:
         """Push the batch down the tower to a shallower depth."""
         if depth == self.depth:
             return self
-        return SampleBatch(self.spec, depth, self._push_down(self.coords, depth), self.seed_record)
+        return SampleBatch(self.spec, depth, _push_down(self.spec, self.depth, self.coords, depth), self.seed_record)
 
-    def _push_down(self, values: np.ndarray, depth: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Coordinates at this batch's depth taken down to `depth`, by the float steps of project.
 
-        With ``out`` the result is written there, else a new array is made
-        unless the depth is the batch's own.
-        """
-        if depth > self.depth:
-            raise DepthInsufficient(f"cannot project depth {self.depth} up to {depth}")
-        if depth == self.depth:
-            if out is None:
-                return values
-            np.copyto(out, values)
-            return out
-        ratio = self.spec.level(self.depth) // self.spec.level(depth)
-        out = np.multiply(values, float(ratio), out=out)
-        return np.mod(out, 1.0, out=out)
+def _push_down(spec: SteinitzSpec, from_depth: int, values: np.ndarray, depth: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Coordinates at `from_depth` taken down the tower to `depth`, by the float steps of project.
+
+    With ``out`` the result is written there, else a new array is made
+    unless the depths are equal.
+    """
+    if depth > from_depth:
+        raise DepthInsufficient(f"cannot project depth {from_depth} up to {depth}")
+    if depth == from_depth:
+        if out is None:
+            return values
+        np.copyto(out, values)
+        return out
+    ratio = spec.level(from_depth) // spec.level(depth)
+    out = np.multiply(values, float(ratio), out=out)
+    return np.mod(out, 1.0, out=out)
 
 
 def _refuse_undrawable(law: SamplerSpec, depth: int) -> None:
@@ -411,24 +377,25 @@ def _refuse_undrawable(law: SamplerSpec, depth: int) -> None:
 
     Every tower term is at least 2, so level(d) >= 2^d exceeds int64 from
     d = 63 on, refused before any level is built; building a lower one
-    raises DepthUnavailable for an invalid depth.  Then a draw of no values
-    refuses what a real draw would: a haar fiber past int64
-    (``fiber_order``), a sigma past the float range.
+    raises DepthUnavailable for an invalid depth.  Then the law's block
+    step, set up on a throwaway stream, refuses what a real draw would: a
+    haar fiber past int64 (``fiber_order``), a sigma past the float range.
     """
     spec = law.ambient
     if 63 <= depth <= spec.max_depth or spec.level(depth) > np.iinfo(np.int64).max:
         raise DepthInsufficient(f"the tower level at depth {depth} exceeds int64")
-    law._draw_sum(0, 1, depth, np.random.default_rng(0))
+    law._block_adder(depth, np.random.default_rng(0))
 
 
 @dataclass(frozen=True, eq=False)
 class Draw:
     """n i.i.d. depth-N coordinates of a law, seeded and checked but drawn only as they are read.
 
-    ``blocks()`` draws them as ``(rows, values)`` pairs, a block of rows at a
-    time, each stream continuing from block to block; a draw is read once.
-    ``linear_form`` takes a draw in place of a batch, so that no part of its
-    sum is ever held whole.
+    ``blocks()``, the sampler's one block loop, draws them as ``(rows,
+    values)`` pairs, a block of rows at a time, each stream continuing from
+    block to block; a draw is read once.  ``sample`` fills a batch from it,
+    and ``linear_form`` takes a draw in place of a batch, so that no part of
+    its sum is ever held whole.
     """
 
     law: SamplerSpec
@@ -443,7 +410,11 @@ class Draw:
         return self.law.ambient
 
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        return self.law._blocks(self.n, self.copies, self.depth, self.rng)
+        add = self.law._block_adder(self.depth, self.rng)
+        for rows in _row_blocks(self.n):
+            values = np.zeros(rows.stop - rows.start)
+            add(values, self.copies)
+            yield rows, values
 
 
 def draw(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Draw:
@@ -476,7 +447,10 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
     allocated once, after the law is checked, and filled from its blocks.
     """
     part = draw(law, depth, n, seed, copies)
-    return SampleBatch(part.spec, depth, _filled(n, part.blocks()), part.seed_record)
+    coords = np.empty(n)
+    for rows, values in part.blocks():
+        coords[rows] = values
+    return SampleBatch(part.spec, depth, coords, part.seed_record)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +551,7 @@ def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational
     if total is None:
         raise ValueError("need at least one batch")
     np.mod(total, 1.0, out=total)
-    SampleBatch(spec, m_depth, total, record)._push_down(total, depth, out=total)
+    _push_down(spec, m_depth, total, depth, out=total)
     return SampleBatch(spec, depth, total, record)
 
 
@@ -708,7 +682,7 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     keys = np.empty(a.shape[0] + b.shape[0], dtype=np.uint64)
     a_out, b_out = np.split(keys.view(np.float64), [a.shape[0]])
     for batch, values, out in ((batch1, a, a_out), (batch2, b, b_out)):
-        _snap(batch._push_down(values, depth, out=out), out=out)
+        _snap(_push_down(batch.spec, batch.depth, values, depth, out=out), out=out)
     dplus, dminus = _kernels.kuiper_deltas(a_out, b_out, a_counts, b_counts, out=keys)
     v = dplus + dminus
     n_eff = batch1.n * batch2.n / (batch1.n + batch2.n)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soladic import Degenerate, SolenoidPoint, SteinitzSpec, embed_real
+from soladic import Degenerate, HaarAnnihilator, Mixture, Shifted, SolenoidPoint, SteinitzSpec, embed_real
 from soladic import charfun
 from soladic.charfun import (
     MAX_TERMS,
@@ -936,6 +936,21 @@ class TestDecomposition:
         d = decompose_gaussian_haar(f)
         assert d.kind == "not_of_form"
         assert "1" in d.reason
+
+    def test_a_weight_piece_carries_a_witness(self):
+        # |f| = 1/2 on the cell v_2 = -1, and a gaussian times haar has modulus
+        # exp(-sigma y^2) or 0 there, never 1/2 at a rational y != 0; the shift
+        # 1/4099 puts every probe's phase past the cap, so compare could not tell
+        halves = Mixture(
+            (F(1, 2), F(1, 2)),
+            (HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: -1})), HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 0}))),
+        )
+        f = Shifted(embed_real(DYADIC, F(1, 4099)), halves).exact_cf()
+        d = decompose_gaussian_haar(f)
+        assert d.kind == "not_of_form"
+        assert d.reason == "piecewise weights are not identically 1 (found 1/2)"
+        assert d.witness == F(1, 2)
+        assert abs(f(d.witness)) == pytest.approx(0.5)
 
     def test_sigma_varying_across_support_rejected(self):
         f = build_cf(

@@ -34,17 +34,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-GAUSS_HOLDS = {
-    "solenoid": {"2": "inf"},
-    "coefficients": ["1/2", "1/2", "1/2", "1/2"],
-    "distribution": {"law": {"kind": "gaussian", "sigma": 1}},
-}
+def pinned_config(name):
+    """The config of a pinned run, ``fixtures/<name>.json``, beside its pinned stdout; CI runs the same file."""
+    return json.loads((FIXTURES / f"{name}.json").read_text())
 
-CIRCLE_POINT = {
-    "solenoid": {},
-    "coefficients": ["1", "1", "-1"],
-    "distribution": {"law": {"kind": "degenerate", "point": {"depth": 0, "coord": "1/3"}}},
-}
+
+GAUSS_HOLDS = pinned_config("simulate_gaussian")
+
+CIRCLE_POINT = pinned_config("check_circle")
 
 
 class TestClassify:
@@ -224,6 +221,18 @@ class TestCheck:
         assert code == 3
         assert json.loads(out)["equation"]["verdict"] == "unknown"
 
+    def test_one_term_past_the_order_cap_is_decided(self, tmp_path, capsys):
+        # a gaussian of mean 1/4099 under three halves: its squares sum to 3/4, so
+        # the equation fails; at y = 1 each side is one term whose phase order 4099
+        # exceeds the cap, and one nonzero term never vanishes, so 1 is a witness
+        law = {"kind": "gaussian", "sigma": 1, "mean": "1/4099"}
+        path = write_config(
+            tmp_path, {"solenoid": {"2": "inf"}, "coefficients": ["1/2"] * 3, "distribution": {"law": law}}
+        )
+        code, out, _ = run_cli(capsys, "check", path)
+        assert code == 1
+        assert json.loads(out)["equation"]["witness"] == "1"
+
     @pytest.mark.parametrize(
         "law, coefficients, witness",
         [
@@ -388,32 +397,14 @@ class TestSimulate:
             assert hashlib.sha256((tmp_path / f"gaussian.{side}.csv").read_bytes()).hexdigest() == digest
 
     # the CI determinism step's lattice and shifted configs: mixture draws, a
-    # nonzero-mean gaussian and a shifted point, whose exact shifts take array counts
+    # nonzero-mean gaussian and a shifted point, whose exact shifts take array
+    # counts; the sha256 of their reference and combined CSVs
     PINNED_MIXTURES = {
         "lattice": (
-            {
-                "solenoid": {"2": "inf", "3": "inf"},
-                "coefficients": ["2/3", "2/3", "1/3"],
-                "distribution": {"law": {"kind": "mixture", "weights": ["1/2", "1/2"], "parts": [
-                    {"kind": "haar", "subgroup": {"2": -1}},
-                    {"kind": "haar", "subgroup": {"2": 0}},
-                ]}},
-                "simulation": {"n": 100000, "depth": 4, "seed": 0, "alpha": 0.01},
-            },
             "0c8f8321b3d81710956f877867be6e4ed21c9d92082e8808f1df1ed785d443c4",
             "cfe9c86866dd78c0c101a86c7eda52e5cfeeac8388e590a427111c28429a8a59",
         ),
         "shifted": (
-            {
-                "solenoid": {"2": "inf"},
-                "coefficients": ["1"],
-                "distribution": {"law": {"kind": "mixture", "weights": ["1/3", "2/3"], "parts": [
-                    {"kind": "gaussian", "sigma": "1/10", "mean": "7/3"},
-                    {"kind": "shifted", "point": {"depth": 1, "coord": "1/3"},
-                     "law": {"kind": "degenerate", "point": {"depth": 0, "coord": "1/2"}}},
-                ]}},
-                "simulation": {"n": 100000, "depth": 4, "seed": 0, "alpha": 0.01},
-            },
             "41238edd390db59fa019135fc437abc6d18e2e62368c1b03f1b99e09350a1ccf",
             "c813e9df0b2e458b1dcd392ab59d58f605647f7234d3a4295e7074f4646e6e4e",
         ),
@@ -422,8 +413,8 @@ class TestSimulate:
     @pytest.mark.parametrize("name", sorted(PINNED_MIXTURES))
     def test_mixture_run_matches_pinned_fixture(self, tmp_path, capsys, monkeypatch, name):
         monkeypatch.delenv("SOLADIC_SEED", raising=False)
-        doc, reference, combined = self.PINNED_MIXTURES[name]
-        path = write_config(tmp_path, doc, f"{name}.json")
+        reference, combined = self.PINNED_MIXTURES[name]
+        path = write_config(tmp_path, pinned_config(f"simulate_{name}"), f"{name}.json")
         code, out, _ = run_cli(capsys, "simulate", path)
         assert code == 0
         assert out == (FIXTURES / f"simulate_{name}.stdout").read_text()
@@ -436,12 +427,7 @@ class TestSimulate:
         # part's rows into its sum, part by part; the squares sum to 5/8, so
         # the run is rightly inconsistent
         monkeypatch.delenv("SOLADIC_SEED", raising=False)
-        doc = dict(
-            self.PINNED_MIXTURES["shifted"][0],
-            coefficients=["1/2", "1/2", "1/4", "1/4"],
-            simulation={"n": 150_001, "depth": 4, "seed": 0, "alpha": 0.01},
-        )
-        path = write_config(tmp_path, doc, "parts.json")
+        path = write_config(tmp_path, pinned_config("simulate_parts"), "parts.json")
         code, out, _ = run_cli(capsys, "simulate", path)
         assert code == 1
         assert json.loads(out)["verdict"] == "inconsistent"
@@ -746,16 +732,10 @@ class TestCounterexample:
         assert doc["law"]["kind"] == "convolution"
         assert doc["sigma"] == "1"
 
-    @pytest.mark.parametrize(
-        "name, doc",
-        [
-            ("blurred", {"p": 2, "q": 3, "c": "1/4", "sigma": "1"}),
-            ("sharp", {"p": 2, "q": 3, "c": "1/3"}),
-        ],
-    )
-    def test_report_matches_pinned_fixture(self, tmp_path, capsys, name, doc):
+    @pytest.mark.parametrize("name", ["blurred", "sharp"])
+    def test_report_matches_pinned_fixture(self, tmp_path, capsys, name):
         # stdout and bundle byte for byte: no figure in them depends on BLAS
-        path = write_config(tmp_path, doc, f"{name}.json")
+        path = write_config(tmp_path, pinned_config(f"counterexample_{name}"), f"{name}.json")
         code, out, _ = run_cli(capsys, "counterexample", path, "--seed", 0)
         assert code == 0
         pairs = [

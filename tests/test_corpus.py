@@ -9,8 +9,8 @@ more lowers a ceiling, moves the decided counts with it, and says so.
 
 Each law is pinned too: ``fixtures/corpus_laws.jsonl`` holds one line per
 law (its equation verdict and witness, its decomposition's kind, shift,
-sigma, subgroup and reason, or the name of the error it raised), and the
-first law that differs is named.  ``PYTHONPATH=src python
+sigma, subgroup, reason and witness, or the name of the error it raised),
+and the first law that differs is named.  ``PYTHONPATH=src python
 tests/test_corpus.py`` rewrites that file, so a change that moves a law
 shows which one in its diff.
 """
@@ -42,6 +42,8 @@ def _before_the_cell(reason):
 
 
 def _text(value):
+    if isinstance(value, tuple):  # the support's witness pair
+        return [str(y) for y in value]
     return None if value is None else str(value)
 
 
@@ -57,6 +59,7 @@ def _record(i, v):
         "sigma": _text(dec.sigma),
         "subgroup": _text(dec.subgroup),
         "reason": dec.reason,
+        "decomposition_witness": _text(dec.witness),
     }
 
 
@@ -128,6 +131,14 @@ def test_each_law_matches_its_record(scoreboard):
     assert len(recorded) == SIZE
     for got, want in zip(scoreboard["laws"], recorded):
         assert got == want, f"law {want['law']} differs from its line in {LAWS.name}"
+
+
+def test_every_law_not_of_form_has_a_witness(scoreboard):
+    found = [law for law in scoreboard["laws"] if law.get("kind") == "not_of_form"]
+    assert len(found) == DECOMPOSITION["not_of_form"]
+    assert all(law["decomposition_witness"] is not None for law in found), [
+        law["law"] for law in found if law["decomposition_witness"] is None
+    ]
 
 
 def test_the_theorem_holds_in_bulk(scoreboard):

@@ -39,6 +39,9 @@ def test_known_nonvanishing_sums():
     assert not phase_sum_is_zero({F(1, 3): F(1), F(2, 3): F(1)})  # sums to -1
     assert not phase_sum_is_zero({F(0): F(1), F(1, 2): F(1, 2)})
     assert not phase_sum_is_zero({F(1, 5): F(1), F(2, 5): F(1)})
+    # one nonzero term never vanishes, at any order, past the cap too
+    assert not phase_sum_is_zero({F(1, 9973): F(1)})
+    assert not phase_sum_is_zero({F(1, 9973): F(1), F(9974, 9973): F(-3, 2)})  # merges to weight -1/2
 
 
 def test_angles_are_normalized_mod_one():
@@ -68,13 +71,13 @@ def test_oversized_orders_are_refused():
     import pytest
 
     with pytest.raises(ValueError):
-        phase_sum_is_zero({F(1, 9973): F(1)})
+        phase_sum_is_zero({F(1, 9973): F(1), F(2, 9973): F(1)})
 
 
 def test_order_cap_is_the_module_constant(monkeypatch):
     import pytest
 
-    assert not phase_sum_is_zero({F(1, 7): F(1)})
+    assert not phase_sum_is_zero({F(1, 7): F(1), F(2, 7): F(1)})
     monkeypatch.setattr(cyclotomic_module, "MAX_ORDER", 6)
     with pytest.raises(ValueError, match="exceeds the exact-test cap"):
-        phase_sum_is_zero({F(1, 7): F(1)})
+        phase_sum_is_zero({F(1, 7): F(1), F(2, 7): F(1)})

@@ -236,9 +236,12 @@ class TestDrawSum:
     @pytest.mark.parametrize("law", ALL_VARIANTS + [NESTED], ids=VARIANT_IDS)
     def test_zero_count_is_exactly_zero(self, law):
         rng = np.random.Generator(np.random.PCG64(5))
-        assert np.all(law._draw_sum(50, 0, 4, rng) == 0.0)
+        out = np.zeros(50)
+        law._block_adder(4, rng)(out, 0)
+        assert np.all(out == 0.0)
         counts = np.array([0, 1, 2, 0, 5, 0] * 10, dtype=np.int64)
-        out = law._draw_sum(counts.size, counts, 4, rng)
+        out = np.zeros(counts.size)
+        law._block_adder(4, rng)(out, counts)
         assert out.shape == counts.shape
         assert np.all(out[counts == 0] == 0.0)
         assert np.all((out >= 0.0) & (out < 1.0))
@@ -291,7 +294,8 @@ class TestDrawSum:
         # k * 3/8 at depth 4 (level 16) is 3k/128 mod 1, computed in Fractions
         law = Degenerate(embed_real(DYADIC, F(3, 8)))
         counts = np.array([1, 7, 43, 128], dtype=np.int64)
-        out = law._draw_sum(4, counts, 4, np.random.Generator(np.random.PCG64(0)))
+        out = np.zeros(4)
+        law._block_adder(4, np.random.Generator(np.random.PCG64(0)))(out, counts)
         assert out.tolist() == [float(F(3 * k, 128) % 1) for k in counts.tolist()]
 
     @pytest.mark.parametrize("sigma, mean, copies", [(10**400, 0, 1)])
@@ -316,8 +320,9 @@ class TestDrawSum:
         gauss, point = GaussianLine(DYADIC, 0, mean), Degenerate(embed_real(DYADIC, mean, depth))
         counts = np.array([0, 1, 2, 3, 7, 1, 0, 4] * 5, dtype=np.int64)
         for k in (1, 3, counts):
-            a = gauss._draw_sum(counts.size, k, depth, np.random.Generator(np.random.PCG64(0)))
-            b = point._draw_sum(counts.size, k, depth, np.random.Generator(np.random.PCG64(0)))
+            a, b = np.zeros(counts.size), np.zeros(counts.size)
+            gauss._block_adder(depth, np.random.Generator(np.random.PCG64(0)))(a, k)
+            point._block_adder(depth, np.random.Generator(np.random.PCG64(0)))(b, k)
             assert a.tobytes() == b.tobytes()
 
     def test_copies_must_be_positive(self):
@@ -875,7 +880,7 @@ class TestKuiperOnAtoms:
     def test_lattice_draws_are_projected_only_inside_the_linear_form(self, monkeypatch):
         # the Kuiper tower pushes a lattice batch's atoms down, not its draws
         inside = []
-        push_down, linear_form_ = SampleBatch._push_down, sampler.linear_form
+        push_down, linear_form_ = sampler._push_down, sampler.linear_form
 
         def tracking_linear_form(*args, **kwargs):
             inside.append(True)
@@ -886,13 +891,13 @@ class TestKuiperOnAtoms:
 
         outside = []
 
-        def tracking_push_down(batch, values, depth, **kwargs):
+        def tracking_push_down(spec, from_depth, values, depth, **kwargs):
             if not inside:
                 outside.append(np.size(values))
-            return push_down(batch, values, depth, **kwargs)
+            return push_down(spec, from_depth, values, depth, **kwargs)
 
         monkeypatch.setattr(sampler, "linear_form", tracking_linear_form)
-        monkeypatch.setattr(SampleBatch, "_push_down", tracking_push_down)
+        monkeypatch.setattr(sampler, "_push_down", tracking_push_down)
         n = 2_000
         monte_carlo_equidist(LATTICE_MIXTURE, [F(2, 3), F(2, 3), F(1, 3)], n=n, depth=4, seed=1)
         assert len(outside) == 2 * 4 and max(outside) <= 24  # both batches at depths 1 to 4

@@ -5,66 +5,74 @@ sums (n draws times k characters) and the Kuiper two-sample scan.  Each has
 one implementation, so a fixed seed gives the same bytes wherever the same
 numpy runs.
 
-Lattice laws put a large batch on a handful of atoms, so per-element work is
-done once per distinct value where that is cheaper.  ``atom_keys`` finds a
-batch's atoms and their counts a block at a time, merging each sorted
-block's distinct values into a running table that it gives up on once the
-table outgrows a block; a batch keeps the result, so each caller reads the
-same atoms.  ``cf_sums`` evaluates its phases on the atoms and gathers them
-back per chunk; on continuous draws it works a chunk at a time in buffers it
-reuses for every character.  ``kuiper_deltas``
-pools both samples, draws or atoms with counts, into one array of sort
-keys, sorts it once (in place for draws, by one argsort with counts) and
-scans it a chunk at a time, carrying the running counts, so its
-temporaries beyond the keys are bounded by the chunk.  The same integers
-over the same sizes give the same floats as the element-by-element
-definitions, so the results are unchanged byte for byte.
+Every row loop here and in the sampler walks ``row_blocks``.  Lattice laws
+put a large batch on a handful of atoms, so per-element work is done once
+per distinct value where that is cheaper.  ``atom_keys`` finds a batch's
+atoms, a block at a time, merging each sorted block's distinct values into
+a running table that it gives up on once the table outgrows a block; a
+batch keeps the result.  Only this module reads the atoms' bit-pattern
+order: ``atom_rows`` gives each row its atom.  ``cf_sums`` evaluates its
+phases on the atoms and gathers them back per block; on continuous draws it
+works a block at a time in buffers it reuses for every character.
+``kuiper_deltas`` pools both samples, draws or atoms with counts, into one
+array of sort keys, sorts it once (in place for draws, by one argsort with
+counts) and scans it a block at a time, so its temporaries beyond the keys
+are bounded by the block.  The same integers over the same sizes give the
+same floats as the element-by-element definitions, so the results are
+unchanged byte for byte.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from ._numpy import np
 
 _TWO_PI = 2.0 * math.pi
 
-#: draws per block of cf_sums and of atom_keys; the block sums fix cf_sums' summation
-#: order, and atom_keys keeps at most this many atoms
-CF_CHUNK_ROWS = 1 << 16
+#: rows per block of every row loop: the sampler's draws, atom_keys, cf_sums and the
+#: Kuiper scan.  The block sums fix cf_sums' summation order, and atom_keys keeps at
+#: most this many atoms; neither the draws nor the scan depend on the block size
+BLOCK_ROWS = 1 << 16
 
-#: rows per block of a sampler draw; the draws do not depend on it
-DRAW_CHUNK_ROWS = 1 << 16
 
-#: pooled keys per block of the Kuiper scan
-SCAN_CHUNK_ROWS = 1 << 16
+def row_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``BLOCK_ROWS`` rows that cover range(n)."""
+    step = BLOCK_ROWS  # read once, so a walk keeps one size
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 def atom_keys(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct values of coords as sorted float64 bit patterns (uint64), with their counts.
+    """The distinct values of coords (float64, in the order of their bit patterns), with their counts.
 
-    Keying by bit pattern keeps -0.0 and 0.0 apart, so each key stands for
-    exactly one float and one ``repr``.  The draws are sorted a block of
-    ``CF_CHUNK_ROWS`` at a time, and each block's distinct keys and counts
-    are merged into a running table.  Returns None as soon as that table
-    holds more than min(n // 2, CF_CHUNK_ROWS) keys, where per-value work
-    saves little, so the table never outgrows one block.
+    Keying by bit pattern keeps -0.0 and 0.0 apart, so each atom stands for
+    exactly one float and one ``repr``.  The draws are sorted a block at a
+    time, and each block's distinct keys and counts are merged into a
+    running table.  Returns None as soon as that table holds more than
+    min(n // 2, BLOCK_ROWS) keys, where per-value work saves little, so the
+    table never outgrows one block.
     """
     n = coords.shape[0]
-    cap = min(n // 2, CF_CHUNK_ROWS)
+    cap = min(n // 2, BLOCK_ROWS)
     keys, counts = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    for start in range(0, n, CF_CHUNK_ROWS):
-        block = np.ascontiguousarray(coords[start : start + CF_CHUNK_ROWS], dtype=np.float64)
+    for rows in row_blocks(n):
+        block = np.ascontiguousarray(coords[rows], dtype=np.float64)
         # a sort and a run mask: np.unique hashes (numpy 2.x), ~30x slower on 1e6 distinct values
         bits = np.sort(block.view(np.uint64))
         starts = np.ones(bits.shape, dtype=bool)
         np.not_equal(bits[1:], bits[:-1], out=starts[1:])
         first = np.flatnonzero(starts)
         runs = bits[first], np.diff(first, append=bits.shape[0])
-        keys, counts = _merge_runs(keys, counts, *runs) if start else runs
+        keys, counts = _merge_runs(keys, counts, *runs) if rows.start else runs
         if keys.shape[0] > cap:
             return None
-    return keys, counts
+    return keys.view(np.float64), counts
+
+
+def atom_rows(values: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The index in ``values``, the atoms of ``atom_keys``, of each row of a block of their batch."""
+    return np.searchsorted(values.view(np.uint64), np.ascontiguousarray(block, dtype=np.float64).view(np.uint64))
 
 
 def _merge_runs(keys, counts, new_keys, new_counts) -> tuple[np.ndarray, np.ndarray]:
@@ -93,36 +101,27 @@ def _phases(t: np.ndarray, m: float, arg: np.ndarray, out: np.ndarray) -> np.nda
     return np.exp(arg, out=out)
 
 
-_FIND = object()
-
-
-def cf_sums(coords: np.ndarray, multipliers: np.ndarray, atoms=_FIND) -> np.ndarray:
-    """Mean of exp(2 pi i m t) over coords, for each integer multiplier m.
-
-    ``atoms`` is ``atom_keys(coords)`` when the caller already has it; it is
-    found here otherwise.
-    """
+def cf_sums(coords: np.ndarray, multipliers: np.ndarray, atoms) -> np.ndarray:
+    """Mean of exp(2 pi i m t) over coords, for each integer multiplier m; ``atoms`` is ``atom_keys(coords)``."""
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     multipliers = np.ascontiguousarray(multipliers, dtype=np.float64)
     n = coords.shape[0]
-    if atoms is _FIND:
-        atoms = atom_keys(coords)
     if atoms is not None:
-        keys = atoms[0]
-        arg = np.zeros(keys.shape[0], dtype=np.complex128)
-        table = [_phases(keys.view(np.float64), m, arg, np.empty_like(arg)) for m in multipliers]
-    else:  # one pair of chunk buffers for every chunk and character
-        arg = np.zeros(min(n, CF_CHUNK_ROWS), dtype=np.complex128)
-        chunk_phases = np.empty_like(arg)
+        values = atoms[0]
+        arg = np.zeros(values.shape[0], dtype=np.complex128)
+        table = [_phases(values, m, arg, np.empty_like(arg)) for m in multipliers]
+    else:  # one pair of block buffers for every block and character
+        arg = np.zeros(min(n, BLOCK_ROWS), dtype=np.complex128)
+        block_phases = np.empty_like(arg)
     totals = [0j] * multipliers.shape[0]
-    for start in range(0, n, CF_CHUNK_ROWS):
-        block = coords[start : start + CF_CHUNK_ROWS]
+    for rows in row_blocks(n):
+        block = coords[rows]
         if atoms is None:
-            rows = block.shape[0]
+            size = block.shape[0]
             for j, m in enumerate(multipliers):
-                totals[j] += _phases(block, m, arg[:rows], chunk_phases[:rows]).sum()
+                totals[j] += _phases(block, m, arg[:size], block_phases[:size]).sum()
         else:
-            where = np.searchsorted(keys, block.view(np.uint64))
+            where = atom_rows(values, block)
             for j, phases in enumerate(table):
                 totals[j] += phases[where].sum()
     out = np.empty(multipliers.shape[0], dtype=np.complex128)
@@ -194,18 +193,17 @@ def _scan(keys: np.ndarray, weights: np.ndarray | None, na: int, nb: int) -> tup
     total = keys.shape[0]
     below = below_b = 0  # draws of both samples, and of b alone, below the chunk
     dplus = dminus = 0.0
-    for start in range(0, total, SCAN_CHUNK_ROWS):
-        stop = min(start + SCAN_CHUNK_ROWS, total)
-        chunk = keys[start:stop]
+    for rows in row_blocks(total):
+        chunk = keys[rows]
         # a run ends where the key changes above the label bit
         ends = np.empty(chunk.shape[0], dtype=bool)
         np.greater(chunk[1:] ^ chunk[:-1], 1, out=ends[:-1])
-        ends[-1] = stop == total or (keys[stop] ^ chunk[-1]) > 1
+        ends[-1] = rows.stop == total or (keys[rows.stop] ^ chunk[-1]) > 1
         cb = (chunk & np.uint64(1)).view(np.int64)
         if weights is None:
             both = np.arange(below + 1, below + chunk.shape[0] + 1)
         else:
-            w = weights[start:stop]
+            w = weights[rows]
             cb *= w
             both = np.cumsum(w)
             both += below

@@ -618,11 +618,7 @@ def check_equidistribution(f: StratifiedCF, coeffs: Sequence[Rational]) -> Equat
     count k contributes f(alpha y)^k, by repeated squaring.  Every
     coefficient must be an automorphism (``precompose`` raises ValueError).
     """
-    return _check_counts(f, coefficient_counts(coeffs))
-
-
-def _check_counts(f: StratifiedCF, counts: Sequence[tuple[Fraction, int]]) -> EquationCheck:
-    """``check_equidistribution`` on a system given as (coefficient, count) pairs, counts >= 1."""
+    counts = coefficient_counts(coeffs)
     rhs = reduce(mul, (f.precompose(a) ** k for a, k in counts))
     cmp = compare(f, rhs)
     verdict = {"equal": "holds", "differs": "fails", "unknown": "unknown"}[cmp.verdict]

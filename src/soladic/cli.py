@@ -117,7 +117,10 @@ def _resolve_seed(args, sim: dict) -> int:
     return seed
 
 
-def _maybe_rational(x) -> "str | None":
+def _maybe_rational(x) -> "str | list[str] | None":
+    """None, a rational, or a pair of rationals (a support's witness) as a list."""
+    if isinstance(x, tuple):
+        return [rational_to_json(y) for y in x]
     return None if x is None else rational_to_json(x)
 
 
@@ -146,6 +149,7 @@ def _verdict_to_json(v: ScenarioVerdict) -> dict:
             "subgroup": None if dec.subgroup is None else subgroup_to_json(dec.subgroup),
             "p_invariant": dec.p_invariant,
             "reason": dec.reason,
+            "witness": _maybe_rational(dec.witness),
         },
         "conclusion": v.conclusion,
     }

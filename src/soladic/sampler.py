@@ -7,15 +7,16 @@ function, which is what the statistical checks compare against: draws are
 depth-N circle coordinates in [0,1), reproducible bit-for-bit from
 (law, depth, n, seed) via independent split random streams.
 
-``Draw.blocks`` is the one block loop: it yields a draw's coordinates a
-block of ``_kernels.DRAW_CHUNK_ROWS`` rows at a time, each stream continuing
-from block to block, so the draws do not depend on the block size.  It
-serves both consumers: ``sample`` fills a batch from it, allocated once,
-and ``linear_form`` adds each part's blocks, scaled, straight into its
-running sum, which it then takes mod 1 and down the tower in place.  So
-``monte_carlo_equidist`` holds two n-sized arrays, the reference batch and
-the combined sum, 8 bytes per draw each, plus block-sized temporaries,
-whatever the law tree and however many coefficients.
+``Draw.blocks`` is the sampler's one draw loop: it yields a draw's
+coordinates over ``_kernels.row_blocks``, each stream continuing from block
+to block, so the draws do not depend on the block size; a composite law
+sums its parts in a block by ``_add_sum``.  It serves both consumers:
+``sample`` fills a batch from it, allocated once, and ``linear_form`` adds
+each part's blocks, scaled, straight into its running sum, which it then
+takes mod 1 and down the tower in place.  So ``monte_carlo_equidist``
+holds two n-sized arrays, the reference batch and the combined sum, 8
+bytes per draw each, plus block-sized temporaries, whatever the law tree
+and however many coefficients.
 """
 
 from __future__ import annotations
@@ -71,10 +72,12 @@ class SamplerSpec:
         raise NotImplementedError
 
 
-def _row_blocks(n: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``_kernels.DRAW_CHUNK_ROWS`` rows that cover range(n)."""
-    step = _kernels.DRAW_CHUNK_ROWS
-    return (slice(start, min(start + step, n)) for start in range(0, n, step))
+def _add_sum(out: np.ndarray, adders: Sequence[Callable], counts: Iterable) -> None:
+    """Add to `out` the sum mod 1 of the parts' draws, part i drawn by ``adders[i]`` with counts i."""
+    total = np.zeros(len(out))
+    for add_part, k in zip(adders, counts):
+        add_part(total, k)
+    out += np.mod(total, 1.0, out=total)
 
 
 def _multiples(r: Fraction, counts, level: int) -> np.ndarray:
@@ -241,10 +244,7 @@ class Mixture(SamplerSpec):
 
         def add(out, counts):
             split = rng.multinomial(counts, probs, size=None if np.ndim(counts) else len(out))
-            total = np.zeros(len(out))
-            for add_part, k in zip(adders, split.T):
-                add_part(total, k)
-            out += np.mod(total, 1.0, out=total)
+            _add_sum(out, adders, split.T)
 
         return add
 
@@ -268,14 +268,11 @@ class Shifted(SamplerSpec):
         return gaussian_cf(self.ambient, 0, self.x) * self.law.exact_cf()
 
     def _block_adder(self, depth, rng):
-        add_law = self.law._block_adder(depth, rng)
-        x, level = self.x.real_value, self.ambient.level(depth)
+        # the law draws on this law's own stream; the point draws nothing
+        adders = self.law._block_adder(depth, rng), Degenerate(self.x)._block_adder(depth, rng)
 
         def add(out, counts):
-            total = np.zeros(len(out))
-            add_law(total, counts)
-            total += _multiples(x, counts, level)
-            out += np.mod(total, 1.0, out=total)
+            _add_sum(out, adders, (counts, counts))
 
         return add
 
@@ -307,10 +304,7 @@ class ConvolutionOf(SamplerSpec):
         adders = [part._block_adder(depth, child) for part, child in zip(self.parts, rng.spawn(len(self.parts)))]
 
         def add(out, counts):
-            total = np.zeros(len(out))
-            for add_part in adders:
-                add_part(total, counts)
-            out += np.mod(total, 1.0, out=total)
+            _add_sum(out, adders, (counts,) * len(adders))
 
         return add
 
@@ -323,11 +317,11 @@ class ConvolutionOf(SamplerSpec):
 class SampleBatch:
     """Depth-N circle coordinates of i.i.d. draws, with their seed record.
 
-    A batch finds its atoms once, on first use, and keeps them: the sorted
-    distinct coordinates with their counts (``_kernels.atom_keys``), or None
-    when they are more than half the draws or more than one block of
-    ``_kernels.CF_CHUNK_ROWS``.  The cf sums, the CSV writer and the Kuiper
-    test all read that one result, so a batch is sorted once.
+    A batch finds its atoms once, on first use, and keeps them: its distinct
+    coordinates with their counts (``_kernels.atom_keys``), or None when they
+    are more than half the draws or more than ``_kernels.BLOCK_ROWS``.  The
+    cf sums, the CSV writer (each row's atom by ``_kernels.atom_rows``) and
+    the Kuiper test all read that one result, so a batch is sorted once.
     """
 
     spec: SteinitzSpec
@@ -345,7 +339,7 @@ class SampleBatch:
 
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """The coordinates as ``(rows, values)`` pairs, a block of rows at a time, as a ``Draw`` yields them."""
-        return ((rows, self.coords[rows]) for rows in _row_blocks(self.n))
+        return ((rows, self.coords[rows]) for rows in _kernels.row_blocks(self.n))
 
     def project(self, depth: int) -> "SampleBatch":
         """Push the batch down the tower to a shallower depth."""
@@ -411,7 +405,7 @@ class Draw:
 
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         add = self.law._block_adder(self.depth, self.rng)
-        for rows in _row_blocks(self.n):
+        for rows in _kernels.row_blocks(self.n):
             values = np.zeros(rows.stop - rows.start)
             add(values, self.copies)
             yield rows, values
@@ -651,14 +645,6 @@ def _snap(coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _kuiper_sample(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray | None]:
-    """The values the Kuiper test takes down the tower: (atom values, counts), or (draws, None) without atoms."""
-    if batch._atoms is None:
-        return batch.coords, None
-    keys, counts = batch._atoms
-    return keys.view(np.float64), counts
-
-
 def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | None = None) -> tuple[float, float]:
     """Kuiper V statistic and asymptotic p-value for two coordinate batches.
 
@@ -678,7 +664,7 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
         raise ValueError("batches must share a depth")
     depth = batch1.depth if depth is None else depth
     _refuse_past_tie_grid(batch1.spec, depth)
-    (a, a_counts), (b, b_counts) = _kuiper_sample(batch1), _kuiper_sample(batch2)
+    (a, a_counts), (b, b_counts) = (batch._atoms or (batch.coords, None) for batch in (batch1, batch2))
     keys = np.empty(a.shape[0] + b.shape[0], dtype=np.uint64)
     a_out, b_out = np.split(keys.view(np.float64), [a.shape[0]])
     for batch, values, out in ((batch1, a, a_out), (batch2, b, b_out)):

@@ -33,6 +33,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Mapping
 
+from . import _kernels
 from ._numpy import np
 from .charfun import NEG_INF, POS_INF, StratifiedCF, Stratum, SubgroupSpec, Term, _first_overlap, build_cf
 from .errors import ConfigError
@@ -182,13 +183,14 @@ def _require_printable_real_value(x: SolenoidPoint, where: str) -> None:
     """Refuse a point whose real value coord * level(depth) is too long to print.
 
     Reports print that value as a shift.  The numerator is at least
-    2^depth / den(coord), so a deep point is refused before its level is built.
+    2^depth / den(coord), so a deep point is refused by the bit length of
+    10^limit * den(coord), before anything of its depth's size is built.
     """
     limit = _print_limit()
     if not limit or x.coord == 0:
         return
     bound = 10**limit
-    if 1 << x.depth >= bound * x.coord.denominator or x.real_value.numerator >= bound:
+    if x.depth >= (bound * x.coord.denominator - 1).bit_length() or x.real_value.numerator >= bound:
         raise ConfigError(
             f"{where}.depth {x.depth} makes the point's real value coord * level({x.depth}) "
             f"longer than {limit} digits, which no report can print"
@@ -446,8 +448,7 @@ def _csv_chunks(batch: SampleBatch) -> Iterator[str]:
     coords = np.asarray(batch.coords, dtype=np.float64)
     atoms = batch._atoms
     if atoms is not None:
-        keys = atoms[0]
-        texts = np.array([repr(x) for x in keys.view(np.float64).tolist()], dtype=object)
+        texts = np.array([repr(x) for x in atoms[0].tolist()], dtype=object)
     first, sep = f"{batch.depth},", f"\n{batch.depth},"
     yield "depth,coord\n"
     for i in range(0, batch.n, CSV_CHUNK_ROWS):
@@ -455,7 +456,7 @@ def _csv_chunks(batch: SampleBatch) -> Iterator[str]:
         if atoms is None:
             rows = map(repr, block.tolist())
         else:
-            rows = texts[np.searchsorted(keys, block.view(np.uint64))].tolist()
+            rows = texts[_kernels.atom_rows(atoms[0], block)].tolist()
         yield first + sep.join(rows) + "\n"
 
 

@@ -148,15 +148,23 @@ class TestCheck:
         assert doc["equation"]["witness"] is not None
 
     def test_two_gaussian_mixture_is_not_of_form(self, tmp_path, capsys):
-        gaussians = [{"kind": "gaussian", "sigma": sigma} for sigma in (1, 2)]
-        law = {"kind": "mixture", "weights": ["1/2", "1/2"], "parts": gaussians}
-        path = write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"law": law}))
+        # gaussians of sigma 1 and 2, mixed half and half; CI runs the same file
+        path = write_config(tmp_path, pinned_config("twogauss"))
         code, out, _ = run_cli(capsys, "check", path)
         doc = json.loads(out)
         assert code == 1
         assert doc["equation"]["witness"] == "1"
         assert doc["decomposition"]["kind"] == "not_of_form"
         assert "is not one gaussian: its terms have decays 1, 2" in doc["decomposition"]["reason"]
+
+    def test_decomposition_prints_the_support_pair(self, tmp_path, capsys):
+        # 1 on v_2 = 0 and at zero: 1 + 1 = 2 leaves the support, and the pair is
+        # printed as a list of two characters, as the pinned reports print one
+        cf = [_piece([_v2("=", 0)], ONE), _piece([], ONE, only_zero=True)]
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": cf})))
+        dec = json.loads(out)["decomposition"]
+        assert code == 1
+        assert (dec["kind"], dec["witness"]) == ("not_of_form", ["1", "1"])
 
     def test_explicit_cf_distribution(self, tmp_path, capsys):
         path = write_config(
@@ -234,28 +242,34 @@ class TestCheck:
         assert json.loads(out)["equation"]["witness"] == "1"
 
     @pytest.mark.parametrize(
-        "law, coefficients, witness",
+        "cfg, witness",
         [
-            ({"cf": [{"stratum": [], "terms": [{"c": "1", "shift": f"1/{2**40}"}]}]}, ["1/2"] * 3, str(2**40)),
-            ({"law": {"kind": "degenerate", "point": {"depth": 3, "coord": "1/2"}}}, ["1/2"] * 2 + ["1/4"] * 8, "1/16"),
+            (
+                {
+                    "solenoid": {"2": "inf"},
+                    "coefficients": ["1/2"] * 3,
+                    "distribution": {"cf": [{"stratum": [], "terms": [{"c": "1", "shift": f"1/{2**40}"}]}]},
+                },
+                str(2**40),
+            ),
+            (pinned_config("atfour"), "1/16"),
         ],
         ids=["shift-2^-40", "point-4"],
     )
-    def test_single_term_cells_get_a_closed_form_witness(self, tmp_path, capsys, law, coefficients, witness):
+    def test_single_term_cells_get_a_closed_form_witness(self, tmp_path, capsys, cfg, witness):
         # each side is one character on the whole dual group, and no probe of
         # its list tells them apart: the shift 1/2^40 made every probe's phase
-        # too fine to decide, and the point with real value 4 first differs
-        # from the right side at 1/16; both exited 3 with "unknown"
-        cfg = {"solenoid": {"2": "inf"}, "coefficients": coefficients, "distribution": law}
+        # too fine to decide, and the point with real value 4 (depth 3, 1/2 over
+        # {2: inf}, under two halves and eight quarters) first differs from the
+        # right side at 1/16; both exited 3 with "unknown"
         code, out, _ = run_cli(capsys, "check", write_config(tmp_path, cfg))
         assert code == 1
         assert json.loads(out)["equation"] == {"degenerate": False, "note": "", "verdict": "fails", "witness": witness}
 
     def test_point_one_level_below_the_integral_probes_fails(self, tmp_path, capsys):
-        # the point with real value 3/2 differs from the right side first at 1/9
-        law = {"kind": "degenerate", "point": {"depth": 1, "coord": "1/2"}}
-        cfg = {"solenoid": {"3": "inf"}, "coefficients": ["1/3"] * 9, "distribution": {"law": law}}
-        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, cfg))
+        # the point with real value 3/2 (depth 1, 1/2 over {3: inf}) under nine thirds
+        # differs from the right side first at 1/9
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, pinned_config("point")))
         assert code == 1
         assert json.loads(out)["equation"] == {"degenerate": False, "note": "", "verdict": "fails", "witness": "1/9"}
 
@@ -649,14 +663,7 @@ class TestSimulate:
             # a haar fiber that fits int64 at depth 4 but not at the sampling depth 5
             ({"distribution": {"law": {"kind": "haar", "subgroup": {"2": 59}}}}, "at depth 5 has an order beyond int64"),
             # a mixture whose gaussian part has sigma 10^324, past the float range
-            (
-                {"distribution": {"law": {
-                    "kind": "mixture",
-                    "weights": ["1/2", "1/2"],
-                    "parts": [{"kind": "haar", "subgroup": {"2": 0}}, {"kind": "gaussian", "sigma": "1" + "0" * 324}],
-                }}},
-                "gaussian draws leave the float range",
-            ),
+            (pinned_config("hugesigma"), "gaussian draws leave the float range"),
         ],
     )
     def test_refusals_at_a_sample_size_beyond_memory_are_exit_2(self, tmp_path, capsys, patch, message):
@@ -935,7 +942,7 @@ class TestConfigReaders:
     @pytest.mark.parametrize(
         "doc, named",
         [
-            (_law({"kind": "haar", "subgroup": {"4": 1}}), "distribution.law.subgroup key '4': 4 is not prime"),
+            (pinned_config("four"), "distribution.law.subgroup key '4': 4 is not prime"),
             (_cf({"prime": 4, "op": ">=", "k": 0}), "distribution.cf[0].stratum[0].prime: 4 is not prime"),
             (_cf({"prime": 0, "op": ">=", "k": 0}), "distribution.cf[0].stratum[0].prime: 0 is not prime"),
         ],
@@ -978,11 +985,8 @@ class TestConfigReaders:
         assert err.startswith("config error:") and f"{named} must be true or false" in err
 
     def test_piece_flags_read_json_booleans(self, tmp_path, capsys):
-        cf = [
-            {"stratum": [], "terms": [{"c": 1}], "only_zero": True},
-            {"stratum": [], "terms": [{"c": 1, "sigma": 1}], "minus_zero": True},
-        ]
-        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": cf})))
+        # the gaussian split at zero: an only_zero piece of 1 and a minus_zero gaussian
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, pinned_config("split")))
         assert code == 0
         assert json.loads(out)["equation"]["verdict"] == "holds"
 
@@ -1039,8 +1043,7 @@ class TestConfigReaders:
         # 1 on v_7>=1 and exp(-y^2) elsewhere solves the equation, yet is no
         # gaussian times a haar indicator: f(7) = 1 but f(8) != f(1).  The
         # theorem guard ended check in a SoundnessError traceback
-        cf = [_piece([{"prime": 7, "op": ">=", "k": 1}], ONE), _piece([{"prime": 7, "op": "<=", "k": 0}], GAUSS)]
-        code, out, err = run_cli(capsys, "check", write_config(tmp_path, dict(GAUSS_HOLDS, distribution={"cf": cf})))
+        code, out, err = run_cli(capsys, "check", write_config(tmp_path, pinned_config("notpd")))
         assert code == 2 and out == ""
         assert err.startswith("config error: distribution.cf is not positive definite")
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from soladic import _kernels
-from soladic._kernels import CF_CHUNK_ROWS, SCAN_CHUNK_ROWS, atom_keys, cf_sums, kuiper_deltas
+from soladic._kernels import BLOCK_ROWS, atom_keys, atom_rows, cf_sums, kuiper_deltas, row_blocks
 
 
 def ecdf_deltas(a, b):
@@ -123,7 +123,7 @@ def _chunk_case(pooled, form, seed):
 
 
 @pytest.mark.parametrize("form", ["draws", "counts", "mixed", "tied"])
-@pytest.mark.parametrize("pooled", [SCAN_CHUNK_ROWS - 1, SCAN_CHUNK_ROWS, SCAN_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("pooled", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_kuiper_deltas_match_ecdf_scan_across_a_scan_chunk(pooled, form):
     a, b, a_counts, b_counts = _chunk_case(pooled, form, pooled)
     a_draws = a if a_counts is None else np.repeat(a, a_counts)
@@ -138,7 +138,7 @@ def test_kuiper_deltas_match_ecdf_scan_across_a_scan_chunk(pooled, form):
 def test_cf_sums_match_one_shot_mean_across_chunks(n):
     t = np.random.default_rng(n).random(n)
     multipliers = np.array([0.0, 1.0, -3.0, 8.0, 243.0])
-    got = cf_sums(t, multipliers)
+    got = cf_sums(t, multipliers, atom_keys(t))
     want = [np.exp(2j * np.pi * m * t).mean() for m in multipliers]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -152,44 +152,47 @@ def test_cf_sums_on_lattice_equal_the_dense_loop(n):
     # 12 atoms, with an ulp-shifted copy of some, as a linear form of draws leaves them
     t = rng.integers(0, 12, n) / 12
     t[::7] = np.nextafter(t[::7], 1.0)
-    assert atom_keys(t) is not None
-    assert np.array_equal(cf_sums(t, MULTIPLIERS), dense_cf_sums(t, MULTIPLIERS))
+    atoms = atom_keys(t)
+    assert atoms is not None
+    assert np.array_equal(cf_sums(t, MULTIPLIERS, atoms), dense_cf_sums(t, MULTIPLIERS))
 
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_cf_sums_equal_the_dense_loop_on_both_sides_of_the_atom_cutoff(extra):
-    # min(n // 2, CF_CHUNK_ROWS) distinct values take the per-atom path, one more the
+    # min(n // 2, BLOCK_ROWS) distinct values take the per-atom path, one more the
     # per-draw one: n // 2 binds below two blocks of draws, one block above
-    for n in (CF_CHUNK_ROWS + 5, 2 * CF_CHUNK_ROWS + 6, 3 * CF_CHUNK_ROWS + 7):
-        distinct = min(n // 2, CF_CHUNK_ROWS) + extra
+    for n in (BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 6, 3 * BLOCK_ROWS + 7):
+        distinct = min(n // 2, BLOCK_ROWS) + extra
         t = np.random.default_rng(extra).permutation(np.resize(np.arange(distinct) / distinct, n))
-        assert (atom_keys(t) is None) == bool(extra), n
-        assert np.array_equal(cf_sums(t, MULTIPLIERS), dense_cf_sums(t, MULTIPLIERS))
+        atoms = atom_keys(t)
+        assert (atoms is None) == bool(extra), n
+        assert np.array_equal(cf_sums(t, MULTIPLIERS, atoms), dense_cf_sums(t, MULTIPLIERS))
 
 
 def test_atom_keys_sort_a_block_at_a_time(monkeypatch):
     # a block's sorted copy and run mask, and a table of 4 atoms; a sorted
     # copy of the whole batch and its run mask took 9 bytes a draw
-    monkeypatch.setattr(_kernels, "CF_CHUNK_ROWS", 4096)
+    monkeypatch.setattr(_kernels, "BLOCK_ROWS", 4096)
     n = 200_000
     t = np.random.default_rng(0).integers(0, 4, n) / 4
     atom_keys(t[:100])  # keep first-use imports out
     tracemalloc.start()
     try:
-        keys, counts = atom_keys(t)
+        values, counts = atom_keys(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert keys.view(np.float64).tolist() == [0.0, 0.25, 0.5, 0.75]
+    assert values.tolist() == [0.0, 0.25, 0.5, 0.75]
     assert counts.tolist() == [np.count_nonzero(t == x) for x in (0.0, 0.25, 0.5, 0.75)]
     assert peak < 1 << 20
 
 
 def test_atom_keys_keep_signed_zeros_apart():
     t = np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5, 0.5, 0.5])
-    keys, counts = atom_keys(t)
-    assert keys.view(np.float64).tolist() == [0.0, 0.5, -0.0]
-    assert [math.copysign(1.0, x) for x in keys.view(np.float64)] == [1.0, 1.0, -1.0]
+    values, counts = atom_keys(t)
+    assert values.dtype == np.float64
+    assert values.tolist() == [0.0, 0.5, -0.0]
+    assert [math.copysign(1.0, x) for x in values] == [1.0, 1.0, -1.0]
     assert counts.tolist() == [2, 4, 2]
 
 
@@ -204,8 +207,27 @@ def test_cf_sums_evaluates_phases_once_per_atom(monkeypatch):
     monkeypatch.setattr(_kernels.np, "exp", counting_exp)
     n = (1 << 17) + 3
     lattice = np.random.default_rng(0).integers(0, 12, n) / 12
-    cf_sums(lattice, MULTIPLIERS)
+    cf_sums(lattice, MULTIPLIERS, atom_keys(lattice))
     assert 0 < sum(points) <= 12 * MULTIPLIERS.shape[0]
     points.clear()
-    cf_sums(np.random.default_rng(0).random(n), MULTIPLIERS)
+    draws = np.random.default_rng(0).random(n)
+    cf_sums(draws, MULTIPLIERS, atom_keys(draws))
     assert sum(points) == n * MULTIPLIERS.shape[0]
+
+
+def test_atom_rows_map_each_row_to_its_own_atom():
+    # signed zeros and ulp-split neighbours are distinct atoms, and the rows of
+    # a block past the first BLOCK_ROWS find theirs as the first block's do
+    split = np.nextafter(0.5, 1.0)
+    atoms = [0.0, -0.0, 0.5, split, np.nextafter(0.5, 0.0), 0.75]
+    n = BLOCK_ROWS + 1000
+    t = np.resize(np.array(atoms), n)
+    values, counts = atom_keys(t)
+    assert len(values) == len(atoms) and counts.sum() == n
+    blocks = [t[rows] for rows in row_blocks(n)]
+    assert len(blocks) == 2
+    for block in blocks + [t[BLOCK_ROWS - 3 :]]:  # the callers' blocks, and one across their boundary
+        assert values[atom_rows(values, block)].tobytes() == block.tobytes()
+    where = atom_rows(values, np.array([0.0, -0.0, 0.5, split]))
+    assert len(set(where.tolist())) == 4
+    assert [math.copysign(1.0, x) for x in values[where[:2]]] == [1.0, -1.0]

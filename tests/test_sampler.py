@@ -252,10 +252,10 @@ class TestDrawSum:
         # every stream continues from block to block; with 3 copies the
         # mixtures hand array counts to their parts
         for rows, n in ((1, 500), (7, 5_000), (4096, 5_000)):
-            assert n <= _kernels.DRAW_CHUNK_ROWS  # one block
+            assert n <= _kernels.BLOCK_ROWS  # one block
             whole = sample(law, 4, n, 7, copies=copies).coords.tobytes()
             with monkeypatch.context() as patch:
-                patch.setattr(_kernels, "DRAW_CHUNK_ROWS", rows)
+                patch.setattr(_kernels, "BLOCK_ROWS", rows)
                 assert sample(law, 4, n, 7, copies=copies).coords.tobytes() == whole, rows
 
     @pytest.mark.parametrize("case", ["lattice", "shifted"])
@@ -264,10 +264,10 @@ class TestDrawSum:
         # stream continuing from block to block
         law, coeffs = EQUIDIST_CASES[case]
         for rows, n in ((1, 500), (7, 5_000), (4096, 5_000)):
-            assert n <= _kernels.DRAW_CHUNK_ROWS  # one block
+            assert n <= _kernels.BLOCK_ROWS  # one block
             whole = monte_carlo_equidist(law, coeffs, n=n, depth=4, seed=7)
             with monkeypatch.context() as patch:
-                patch.setattr(_kernels, "DRAW_CHUNK_ROWS", rows)
+                patch.setattr(_kernels, "BLOCK_ROWS", rows)
                 cut = monte_carlo_equidist(law, coeffs, n=n, depth=4, seed=7)
             assert cut.reference.coords.tobytes() == whole.reference.coords.tobytes(), rows
             assert cut.combined.coords.tobytes() == whole.combined.coords.tobytes(), rows
@@ -276,7 +276,7 @@ class TestDrawSum:
     def test_peak_per_draw_does_not_grow_with_the_parts(self, monkeypatch, parts):
         # the batch's 8 bytes a draw plus block-sized temporaries; drawing
         # every row at once took 40 bytes a draw for 2 parts and 72 for 6
-        monkeypatch.setattr(_kernels, "DRAW_CHUNK_ROWS", 4096)
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 4096)
         law = Mixture(
             (F(1, parts),) * parts,
             tuple(HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: t})) for t in range(-1, parts - 1)),
@@ -972,8 +972,7 @@ class TestMonteCarloEquidist:
         # the reference and the running sum, 8 bytes a draw each, plus block-sized
         # temporaries: about 17.4 bytes a draw; a whole part batch beside them
         # took 25.1, within 16 n + 2 MiB at this n, so the slack is 1 MiB
-        for name in ("DRAW_CHUNK_ROWS", "CF_CHUNK_ROWS", "SCAN_CHUNK_ROWS"):
-            monkeypatch.setattr(_kernels, name, 4096)
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 4096)
         law, coeffs = EQUIDIST_CASES["lattice"]
         monte_carlo_equidist(law, coeffs, n=100, depth=4)  # keep first-use imports out
         n = 200_000

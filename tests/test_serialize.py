@@ -112,6 +112,40 @@ class TestScalars:
         # the zero point embeds 0 at any depth
         assert point_from_json(DYADIC, {"depth": 20_000, "coord": "0"}).real_value == 0
 
+    def test_deep_point_is_refused_without_building_its_level(self):
+        # 1 << depth took 12.5 MB here, and a depth of 10^12 ended in a MemoryError
+        point_from_json(DYADIC, {"depth": 3, "coord": "1/2"})  # keep first-use imports out
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"point\.depth 100000000 .* digits"):
+                point_from_json(DYADIC, {"depth": 10**8, "coord": "1/2"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ConfigError) as refused:
+            point_from_json(DYADIC, {"depth": 10**7, "coord": "1/2"}, "distribution.law.point")
+        digits = sys.get_int_max_str_digits()
+        assert str(refused.value) == (
+            "distribution.law.point.depth 10000000 makes the point's real value coord * level(10000000) "
+            f"longer than {digits} digits, which no report can print"
+        )
+
+    @pytest.mark.parametrize("den", [3, 96])
+    def test_depth_refusal_is_the_power_of_two_bound(self, den):
+        # refused exactly when 2^depth >= 10^limit * den or the value itself is too long
+        bound = 10 ** sys.get_int_max_str_digits()
+        edge = (bound * den - 1).bit_length()
+        for depth in range(edge - 8, edge + 3):
+            x = SolenoidPoint(DYADIC, depth, F(1, den))
+            refused = 1 << depth >= bound * den or x.real_value.numerator >= bound
+            try:
+                point_from_json(DYADIC, {"depth": depth, "coord": f"1/{den}"})
+            except ConfigError:
+                assert refused, depth
+            else:
+                assert not refused, depth
+
     def test_value_too_long_to_print_is_a_config_error(self):
         digits = sys.get_int_max_str_digits()
         assert rational_to_json(F(1, 10 ** (digits - 1))) == "1/1" + "0" * (digits - 1)

@@ -1,11 +1,13 @@
 """Hot numeric loops of the Monte Carlo layer, in plain numpy.
 
-Two kernels matter for large draws: the empirical characteristic-function
-sums (n draws times k characters) and the Kuiper two-sample scan.  Each has
-one implementation, so a fixed seed gives the same bytes wherever the same
+Three kernels matter for large draws: the empirical characteristic-function
+sums (n draws times k characters), the Kuiper two-sample scan, and the
+shortest-repr text of the draws that the CSV artifacts hold.  Each has one
+implementation, so a fixed seed gives the same bytes wherever the same
 numpy runs.
 
-Every row loop here and in the sampler walks ``row_blocks``.  Lattice laws
+Every row loop here, in the sampler and in the CSV writer walks
+``row_blocks``.  Lattice laws
 put a large batch on a handful of atoms, so per-element work is done once
 per distinct value where that is cheaper.  ``atom_keys`` finds a batch's
 atoms, a block at a time, merging each sorted block's distinct values into
@@ -19,11 +21,13 @@ array of sort keys, sorts it once (in place for draws, by one argsort with
 counts) and scans it a block at a time, so its temporaries beyond the keys
 are bounded by the block.  The same integers over the same sizes give the
 same floats as the element-by-element definitions, so the results are
-unchanged byte for byte.
+unchanged byte for byte.  ``repr_matrix`` reads float bit patterns too: it
+prints a block of values as ``repr`` does, exactly, in array passes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -218,3 +222,150 @@ def _scan(keys: np.ndarray, weights: np.ndarray | None, na: int, nb: int) -> tup
         d -= cb / nb
         dplus, dminus = max(dplus, float(d.max())), max(dminus, -float(d.min()))
     return dplus, dminus
+
+
+#: bytes per row of ``repr_matrix``: the longest float64 repr, '-2.2250738585072014e-308', has 24
+REPR_WIDTH = 24
+
+_SPLIT = float((1 << 27) + 1)  # Veltkamp's splitter: halves of at most 26 bits, whose products are exact
+_MANTISSA = (1 << 52) - 1
+_EXPONENT = 0x7FF << 52
+
+
+@functools.cache
+def _repr_tables() -> tuple[np.ndarray, ...]:
+    """The constants of ``repr_matrix``, built on its first call so that importing this module loads no numpy.
+
+    * heads: 8 bytes per (z, d), index 10 z + d: '0.' and z zeros, NUL
+      padding, then the leading digit d;
+    * groups: 4 bytes per four-digit group g, index g, and index 10^4 + g
+      for g with its trailing zeros made NUL, for the last nonzero group;
+    * the scales 10^(17 + z) for z = 0..3 leading zeros, with their Veltkamp
+      halves; each is exact, as every power of ten up to 10^22 is.
+    """
+    heads = b"".join(("0." + "0" * z).encode().ljust(7, b"\0") + str(d).encode() for z in range(4) for d in range(10))
+    group = np.arange(10_000, dtype=np.int16)[:, None]
+    powers = np.array([1000, 100, 10, 1], dtype=np.int16)
+    chars = (group // powers % 10 + ord("0")).astype(np.uint8)
+    stripped = np.where(group % (10 * powers) != 0, chars, 0).astype(np.uint8)  # a digit with nonzero ones from it on
+    scales = np.array([10.0**s for s in range(17, 21)])
+    high = scales * _SPLIT
+    high -= high - scales
+    groups = np.concatenate([chars, stripped]).view(np.uint32).ravel()
+    return np.frombuffer(heads, dtype=np.uint64), groups, scales, high, scales - high
+
+
+def repr_matrix(values: np.ndarray) -> np.ndarray:
+    """A uint8 matrix of ``REPR_WIDTH`` columns whose row i, with its NUL bytes dropped, is ``repr(values[i])``.
+
+    Values x in [1e-4, 1) take an exact path in array passes.  The exact
+    power of ten 10^s that brings x to [1e16, 1e17) scales it to X = hi + lo,
+    held exactly by Dekker's two-product, and every real that reads back as
+    x lies within D = 10^s ulp(x) / 2 of X, scaled by the same 10^s; lo - D
+    and lo + D are exact, which two-sums confirm.  The shortest digits that
+    read back as x are those of the integer in that interval with the most
+    trailing zeros: a multiple of 100 if there is one (the interval is
+    narrower than 23, so there is at most one), otherwise the multiple of 10
+    or else the integer nearest X, which are the closest of their length
+    (Adams's Ryu rule).  A row falls back to ``repr`` when its value is
+    outside that range or a power of two (an asymmetric interval), an integer
+    lies on an interval end, the closest candidates tie, or an exactness
+    check fails; so every row is ``repr`` by construction.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    heads, groups, scales, scales_high, scales_low = _repr_tables()
+    # each temporary is dropped once dead, so a block holds about ten float64 arrays at a time
+    ok = (values >= 1e-4) & (values < 1.0) & (values.view(np.uint64) & np.uint64(_MANTISSA) != 0)
+    x = np.where(ok, values, 0.5)  # keeps the other rows' arithmetic finite; they take repr
+    zeros = (x < 0.1).view(np.uint8)  # the zeros after '0.': 1e-4 <= x < 1 prints without exponent
+    zeros += x < 0.01
+    zeros += x < 0.001
+    scale = scales[zeros]
+    hi = x * scale
+    ok &= (hi >= 1e16) & (hi < 1e17)
+    half_ulp = (x.view(np.uint64) & np.uint64(_EXPONENT)).view(np.float64)  # 2^e for x in [2^e, 2^(e + 1))
+    half_ulp *= 2.0**-53
+    half_ulp *= scale  # a power of two times 10^s: exact
+    del scale
+    lo = _two_product_error(x, hi, scales_high[zeros], scales_low[zeros])
+    del x
+    below, above = _exact_sum(lo, -half_ulp, ok), _exact_sum(lo, half_ulp, ok)
+    del half_ulp
+    ok &= (np.floor(below) != below) & (np.floor(above) != above)  # no integer on an end
+    # offsets from hi, an integer: N = hi + nearest is the integer nearest X, which lies up or down from it
+    nearest = np.rint(lo)
+    up, down = lo > nearest, lo < nearest
+    tie = np.abs(lo - nearest) == 0.5  # X halfway between two integers
+    del lo
+    digits = hi.astype(np.int64)
+    del hi
+    ends = (digits - digits // 100 * 100).astype(np.float64)
+    ends += nearest  # N's last two digits, less a borrow or plus a carry: in [-8, 108)
+    offset = nearest.copy()
+    for unit in (10.0, 100.0):  # the multiple of unit nearest X, taken when it lies inside
+        rem = ends - unit * np.floor(ends / unit)
+        halfway = rem == unit / 2
+        candidate = nearest - rem
+        candidate += unit * ((rem > unit / 2) | (halfway & up))
+        del rem
+        inside = (candidate > below) & (candidate < above)
+        candidate -= offset
+        candidate *= inside
+        offset += candidate
+        halfway &= ~(up | down)
+        tie = (tie & ~inside) | (halfway & inside)
+    del below, above, nearest, ends, candidate
+    digits += offset.astype(np.int64)
+    del offset
+    ok &= ~tie & (digits >= 10**16) & (digits < 10**17)
+    lead = digits // 10**16
+    digits -= lead * 10**16
+    lead += zeros * np.int64(10)
+    # a row: 8 bytes of head, then the four groups of four digits; words of 8 and 4 aligned bytes
+    out = np.empty((values.shape[0], REPR_WIDTH), dtype=np.uint8)
+    out.view(np.uint64)[:, 0] = heads[lead]
+    del lead
+    upper = digits // 10**8
+    digits -= upper * 10**8
+    words = out.view(np.uint32)
+    tail = np.ones(values.shape[0], dtype=bool)  # the groups after this one are zero
+    for column, group in ((5, digits), (3, upper)):
+        high = group // 10**4
+        group -= high * 10**4
+        words[:, column] = groups[group + 10_000 * tail]
+        tail &= group == 0
+        words[:, column - 1] = groups[high + 10_000 * tail]
+        tail &= high == 0
+    slow = np.flatnonzero(~ok)
+    if slow.shape[0]:
+        texts = [repr(v) for v in values[slow].tolist()]
+        out[slow] = np.array(texts, dtype=f"S{REPR_WIDTH}").view(np.uint8).reshape(-1, REPR_WIDTH)
+    return out
+
+
+def _two_product_error(x: np.ndarray, product: np.ndarray, high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """x y - fl(x y) exactly, for y = high + low split in halves of at most 26 bits (Dekker, without fma).
+
+    ``high`` and ``low`` are overwritten.
+    """
+    split = x * _SPLIT
+    x_high = split - (split - x)
+    x_low = np.subtract(x, x_high, out=split)
+    error = x_high * high
+    error -= product
+    x_high *= low
+    error += x_high
+    high *= x_low
+    error += high
+    x_low *= low
+    error += x_low
+    return error
+
+
+def _exact_sum(a: np.ndarray, b: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """fl(a + b); clears ok where the sum is not exact (Knuth's two-sum error is nonzero)."""
+    total = a + b
+    b_part = total - a
+    error = (a - (total - b_part)) + (b - b_part)
+    ok &= error == 0
+    return total

@@ -12,11 +12,14 @@ canonical report to stdout, and signals its verdict through the exit code:
 
 ``--seed`` beats the SOLADIC_SEED environment variable, which beats the
 config file.  ``simulate`` alone takes ``--n``, ``--depth`` and ``--alpha``,
-which override the config's simulation block.  CSV artifacts (the sampled
-batches behind a simulation report, or a counterexample bundle) are written
-next to the config file.  A config that is not JSON, or whose integers are
+which override the config's simulation block.  Artifacts are written next
+to the config file, named after it: ``simulate`` writes the two sampled
+batches behind its report as CSV, ``<name>.reference.csv`` and
+``<name>.combined.csv``, and ``counterexample`` writes its bundle as JSON,
+``<name>.bundle.json``.  A config that is not JSON, or whose integers are
 too long or whose nesting is too deep to parse, or that repeats a key
-within one object, is a config error (exit 2).
+within one object, is a config error (exit 2), and so is an artifact that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -261,8 +264,11 @@ def cmd_simulate(args) -> int:
     base = Path(args.config)
     ref_path = base.with_suffix(".reference.csv")
     comb_path = base.with_suffix(".combined.csv")
-    write_batch_csv(report.reference, ref_path)
-    write_batch_csv(report.combined, comb_path)
+    for path, batch in ((ref_path, report.reference), (comb_path, report.combined)):
+        try:
+            write_batch_csv(batch, path)
+        except OSError as err:
+            raise ConfigError(f"cannot write artifact {path}: {err}") from None
 
     out = {
         "command": "simulate",
@@ -326,7 +332,10 @@ def cmd_counterexample(args) -> int:
         **_verdict_to_json(bundle.verdict),
     }
     bundle_path = Path(args.config).with_suffix(".bundle.json")
-    bundle_path.write_text(dump_stable(bundle_doc))
+    try:
+        bundle_path.write_text(dump_stable(bundle_doc))
+    except OSError as err:
+        raise ConfigError(f"cannot write artifact {bundle_path}: {err}") from None
     _emit({"command": "counterexample", "bundle": bundle_path.name, **bundle_doc}, args.format)
     return EXIT_OK
 

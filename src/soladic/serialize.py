@@ -430,34 +430,45 @@ def law_from_json(spec: SteinitzSpec, obj, where: str = "law") -> SamplerSpec:
 # batches and reports
 
 
-#: rows converted to Python floats and strings at a time by the CSV writers;
-#: a chunk's floats, strings and text are alive together, so it bounds their memory
-CSV_CHUNK_ROWS = 16_384
-
-
-def _csv_chunks(batch: SampleBatch) -> Iterator[str]:
-    """The batch's CSV text in pieces: the header, then one piece per chunk of rows.
+def _csv_chunks(batch: SampleBatch) -> Iterator[bytes | np.ndarray]:
+    """The batch's CSV bytes in bytes-like pieces: the header, then one piece per block of rows.
 
     Rows are ``depth,coord``, coordinates in shortest round-trip repr, each
-    ending in a newline.  Only the per-row Python floats and strings of one
-    chunk are alive at once, not those of the whole batch.  A lattice batch
-    repeats a few atoms, so each of the batch's atoms is turned into text
-    once and each chunk gathers its rows from those strings; the text is the
-    same byte for byte as one ``repr`` per row.
+    ending in a newline: the NUL-free bytes of ``_csv_lines`` of
+    ``_kernels.repr_matrix``, the same byte for byte as one ``repr`` per row.
+    A lattice batch's lines are built once per atom, and each block joins
+    its rows' lines from those; a continuous batch's are built a block at a
+    time.  Only one block's lines are alive at a time.
     """
     coords = np.asarray(batch.coords, dtype=np.float64)
+    prefix = f"{batch.depth},".encode()
     atoms = batch._atoms
     if atoms is not None:
-        texts = np.array([repr(x) for x in atoms[0].tolist()], dtype=object)
-    first, sep = f"{batch.depth},", f"\n{batch.depth},"
-    yield "depth,coord\n"
-    for i in range(0, batch.n, CSV_CHUNK_ROWS):
-        block = coords[i : i + CSV_CHUNK_ROWS]
+        lines = _csv_lines(prefix, _kernels.repr_matrix(atoms[0]))
+        text = _without_nul(lines).tobytes().decode()
+        ends = np.cumsum(np.count_nonzero(lines, axis=1)).tolist()
+        atom_lines = np.array([text[start:end] for start, end in zip([0, *ends], ends)], dtype=object)
+    yield b"depth,coord\n"
+    for rows in _kernels.row_blocks(batch.n):
+        block = coords[rows]
         if atoms is None:
-            rows = map(repr, block.tolist())
-        else:
-            rows = texts[_kernels.atom_rows(atoms[0], block)].tolist()
-        yield first + sep.join(rows) + "\n"
+            yield _without_nul(_csv_lines(prefix, _kernels.repr_matrix(block)))
+        else:  # str.join: bytes.join would hold a buffer record per row
+            yield "".join(atom_lines[_kernels.atom_rows(atoms[0], block)].tolist()).encode()
+
+
+def _csv_lines(prefix: bytes, text: np.ndarray) -> np.ndarray:
+    """The lines prefix, text row, newline of a ``repr_matrix``, its NUL bytes kept."""
+    lines = np.empty((text.shape[0], len(prefix) + text.shape[1] + 1), dtype=np.uint8)
+    lines[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    lines[:, len(prefix) : -1] = text
+    lines[:, -1] = ord("\n")
+    return lines
+
+
+def _without_nul(lines: np.ndarray) -> np.ndarray:
+    """The bytes of lines in order, NUL bytes dropped."""
+    return lines[lines != 0]
 
 
 def batch_to_csv(batch: SampleBatch) -> str:
@@ -466,16 +477,16 @@ def batch_to_csv(batch: SampleBatch) -> str:
     The text is the join of ``_csv_chunks``; ``write_batch_csv`` writes the
     same bytes to a file without holding the whole text.
     """
-    return "".join(_csv_chunks(batch))
+    return b"".join(_csv_chunks(batch)).decode("ascii")
 
 
 def write_batch_csv(batch: SampleBatch, path) -> None:
-    """Write ``batch_to_csv(batch)`` to path a chunk of rows at a time.
+    """Write the bytes of ``batch_to_csv(batch)`` to path a block of rows at a time.
 
-    Each chunk is written as it is built, so memory stays at one chunk's
-    text whatever the batch size, and the file is the same byte for byte.
+    Each block is written as it is built, so memory stays at one block's
+    rows whatever the batch size, and the file is the same byte for byte.
     """
-    with open(path, "w") as out:
+    with open(path, "wb") as out:
         out.writelines(_csv_chunks(batch))
 
 

@@ -389,6 +389,17 @@ class TestSimulate:
             for row, est in zip(doc["character_rows"], estimates):
                 assert row[side] == {"re": est.real, "im": est.imag}
 
+    @pytest.mark.parametrize("side", ["reference", "combined"])
+    def test_unwritable_artifact_is_exit_2(self, tmp_path, capsys, side):
+        # a directory where a CSV goes: a config error naming the path, not a traceback with exit 1
+        path = write_config(tmp_path, self.CONFIG)
+        blocked = path.with_suffix(f".{side}.csv")
+        blocked.mkdir()
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot write artifact {blocked}: ")
+
     def test_report_is_byte_stable(self, tmp_path, capsys):
         path = write_config(tmp_path, self.CONFIG)
         _, first, _ = run_cli(capsys, "simulate", path)
@@ -751,6 +762,16 @@ class TestCounterexample:
         ]
         for got, fixture in pairs:
             assert got == (FIXTURES / fixture).read_text()
+
+    def test_unwritable_bundle_is_exit_2(self, tmp_path, capsys):
+        # a directory where the bundle goes: a config error naming the path, not a traceback with exit 1
+        path = write_config(tmp_path, {"p": 2, "q": 3, "c": "1/2"})
+        blocked = path.with_suffix(".bundle.json")
+        blocked.mkdir()
+        code, out, err = run_cli(capsys, "counterexample", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot write artifact {blocked}: ")
 
     def test_out_of_range_weight_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"p": 2, "q": 3, "c": "3/2"})

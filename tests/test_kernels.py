@@ -1,13 +1,15 @@
-"""The two numeric kernels against brute-force definitions."""
+"""The numeric kernels against brute-force definitions."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soladic import _kernels
-from soladic._kernels import BLOCK_ROWS, atom_keys, atom_rows, cf_sums, kuiper_deltas, row_blocks
+from soladic._kernels import BLOCK_ROWS, REPR_WIDTH, atom_keys, atom_rows, cf_sums, kuiper_deltas, repr_matrix, row_blocks
 
 
 def ecdf_deltas(a, b):
@@ -231,3 +233,88 @@ def test_atom_rows_map_each_row_to_its_own_atom():
     where = atom_rows(values, np.array([0.0, -0.0, 0.5, split]))
     assert len(set(where.tolist())) == 4
     assert [math.copysign(1.0, x) for x in values[where[:2]]] == [1.0, -1.0]
+
+
+def reprs(values):
+    """The rows of repr_matrix as text, NUL bytes dropped."""
+    matrix = repr_matrix(np.asarray(values, dtype=np.float64))
+    assert matrix.shape == (len(values), REPR_WIDTH)
+    return [row[row != 0].tobytes().decode() for row in matrix]
+
+
+def assert_reprs(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert reprs(values) == [repr(x) for x in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_repr_matrix_is_repr_on_any_floats(values):
+    assert_reprs(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=1, max_size=40))
+def test_repr_matrix_is_repr_on_floats_of_the_exact_path(values):
+    assert_reprs(values)
+
+
+def test_repr_matrix_is_repr_on_random_bit_patterns():
+    # every float64 in [1e-4, 1) equally likely, not every real
+    start, stop = np.array([1e-4, 1.0]).view(np.uint64)
+    assert_reprs(np.random.default_rng(26).integers(start, stop, 100_000, dtype=np.uint64).view(np.float64))
+
+
+EDGES = {
+    "zeros": [0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0.0)],
+    "infinities": [math.inf, -math.inf],
+    "around 1e-4": [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0)],
+    "below 1": [np.nextafter(1.0, 0.0), 1.0],
+    "around the decades": [np.nextafter(d, side) for d in (1e-3, 1e-2, 0.1) for side in (0.0, 1.0)] + [1e-3, 1e-2, 0.1],
+    "powers of two": [2.0**-k for k in range(1, 15)],
+    "negatives": [-0.5, -0.1, -1e-4],
+}
+
+
+@pytest.mark.parametrize("family", EDGES)
+def test_repr_matrix_is_repr_on_edges(family):
+    assert_reprs(EDGES[family])
+
+
+def test_repr_matrix_is_repr_on_short_dyadic_rationals():
+    # k / 2^p with few bits, as lattice atoms are: X = x 10^s can be an integer or lie halfway
+    # between two, where the two closest candidates tie and the row takes repr
+    rng = np.random.default_rng(26)
+    values = np.concatenate([rng.integers(1, 2**p, 200) / 2.0**p for p in range(10, 53)])
+    assert_reprs(values[(values >= 1e-4) & (values < 1.0)])
+
+
+def significant_digits(text):
+    return len(text.split("e")[0].replace(".", "").lstrip("0"))
+
+
+def test_repr_matrix_is_repr_for_each_length_of_digits():
+    rng = np.random.default_rng(26)
+    values = []
+    for k in range(1, 16):  # a decimal of at most 15 digits is its float's repr
+        for zeros in range(4):
+            values += [float(f"0.{'0' * zeros}{d}") for d in rng.integers(10 ** (k - 1), 10**k, 30).tolist() if d % 10]
+    values += rng.random(2000).tolist()  # 16 and 17 digits
+    assert {significant_digits(repr(x)) for x in values} == set(range(1, 18))
+    assert_reprs(values)
+
+
+def test_repr_matrix_falls_back_on_under_one_percent_of_uniform_draws(monkeypatch):
+    # a fault that sent every row to repr would still print repr; the count of repr calls shows it
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(_kernels, "repr", counting_repr, raising=False)
+    draws = np.random.default_rng(26).random(BLOCK_ROWS)
+    assert reprs(draws) == [repr(x) for x in draws.tolist()]
+    fallback_rows = len(calls)
+    assert fallback_rows < BLOCK_ROWS // 100

@@ -339,8 +339,8 @@ class TestBatchesAndReports:
 
     @pytest.mark.parametrize("n", [1, 65_535, 65_536, 65_537, 200_001])
     def test_batch_csv_matches_one_repr_per_row(self, n):
-        # rows are built in chunks of 16,384 (65,536 is four of them), and a
-        # lattice batch's from one repr per atom; the text must depend on neither
+        # rows are built in blocks of 65,536, and a lattice batch's from the
+        # text of each atom; the text must depend on neither
         haar = HaarAnnihilator(SubgroupSpec.of(TWO_THREE, {2: 0}))
         # -0.0 and 0.0 are equal but print differently, so they must stay apart
         atoms = np.array([0.0, -0.0, 1e-05, 0.9999999999999996])
@@ -355,6 +355,18 @@ class TestBatchesAndReports:
             reference = "depth,coord\n" + "".join(f"{batch.depth},{c!r}\n" for c in batch.coords.tolist())
             # compared as lists of lines, so a failure names the first bad row instead of diffing the text
             assert batch_to_csv(batch).split("\n") == reference.split("\n")
+
+    @pytest.mark.parametrize("depth", [0, 9, 10, 12_345])
+    def test_batch_csv_rows_start_with_the_depth(self, depth):
+        # the prefix's width changes with the depth's digits, on per-draw and per-atom rows alike
+        batches = [
+            SampleBatch(DYADIC, depth, np.random.default_rng(depth).random(1000), "continuous"),
+            SampleBatch(DYADIC, depth, np.resize([0.0, 0.25, 1e-05, 0.9999999999999996], 1000), "lattice"),
+        ]
+        assert batches[0]._atoms is None and batches[1]._atoms is not None
+        for batch in batches:
+            reference = "depth,coord\n" + "".join(f"{depth},{c!r}\n" for c in batch.coords.tolist())
+            assert batch_to_csv(batch) == reference
 
     @pytest.mark.parametrize("n", [1, 65_537])
     def test_streamed_csv_is_the_joined_text(self, tmp_path, n):

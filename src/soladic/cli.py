@@ -260,15 +260,20 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(err)) from None
 
     # Drop the batches behind the report beside the config, so the CSVs hold
-    # the very draws the printed statistics were computed on.
+    # the very draws the printed statistics were computed on; a run that
+    # cannot write them all leaves none of them behind.
     base = Path(args.config)
     ref_path = base.with_suffix(".reference.csv")
     comb_path = base.with_suffix(".combined.csv")
+    written = []
     for path, batch in ((ref_path, report.reference), (comb_path, report.combined)):
         try:
             write_batch_csv(batch, path)
         except OSError as err:
+            for done in written:
+                done.unlink(missing_ok=True)
             raise ConfigError(f"cannot write artifact {path}: {err}") from None
+        written.append(path)
 
     out = {
         "command": "simulate",

@@ -7,6 +7,8 @@ function, which is what the statistical checks compare against: draws are
 depth-N circle coordinates in [0,1), reproducible bit-for-bit from
 (law, depth, n, seed) via independent split random streams.
 
+``draw`` sets a draw up once: it refuses what the law cannot draw at the
+depth and builds the law's block step, before any row is drawn.
 ``Draw.blocks`` is the sampler's one draw loop: it yields a draw's
 coordinates over ``_kernels.row_blocks``, each stream continuing from block
 to block, so the draws do not depend on the block size; a composite law
@@ -366,63 +368,58 @@ def _push_down(spec: SteinitzSpec, from_depth: int, values: np.ndarray, depth: i
     return np.mod(out, 1.0, out=out)
 
 
-def _refuse_undrawable(law: SamplerSpec, depth: int) -> None:
-    """Refuse, before any draw, a depth at which the law cannot be drawn.
+def _refuse_deep_level(spec: SteinitzSpec, depth: int) -> None:
+    """Refuse a depth whose tower level exceeds int64.
 
     Every tower term is at least 2, so level(d) >= 2^d exceeds int64 from
     d = 63 on, refused before any level is built; building a lower one
-    raises DepthUnavailable for an invalid depth.  Then the law's block
-    step, set up on a throwaway stream, refuses what a real draw would: a
-    haar fiber past int64 (``fiber_order``), a sigma past the float range.
+    raises DepthUnavailable for an invalid depth.
     """
-    spec = law.ambient
     if 63 <= depth <= spec.max_depth or spec.level(depth) > np.iinfo(np.int64).max:
         raise DepthInsufficient(f"the tower level at depth {depth} exceeds int64")
-    law._block_adder(depth, np.random.default_rng(0))
 
 
 @dataclass(frozen=True, eq=False)
 class Draw:
     """n i.i.d. depth-N coordinates of a law, seeded and checked but drawn only as they are read.
 
-    ``blocks()``, the sampler's one block loop, draws them as ``(rows,
+    ``add`` is the law's block step, set up by ``draw``.  ``blocks()``, the
+    sampler's one block loop, draws the coordinates with it as ``(rows,
     values)`` pairs, a block of rows at a time, each stream continuing from
     block to block; a draw is read once.  ``sample`` fills a batch from it,
     and ``linear_form`` takes a draw in place of a batch, so that no part of
     its sum is ever held whole.
     """
 
-    law: SamplerSpec
+    spec: SteinitzSpec
     depth: int
     n: int
     copies: int
     seed_record: str
-    rng: np.random.Generator = field(repr=False)
-
-    @property
-    def spec(self) -> SteinitzSpec:
-        return self.law.ambient
+    add: Callable[[np.ndarray, object], None] = field(repr=False)
 
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        add = self.law._block_adder(self.depth, self.rng)
         for rows in _kernels.row_blocks(self.n):
             values = np.zeros(rows.stop - rows.start)
-            add(values, self.copies)
+            self.add(values, self.copies)
             yield rows, values
 
 
 def draw(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Draw:
-    """The draw that ``sample`` makes, not yet drawn: the law is refused here if it cannot be drawn.
+    """The draw that ``sample`` makes, set up but not yet drawn.
 
-    With `copies` = k each coordinate is the sum of k independent draws of
-    the law, drawn in closed form as one draw of the k-fold convolution, so
-    the cost does not grow with k.
+    The law is refused here if it cannot be drawn at `depth`: a tower level
+    past int64 (``_refuse_deep_level``), then whatever the set-up of its
+    block step refuses (a haar fiber past int64, a sigma past the float
+    range).  With `copies` = k each coordinate is the sum of k independent
+    draws of the law, drawn in closed form as one draw of the k-fold
+    convolution, so the cost does not grow with k.
     """
     if n < 1:
         raise ValueError("need at least one draw")
     if copies < 1:
         raise ValueError("need at least one copy")
-    _refuse_undrawable(law, depth)
+    _refuse_deep_level(law.ambient, depth)
     if isinstance(seed, np.random.SeedSequence):
         record = f"{BIT_GENERATOR}(entropy={seed.entropy}, spawn_key={seed.spawn_key})"
         # a fresh copy of the seed its record names: the law's parts spawn their streams
@@ -431,7 +428,8 @@ def draw(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Draw:
     else:
         record = f"{BIT_GENERATOR}(seed={seed})"
         seed = np.random.SeedSequence(seed)
-    return Draw(law, depth, n, copies, record, np.random.Generator(np.random.PCG64(seed)))
+    add = law._block_adder(depth, np.random.Generator(np.random.PCG64(seed)))
+    return Draw(law.ambient, depth, n, copies, record, add)
 
 
 def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> SampleBatch:
@@ -755,10 +753,11 @@ def monte_carlo_equidist(
     numerators of at most 2^53 (ValueError).  A depth whose tower level
     exceeds the 2^40 tie grid is refused before any draw (DepthInsufficient):
     there the grid no longer separates the lattice's atoms.  So are a law
-    that cannot be drawn at that depth or at the coefficients' sampling
-    depth (``_refuse_undrawable``) and a character the depth cannot resolve
-    (the errors of ``empirical_cf``).  The report keeps the reference and
-    combined batches that were tested, and the flat coefficient system.
+    that cannot be drawn at the coefficients' sampling depth, which covers
+    the test depth (the refusals of ``draw``, as the parts are set up), and
+    a character the depth cannot resolve (the errors of ``empirical_cf``).
+    The report keeps the reference and combined batches that were tested,
+    and the flat coefficient system.
     """
     if not 0 < alpha < 1:  # NaN fails both comparisons
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
@@ -766,16 +765,17 @@ def monte_carlo_equidist(
     spec = law.ambient
     counts = _sampled_counts(spec, coeffs)
     distinct = [c for c, _ in counts]
-    _refuse_undrawable(law, depth)
+    _refuse_deep_level(spec, depth)
     _refuse_past_tie_grid(spec, depth)
     deep = required_depth(spec, distinct, depth)
-    _refuse_undrawable(law, deep)
+    children = np.random.SeedSequence(seed).spawn(len(counts) + 1)
+    # one draw per distinct coefficient, set up (and so checked) here, drawn
+    # into the sum a block at a time; the law's refusals only grow with
+    # depth, so these cover the reference's at `depth`
+    parts = [draw(law, deep, n, child, copies=k) for (_, k), child in zip(counts, children[1:])]
     chars = tuple(Fraction(y) for y in charset) if charset is not None else default_charset(spec, depth)
     _multipliers(spec, depth, chars)  # both batches are tested at `depth`
-    children = np.random.SeedSequence(seed).spawn(len(counts) + 1)
     reference = sample(law, depth, n, children[0])
-    # one draw per distinct coefficient, added into the sum a block at a time
-    parts = (draw(law, deep, n, child, copies=k) for (_, k), child in zip(counts, children[1:]))
     combined = linear_form(parts, distinct, depth=depth)
 
     ref_cf = empirical_cf(reference, chars)

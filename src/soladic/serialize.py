@@ -434,41 +434,29 @@ def _csv_chunks(batch: SampleBatch) -> Iterator[bytes | np.ndarray]:
     """The batch's CSV bytes in bytes-like pieces: the header, then one piece per block of rows.
 
     Rows are ``depth,coord``, coordinates in shortest round-trip repr, each
-    ending in a newline: the NUL-free bytes of ``_csv_lines`` of
-    ``_kernels.repr_matrix``, the same byte for byte as one ``repr`` per row.
-    A lattice batch's lines are built once per atom, and each block joins
-    its rows' lines from those; a continuous batch's are built a block at a
-    time.  Only one block's lines are alive at a time.
+    ending in a newline.  A lattice batch's lines are built once per atom by
+    ``repr``, and each block joins its rows' lines from those.  A continuous
+    batch's are built a block at a time from ``_kernels.repr_matrix``, the
+    same byte for byte as one ``repr`` per row, its NUL bytes dropped.  Only
+    one block's lines are alive at a time.
     """
     coords = np.asarray(batch.coords, dtype=np.float64)
-    prefix = f"{batch.depth},".encode()
     atoms = batch._atoms
     if atoms is not None:
-        lines = _csv_lines(prefix, _kernels.repr_matrix(atoms[0]))
-        text = _without_nul(lines).tobytes().decode()
-        ends = np.cumsum(np.count_nonzero(lines, axis=1)).tolist()
-        atom_lines = np.array([text[start:end] for start, end in zip([0, *ends], ends)], dtype=object)
+        atom_lines = np.array([f"{batch.depth},{v!r}\n" for v in atoms[0].tolist()], dtype=object)
+    prefix = np.frombuffer(f"{batch.depth},".encode(), dtype=np.uint8)
     yield b"depth,coord\n"
     for rows in _kernels.row_blocks(batch.n):
         block = coords[rows]
-        if atoms is None:
-            yield _without_nul(_csv_lines(prefix, _kernels.repr_matrix(block)))
-        else:  # str.join: bytes.join would hold a buffer record per row
+        if atoms is not None:  # str.join: bytes.join would hold a buffer record per row
             yield "".join(atom_lines[_kernels.atom_rows(atoms[0], block)].tolist()).encode()
-
-
-def _csv_lines(prefix: bytes, text: np.ndarray) -> np.ndarray:
-    """The lines prefix, text row, newline of a ``repr_matrix``, its NUL bytes kept."""
-    lines = np.empty((text.shape[0], len(prefix) + text.shape[1] + 1), dtype=np.uint8)
-    lines[:, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-    lines[:, len(prefix) : -1] = text
-    lines[:, -1] = ord("\n")
-    return lines
-
-
-def _without_nul(lines: np.ndarray) -> np.ndarray:
-    """The bytes of lines in order, NUL bytes dropped."""
-    return lines[lines != 0]
+            continue
+        text = _kernels.repr_matrix(block)
+        lines = np.empty((text.shape[0], prefix.size + text.shape[1] + 1), dtype=np.uint8)
+        lines[:, : prefix.size] = prefix
+        lines[:, prefix.size : -1] = text
+        lines[:, -1] = ord("\n")
+        yield lines[lines != 0]
 
 
 def batch_to_csv(batch: SampleBatch) -> str:

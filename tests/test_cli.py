@@ -15,7 +15,7 @@ import pytest
 from soladic import SoundnessError, UndecomposedSolution, _kernels, scenarios, serialize
 from soladic.charfun import Decomposition, EquationCheck
 from soladic.cli import main
-from soladic.sampler import SampleBatch, empirical_cf
+from soladic.sampler import SampleBatch, empirical_cf, kuiper_two_sample
 from soladic.serialize import rational_from_json, spec_from_json
 
 
@@ -379,15 +379,21 @@ class TestSimulate:
         doc = json.loads(out)
         spec = spec_from_json(doc_in["solenoid"])
         chars = [rational_from_json(row["char"]) for row in doc["character_rows"]]
+        batches = {}
         for side in ("reference", "combined"):
             with open(tmp_path / doc["artifacts"][side], newline="") as f:
                 rows = list(csv.DictReader(f))
             assert {int(r["depth"]) for r in rows} == {doc["depth"]}
             coords = np.array([float(r["coord"]) for r in rows])
-            batch = SampleBatch(spec, doc["depth"], coords, "csv")
+            batch = batches[side] = SampleBatch(spec, doc["depth"], coords, "csv")
             estimates = empirical_cf(batch, chars).estimates
             for row, est in zip(doc["character_rows"], estimates):
                 assert row[side] == {"re": est.real, "im": est.imag}
+        # the Kuiper rows too, each at its own depth, bit for bit
+        assert doc["kuiper_rows"]
+        for row in doc["kuiper_rows"]:
+            v, p = kuiper_two_sample(batches["reference"], batches["combined"], row["depth"])
+            assert (row["statistic"], row["p_value"]) == (v, p)
 
     @pytest.mark.parametrize("side", ["reference", "combined"])
     def test_unwritable_artifact_is_exit_2(self, tmp_path, capsys, side):
@@ -399,6 +405,8 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith(f"config error: cannot write artifact {blocked}: ")
+        # and no artifact of the failed run is left behind
+        assert sorted(tmp_path.iterdir()) == sorted([path, blocked])
 
     def test_report_is_byte_stable(self, tmp_path, capsys):
         path = write_config(tmp_path, self.CONFIG)

@@ -347,11 +347,11 @@ class TestDrawSum:
             calls.append(copies)
             return original(law, depth, n, seed, copies)
 
-        # every draw starts here: the reference's through sample, each part's in the linear form
+        # every draw is set up here: each part's first, then the reference's through sample
         monkeypatch.setattr(sampler, "draw", counted)
         report = monte_carlo_equidist(law, coeffs, n=500, depth=2, seed=0)
         assert len(calls) == len(coefficient_counts(coeffs)) + 1 == 3
-        assert calls == [1] + [k for _, k in coefficient_counts(coeffs)]
+        assert calls == [k for _, k in coefficient_counts(coeffs)] + [1]
         assert report.coeffs == tuple(coeffs)  # the report keeps the flat system
 
     def test_five_two_system_at_full_size(self):
@@ -497,9 +497,9 @@ class TestLinearForm:
     )
     def test_depth_past_the_tie_grid_refused_before_any_draw(self, monkeypatch, table, coeffs, depth):
         def no_draw(*args, **kwargs):
-            raise AssertionError("drew a batch")
+            raise AssertionError("drew a row")
 
-        monkeypatch.setattr(sampler, "draw", no_draw)  # sample draws through it too
+        monkeypatch.setattr(sampler.Draw, "blocks", no_draw)  # every row is drawn there
         law = GaussianLine(SteinitzSpec.of(table), F(1, 100))
         with pytest.raises(DepthInsufficient, match=rf"depth {depth} exceeds 2\^40, the tie grid"):
             monte_carlo_equidist(law, coeffs, n=10, depth=depth)
@@ -540,9 +540,9 @@ class TestLinearForm:
     )
     def test_late_refusals_come_before_any_draw(self, monkeypatch, coeffs, charset, error, message, law):
         def no_draw(*args, **kwargs):
-            raise AssertionError("drew a batch")
+            raise AssertionError("drew a row")
 
-        monkeypatch.setattr(sampler, "draw", no_draw)  # sample draws through it too
+        monkeypatch.setattr(sampler.Draw, "blocks", no_draw)  # every row is drawn there
         with pytest.raises(error, match=message):
             monte_carlo_equidist(law, coeffs, n=10, depth=4, charset=charset)
 
@@ -946,6 +946,13 @@ class TestMonteCarloEquidist:
         assert [r.depth for r in report.kuiper_rows] == [1, 2, 3]
         assert report.character_rows[0].adjusted_p >= report.character_rows[0].p_value
         assert report.coeffs == (F(1, 2),) * 4
+
+    @pytest.mark.parametrize("n, gap, expected", [(1_000, 0.2, 8 * math.exp(-2.5)), (400, 0.4, 8 * math.exp(-4))])
+    def test_character_row_bound_inside_the_unit_interval(self, n, gap, expected):
+        # min(1, 8 exp(-n gap^2 / 16)) where it is neither clamped to 1 nor 0 in float
+        p = _two_sample_cf_p(n, gap)
+        assert 0 < p < 1
+        assert p == pytest.approx(expected, rel=1e-12)
 
     def test_default_charset_is_resolvable(self):
         chars = default_charset(DYADIC, 3)

@@ -14,8 +14,13 @@ atoms, a block at a time, merging each sorted block's distinct values into
 a running table that it gives up on once the table outgrows a block; a
 batch keeps the result.  Only this module reads the atoms' bit-pattern
 order: ``atom_rows`` gives each row its atom.  ``cf_sums`` evaluates its
-phases on the atoms and gathers them back per block; on continuous draws it
-works a block at a time in buffers it reuses for every character.
+phases on the atoms and gathers them back per block.  On continuous draws
+its blocks are shared among the cores by ``map_blocks``: each worker sums
+its blocks' phases in one complex block buffer that the caller allocates,
+and the caller adds the block sums in block order, so the floats do not
+depend on the number of cores.  The sampler's Kuiper pass shares its
+push-down and snap the same way, each block writing its own slice of the
+pooled keys.  Everything else runs on the calling thread.
 ``kuiper_deltas`` pools both samples, draws or atoms with counts, into one
 array of sort keys, sorts it once (in place for draws, by one argsort with
 counts) and scans it a block at a time, so its temporaries beyond the keys
@@ -29,11 +34,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
+import os
+from typing import Callable, Iterator, TypeVar
 
 from ._numpy import np
 
 _TWO_PI = 2.0 * math.pi
+
+T = TypeVar("T")
 
 #: rows per block of every row loop: the sampler's draws, atom_keys, cf_sums and the
 #: Kuiper scan.  The block sums fix cf_sums' summation order, and atom_keys keeps at
@@ -45,6 +53,54 @@ def row_blocks(n: int) -> Iterator[slice]:
     """Consecutive slices of at most ``BLOCK_ROWS`` rows that cover range(n)."""
     step = BLOCK_ROWS  # read once, so a walk keeps one size
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """The thread pool of ``map_blocks``, built on first use; concurrent.futures is imported only then."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=_cores(), thread_name_prefix="soladic-blocks")
+
+
+def map_blocks(fn: Callable[[object, slice], T], n: int, scratch: Callable[[int], object] | None = None) -> list[T]:
+    """[fn(buffer, rows) for rows in row_blocks(n)], the blocks shared among W = min(cores, blocks) workers.
+
+    Worker w takes blocks w, w + W, w + 2W, ... on one thread of the pool,
+    and the results come back in block order.  With ``scratch``, each worker
+    gets its own buffer, scratch(rows of the first block), allocated here on
+    the calling thread: a worker thread's allocations land in its own glibc
+    arena and stay in the process's resident memory.  With fewer than two
+    workers the blocks run on the calling thread.  A worker's exception is
+    raised here once every worker has stopped.
+    """
+    blocks = list(row_blocks(n))
+    workers = min(_cores(), len(blocks))
+    buffers = [scratch(blocks[0].stop) if scratch else None for _ in range(workers)]
+    if workers < 2:
+        return [fn(buffers[0], rows) for rows in blocks]
+
+    def stride(w: int) -> list[T]:
+        return [fn(buffers[w], rows) for rows in blocks[w::workers]]
+
+    futures = [_pool().submit(stride, w) for w in range(workers)]
+    results: list = [None] * len(blocks)
+    for w, future in enumerate(futures):
+        try:
+            results[w::workers] = future.result()
+        except BaseException:
+            for other in futures:  # no worker may go on writing into the caller's arrays
+                if not other.cancel():
+                    other.exception()
+            raise
+    return results
 
 
 def atom_keys(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -89,43 +145,50 @@ def _merge_runs(keys, counts, new_keys, new_counts) -> tuple[np.ndarray, np.ndar
     return np.insert(keys, at[fresh], new_keys[fresh]), np.insert(counts, at[fresh], new_counts[fresh])
 
 
-def _phases(t: np.ndarray, m: float, arg: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(2 pi i m t) into out, with m t reduced to [0, 1) first.
+def _phases(t: np.ndarray, m: float, buffer: np.ndarray) -> np.ndarray:
+    """exp(2 pi i m t) in place in ``buffer``, complex of t's length, with m t reduced to [0, 1) first.
 
-    ``arg`` is complex scratch of t's length whose real part is +0; only
-    its imaginary part is written, with 2 pi frac(m t).  That is the number
-    ``1j * 2 pi * frac`` gives, real part 0*x - 2pi*0 = +0 and imaginary
-    part fl(2pi x), fused or not, so the phases are the same floats.
+    The imaginary part takes 2 pi frac(m t), the real part is then reset to
+    +0, and exp runs in place.  That is the number ``1j * 2 pi * frac``
+    gives, real part 0*x - 2pi*0 = +0 and imaginary part fl(2pi x), fused
+    or not, so the phases are the same floats.
     """
-    frac = arg.imag
+    frac, floor = buffer.imag, buffer.real
     np.multiply(t, m, out=frac)
-    floor = np.floor(frac, out=out.real)
+    np.floor(frac, out=floor)
     frac -= floor
     frac *= _TWO_PI
-    return np.exp(arg, out=out)
+    floor.fill(0.0)
+    return np.exp(buffer, out=buffer)
 
 
 def cf_sums(coords: np.ndarray, multipliers: np.ndarray, atoms) -> np.ndarray:
-    """Mean of exp(2 pi i m t) over coords, for each integer multiplier m; ``atoms`` is ``atom_keys(coords)``."""
+    """Mean of exp(2 pi i m t) over coords, for each integer multiplier m; ``atoms`` is ``atom_keys(coords)``.
+
+    On atoms the phases are evaluated once per atom and gathered per block.
+    On draws each block's sums, one per multiplier, are computed by
+    ``map_blocks`` in its worker's buffer, and added into the totals in
+    block order, so every float is the same on any number of cores.
+    """
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     multipliers = np.ascontiguousarray(multipliers, dtype=np.float64)
     n = coords.shape[0]
-    if atoms is not None:
-        values = atoms[0]
-        arg = np.zeros(values.shape[0], dtype=np.complex128)
-        table = [_phases(values, m, arg, np.empty_like(arg)) for m in multipliers]
-    else:  # one pair of block buffers for every block and character
-        arg = np.zeros(min(n, BLOCK_ROWS), dtype=np.complex128)
-        block_phases = np.empty_like(arg)
     totals = [0j] * multipliers.shape[0]
-    for rows in row_blocks(n):
-        block = coords[rows]
-        if atoms is None:
-            size = block.shape[0]
-            for j, m in enumerate(multipliers):
-                totals[j] += _phases(block, m, arg[:size], block_phases[:size]).sum()
-        else:
-            where = atom_rows(values, block)
+    if atoms is None:
+
+        def block_sums(buffer, rows):
+            block = coords[rows]
+            phases = buffer[: block.shape[0]]
+            return [_phases(block, m, phases).sum() for m in multipliers]
+
+        for sums in map_blocks(block_sums, n, lambda size: np.empty(size, dtype=np.complex128)):
+            for j, total in enumerate(sums):
+                totals[j] += total
+    else:
+        values = atoms[0]
+        table = [_phases(values, m, np.empty(values.shape[0], dtype=np.complex128)) for m in multipliers]
+        for rows in row_blocks(n):
+            where = atom_rows(values, coords[rows])
             for j, phases in enumerate(table):
                 totals[j] += phases[where].sum()
     out = np.empty(multipliers.shape[0], dtype=np.complex128)

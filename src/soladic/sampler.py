@@ -654,7 +654,9 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     draw-by-draw comparison.  Atom values take the float steps of project
     and _snap that their draws would take, so each count lands on the value
     its draws would have.  The steps run in place in the halves of one
-    pooled array, in which the kernel then builds its sort keys.
+    pooled array, in which the kernel then builds its sort keys; they are
+    taken a block at a time by ``_kernels.map_blocks``, each block writing
+    its own slice, so the keys are the same on any number of cores.
     """
     if batch1.spec != batch2.spec:
         raise SpecMismatch("batches live over different solenoids")
@@ -666,7 +668,11 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     keys = np.empty(a.shape[0] + b.shape[0], dtype=np.uint64)
     a_out, b_out = np.split(keys.view(np.float64), [a.shape[0]])
     for batch, values, out in ((batch1, a, a_out), (batch2, b, b_out)):
-        _snap(_push_down(batch.spec, batch.depth, values, depth, out=out), out=out)
+
+        def snap_block(_, rows, batch=batch, values=values, out=out):
+            _snap(_push_down(batch.spec, batch.depth, values[rows], depth, out=out[rows]), out=out[rows])
+
+        _kernels.map_blocks(snap_block, values.shape[0])
     dplus, dminus = _kernels.kuiper_deltas(a_out, b_out, a_counts, b_counts, out=keys)
     v = dplus + dminus
     n_eff = batch1.n * batch2.n / (batch1.n + batch2.n)

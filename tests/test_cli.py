@@ -810,8 +810,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Each script runs in a new interpreter, where no test has imported numpy yet,
 # and prints one JSON line; "numpy._core" is in sys.modules once numpy has run.
 RUN_MAIN = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
 import soladic.cli as cli
+on_import = {"futures": "concurrent.futures" in sys.modules, "threads": threading.active_count()}
 reports = []
 monte_carlo_equidist = cli.monte_carlo_equidist
 def spy(*args, **kwargs):
@@ -825,6 +826,9 @@ print(json.dumps({
     "numpy": "numpy._core" in sys.modules,
     "coords": [type(b.coords).__module__ + "." + type(b.coords).__name__
                for r in reports for b in (r.reference, r.combined)],
+    "on_import": on_import,
+    "futures": "concurrent.futures" in sys.modules,
+    "threads": threading.active_count(),
 }))
 """
 
@@ -853,6 +857,9 @@ def fresh_interpreter(tmp_path, script, *args):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+NO_POOL = {"on_import": {"futures": False, "threads": 1}, "futures": False, "threads": 1}
+
+
 class TestNumpyOnFirstUse:
     @pytest.mark.parametrize(
         "command, doc",
@@ -871,14 +878,16 @@ class TestNumpyOnFirstUse:
         ids=["classify", "check-law", "check-cf", "solve-coeffs", "counterexample-sharp", "counterexample-blurred"],
     )
     def test_exact_commands_never_load_numpy(self, tmp_path, command, doc):
+        # nor the block loops' thread pool: no concurrent.futures, no thread but the main one
         path = write_config(tmp_path, doc)
         got = fresh_interpreter(tmp_path, RUN_MAIN, command, path)
-        assert got == {"code": 0, "numpy": False, "coords": []}
+        assert got == {"code": 0, "numpy": False, "coords": [], **NO_POOL}
 
     def test_simulate_loads_numpy(self, tmp_path):
+        # one block of draws runs on the calling thread, so even simulate builds no pool here
         path = write_config(tmp_path, GAUSS_HOLDS)
         got = fresh_interpreter(tmp_path, RUN_MAIN, "simulate", path, "--n", 100)
-        assert got == {"code": 0, "numpy": True, "coords": ["numpy.ndarray"] * 2}
+        assert got == {"code": 0, "numpy": True, "coords": ["numpy.ndarray"] * 2, **NO_POOL}
 
     def test_sample_loads_numpy_on_first_use(self, tmp_path):
         got = fresh_interpreter(tmp_path, SAMPLE)

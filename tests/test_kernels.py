@@ -1,14 +1,18 @@
 """The numeric kernels against brute-force definitions."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soladic import _kernels
+from soladic import INFINITE, SteinitzSpec, _kernels
+from soladic.sampler import GaussianLine, kuiper_two_sample, sample
 from soladic._kernels import BLOCK_ROWS, REPR_WIDTH, atom_keys, atom_rows, cf_sums, kuiper_deltas, repr_matrix, row_blocks
 
 
@@ -215,6 +219,100 @@ def test_cf_sums_evaluates_phases_once_per_atom(monkeypatch):
     draws = np.random.default_rng(0).random(n)
     cf_sums(draws, MULTIPLIERS, atom_keys(draws))
     assert sum(points) == n * MULTIPLIERS.shape[0]
+
+
+CORES = [1, 2, 3, 5]
+
+
+def with_cores(monkeypatch, cores):
+    monkeypatch.setattr(_kernels, "_cores", lambda: cores)
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switched as often as the interpreter allows, so that workers interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", CORES)
+def test_map_blocks_stride_the_blocks_over_the_workers_and_keep_their_order(monkeypatch, cores):
+    with_cores(monkeypatch, cores)
+    n = 3 * BLOCK_ROWS + 7
+    got = _kernels.map_blocks(lambda buffer, rows: (rows, buffer, threading.get_ident()), n, lambda size: [size])
+    assert [rows for rows, _, _ in got] == list(row_blocks(n))
+    workers = min(cores, 4)
+    assert all(buffer == [BLOCK_ROWS] for _, buffer, _ in got)
+    # block i runs on worker i mod W, with that worker's own buffer, and on the
+    # calling thread only when there is one worker
+    for i, (_, buffer, thread) in enumerate(got):
+        assert (buffer is got[i % workers][1]) and (thread == got[i % workers][2])
+    assert len({id(buffer) for _, buffer, _ in got}) == workers
+    assert all((thread == threading.get_ident()) == (workers == 1) for _, _, thread in got)
+
+
+@pytest.mark.usefixtures("fast_switching")
+@pytest.mark.parametrize("cores", CORES)
+def test_cf_sums_on_draws_are_the_same_floats_on_any_number_of_cores(monkeypatch, cores):
+    with_cores(monkeypatch, cores)
+    t = np.random.default_rng(cores).random(3 * BLOCK_ROWS + 7)  # a ragged last block
+    assert atom_keys(t) is None
+    got = cf_sums(t, MULTIPLIERS, None)
+    assert got.view(np.uint64).tolist() == dense_cf_sums(t, MULTIPLIERS).view(np.uint64).tolist()
+
+
+@pytest.mark.usefixtures("fast_switching")
+@pytest.mark.parametrize("cores", CORES[1:])
+def test_kuiper_two_sample_is_the_same_on_any_number_of_cores(monkeypatch, cores):
+    spec = SteinitzSpec.of({2: INFINITE})
+    a, b = (sample(GaussianLine(spec, Fraction(1, 3)), 6, 2 * BLOCK_ROWS + 5, seed) for seed in (0, 1))
+    with_cores(monkeypatch, 1)
+    want = [kuiper_two_sample(a, b, depth) for depth in range(7)]
+    with_cores(monkeypatch, cores)
+    assert [kuiper_two_sample(a, b, depth) for depth in range(7)] == want
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_cf_sums_on_draws_hold_one_block_buffer_per_worker(monkeypatch, cores):
+    # one complex block buffer per worker, allocated by the caller, and a few
+    # small objects per block: no second buffer, no block-sized temporary
+    monkeypatch.setattr(_kernels, "BLOCK_ROWS", 4096)
+    with_cores(monkeypatch, cores)
+    t = np.random.default_rng(0).random(20 * 4096)
+    cf_sums(t[: 2 * 4096], MULTIPLIERS, None)  # keep the pool's first use out
+    tracemalloc.start()
+    try:
+        cf_sums(t, MULTIPLIERS, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cores * 4096 * 16 + (16 << 10)
+
+
+def test_a_worker_error_reaches_the_caller_and_the_pool_lives_on(monkeypatch):
+    with_cores(monkeypatch, 2)
+    phases = _kernels._phases
+    error = ArithmeticError("the ragged block")
+
+    def failing(t, m, buffer):
+        if t.shape[0] == 7:
+            raise error
+        return phases(t, m, buffer)
+
+    monkeypatch.setattr(_kernels, "_phases", failing)
+    t = np.random.default_rng(1).random(3 * BLOCK_ROWS + 7)
+    pool = _kernels._pool()
+    with pytest.raises(ArithmeticError) as caught:
+        cf_sums(t, MULTIPLIERS, None)
+    assert caught.value is error
+    monkeypatch.setattr(_kernels, "_phases", phases)
+    got = cf_sums(t, MULTIPLIERS, None)
+    assert _kernels._pool() is pool
+    assert got.view(np.uint64).tolist() == dense_cf_sums(t, MULTIPLIERS).view(np.uint64).tolist()
 
 
 def test_atom_rows_map_each_row_to_its_own_atom():

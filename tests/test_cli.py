@@ -472,6 +472,22 @@ class TestSimulate:
         for side, digest in digests.items():
             assert hashlib.sha256((tmp_path / f"parts.{side}.csv").read_bytes()).hexdigest() == digest
 
+    def test_negative_run_matches_pinned_fixture(self, tmp_path, capsys, monkeypatch):
+        # a gaussian of mean -1/3 under [-1/2, 1/2, 1/2, 1/2], over two blocks of draws:
+        # the only pinned run whose linear form sums below zero before it is taken mod 1;
+        # the squares sum to 1 and the coefficients to 1, so the equation holds
+        monkeypatch.delenv("SOLADIC_SEED", raising=False)
+        path = write_config(tmp_path, pinned_config("simulate_negative"), "negative.json")
+        code, out, _ = run_cli(capsys, "simulate", path)
+        assert code == 0
+        assert out == (FIXTURES / "simulate_negative.stdout").read_text()
+        digests = {
+            "reference": "3f6414487d4e43fb1081e74c018e4145ec937949271a938dcbe0053da5e3d21d",
+            "combined": "bd3196bb311064ed2c31a3b0e07f4acca50c8877e446ab08e76a22c756583f28",
+        }
+        for side, digest in digests.items():
+            assert hashlib.sha256((tmp_path / f"negative.{side}.csv").read_bytes()).hexdigest() == digest
+
     def test_inconsistent_exits_1(self, tmp_path, capsys):
         broken = dict(
             self.CONFIG,

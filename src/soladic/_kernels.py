@@ -20,7 +20,9 @@ its blocks' phases in one complex block buffer that the caller allocates,
 and the caller adds the block sums in block order, so the floats do not
 depend on the number of cores.  The sampler's Kuiper pass shares its
 push-down and snap the same way, each block writing its own slice of the
-pooled keys.  Everything else runs on the calling thread.
+pooled keys and taking its floors in its worker's buffer.  Everything else
+runs on the calling thread.  Every float taken mod 1 is taken by ``_frac``,
+as x - floor(x), the floats of np.mod(x, 1.0) in vector passes.
 ``kuiper_deltas`` pools both samples, draws or atoms with counts, into one
 array of sort keys, sorts it once (in place for draws, by one argsort with
 counts) and scans it a block at a time, so its temporaries beyond the keys
@@ -145,18 +147,34 @@ def _merge_runs(keys, counts, new_keys, new_counts) -> tuple[np.ndarray, np.ndar
     return np.insert(keys, at[fresh], new_keys[fresh]), np.insert(counts, at[fresh], new_counts[fresh])
 
 
+def _frac(values: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """values mod 1 into ``out`` (which may be ``values``), as values - floor(values); the floor goes to ``scratch``.
+
+    The one way the package takes a float mod 1.  For every finite float64
+    it gives the floats of np.mod(values, 1.0), bit for bit: for x >= 0,
+    fmod(x, 1) = x - trunc(x) = x - floor(x) exactly; for x < 0 numpy adds
+    1 to the exact fmod, one rounding of the same real x - floor(x); and a
+    zero result is +0 both ways (copysign(0, 1), and -0.0 - -0.0).  It runs
+    as two vector passes, where np.mod is a scalar fmod loop.  ``scratch``,
+    of values' length, saves the allocation of the floor; a caller with a
+    full-length array goes a block at a time, so that no third n-sized
+    array appears.
+    """
+    return np.subtract(values, np.floor(values, out=scratch), out=out)
+
+
 def _phases(t: np.ndarray, m: float, buffer: np.ndarray) -> np.ndarray:
     """exp(2 pi i m t) in place in ``buffer``, complex of t's length, with m t reduced to [0, 1) first.
 
-    The imaginary part takes 2 pi frac(m t), the real part is then reset to
-    +0, and exp runs in place.  That is the number ``1j * 2 pi * frac``
-    gives, real part 0*x - 2pi*0 = +0 and imaginary part fl(2pi x), fused
-    or not, so the phases are the same floats.
+    The imaginary part takes 2 pi frac(m t), its floor taken in the real
+    part, which is then reset to +0, and exp runs in place.  That is the
+    number ``1j * 2 pi * frac`` gives, real part 0*x - 2pi*0 = +0 and
+    imaginary part fl(2pi x), fused or not, so the phases are the same
+    floats.
     """
     frac, floor = buffer.imag, buffer.real
     np.multiply(t, m, out=frac)
-    np.floor(frac, out=floor)
-    frac -= floor
+    _frac(frac, frac, floor)
     frac *= _TWO_PI
     floor.fill(0.0)
     return np.exp(buffer, out=buffer)

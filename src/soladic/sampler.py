@@ -75,11 +75,15 @@ class SamplerSpec:
 
 
 def _add_sum(out: np.ndarray, adders: Sequence[Callable], counts: Iterable) -> None:
-    """Add to `out` the sum mod 1 of the parts' draws, part i drawn by ``adders[i]`` with counts i."""
+    """Add to `out` the sum mod 1 of the parts' draws, part i drawn by ``adders[i]`` with counts i.
+
+    The sum and its floor are block-sized, as `out` is; the sum is taken
+    mod 1 by ``_kernels._frac`` in place.
+    """
     total = np.zeros(len(out))
     for add_part, k in zip(adders, counts):
         add_part(total, k)
-    out += np.mod(total, 1.0, out=total)
+    out += _kernels._frac(total, total)
 
 
 def _multiples(r: Fraction, counts, level: int) -> np.ndarray:
@@ -215,7 +219,7 @@ class GaussianLine(SamplerSpec):
             z /= float(level)
             if self.mean:  # a zero mean shifts nothing; skip the sort of array counts
                 z += _multiples(self.mean, counts, level)
-            out += np.mod(z, 1.0, out=z)
+            out += _kernels._frac(z, z)
 
         return add
 
@@ -347,14 +351,27 @@ class SampleBatch:
         """Push the batch down the tower to a shallower depth."""
         if depth == self.depth:
             return self
-        return SampleBatch(self.spec, depth, _push_down(self.spec, self.depth, self.coords, depth), self.seed_record)
+        coords, scratch = np.empty(self.n), np.empty(min(self.n, _kernels.BLOCK_ROWS))
+        for rows, values in self.blocks():
+            _push_down(self.spec, self.depth, values, depth, out=coords[rows], scratch=scratch[: values.shape[0]])
+        return SampleBatch(self.spec, depth, coords, self.seed_record)
 
 
-def _push_down(spec: SteinitzSpec, from_depth: int, values: np.ndarray, depth: int, out: np.ndarray | None = None) -> np.ndarray:
+def _push_down(
+    spec: SteinitzSpec,
+    from_depth: int,
+    values: np.ndarray,
+    depth: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Coordinates at `from_depth` taken down the tower to `depth`, by the float steps of project.
 
-    With ``out`` the result is written there, else a new array is made
-    unless the depths are equal.
+    The step is t * (level(from_depth) / level(depth)) mod 1, the mod taken
+    by ``_kernels._frac`` with its floor in ``scratch`` (of values' length)
+    when it is given, else in a temporary of that length; so a caller with
+    a full-length array goes a block at a time.  With ``out`` the result is
+    written there, else a new array is made unless the depths are equal.
     """
     if depth > from_depth:
         raise DepthInsufficient(f"cannot project depth {from_depth} up to {depth}")
@@ -365,7 +382,7 @@ def _push_down(spec: SteinitzSpec, from_depth: int, values: np.ndarray, depth: i
         return out
     ratio = spec.level(from_depth) // spec.level(depth)
     out = np.multiply(values, float(ratio), out=out)
-    return np.mod(out, 1.0, out=out)
+    return _kernels._frac(out, out, scratch)
 
 
 def _refuse_deep_level(spec: SteinitzSpec, depth: int) -> None:
@@ -502,7 +519,9 @@ def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational
     part is read a block of rows at a time and scaled into the running sum,
     part after part, so the sum is the one n-sized array the linear form
     holds; a generator of batches has one batch alive at a time.  The sum
-    is taken mod 1 and down to `depth` in place.  All parts must share
+    is taken mod 1 and down to `depth` in place, in one pass a block at a
+    time, each block's floors taken in one block of scratch
+    (``_kernels._frac``), so no n-sized temporary appears.  All parts must share
     spec, depth and size.  `depth` defaults to the parts' own.  When the
     first part arrives, before any sum, the coefficients pass the check
     ``monte_carlo_equidist`` applies (ValueError otherwise: each is an
@@ -542,8 +561,10 @@ def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational
         raise ValueError("need one coefficient per batch")
     if total is None:
         raise ValueError("need at least one batch")
-    np.mod(total, 1.0, out=total)
-    _push_down(spec, m_depth, total, depth, out=total)
+    scratch = np.empty(min(n, _kernels.BLOCK_ROWS))
+    for rows in _kernels.row_blocks(n):
+        block, floor = total[rows], scratch[: rows.stop - rows.start]
+        _push_down(spec, m_depth, _kernels._frac(block, block, floor), depth, out=block, scratch=floor)
     return SampleBatch(spec, depth, total, record)
 
 
@@ -625,7 +646,7 @@ def _refuse_past_tie_grid(spec: SteinitzSpec, depth: int) -> None:
         raise DepthInsufficient(f"the tower level at depth {depth} exceeds 2^40, the tie grid of the Kuiper test")
 
 
-def _snap(coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _snap(coords: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Quantize circle coordinates to a fixed binary grid.
 
     Lattice-valued laws produce atoms, and different arithmetic paths (direct
@@ -633,14 +654,17 @@ def _snap(coords: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     left unquantized, that splits ties and fabricates a huge ECDF gap.  The
     grid of 2^-40 is far below any statistical resolution yet far above
     accumulated rounding error, and the modulus keeps wrap-around values on
-    the zero atom.  The result goes to ``out`` (which may be ``coords``), or
-    to the one new n-sized array.
+    the zero atom.  A coordinate t becomes frac(round(t 2^40) / 2^40): for
+    the integer r = round(t 2^40) the division is exact and so is the
+    subtraction of the floor, whose result (r mod 2^40) / 2^40 is a float,
+    so these are the floats of np.mod(r, 2^40) / 2^40.  The result goes to
+    ``out`` (which may be ``coords``), or to the one new array; the floor
+    goes to ``scratch`` (of coords' length), or to a temporary.
     """
     out = np.multiply(coords, _TIE_GRID, out=out)  # the rest works in place
     np.round(out, out=out)
-    np.mod(out, _TIE_GRID, out=out)
     out /= _TIE_GRID
-    return out
+    return _kernels._frac(out, out, scratch)
 
 
 def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | None = None) -> tuple[float, float]:
@@ -656,7 +680,9 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     its draws would have.  The steps run in place in the halves of one
     pooled array, in which the kernel then builds its sort keys; they are
     taken a block at a time by ``_kernels.map_blocks``, each block writing
-    its own slice, so the keys are the same on any number of cores.
+    its own slice, so the keys are the same on any number of cores, and
+    taking its floors in its worker's block of scratch, which the caller
+    allocates.
     """
     if batch1.spec != batch2.spec:
         raise SpecMismatch("batches live over different solenoids")
@@ -669,10 +695,11 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     a_out, b_out = np.split(keys.view(np.float64), [a.shape[0]])
     for batch, values, out in ((batch1, a, a_out), (batch2, b, b_out)):
 
-        def snap_block(_, rows, batch=batch, values=values, out=out):
-            _snap(_push_down(batch.spec, batch.depth, values[rows], depth, out=out[rows]), out=out[rows])
+        def snap_block(scratch, rows, batch=batch, values=values, out=out):
+            block, floor = out[rows], scratch[: rows.stop - rows.start]
+            _snap(_push_down(batch.spec, batch.depth, values[rows], depth, out=block, scratch=floor), block, floor)
 
-        _kernels.map_blocks(snap_block, values.shape[0])
+        _kernels.map_blocks(snap_block, values.shape[0], np.empty)
     dplus, dminus = _kernels.kuiper_deltas(a_out, b_out, a_counts, b_counts, out=keys)
     v = dplus + dminus
     n_eff = batch1.n * batch2.n / (batch1.n + batch2.n)

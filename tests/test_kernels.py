@@ -1,5 +1,6 @@
 """The numeric kernels against brute-force definitions."""
 
+import ast
 import math
 import sys
 import threading
@@ -11,9 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soladic import INFINITE, SteinitzSpec, _kernels
-from soladic.sampler import GaussianLine, kuiper_two_sample, sample
-from soladic._kernels import BLOCK_ROWS, REPR_WIDTH, atom_keys, atom_rows, cf_sums, kuiper_deltas, repr_matrix, row_blocks
+from soladic import INFINITE, SteinitzSpec, _kernels, sampler
+from soladic.sampler import GaussianLine, _snap, kuiper_two_sample, sample
+from soladic._kernels import (
+    BLOCK_ROWS,
+    REPR_WIDTH,
+    _frac,
+    atom_keys,
+    atom_rows,
+    cf_sums,
+    kuiper_deltas,
+    repr_matrix,
+    row_blocks,
+)
 
 
 def ecdf_deltas(a, b):
@@ -331,6 +342,102 @@ def test_atom_rows_map_each_row_to_its_own_atom():
     where = atom_rows(values, np.array([0.0, -0.0, 0.5, split]))
     assert len(set(where.tolist())) == 4
     assert [math.copysign(1.0, x) for x in values[where[:2]]] == [1.0, -1.0]
+
+
+def assert_frac_is_mod(values):
+    """_frac, out of place, in place and with scratch, gives the bits of np.mod(values, 1.0)."""
+    values = np.asarray(values, dtype=np.float64)
+    want = np.mod(values, 1.0).tobytes()
+    assert _frac(values, np.empty_like(values)).tobytes() == want
+    scratch, inplace = np.empty_like(values), values.copy()
+    assert _frac(inplace, inplace, scratch) is inplace
+    assert inplace.tobytes() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_frac_is_mod_one_bit_for_bit_on_any_finite_floats(values):
+    assert_frac_is_mod(values)
+
+
+def test_frac_is_mod_one_on_random_bit_patterns():
+    # every finite float64 equally likely, half of them negative
+    bits = np.random.default_rng(30).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    assert_frac_is_mod(values[np.isfinite(values)])
+
+
+FRAC_EDGES = {
+    "zeros": [0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0.0), -2.2250738585072014e-308],
+    "tiny negatives": [-1e-300, -(2.0**-60), -(2.0**-54), -(2.0**-53)],  # x + 1 rounds to 1.0, or just below
+    "negative integers": [-1.0, -2.0, -3.0, -(2.0**52), -(2.0**53), -1e300],
+    "around 2^52": [np.nextafter(2.0**52, 0.0), 2.0**52, 2.0**52 + 1, -(2.0**52) + 0.5, -np.nextafter(2.0**52, 0.0)],
+    "below 1": [np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 1.0, -1.0 + 2.0**-53],
+    "halves": [0.5, -0.5, 1.5, -1.5, 2.0**52 - 0.5],
+    "huge": [1.7976931348623157e308, -1.7976931348623157e308],
+}
+
+
+@pytest.mark.parametrize("family", FRAC_EDGES)
+def test_frac_is_mod_one_on_edges(family):
+    assert_frac_is_mod(FRAC_EDGES[family])
+
+
+def test_frac_of_a_tiny_negative_is_one_and_of_an_integer_is_plus_zero():
+    # the rounding of x + 1 for x = -1e-300 is 1.0, outside [0, 1), in np.mod as here
+    assert _frac(np.array([-1e-300, -(2.0**-60)]), np.empty(2)).tolist() == [1.0, 1.0]
+    out = _frac(np.array([-0.0, -2.0, 3.0]), np.empty(3))
+    assert [math.copysign(1.0, x) for x in out] == [1.0, 1.0, 1.0]
+
+
+def snap_by_mod(t):
+    """The tie-grid snap by numpy's mod: the grid point's index taken mod 2^40, then scaled."""
+    grid = 2.0**40
+    return np.mod(np.round(np.asarray(t, dtype=np.float64) * grid), grid) / grid
+
+
+SNAP_CASES = {
+    "zero and one": [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0)],
+    "just below one": [1 - 2.0**-41, 1 - 2.0**-42, 1 - 2.0**-40, 1 - 3 * 2.0**-42],
+    "grid points": [k * 2.0**-40 for k in (1, 2, 3, 2**39, 2**40 - 1)] + [0.25, 0.5, 0.75],
+    "halfway between grid points": [(k + 0.5) * 2.0**-40 for k in (0, 1, 2, 2**39)],
+    "past 2^13": [2.0**13, 2.0**13 + 0.5, 8193.25, 2.0**20 + 1 / 3, 1e6, 2.0**52 + 1],
+    "negatives": [-(2.0**-42), -0.25, -1 / 3, -(2.0**13) - 0.125],
+}
+
+
+@pytest.mark.parametrize("case", SNAP_CASES)
+def test_snap_is_the_grid_index_mod_2_40(case):
+    t = np.array(SNAP_CASES[case])
+    want = snap_by_mod(t).tobytes()
+    assert _snap(t).tobytes() == want
+    out, scratch = np.empty_like(t), np.empty_like(t)
+    assert _snap(t, out, scratch) is out and out.tobytes() == want
+    assert _snap(t, t).tobytes() == want  # in place
+
+
+def test_snap_is_the_grid_index_mod_2_40_on_draws():
+    rng = np.random.default_rng(30)
+    t = np.concatenate([rng.random(50_000), rng.random(1000) * 2.0**14 - 2.0**13])
+    assert _snap(t).tobytes() == snap_by_mod(t).tobytes()
+
+
+MOD_CALLS = {"mod", "remainder", "fmod"}
+
+
+@pytest.mark.parametrize("module", [_kernels, sampler], ids=["_kernels", "sampler"])
+def test_no_numpy_mod_in_the_monte_carlo_modules(module):
+    # numpy's float mod is a scalar fmod loop, many times slower than _frac's two vector passes
+    with open(module.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    found = [
+        f"np.{node.attr} on line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in MOD_CALLS
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert found == []
 
 
 def reprs(values):

@@ -35,6 +35,7 @@ from soladic.sampler import (
     SampleBatch,
     Shifted,
     default_charset,
+    draw,
     empirical_cf,
     fiber_order,
     kuiper_two_sample,
@@ -986,6 +987,28 @@ class TestMonteCarloEquidist:
         tracemalloc.start()
         try:
             monte_carlo_equidist(law, coeffs, n=n, depth=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n + (1 << 20)
+
+    def test_continuous_linear_form_holds_two_arrays_of_draws(self, monkeypatch):
+        # a gaussian's reference and the running sum of its linear form, as the check
+        # draws them: each sum is taken mod 1 and down the tower a block at a time, so
+        # a floor of the whole sum, 8 bytes a draw more, would break the bound
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", 4096)
+        law, coeffs = GaussianLine(DYADIC, 1), [F(1, 2)] * 4
+        assert required_depth(DYADIC, coeffs, 4) == 5  # the sum goes down one level
+
+        def reference_and_combined(n):
+            reference = sample(law, 4, n, 0)
+            return reference, linear_form([draw(law, 5, n, 1, copies=4)], [F(1, 2)], depth=4)
+
+        reference_and_combined(100)  # keep first-use imports out
+        n = 200_000
+        tracemalloc.start()
+        try:
+            reference_and_combined(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

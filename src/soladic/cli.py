@@ -34,7 +34,8 @@ from pathlib import Path
 
 from .charfun import StratifiedCF
 from .errors import ConfigError, PreconditionViolated, SoladicError, SoundnessError, UndecomposedSolution
-from .sampler import SamplerSpec, monte_carlo_equidist
+from .laws import SamplerSpec
+from .sampler import monte_carlo_equidist
 from .scenarios import ScenarioVerdict, blurred_counterexample, classify_and_conclude, two_prime_counterexample
 from .serialize import (
     _int_from_json,

@@ -1,11 +1,8 @@
 """Seeded Monte Carlo realization of solenoid laws, and equidistribution tests.
 
-A sampling law is described by a small tree of variants (point mass, Haar
-measure of an annihilator subgroup, pushed-forward line Gaussian, mixture,
-shift, convolution).  Every variant knows its own exact characteristic
-function, which is what the statistical checks compare against: draws are
-depth-N circle coordinates in [0,1), reproducible bit-for-bit from
-(law, depth, n, seed) via independent split random streams.
+A law is a tree of ``laws`` variants, which ``_block_adder`` draws as
+depth-N circle coordinates in [0,1), reproducible bit-for-bit from (law,
+depth, n, seed) via independent split random streams.
 
 ``draw`` sets a draw up once: it refuses what the law cannot draw at the
 depth and builds the law's block step, before any row is drawn.
@@ -31,47 +28,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _kernels
 from ._numpy import np
-from .charfun import StratifiedCF, SubgroupSpec, _mixture_weights, gaussian_cf, haar_cf
-from .charfun import mixture as cf_mixture
-from .errors import (
-    CharacterOutsideGroup,
-    CharacterTooDeep,
-    DepthInsufficient,
-    SpecMismatch,
-)
+from .errors import CharacterOutsideGroup, CharacterTooDeep, DepthInsufficient, SpecMismatch
+from .laws import ConvolutionOf, Degenerate, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec, Shifted, fiber_order
 from .steinitz import Rational, SteinitzSpec, _split_by_table, coefficient_counts, in_dual_group, is_automorphism
-from .tower import SolenoidPoint
 
 BIT_GENERATOR = "PCG64"
 
 
 # ---------------------------------------------------------------------------
-# sampling laws
-
-
-class SamplerSpec:
-    """Base class for sampling-law descriptions."""
-
-    @property
-    def ambient(self) -> SteinitzSpec:
-        raise NotImplementedError
-
-    def exact_cf(self) -> StratifiedCF:
-        raise NotImplementedError
-
-    def _block_adder(self, depth: int, rng: np.random.Generator) -> Callable[[np.ndarray, object], None]:
-        """The block step of one draw of the law at `depth` from `rng`.
-
-        This runs once per draw: it spawns the streams of the law's parts and
-        refuses what the draw cannot do (a haar fiber past int64, a sigma
-        past the float range).  The step ``add(out, counts)`` then adds to
-        each row of `out` the sum of its `counts` i.i.d. copies of the law,
-        `counts` being one int or an int64 array of len(out); a count of 0
-        adds exactly 0.  Every variant draws the sum in closed form, so the
-        cost does not grow with the count.  Consecutive steps continue every
-        stream, so the rows do not depend on how a draw is cut into blocks.
-        """
-        raise NotImplementedError
+# the block step of a law
 
 
 def _add_sum(out: np.ndarray, adders: Sequence[Callable], counts: Iterable) -> None:
@@ -96,223 +61,68 @@ def _multiples(r: Fraction, counts, level: int) -> np.ndarray:
     return np.array([float(int(k) * unit % 1) for k in ks])[inverse]
 
 
-@dataclass(frozen=True)
-class Degenerate(SamplerSpec):
-    """Point mass at an exactly representable point."""
+def _block_adder(law: SamplerSpec, depth: int, rng: np.random.Generator) -> Callable[[np.ndarray, object], None]:
+    """The block step of one draw of `law` at `depth` from `rng`.
 
-    x: SolenoidPoint
-
-    @property
-    def ambient(self) -> SteinitzSpec:
-        return self.x.spec
-
-    def exact_cf(self) -> StratifiedCF:
-        return gaussian_cf(self.ambient, 0, self.x)
-
-    def _block_adder(self, depth, rng):
-        x, level = self.x.real_value, self.ambient.level(depth)
+    This runs once per draw: it spawns the streams of the law's parts and
+    refuses what the draw cannot do (a haar fiber past int64, a sigma past
+    the float range; TypeError for an unknown variant).  The step ``add(out,
+    counts)`` then adds to each row of `out` the sum of its `counts` i.i.d.
+    copies of the law, `counts` one int or an int64 array of len(out); a
+    count of 0 adds exactly 0.  Each sum is drawn in closed form, so the cost
+    does not grow with the count.  Consecutive steps continue every stream,
+    so the rows do not depend on how a draw is cut into blocks.
+    """
+    if isinstance(law, Degenerate):
+        x, level = law.x.real_value, law.ambient.level(depth)
 
         def add(out, counts):
             out += _multiples(x, counts, level)
 
-        return add
-
-
-@dataclass(frozen=True)
-class HaarAnnihilator(SamplerSpec):
-    """Haar measure of the closed subgroup annihilating E.
-
-    The depth-N marginal is uniform on the fiber {j/d_N : 0 <= j < d_N} with
-    d_N the least positive integer m such that m/A_N lies in E; when E is the
-    zero subgroup the fiber degenerates to the whole circle and the draw is
-    continuous uniform (the law is Haar measure of the full solenoid).  Haar
-    measure convolved with itself is itself, so a sum of k >= 1 copies is one
-    draw.
-    """
-
-    E: SubgroupSpec
-
-    @property
-    def ambient(self) -> SteinitzSpec:
-        return self.E.spec
-
-    def exact_cf(self) -> StratifiedCF:
-        return haar_cf(self.E)
-
-    def _block_adder(self, depth, rng):
-        d = None if self.E.trivial else fiber_order(self.E, depth)
+    elif isinstance(law, HaarAnnihilator):
+        d = None if law.E.trivial else fiber_order(law.E, depth)
 
         def add(out, counts):
             x = rng.random(len(out)) if d is None else rng.integers(0, d, size=len(out)) / d
             x *= np.asarray(counts) > 0
             out += x
 
-        return add
-
-
-def fiber_order(subgroup: SubgroupSpec, depth: int) -> int:
-    """Least positive m with m/A_depth inside the subgroup.
-
-    DepthInsufficient when m - 1 exceeds int64, in which rng.integers draws
-    residues.  p^e >= 2^(e (bits(p) - 1)), so an oversize prime power is
-    refused before it is built.
-    """
-    spec = subgroup.spec
-    if subgroup.trivial:
-        raise DepthInsufficient("the zero subgroup has no finite fiber at any depth")
-    d = 1
-    for p, t in subgroup.thresholds:
-        e = t + spec.level_valuation(p, depth)
-        if e > 0:
-            if e * (p.bit_length() - 1) > 63 or (d := d * p**e) > 1 << 63:
-                raise DepthInsufficient(
-                    f"the haar fiber of {subgroup} at depth {depth} has an order beyond int64"
-                )
-    return d
-
-
-@dataclass(frozen=True)
-class GaussianLine(SamplerSpec):
-    """Pushforward of a real-line normal law through the canonical embedding.
-
-    Parameterized by the rational decay sigma of its characteristic function
-    exp(-sigma y^2); the line standard deviation is the derived float
-    s = sqrt(sigma / (2 pi^2)), so sigma = 2 pi^2 s^2 holds exactly in the
-    symbolic layer and to double precision in the sampling layer.  The mean
-    enters the draws exactly, through ``_multiples``, however large it is.
-    """
-
-    spec: SteinitzSpec
-    sigma: Fraction
-    mean: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
-        object.__setattr__(self, "mean", Fraction(self.mean))
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-
-    @property
-    def ambient(self) -> SteinitzSpec:
-        return self.spec
-
-    @property
-    def s(self) -> float:
-        """The line standard deviation; ValueError for a sigma past the float range."""
-        try:
-            return math.sqrt(float(self.sigma) / (2 * math.pi**2))
-        except OverflowError:
-            raise ValueError(
-                "gaussian draws leave the float range of the sampler: sigma is beyond about 1.8e308"
-            ) from None
-
-    def exact_cf(self) -> StratifiedCF:
-        return gaussian_cf(self.spec, self.sigma, self.mean)
-
-    def _block_adder(self, depth, rng):
-        # k copies sum to a normal law with mean k*mean and deviation sqrt(k)*s
-        s, level = self.s, self.spec.level(depth)
+    elif isinstance(law, GaussianLine):
+        # k copies sum to a normal law with mean k*mean and deviation sqrt(k)*s;
+        # the mean enters exactly, however large it is
+        s, level, mean = law.s, law.spec.level(depth), law.mean
 
         def add(out, counts):
             z = rng.standard_normal(len(out))
             z *= np.sqrt(counts) * s
             z /= float(level)
-            if self.mean:  # a zero mean shifts nothing; skip the sort of array counts
-                z += _multiples(self.mean, counts, level)
+            if mean:  # a zero mean shifts nothing; skip the sort of array counts
+                z += _multiples(mean, counts, level)
             out += _kernels._frac(z, z)
 
-        return add
-
-
-@dataclass(frozen=True)
-class Mixture(SamplerSpec):
-    weights: tuple[Fraction, ...]
-    parts: tuple[SamplerSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        specs = [p.ambient for p in self.parts]
-        object.__setattr__(self, "weights", _mixture_weights(tuple(self.weights), specs))
-
-    @property
-    def ambient(self) -> SteinitzSpec:
-        return self.parts[0].ambient
-
-    def exact_cf(self) -> StratifiedCF:
-        return cf_mixture(self.weights, [p.exact_cf() for p in self.parts])
-
-    def _block_adder(self, depth, rng):
+    elif isinstance(law, Mixture):
         # split each draw's copies among the parts; a part that receives
         # none of a draw's copies adds exactly 0 to it
-        probs = np.array([float(w) for w in self.weights])
+        probs = np.array([float(w) for w in law.weights])
         probs /= probs.sum()
-        adders = [part._block_adder(depth, child) for part, child in zip(self.parts, rng.spawn(len(self.parts)))]
+        adders = [_block_adder(part, depth, child) for part, child in zip(law.parts, rng.spawn(len(law.parts)))]
 
         def add(out, counts):
             split = rng.multinomial(counts, probs, size=None if np.ndim(counts) else len(out))
             _add_sum(out, adders, split.T)
 
-        return add
-
-
-@dataclass(frozen=True)
-class Shifted(SamplerSpec):
-    """A law translated by an exactly representable point."""
-
-    x: SolenoidPoint
-    law: SamplerSpec
-
-    def __post_init__(self):
-        if self.x.spec != self.law.ambient:
-            raise SpecMismatch("shift point lives over a different solenoid")
-
-    @property
-    def ambient(self) -> SteinitzSpec:
-        return self.law.ambient
-
-    def exact_cf(self) -> StratifiedCF:
-        return gaussian_cf(self.ambient, 0, self.x) * self.law.exact_cf()
-
-    def _block_adder(self, depth, rng):
-        # the law draws on this law's own stream; the point draws nothing
-        adders = self.law._block_adder(depth, rng), Degenerate(self.x)._block_adder(depth, rng)
-
-        def add(out, counts):
-            _add_sum(out, adders, (counts, counts))
-
-        return add
-
-
-@dataclass(frozen=True)
-class ConvolutionOf(SamplerSpec):
-    """Sum of independent draws, one from each part."""
-
-    parts: tuple[SamplerSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise ValueError("need at least one part")
-        if any(p.ambient != self.parts[0].ambient for p in self.parts):
-            raise SpecMismatch("convolution parts live over different solenoids")
-
-    @property
-    def ambient(self) -> SteinitzSpec:
-        return self.parts[0].ambient
-
-    def exact_cf(self) -> StratifiedCF:
-        out = self.parts[0].exact_cf()
-        for p in self.parts[1:]:
-            out = out * p.exact_cf()
-        return out
-
-    def _block_adder(self, depth, rng):
-        adders = [part._block_adder(depth, child) for part, child in zip(self.parts, rng.spawn(len(self.parts)))]
+    elif isinstance(law, (Shifted, ConvolutionOf)):
+        if isinstance(law, Shifted):  # the law draws on this law's own stream; the point draws nothing
+            adders = [_block_adder(law.law, depth, rng), _block_adder(Degenerate(law.x), depth, rng)]
+        else:
+            adders = [_block_adder(part, depth, child) for part, child in zip(law.parts, rng.spawn(len(law.parts)))]
 
         def add(out, counts):
             _add_sum(out, adders, (counts,) * len(adders))
 
-        return add
+    else:
+        raise TypeError(f"cannot draw sampling law {law!r}")
+    return add
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +255,7 @@ def draw(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Draw:
     else:
         record = f"{BIT_GENERATOR}(seed={seed})"
         seed = np.random.SeedSequence(seed)
-    add = law._block_adder(depth, np.random.Generator(np.random.PCG64(seed)))
+    add = _block_adder(law, depth, np.random.Generator(np.random.PCG64(seed)))
     return Draw(law.ambient, depth, n, copies, record, add)
 
 

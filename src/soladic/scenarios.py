@@ -39,7 +39,7 @@ from .charfun import (
     decompose_gaussian_haar,
 )
 from .errors import PreconditionViolated, SoundnessError, UndecomposedSolution
-from .sampler import ConvolutionOf, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec
+from .laws import ConvolutionOf, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec
 from .steinitz import (
     Rational,
     SolenoidClass,

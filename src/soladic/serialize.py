@@ -37,17 +37,8 @@ from . import _kernels
 from ._numpy import np
 from .charfun import NEG_INF, POS_INF, StratifiedCF, Stratum, SubgroupSpec, Term, _first_overlap, build_cf
 from .errors import ConfigError
-from .sampler import (
-    ConvolutionOf,
-    Degenerate,
-    EquidistReport,
-    GaussianLine,
-    HaarAnnihilator,
-    Mixture,
-    SampleBatch,
-    SamplerSpec,
-    Shifted,
-)
+from .laws import ConvolutionOf, Degenerate, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec, Shifted
+from .sampler import EquidistReport, SampleBatch
 from .steinitz import SteinitzSpec, _require_prime
 from .tower import SolenoidPoint
 

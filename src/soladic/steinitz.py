@@ -370,7 +370,8 @@ class SolenoidClass:
     def automorphism_note(self) -> str:
         if self.kind == "no_infinite_prime":
             return "automorphism group is {±1} only"
-        monomials = " ".join(f"{p}^k" for p in self.infinite_primes)
+        primes = self.infinite_primes  # one exponent each: 7, 11, 7/11 and 1/7 all act on {7: inf, 11: inf}
+        monomials = " ".join(f"{p}^k{i if len(primes) > 1 else ''}" for i, p in enumerate(primes, 1))
         return f"automorphisms are the signed monomials ± {monomials}"
 
 

@@ -3,7 +3,8 @@
 The quick tour is executed statement by statement; an expression statement
 followed by a comment that opens with a quoted value must evaluate to that
 value.  The ``check`` and ``simulate`` configs are run through
-``python -m soladic`` and must exit 0.
+``python -m soladic`` and must exit 0.  The module map names every module
+of the package.
 """
 
 import ast
@@ -58,3 +59,12 @@ def test_command_line_configs_run(tmp_path, command):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("{")
+
+
+def test_module_map_names_every_module():
+    text = README.read_text()
+    start = text.index("## Modules\n")
+    section = text[start : text.index("\n## ", start + 1)]
+    named = set(re.findall(r"`(\w+)`", section))
+    modules = {path.stem for path in (SRC / "soladic").glob("*.py")}
+    assert modules - named == set()

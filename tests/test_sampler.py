@@ -15,11 +15,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from soladic import SteinitzSpec, SubgroupSpec, embed_real, zero_point
+from soladic import SteinitzSpec, StratifiedCF, SubgroupSpec, embed_real, zero_point
 from soladic.errors import (
     BadWeights,
     CharacterOutsideGroup,
     CharacterTooDeep,
+    ConfigError,
     DepthInsufficient,
     DepthUnavailable,
     SpecMismatch,
@@ -33,6 +34,7 @@ from soladic.sampler import (
     HaarAnnihilator,
     Mixture,
     SampleBatch,
+    SamplerSpec,
     Shifted,
     default_charset,
     draw,
@@ -45,7 +47,7 @@ from soladic.sampler import (
     sample,
     _two_sample_cf_p,
 )
-from soladic.serialize import law_from_json
+from soladic.serialize import law_from_json, law_to_json
 from soladic.steinitz import coefficient_counts, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
@@ -129,6 +131,51 @@ BLOCK_LAWS = ALL_VARIANTS + [
     Mixture((F(1, 2), F(1, 2)), (HAAR_PAST_2_32, GaussianLine(DYADIC, 1, mean=F(-7, 3)))),
 ]
 BLOCK_IDS = VARIANT_IDS + ["haar-past-2^32", "mixture-past-2^32"]
+
+
+def law_variants() -> set[type]:
+    """Every subclass of SamplerSpec that the package defines, at any depth."""
+    found, todo = set(), [SamplerSpec]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("soladic.") and cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    return found
+
+
+class TestInterpretations:
+    """Each interpretation of a law tree is one function or method set, and knows every variant."""
+
+    def test_all_variants_holds_every_variant(self):
+        # a variant added later must join ALL_VARIANTS, and so every test below
+        assert law_variants() == {type(law) for law in ALL_VARIANTS}
+
+    def test_the_block_step_is_one_function(self):
+        assert not [cls.__name__ for cls in law_variants() | {SamplerSpec} if "_block_adder" in vars(cls)]
+
+    @pytest.mark.parametrize("law", ALL_VARIANTS + [NESTED], ids=VARIANT_IDS)
+    def test_every_interpretation_takes_the_variant(self, law):
+        out = np.zeros(64)
+        sampler._block_adder(law, 4, np.random.Generator(np.random.PCG64(3)))(out, 2)
+        assert np.all((out >= 0.0) & (out < 1.0))
+        assert isinstance(law.exact_cf(), StratifiedCF)
+        doc = law_to_json(law)
+        assert law_from_json(law.ambient, doc) == law
+        assert law_to_json(law_from_json(law.ambient, doc)) == doc
+
+    def test_an_unknown_variant_is_refused_by_each_interpretation(self):
+        class Unknown(SamplerSpec):
+            ambient = DYADIC
+
+        with pytest.raises(TypeError, match="cannot draw"):
+            sampler._block_adder(Unknown(), 4, np.random.Generator(np.random.PCG64(0)))
+        with pytest.raises(TypeError, match="cannot draw"):
+            sample(Unknown(), 4, 10, seed=0)
+        with pytest.raises(ConfigError, match="cannot serialize"):
+            law_to_json(Unknown())
+        with pytest.raises(NotImplementedError):
+            Unknown().exact_cf()
 
 
 class TestSampling:
@@ -238,11 +285,11 @@ class TestDrawSum:
     def test_zero_count_is_exactly_zero(self, law):
         rng = np.random.Generator(np.random.PCG64(5))
         out = np.zeros(50)
-        law._block_adder(4, rng)(out, 0)
+        sampler._block_adder(law, 4, rng)(out, 0)
         assert np.all(out == 0.0)
         counts = np.array([0, 1, 2, 0, 5, 0] * 10, dtype=np.int64)
         out = np.zeros(counts.size)
-        law._block_adder(4, rng)(out, counts)
+        sampler._block_adder(law, 4, rng)(out, counts)
         assert out.shape == counts.shape
         assert np.all(out[counts == 0] == 0.0)
         assert np.all((out >= 0.0) & (out < 1.0))
@@ -296,7 +343,7 @@ class TestDrawSum:
         law = Degenerate(embed_real(DYADIC, F(3, 8)))
         counts = np.array([1, 7, 43, 128], dtype=np.int64)
         out = np.zeros(4)
-        law._block_adder(4, np.random.Generator(np.random.PCG64(0)))(out, counts)
+        sampler._block_adder(law, 4, np.random.Generator(np.random.PCG64(0)))(out, counts)
         assert out.tolist() == [float(F(3 * k, 128) % 1) for k in counts.tolist()]
 
     @pytest.mark.parametrize("sigma, mean, copies", [(10**400, 0, 1)])
@@ -322,8 +369,8 @@ class TestDrawSum:
         counts = np.array([0, 1, 2, 3, 7, 1, 0, 4] * 5, dtype=np.int64)
         for k in (1, 3, counts):
             a, b = np.zeros(counts.size), np.zeros(counts.size)
-            gauss._block_adder(depth, np.random.Generator(np.random.PCG64(0)))(a, k)
-            point._block_adder(depth, np.random.Generator(np.random.PCG64(0)))(b, k)
+            sampler._block_adder(gauss, depth, np.random.Generator(np.random.PCG64(0)))(a, k)
+            sampler._block_adder(point, depth, np.random.Generator(np.random.PCG64(0)))(b, k)
             assert a.tobytes() == b.tobytes()
 
     def test_copies_must_be_positive(self):

@@ -563,3 +563,14 @@ def test_classification_names_the_automorphisms():
     assert "2" in only2.automorphism_note
     none = classify_solenoid(SteinitzSpec.of({7: 3}))
     assert "±1" in none.automorphism_note or "+1" in none.automorphism_note
+
+
+def test_automorphism_note_gives_each_unbounded_prime_its_own_exponent():
+    one = classify_solenoid(SteinitzSpec.of({2: INFINITE, 3: 2}))
+    assert one.automorphism_note == "automorphisms are the signed monomials ± 2^k"
+    spec = SteinitzSpec.of({7: INFINITE, 11: INFINITE})
+    # the exponents are independent: 7, 11, 7/11 and 1/7 are all automorphisms, 1/3 is not
+    assert all(is_automorphism(spec, F(x)) for x in (7, 11, F(7, 11), F(1, 7), -1))
+    assert not is_automorphism(spec, F(1, 3))
+    two = classify_solenoid(spec)
+    assert two.automorphism_note == "automorphisms are the signed monomials ± 7^k1 11^k2"

@@ -1,7 +1,9 @@
 """Config-driven command line: classify, check, simulate, solve-coeffs, counterexample.
 
-Each command takes one JSON config file as a positional argument, prints a
-canonical report to stdout, and signals its verdict through the exit code:
+This module handles argv, the environment, files and exit codes; ``serialize``
+builds every document a command prints or writes.  Each command takes one
+JSON config file, prints a canonical report to stdout, and signals its
+verdict through the exit code:
 
 * 0 - success (equation holds, simulation consistent, or nothing to decide)
 * 1 - verdict-negative: the equation fails or the simulation is inconsistent
@@ -16,42 +18,40 @@ which override the config's simulation block.  Artifacts are written next
 to the config file, named after it: ``simulate`` writes the two sampled
 batches behind its report as CSV, ``<name>.reference.csv`` and
 ``<name>.combined.csv``, and ``counterexample`` writes its bundle as JSON,
-``<name>.bundle.json``.  A config that is not JSON, or whose integers are
-too long or whose nesting is too deep to parse, or that repeats a key
-within one object, is a config error (exit 2), and so is an artifact that
-cannot be written.
+``<name>.bundle.json``.  A run that cannot write all of its artifacts
+leaves none of them behind, and is a config error (exit 2).  So is a config
+that is not UTF-8 JSON, or whose integers are too long or whose nesting is
+too deep to parse, or that repeats a key within one object.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import os
 import sys
+from contextlib import suppress
+from functools import partial
 from pathlib import Path
 
 from .charfun import StratifiedCF
 from .errors import ConfigError, PreconditionViolated, SoladicError, SoundnessError, UndecomposedSolution
-from .laws import SamplerSpec
 from .sampler import monte_carlo_equidist
-from .scenarios import ScenarioVerdict, blurred_counterexample, classify_and_conclude, two_prime_counterexample
+from .scenarios import blurred_counterexample, classify_and_conclude, two_prime_counterexample
 from .serialize import (
     _int_from_json,
     _rationals_from_json,
     _require_keys,
-    cf_from_json,
-    cf_to_json,
+    bundle_to_json,
     dump_stable,
+    equation_from_json,
     equidist_report_to_json,
-    law_from_json,
-    law_to_json,
     rational_from_json,
-    rational_to_json,
     spec_from_json,
     spec_to_json,
-    subgroup_to_json,
+    verdict_to_json,
     write_batch_csv,
 )
 from .steinitz import SteinitzSpec, classify_solenoid, solve_multiplicities
@@ -74,25 +74,16 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as err:  # bad syntax, huge integers, deep nesting
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as err:  # not UTF-8, bad syntax, huge integers, deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     return doc
-
-
-def _distribution(spec: SteinitzSpec, doc: dict) -> "StratifiedCF | SamplerSpec":
-    dist = doc.get("distribution")
-    if not isinstance(dist, dict) or len(dist) != 1 or next(iter(dist)) not in ("cf", "law"):
-        raise ConfigError("config.distribution must be {'cf': [...]} or {'law': {...}}")
-    if "cf" in dist:
-        return cf_from_json(spec, dist["cf"], "distribution.cf")
-    return law_from_json(spec, dist["law"], "distribution.law")
 
 
 def _simulation_block(doc: dict) -> dict:
@@ -121,42 +112,16 @@ def _resolve_seed(args, sim: dict) -> int:
     return seed
 
 
-def _maybe_rational(x) -> "str | list[str] | None":
-    """None, a rational, or a pair of rationals (a support's witness) as a list."""
-    if isinstance(x, tuple):
-        return [rational_to_json(y) for y in x]
-    return None if x is None else rational_to_json(x)
-
-
-def _verdict_to_json(v: ScenarioVerdict) -> dict:
-    eq = v.equation
-    dec = v.decomposition
-    return {
-        "scenario": v.scenario,
-        "class": {
-            "kind": v.solenoid.kind,
-            "infinite_primes": list(v.solenoid.infinite_primes),
-            "automorphisms": v.solenoid.automorphism_note,
-        },
-        "coefficients": [rational_to_json(c) for c in v.coefficients],
-        "coefficients_valid": v.coefficients_valid,
-        "equation": None if eq is None else {
-            "verdict": eq.verdict,
-            "witness": _maybe_rational(eq.witness),
-            "degenerate": eq.degenerate,
-            "note": eq.note,
-        },
-        "decomposition": None if dec is None else {
-            "kind": dec.kind,
-            "shift": _maybe_rational(dec.shift),
-            "sigma": _maybe_rational(dec.sigma),
-            "subgroup": None if dec.subgroup is None else subgroup_to_json(dec.subgroup),
-            "p_invariant": dec.p_invariant,
-            "reason": dec.reason,
-            "witness": _maybe_rational(dec.witness),
-        },
-        "conclusion": v.conclusion,
-    }
+def _write_artifacts(writes: list) -> None:
+    """Call ``write(path)`` for each ``(path, write)`` pair in turn: a run writes all of its artifacts or none."""
+    for path, write in writes:
+        try:
+            write(path)
+        except OSError as err:
+            for other, _ in writes:  # a part-written file goes too
+                with suppress(OSError):  # a directory in the way, or no file there, stays as it is
+                    other.unlink()
+            raise ConfigError(f"cannot write artifact {path}: {err}") from None
 
 
 def _flatten(prefix: str, obj, rows: list) -> None:
@@ -174,13 +139,9 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(dump_stable(report))
         return
-    rows: list = []
+    rows: list = [("key", "value")]
     _flatten("", report, rows)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +167,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = _load_config(args.config)
-    _require_keys(doc, {"solenoid", "coefficients", "distribution"}, set(), "config")
-    spec = spec_from_json(doc["solenoid"])
-    coeffs = _rationals_from_json(doc["coefficients"], "config.coefficients")
-    dist = _distribution(spec, doc)
+    spec, coeffs, dist = equation_from_json(_load_config(args.config))
     f = dist if isinstance(dist, StratifiedCF) else dist.exact_cf()
     try:
         verdict = classify_and_conclude(spec, coeffs, f)
@@ -222,8 +179,7 @@ def cmd_check(args) -> int:
             "unit-square system over a solenoid with at most one unbounded prime, where every "
             "characteristic function that does is a gaussian times a haar indicator, and it is not one"
         ) from None
-    report = {"command": "check", "solenoid": spec_to_json(spec), **_verdict_to_json(verdict)}
-    _emit(report, args.format)
+    _emit({"command": "check", "solenoid": spec_to_json(spec), **verdict_to_json(verdict)}, args.format)
     if not verdict.coefficients_valid:  # an input error, whatever else was decided
         return EXIT_CONFIG
     if verdict.equation is None or verdict.equation.verdict == "unknown":
@@ -233,10 +189,7 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
-    _require_keys(doc, {"solenoid", "coefficients", "distribution"}, {"simulation"}, "config")
-    spec = spec_from_json(doc["solenoid"])
-    coeffs = _rationals_from_json(doc["coefficients"], "config.coefficients")
-    dist = _distribution(spec, doc)
+    spec, coeffs, dist = equation_from_json(doc, {"simulation"})
     if isinstance(dist, StratifiedCF):
         raise ConfigError("simulate needs a sampling law; give distribution.law, not distribution.cf")
     sim = _simulation_block(doc)
@@ -261,25 +214,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(err)) from None
 
     # Drop the batches behind the report beside the config, so the CSVs hold
-    # the very draws the printed statistics were computed on; a run that
-    # cannot write them all leaves none of them behind.
-    base = Path(args.config)
-    ref_path = base.with_suffix(".reference.csv")
-    comb_path = base.with_suffix(".combined.csv")
-    written = []
-    for path, batch in ((ref_path, report.reference), (comb_path, report.combined)):
-        try:
-            write_batch_csv(batch, path)
-        except OSError as err:
-            for done in written:
-                done.unlink(missing_ok=True)
-            raise ConfigError(f"cannot write artifact {path}: {err}") from None
-        written.append(path)
+    # the very draws the printed statistics were computed on.
+    paths = {side: Path(args.config).with_suffix(f".{side}.csv") for side in ("reference", "combined")}
+    _write_artifacts([(path, partial(write_batch_csv, getattr(report, side))) for side, path in paths.items()])
 
     out = {
         "command": "simulate",
         "solenoid": spec_to_json(spec),
-        "artifacts": {"reference": ref_path.name, "combined": comb_path.name},
+        "artifacts": {side: path.name for side, path in paths.items()},
         **equidist_report_to_json(report),
     }
     _emit(out, args.format)
@@ -316,10 +258,7 @@ def cmd_counterexample(args) -> int:
     c = rational_from_json(doc["c"], "config.c")
     sigma = rational_from_json(doc.get("sigma", 0), "config.sigma")
     try:
-        if "solenoid" in doc:
-            spec = spec_from_json(doc["solenoid"])
-        else:
-            spec = SteinitzSpec.of({p: float("inf"), q: float("inf")})
+        spec = spec_from_json(doc["solenoid"]) if "solenoid" in doc else SteinitzSpec.of({p: math.inf, q: math.inf})
         if sigma:
             bundle = blurred_counterexample(spec, p, q, c, sigma)
         else:
@@ -327,21 +266,9 @@ def cmd_counterexample(args) -> int:
     except (PreconditionViolated, ValueError) as err:
         raise ConfigError(str(err)) from None
 
-    bundle_doc = {
-        "base_prime": bundle.base_prime,
-        "partner_prime": bundle.partner_prime,
-        "mixing_weight": rational_to_json(bundle.mixing_weight),
-        "sigma": rational_to_json(bundle.sigma),
-        "solenoid": spec_to_json(spec),
-        "cf": cf_to_json(bundle.cf),
-        "law": law_to_json(bundle.sampler),
-        **_verdict_to_json(bundle.verdict),
-    }
+    bundle_doc = bundle_to_json(bundle, spec)
     bundle_path = Path(args.config).with_suffix(".bundle.json")
-    try:
-        bundle_path.write_text(dump_stable(bundle_doc))
-    except OSError as err:
-        raise ConfigError(f"cannot write artifact {bundle_path}: {err}") from None
+    _write_artifacts([(bundle_path, lambda path: path.write_text(dump_stable(bundle_doc)))])
     _emit({"command": "counterexample", "bundle": bundle_path.name, **bundle_doc}, args.format)
     return EXIT_OK
 

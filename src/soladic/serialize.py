@@ -1,4 +1,4 @@
-"""Exact JSON-style serialization of the domain objects, plus CSV batches.
+"""The exact JSON form of every domain object a command reads, prints or writes, plus CSV batches.
 
 Grammar conventions, kept strict in both directions:
 
@@ -22,6 +22,7 @@ Grammar conventions, kept strict in both directions:
 Unknown keys are rejected everywhere, so a config either round-trips
 exactly or fails loudly before anything runs.  ``dump_stable`` fixes key
 order and spacing, which is what makes reports byte-stable for fixed seeds.
+``cli`` writes a run's documents and batches as artifacts, all or none.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .charfun import NEG_INF, POS_INF, StratifiedCF, Stratum, SubgroupSpec, Term
 from .errors import ConfigError
 from .laws import ConvolutionOf, Degenerate, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec, Shifted
 from .sampler import EquidistReport, SampleBatch
+from .scenarios import CounterexampleBundle, ScenarioVerdict
 from .steinitz import SteinitzSpec, _require_prime
 from .tower import SolenoidPoint
 
@@ -417,6 +419,23 @@ def law_from_json(spec: SteinitzSpec, obj, where: str = "law") -> SamplerSpec:
                       f"mixture, shifted, convolution; got {kind!r}")
 
 
+def equation_from_json(doc: Mapping, optional: set = frozenset()) -> tuple:
+    """A config's solenoid, coefficients and distribution, read in that order, as (spec, coefficients, cf or law).
+
+    ``optional`` names the config's other allowed keys.  The distribution is
+    ``{"cf": [...]}`` or ``{"law": {...}}``.
+    """
+    _require_keys(doc, {"solenoid", "coefficients", "distribution"}, optional, "config")
+    spec = spec_from_json(doc["solenoid"])
+    coeffs = _rationals_from_json(doc["coefficients"], "config.coefficients")
+    dist = doc["distribution"]
+    if not isinstance(dist, dict) or len(dist) != 1 or next(iter(dist)) not in ("cf", "law"):
+        raise ConfigError("config.distribution must be {'cf': [...]} or {'law': {...}}")
+    if "cf" in dist:
+        return spec, coeffs, cf_from_json(spec, dist["cf"], "distribution.cf")
+    return spec, coeffs, law_from_json(spec, dist["law"], "distribution.law")
+
+
 # ---------------------------------------------------------------------------
 # batches and reports
 
@@ -503,6 +522,58 @@ def equidist_report_to_json(report: EquidistReport) -> dict:
         "n": report.n,
         "seed": report.seed,
         "verdict": report.verdict,
+    }
+
+
+def _maybe_rational(x) -> "str | list[str] | None":
+    """None, a rational, or a pair of rationals (a support's witness) as a list."""
+    if isinstance(x, tuple):
+        return [rational_to_json(y) for y in x]
+    return None if x is None else rational_to_json(x)
+
+
+def verdict_to_json(v: ScenarioVerdict) -> dict:
+    eq = v.equation
+    dec = v.decomposition
+    return {
+        "scenario": v.scenario,
+        "class": {
+            "kind": v.solenoid.kind,
+            "infinite_primes": list(v.solenoid.infinite_primes),
+            "automorphisms": v.solenoid.automorphism_note,
+        },
+        "coefficients": [rational_to_json(c) for c in v.coefficients],
+        "coefficients_valid": v.coefficients_valid,
+        "equation": None if eq is None else {
+            "verdict": eq.verdict,
+            "witness": _maybe_rational(eq.witness),
+            "degenerate": eq.degenerate,
+            "note": eq.note,
+        },
+        "decomposition": None if dec is None else {
+            "kind": dec.kind,
+            "shift": _maybe_rational(dec.shift),
+            "sigma": _maybe_rational(dec.sigma),
+            "subgroup": None if dec.subgroup is None else subgroup_to_json(dec.subgroup),
+            "p_invariant": dec.p_invariant,
+            "reason": dec.reason,
+            "witness": _maybe_rational(dec.witness),
+        },
+        "conclusion": v.conclusion,
+    }
+
+
+def bundle_to_json(bundle: CounterexampleBundle, spec: SteinitzSpec) -> dict:
+    """The bundle over the solenoid it was built on: its law, cf and verdict."""
+    return {
+        "base_prime": bundle.base_prime,
+        "partner_prime": bundle.partner_prime,
+        "mixing_weight": rational_to_json(bundle.mixing_weight),
+        "sigma": rational_to_json(bundle.sigma),
+        "solenoid": spec_to_json(spec),
+        "cf": cf_to_json(bundle.cf),
+        "law": law_to_json(bundle.sampler),
+        **verdict_to_json(bundle.verdict),
     }
 
 

@@ -1,7 +1,9 @@
 """End-to-end command tests: config in, report + exit code out."""
 
 import csv
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -32,6 +34,23 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def flat_rows(obj, key=""):
+    """The ``key,value`` rows that ``--format csv`` prints for a JSON report, by a plain walk."""
+    if isinstance(obj, dict):
+        return [row for k, v in obj.items() for row in flat_rows(v, f"{key}.{k}" if key else k)]
+    if isinstance(obj, list):
+        return [row for i, v in enumerate(obj) for row in flat_rows(v, f"{key}[{i}]")]
+    return [[key, "" if obj is None else str(obj)]]
+
+
+def assert_csv_matches_json(capsys, *argv):
+    """Run one command in both formats: its CSV rows are its JSON report, flattened in key order."""
+    code, json_out, _ = run_cli(capsys, *argv)
+    csv_code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert csv_code == code
+    assert list(csv.reader(io.StringIO(csv_out))) == [["key", "value"], *flat_rows(json.loads(json_out))]
 
 
 def pinned_config(name):
@@ -101,6 +120,12 @@ class TestClassify:
         assert code == 2 and out == ""
         assert "not valid JSON" in err
 
+    def test_utf8_bom_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"solenoid": {}}).encode())
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 2 and out == ""
+        assert "not valid JSON: Unexpected UTF-8 BOM" in err
 
     @pytest.mark.parametrize(
         "text, key",
@@ -407,6 +432,30 @@ class TestSimulate:
         assert err.startswith(f"config error: cannot write artifact {blocked}: ")
         # and no artifact of the failed run is left behind
         assert sorted(tmp_path.iterdir()) == sorted([path, blocked])
+
+    @pytest.mark.parametrize("side", ["reference", "combined"])
+    def test_artifact_write_failing_partway_leaves_no_artifact(self, tmp_path, capsys, monkeypatch, side):
+        # an earlier run's CSVs are there; this run's disk fills after the first piece of one CSV
+        path = write_config(tmp_path, self.CONFIG)
+        assert run_cli(capsys, "simulate", path)[0] == 0
+        chunks, calls = serialize._csv_chunks, []
+
+        def failing_chunks(batch):
+            calls.append(batch)
+            pieces = chunks(batch)
+            yield next(pieces)
+            if len(calls) == ("reference", "combined").index(side) + 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            yield from pieces
+
+        monkeypatch.setattr(serialize, "_csv_chunks", failing_chunks)
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: cannot write artifact {path.with_suffix(f'.{side}.csv')}: ")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_csv_format(self, tmp_path, capsys):
+        assert_csv_matches_json(capsys, "simulate", write_config(tmp_path, self.CONFIG))
 
     def test_report_is_byte_stable(self, tmp_path, capsys):
         path = write_config(tmp_path, self.CONFIG)
@@ -797,6 +846,25 @@ class TestCounterexample:
         assert out == ""
         assert err.startswith(f"config error: cannot write artifact {blocked}: ")
 
+    def test_bundle_write_failing_partway_leaves_no_bundle(self, tmp_path, capsys, monkeypatch):
+        # the disk fills halfway through the bundle: the part-written file goes
+        path = write_config(tmp_path, {"p": 2, "q": 3, "c": "1/2"})
+
+        def write_half(self, text, *args, **kwargs):
+            with open(self, "w") as out:
+                out.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(type(path), "write_text", write_half)
+        code, out, err = run_cli(capsys, "counterexample", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: cannot write artifact {path.with_suffix('.bundle.json')}: ")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_csv_format(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"p": 2, "q": 3, "c": "1/4", "sigma": "1"})
+        assert_csv_matches_json(capsys, "counterexample", path)
+
     def test_out_of_range_weight_is_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"p": 2, "q": 3, "c": "3/2"})
         code, _, _ = run_cli(capsys, "counterexample", path)
@@ -983,6 +1051,16 @@ sys.exit(main(sys.argv[1:]))
 
 
 class TestConfigReaders:
+    @pytest.mark.parametrize("command", ["classify", "check", "simulate", "solve-coeffs", "counterexample"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, command):
+        # the fixture's note holds the byte 0xff, which no UTF-8 text holds
+        path = tmp_path / "notutf8.json"
+        path.write_bytes((FIXTURES / "notutf8.json").read_bytes())
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: config {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", [True, 1.5, "7", {}], ids=["true", "1.5", "string", "object"])
     @pytest.mark.parametrize("field", sorted(READ_FIELDS))
     def test_wrong_type_is_a_config_error(self, tmp_path, capsys, monkeypatch, field, value):

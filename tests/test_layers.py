@@ -11,6 +11,10 @@ where the benchmark looks fails here, not only in a benchmark run.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +80,18 @@ def test_traced_targets_resolve(span, module, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_importing_the_cli_alone_loads_every_traced_module():
+    # traced.py imports soladic.cli and then looks each TARGETS module up in sys.modules,
+    # so a module that only a deferred import loads would fail there with a KeyError
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    script = "import json, sys; import soladic.cli; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert {module for _, module, _ in TARGETS} <= loaded
+    assert "numpy._core" not in loaded  # numpy stands there as a lazy module until first used
 
 
 @pytest.mark.parametrize("script", ["traced.py", "workloads.py"])

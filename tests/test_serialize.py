@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction as F
@@ -39,6 +40,7 @@ from soladic.serialize import (
     cf_from_json,
     cf_to_json,
     dump_stable,
+    equation_from_json,
     equidist_report_to_json,
     law_from_json,
     law_to_json,
@@ -414,3 +416,38 @@ class TestBatchesAndReports:
     def test_dump_stable_sorts_keys(self):
         assert dump_stable({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
         assert json.loads(dump_stable({"a": [1, 2]})) == {"a": [1, 2]}
+
+
+class TestEquationConfigs:
+    GOOD = {
+        "solenoid": {"2": "inf"},
+        "coefficients": ["1/2", "1/2", "1/2", "1/2"],
+        "distribution": {"law": {"kind": "gaussian", "sigma": 1}},
+    }
+
+    def test_reads_the_solenoid_the_coefficients_and_a_law_or_a_cf(self):
+        spec, coeffs, law = equation_from_json(self.GOOD)
+        assert spec_to_json(spec) == {"2": "inf"} and coeffs == [F(1, 2)] * 4
+        assert law_to_json(law) == {"kind": "gaussian", "sigma": "1", "mean": "0"}
+        cf = cf_to_json(law.exact_cf())
+        _, _, f = equation_from_json(dict(self.GOOD, distribution={"cf": cf}))
+        assert cf_to_json(f) == cf
+
+    def test_optional_keys_may_stand(self):
+        doc = dict(self.GOOD, simulation={})
+        with pytest.raises(ConfigError, match=re.escape("config has unknown keys ['simulation']")):
+            equation_from_json(doc)
+        assert spec_to_json(equation_from_json(doc, {"simulation"})[0]) == {"2": "inf"}
+
+    def test_faults_are_found_in_reading_order(self):
+        # each fault is the one reported while every later fault still stands
+        faults = [
+            ("simulation", {}, "config has unknown keys ['simulation']"),
+            ("solenoid", {"4": 1}, "4 is not prime"),
+            ("coefficients", [], "config.coefficients must be a nonempty list"),
+            ("distribution", {"pdf": []}, "config.distribution must be {'cf': [...]} or {'law': {...}}"),
+        ]
+        for i, (_, _, message) in enumerate(faults):
+            doc = dict(self.GOOD, **{key: value for key, value, _ in faults[i:]})
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                equation_from_json(doc)

@@ -537,6 +537,22 @@ class TestSimulate:
         for side, digest in digests.items():
             assert hashlib.sha256((tmp_path / f"negative.{side}.csv").read_bytes()).hexdigest() == digest
 
+    def test_fallback_run_matches_pinned_fixture(self, tmp_path, capsys, monkeypatch):
+        # haar(v_2 >= 13) has 131,072 atoms at depth 4: both batches pass the atom cutoff in
+        # their second block of draws (82,735 and 103,213 distinct values there), so each
+        # falls back from atoms to draws after some of its rows have been read
+        monkeypatch.delenv("SOLADIC_SEED", raising=False)
+        path = write_config(tmp_path, pinned_config("simulate_fallback"), "fallback.json")
+        code, out, _ = run_cli(capsys, "simulate", path)
+        assert code == 0
+        assert out == (FIXTURES / "simulate_fallback.stdout").read_text()
+        digests = {
+            "reference": "8b018242b5b9795ff381fb7aa4b9f6a7b6ac7681577a21b1200ab8d7e844da70",
+            "combined": "a328e76f42f7428997b71632175f00f3aebfe0ec49f0930d10a7068e81d20e40",
+        }
+        for side, digest in digests.items():
+            assert hashlib.sha256((tmp_path / f"fallback.{side}.csv").read_bytes()).hexdigest() == digest
+
     def test_inconsistent_exits_1(self, tmp_path, capsys):
         broken = dict(
             self.CONFIG,

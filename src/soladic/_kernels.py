@@ -7,14 +7,14 @@ implementation, so a fixed seed gives the same bytes wherever the same
 numpy runs.
 
 Every row loop here, in the sampler and in the CSV writer walks
-``row_blocks``.  Lattice laws
-put a large batch on a handful of atoms, so per-element work is done once
-per distinct value where that is cheaper.  ``atom_keys`` finds a batch's
-atoms, a block at a time, merging each sorted block's distinct values into
-a running table that it gives up on once the table outgrows a block; a
-batch keeps the result.  Only this module reads the atoms' bit-pattern
-order: ``atom_rows`` gives each row its atom.  ``cf_sums`` evaluates its
-phases on the atoms and gathers them back per block.  On continuous draws
+``row_blocks``.  Lattice laws put a large batch on a handful of atoms, so
+per-element work is done once per distinct value where that is cheaper.
+``build_batch`` forms every batch, a block of rows at a time: it merges
+each sorted block's distinct bit patterns into a running table and keeps
+each row's atom as a small unsigned index, until the table outgrows a
+block and the batch becomes float64 draws.  Only this module reads the
+atoms' bit patterns.  ``cf_sums`` evaluates its phases on the atoms and
+gathers them back by the index, per block.  On continuous draws
 its blocks are shared among the cores by ``map_blocks``: each worker sums
 its blocks' phases in one complex block buffer that the caller allocates,
 and the caller adds the block sums in block order, so the floats do not
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from ._numpy import np
 
@@ -45,8 +45,8 @@ _TWO_PI = 2.0 * math.pi
 
 T = TypeVar("T")
 
-#: rows per block of every row loop: the sampler's draws, atom_keys, cf_sums and the
-#: Kuiper scan.  The block sums fix cf_sums' summation order, and atom_keys keeps at
+#: rows per block of every row loop: the sampler's draws, build_batch, cf_sums and the
+#: Kuiper scan.  The block sums fix cf_sums' summation order, and build_batch keeps at
 #: most this many atoms; neither the draws nor the scan depend on the block size
 BLOCK_ROWS = 1 << 16
 
@@ -105,46 +105,79 @@ def map_blocks(fn: Callable[[object, slice], T], n: int, scratch: Callable[[int]
     return results
 
 
-def atom_keys(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The distinct values of coords (float64, in the order of their bit patterns), with their counts.
+def build_batch(n: int, blocks: Iterable[tuple[slice, np.ndarray]]) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch of n rows from its ``(rows, values)`` blocks in ``row_blocks`` order: draws, or atoms.
 
-    Keying by bit pattern keeps -0.0 and 0.0 apart, so each atom stands for
-    exactly one float and one ``repr``.  The draws are sorted a block at a
-    time, and each block's distinct keys and counts are merged into a
-    running table.  Returns None as soon as that table holds more than
-    min(n // 2, BLOCK_ROWS) keys, where per-value work saves little, so the
-    table never outgrows one block.
+    Each block's bit patterns are sorted once; their runs give the block's
+    distinct keys, merged into a running table with their counts.  The
+    block keeps each row's index among its keys, found by a pass per key
+    up to 32 keys, else by an argsort.  Keying by bit pattern keeps -0.0
+    and 0.0 apart, so each atom stands for exactly one float and one repr.
+    While the table holds at most min(n // 2, BLOCK_ROWS) keys the batch
+    ends as (atoms, counts, index): the distinct values (float64, in the
+    order of their bit patterns), the rows on each, and each row's atom as
+    the smallest unsigned integer that holds it (uint8 up to 256 atoms),
+    joined from the blocks' indices only then.  A block that would pass
+    that cutoff makes the batch float64 draws: the earlier rows are rebuilt
+    from their keys, and the rest copied in.
     """
-    n = coords.shape[0]
     cap = min(n // 2, BLOCK_ROWS)
     keys, counts = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    for rows in row_blocks(n):
-        block = np.ascontiguousarray(coords[rows], dtype=np.float64)
-        # a sort and a run mask: np.unique hashes (numpy 2.x), ~30x slower on 1e6 distinct values
-        bits = np.sort(block.view(np.uint64))
-        starts = np.ones(bits.shape, dtype=bool)
-        np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-        first = np.flatnonzero(starts)
-        runs = bits[first], np.diff(first, append=bits.shape[0])
-        keys, counts = _merge_runs(keys, counts, *runs) if rows.start else runs
-        if keys.shape[0] > cap:
-            return None
-    return keys.view(np.float64), counts
+    held = []  # per block: its rows, its distinct keys and each row's index among them
+    blocks = iter(blocks)
+    for rows, block in blocks:
+        merged = _merge_block(keys, counts, block, cap)
+        if merged is None:
+            break
+        keys, counts, distinct, where = merged
+        held.append((rows, distinct, where))
+    else:
+        index = np.empty(n, dtype=np.min_scalar_type(keys.shape[0] - 1))
+        for rows, distinct, where in held:
+            if distinct.shape[0] == keys.shape[0]:  # the block met every atom: its index is the batch's
+                index[rows] = where
+            else:
+                np.take(np.searchsorted(keys, distinct).astype(index.dtype), where, out=index[rows])
+        return keys.view(np.float64), counts, index
+    # past the cutoff: the draws are allocated beside the earlier blocks alone
+    keys = counts = distinct = where = None
+    draws = np.empty(n)
+    for earlier, distinct, where in held:
+        draws[earlier] = distinct.view(np.float64)[where]
+    held = distinct = where = None
+    draws[rows] = block
+    for rows, block in blocks:
+        draws[rows] = block
+    return draws
 
 
-def atom_rows(values: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The index in ``values``, the atoms of ``atom_keys``, of each row of a block of their batch."""
-    return np.searchsorted(values.view(np.uint64), np.ascontiguousarray(block, dtype=np.float64).view(np.uint64))
-
-
-def _merge_runs(keys, counts, new_keys, new_counts) -> tuple[np.ndarray, np.ndarray]:
-    """Two sorted tables of distinct keys with their counts, merged into one."""
-    at = np.searchsorted(keys, new_keys)
+def _merge_block(keys, counts, block, cap):
+    """``(keys, counts)`` merged with a block's, then its distinct keys and rows' indices; None past ``cap`` keys."""
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64)
+    # a sort and a run mask: np.unique hashes (numpy 2.x), ~30x slower on 1e6 distinct values
+    ordered = np.sort(bits)
+    starts = np.ones(bits.shape, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    distinct, runs = ordered[first], np.diff(first, append=bits.shape[0])
+    at = np.searchsorted(keys, distinct)
     seen = at < keys.shape[0]
-    seen[seen] = keys[at[seen]] == new_keys[seen]
-    counts[at[seen]] += new_counts[seen]  # distinct new keys meet distinct old ones
-    fresh = ~seen
-    return np.insert(keys, at[fresh], new_keys[fresh]), np.insert(counts, at[fresh], new_counts[fresh])
+    seen[seen] = keys[at[seen]] == distinct[seen]
+    fresh = np.flatnonzero(~seen)
+    if keys.shape[0] + fresh.shape[0] > cap:
+        return None
+    if keys.shape[0]:
+        counts[at[seen]] += runs[seen]  # distinct new keys meet distinct old ones
+        keys, counts = np.insert(keys, at[fresh], distinct[fresh]), np.insert(counts, at[fresh], runs[fresh])
+    else:  # the first block's runs are the table
+        keys, counts = distinct, runs
+    where = np.zeros(bits.shape, dtype=np.min_scalar_type(distinct.shape[0] - 1))
+    if distinct.shape[0] <= 32:  # a pass per key: argsort takes ~2 ms on a skewed block of few keys
+        for key in distinct[1:]:
+            where += bits >= key
+    else:  # one argsort: a searchsorted per row costs more
+        where[np.argsort(bits)] = np.repeat(np.arange(distinct.shape[0], dtype=where.dtype), runs)
+    return keys, counts, distinct, where
 
 
 def _frac(values: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -180,19 +213,22 @@ def _phases(t: np.ndarray, m: float, buffer: np.ndarray) -> np.ndarray:
     return np.exp(buffer, out=buffer)
 
 
-def cf_sums(coords: np.ndarray, multipliers: np.ndarray, atoms) -> np.ndarray:
-    """Mean of exp(2 pi i m t) over coords, for each integer multiplier m; ``atoms`` is ``atom_keys(coords)``.
+def cf_sums(draws: np.ndarray, multipliers: np.ndarray, atoms: np.ndarray | None = None) -> np.ndarray:
+    """Mean of exp(2 pi i m t) over a batch's draws t, for each integer multiplier m.
 
-    On atoms the phases are evaluated once per atom and gathered per block.
-    On draws each block's sums, one per multiplier, are computed by
-    ``map_blocks`` in its worker's buffer, and added into the totals in
-    block order, so every float is the same on any number of cores.
+    ``draws`` holds the draws' float64 coordinates, or with ``atoms``, the
+    atom values of ``build_batch``, each draw's index among them.  On atoms
+    the phases are evaluated once per atom and gathered per block, each
+    block's index widened to intp once for its gathers.  On draws each
+    block's sums, one per multiplier, are computed by ``map_blocks`` in its
+    worker's buffer, and added into the totals in block order, so every
+    float is the same on any number of cores.
     """
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
     multipliers = np.ascontiguousarray(multipliers, dtype=np.float64)
-    n = coords.shape[0]
+    n = draws.shape[0]
     totals = [0j] * multipliers.shape[0]
     if atoms is None:
+        coords = np.ascontiguousarray(draws, dtype=np.float64)
 
         def block_sums(buffer, rows):
             block = coords[rows]
@@ -203,10 +239,9 @@ def cf_sums(coords: np.ndarray, multipliers: np.ndarray, atoms) -> np.ndarray:
             for j, total in enumerate(sums):
                 totals[j] += total
     else:
-        values = atoms[0]
-        table = [_phases(values, m, np.empty(values.shape[0], dtype=np.complex128)) for m in multipliers]
+        table = [_phases(atoms, m, np.empty(atoms.shape[0], dtype=np.complex128)) for m in multipliers]
         for rows in row_blocks(n):
-            where = atom_rows(values, coords[rows])
+            where = draws[rows].astype(np.intp)  # a narrow index gathers at half the speed
             for j, phases in enumerate(table):
                 totals[j] += phases[where].sum()
     out = np.empty(multipliers.shape[0], dtype=np.complex128)

@@ -10,17 +10,18 @@ depth and builds the law's block step, before any row is drawn.
 coordinates over ``_kernels.row_blocks``, each stream continuing from block
 to block, so the draws do not depend on the block size; a composite law
 sums its parts in a block by ``_add_sum``.  It serves both consumers:
-``sample`` fills a batch from it, allocated once, and ``linear_form`` adds
-each part's blocks, scaled, straight into its running sum, which it then
-takes mod 1 and down the tower in place.  So ``monte_carlo_equidist``
-holds two n-sized arrays, the reference batch and the combined sum, 8
-bytes per draw each, plus block-sized temporaries, whatever the law tree
-and however many coefficients.
+``sample`` forms a batch from its blocks, and ``linear_form`` adds one
+block of every part, scaled, into that block's sum, which it takes mod 1
+and down the tower in place before the next block is drawn.  Every batch
+is formed by ``_kernels.build_batch``, a block at a time: a batch on few
+atoms is held as one uint8 or uint16 atom index per draw, any other as
+its float64 coordinates.  So ``monte_carlo_equidist`` holds its reference
+and combined batches, 1, 2 or 8 bytes per draw each, plus block-sized
+temporaries, whatever the law tree and however many coefficients.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,38 +134,49 @@ def _block_adder(law: SamplerSpec, depth: int, rng: np.random.Generator) -> Call
 class SampleBatch:
     """Depth-N circle coordinates of i.i.d. draws, with their seed record.
 
-    A batch finds its atoms once, on first use, and keeps them: its distinct
-    coordinates with their counts (``_kernels.atom_keys``), or None when they
-    are more than half the draws or more than ``_kernels.BLOCK_ROWS``.  The
-    cf sums, the CSV writer (each row's atom by ``_kernels.atom_rows``) and
-    the Kuiper test all read that one result, so a batch is sorted once.
+    ``draws`` holds the coordinates as float64, or for a batch on few atoms
+    as ``(atoms, counts, index)``: its distinct coordinates, the draws on
+    each, and each row's atom as a uint8 or uint16 index, which
+    ``_kernels.build_batch`` forms from the blocks that ``sample``,
+    ``project`` and ``linear_form`` pass it.  A batch made from float64
+    coordinates keeps them as given.  The cf sums and the CSV writer gather
+    by the index, and the Kuiper test reads atoms and counts.
     """
 
     spec: SteinitzSpec
     depth: int
-    coords: np.ndarray
+    draws: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]
     seed_record: str
 
     @property
-    def n(self) -> int:
-        return int(self.coords.shape[0])
+    def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(atoms, counts, index)``, or None for a batch held as its float64 coordinates."""
+        return None if isinstance(self.draws, np.ndarray) else self.draws
 
-    @functools.cached_property
-    def _atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return _kernels.atom_keys(self.coords)
+    @property
+    def coords(self) -> np.ndarray:
+        """The float64 coordinates; a batch on atoms builds them anew at each read."""
+        return self.draws if self.atoms is None else self.draws[0][self.draws[2]]
+
+    @property
+    def n(self) -> int:
+        return int((self.draws if self.atoms is None else self.draws[2]).shape[0])
 
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """The coordinates as ``(rows, values)`` pairs, a block of rows at a time, as a ``Draw`` yields them."""
-        return ((rows, self.coords[rows]) for rows in _kernels.row_blocks(self.n))
+        for rows in _kernels.row_blocks(self.n):
+            yield rows, self.draws[rows] if self.atoms is None else self.draws[0][self.draws[2][rows]]
 
     def project(self, depth: int) -> "SampleBatch":
         """Push the batch down the tower to a shallower depth."""
         if depth == self.depth:
             return self
-        coords, scratch = np.empty(self.n), np.empty(min(self.n, _kernels.BLOCK_ROWS))
-        for rows, values in self.blocks():
-            _push_down(self.spec, self.depth, values, depth, out=coords[rows], scratch=scratch[: values.shape[0]])
-        return SampleBatch(self.spec, depth, coords, self.seed_record)
+        scratch = np.empty(min(self.n, _kernels.BLOCK_ROWS))
+        pushed = (
+            (rows, _push_down(self.spec, self.depth, values, depth, scratch=scratch[: values.shape[0]]))
+            for rows, values in self.blocks()
+        )
+        return SampleBatch(self.spec, depth, _kernels.build_batch(self.n, pushed), self.seed_record)
 
 
 def _push_down(
@@ -227,9 +239,13 @@ class Draw:
 
     def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         for rows in _kernels.row_blocks(self.n):
-            values = np.zeros(rows.stop - rows.start)
-            self.add(values, self.copies)
-            yield rows, values
+            yield rows, self._block(rows.stop - rows.start)
+
+    def _block(self, size: int) -> np.ndarray:
+        # a function of its own, so that a suspended blocks() holds no block
+        values = np.zeros(size)
+        self.add(values, self.copies)
+        return values
 
 
 def draw(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Draw:
@@ -263,13 +279,11 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
     """Draw n i.i.d. depth-N coordinates of the law, reproducibly from seed.
 
     The coordinates are those of ``draw(law, depth, n, seed, copies)``,
-    allocated once, after the law is checked, and filled from its blocks.
+    formed from its blocks by ``_kernels.build_batch`` after the law is
+    checked.
     """
     part = draw(law, depth, n, seed, copies)
-    coords = np.empty(n)
-    for rows, values in part.blocks():
-        coords[rows] = values
-    return SampleBatch(part.spec, depth, coords, part.seed_record)
+    return SampleBatch(part.spec, depth, _kernels.build_batch(n, part.blocks()), part.seed_record)
 
 
 # ---------------------------------------------------------------------------
@@ -325,31 +339,29 @@ def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational
     """Per-draw sum of coefficient-scaled parts, taken down to `depth`.
 
     ``batches`` may be any iterable with one part per coefficient: drawn
-    batches, or ``Draw``s, whose rows are drawn as they are added.  Each
-    part is read a block of rows at a time and scaled into the running sum,
-    part after part, so the sum is the one n-sized array the linear form
-    holds; a generator of batches has one batch alive at a time.  The sum
-    is taken mod 1 and down to `depth` in place, in one pass a block at a
-    time, each block's floors taken in one block of scratch
-    (``_kernels._frac``), so no n-sized temporary appears.  All parts must share
-    spec, depth and size.  `depth` defaults to the parts' own.  When the
-    first part arrives, before any sum, the coefficients pass the check
-    ``monte_carlo_equidist`` applies (ValueError otherwise: each is an
-    automorphism with a numerator of at most 2^53), and the parts must be at
-    least ``required_depth`` deep for `depth` (DepthInsufficient otherwise),
-    so that the truncated coordinate arithmetic agrees with the true law of
-    the linear form there.
+    batches, or ``Draw``s, whose rows are drawn as they are added.  The
+    parts are read whole before the first sum, so a generator of batches
+    has all of them alive at once.  The sum is formed a block of rows at a
+    time: each part's block, scaled, is added into the block's sum, part
+    after part, which is taken mod 1 (``_kernels._frac``) and down to
+    `depth` in place once the parts' blocks are drawn, and handed to
+    ``_kernels.build_batch``; so no n-sized array but the result appears.
+    All parts must share spec, depth and size.  `depth` defaults to the
+    parts' own.  When the first part arrives, before any further one, the
+    coefficients pass the check ``monte_carlo_equidist`` applies
+    (ValueError otherwise: each is an automorphism with a numerator of at
+    most 2^53), and the parts must be at least ``required_depth`` deep for
+    `depth` (DepthInsufficient otherwise), so that the truncated coordinate
+    arithmetic agrees with the true law of the linear form there.
     """
     coeffs = [Fraction(c) for c in coeffs]
-    # A plain iterator, not zip(): zip's recycled result tuple would keep the
-    # previous part alive while the next one is drawn.
     parts = iter(batches)
-    total = None
-    for c in coeffs:
+    held = []
+    for _ in coeffs:
         part = next(parts, None)
         if part is None:
             raise ValueError("need one batch per coefficient")
-        if total is None:
+        if not held:
             spec, m_depth, n, record = part.spec, part.depth, part.n, part.seed_record
             depth = m_depth if depth is None else depth
             _sampled_counts(spec, coeffs)
@@ -357,25 +369,25 @@ def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational
                 raise DepthInsufficient(
                     f"batches at depth {m_depth} are too shallow for an exact depth-{depth} linear form"
                 )
-            total = np.zeros(n)
         elif part.spec != spec:
             raise SpecMismatch("batches live over different solenoids")
         elif part.depth != m_depth or part.n != n:
             raise ValueError("batches must share depth and size")
-        scale = float(c)
-        for rows, values in part.blocks():
-            total[rows] += values * scale
-        # a block of a drawn batch is a view that keeps the whole batch alive
-        part = values = None
+        held.append(part)
     if next(parts, None) is not None:
         raise ValueError("need one coefficient per batch")
-    if total is None:
+    if not held:
         raise ValueError("need at least one batch")
-    scratch = np.empty(min(n, _kernels.BLOCK_ROWS))
-    for rows in _kernels.row_blocks(n):
-        block, floor = total[rows], scratch[: rows.stop - rows.start]
-        _push_down(spec, m_depth, _kernels._frac(block, block, floor), depth, out=block, scratch=floor)
-    return SampleBatch(spec, depth, total, record)
+    streams = [(float(c), part.blocks()) for c, part in zip(coeffs, held)]
+
+    def sums() -> Iterator[tuple[slice, np.ndarray]]:
+        for rows in _kernels.row_blocks(n):
+            total = np.zeros(rows.stop - rows.start)
+            for scale, blocks in streams:
+                total += next(blocks)[1] * scale
+            yield rows, _push_down(spec, m_depth, _kernels._frac(total, total), depth, out=total)
+
+    return SampleBatch(spec, depth, _kernels.build_batch(n, sums()), record)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +430,8 @@ def empirical_cf(batch: SampleBatch, ys: Sequence[Rational]) -> EmpiricalCF:
     """Mean of the character values over the batch, for each character."""
     ys = [Fraction(y) for y in ys]
     multipliers = _multipliers(batch.spec, batch.depth, ys)
-    estimates = _kernels.cf_sums(batch.coords, np.array(multipliers), batch._atoms)
+    values, _, draws = batch.atoms or (None, None, batch.draws)
+    estimates = _kernels.cf_sums(draws, np.array(multipliers), values)
     return EmpiricalCF(tuple(ys), estimates, 3.0 / math.sqrt(batch.n))
 
 
@@ -500,7 +513,7 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
         raise ValueError("batches must share a depth")
     depth = batch1.depth if depth is None else depth
     _refuse_past_tie_grid(batch1.spec, depth)
-    (a, a_counts), (b, b_counts) = (batch._atoms or (batch.coords, None) for batch in (batch1, batch2))
+    (a, a_counts), (b, b_counts) = ((batch.atoms or (batch.draws, None))[:2] for batch in (batch1, batch2))
     keys = np.empty(a.shape[0] + b.shape[0], dtype=np.uint64)
     a_out, b_out = np.split(keys.view(np.float64), [a.shape[0]])
     for batch, values, out in ((batch1, a, a_out), (batch2, b, b_out)):

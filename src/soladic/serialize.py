@@ -445,23 +445,22 @@ def _csv_chunks(batch: SampleBatch) -> Iterator[bytes | np.ndarray]:
 
     Rows are ``depth,coord``, coordinates in shortest round-trip repr, each
     ending in a newline.  A lattice batch's lines are built once per atom by
-    ``repr``, and each block joins its rows' lines from those.  A continuous
-    batch's are built a block at a time from ``_kernels.repr_matrix``, the
-    same byte for byte as one ``repr`` per row, its NUL bytes dropped.  Only
-    one block's lines are alive at a time.
+    ``repr``, and each block joins its rows' lines from those, gathered by
+    the batch's atom index.  A continuous batch's are built a block at a
+    time from ``_kernels.repr_matrix``, the same byte for byte as one
+    ``repr`` per row, its NUL bytes dropped.  Only one block's lines are
+    alive at a time.
     """
-    coords = np.asarray(batch.coords, dtype=np.float64)
-    atoms = batch._atoms
+    atoms = batch.atoms
     if atoms is not None:
         atom_lines = np.array([f"{batch.depth},{v!r}\n" for v in atoms[0].tolist()], dtype=object)
     prefix = np.frombuffer(f"{batch.depth},".encode(), dtype=np.uint8)
     yield b"depth,coord\n"
     for rows in _kernels.row_blocks(batch.n):
-        block = coords[rows]
         if atoms is not None:  # str.join: bytes.join would hold a buffer record per row
-            yield "".join(atom_lines[_kernels.atom_rows(atoms[0], block)].tolist()).encode()
+            yield "".join(atom_lines[atoms[2][rows]].tolist()).encode()
             continue
-        text = _kernels.repr_matrix(block)
+        text = _kernels.repr_matrix(batch.draws[rows])
         lines = np.empty((text.shape[0], prefix.size + text.shape[1] + 1), dtype=np.uint8)
         lines[:, : prefix.size] = prefix
         lines[:, prefix.size : -1] = text

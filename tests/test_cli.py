@@ -576,20 +576,30 @@ class TestSimulate:
 
     @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "continuous"])
     def test_each_batch_finds_its_atoms_once(self, tmp_path, capsys, monkeypatch, lattice):
-        # the cf sums, the Kuiper tower and both CSVs read one atom_keys per batch
-        calls = []
-        atom_keys = _kernels.atom_keys
+        # each batch is formed once, its rows sorted once as they arrive; the cf sums,
+        # the Kuiper tower and both CSVs read what it was formed as
+        formed, sorted_sizes = [], []
+        build_batch = _kernels.build_batch
 
-        def counting_atom_keys(coords):
-            calls.append(id(coords))
-            return atom_keys(coords)
+        def counting_build_batch(n, blocks):
+            formed.append(n)
+            return build_batch(n, blocks)
 
-        for module in (_kernels, serialize):  # wherever a module may hold the name
-            monkeypatch.setattr(module, "atom_keys", counting_atom_keys, raising=False)
-        path = write_config(tmp_path, self.LATTICE if lattice else self.CONFIG)
+        monkeypatch.setattr(_kernels, "build_batch", counting_build_batch)
+        for name in ("sort", "argsort"):
+
+            def counting(a, *args, sort=getattr(np, name), **kwargs):
+                sorted_sizes.append(np.size(a))
+                return sort(a, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        config = self.LATTICE if lattice else self.CONFIG
+        path = write_config(tmp_path, config)
         code, _, _ = run_cli(capsys, "simulate", path)
         assert code == 0
-        assert len(calls) == len(set(calls)) == 2
+        n = config["simulation"]["n"]
+        assert formed == [n, n]
+        assert sorted_sizes.count(n) == 2 and all(size < n // 2 for size in sorted_sizes if size != n)
 
     def test_lattice_run_sorts_each_batch_once(self, tmp_path, capsys, monkeypatch):
         # the Kuiper tower sorts atoms, not draws

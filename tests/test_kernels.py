@@ -18,8 +18,7 @@ from soladic._kernels import (
     BLOCK_ROWS,
     REPR_WIDTH,
     _frac,
-    atom_keys,
-    atom_rows,
+    build_batch,
     cf_sums,
     kuiper_deltas,
     repr_matrix,
@@ -155,12 +154,27 @@ def test_kuiper_deltas_match_ecdf_scan_across_a_scan_chunk(pooled, form):
 def test_cf_sums_match_one_shot_mean_across_chunks(n):
     t = np.random.default_rng(n).random(n)
     multipliers = np.array([0.0, 1.0, -3.0, 8.0, 243.0])
-    got = cf_sums(t, multipliers, atom_keys(t))
+    got = built_cf_sums(t, multipliers)
     want = [np.exp(2j * np.pi * m * t).mean() for m in multipliers]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 MULTIPLIERS = np.array([0.0, 1.0, -3.0, 8.0, 243.0, 1296.0])
+
+
+def built(t):
+    """The batch build_batch forms from t, fed a block of rows at a time: its draws, or (atoms, counts, index)."""
+    t = np.asarray(t, dtype=np.float64)
+    return build_batch(t.shape[0], ((rows, t[rows]) for rows in row_blocks(t.shape[0])))
+
+
+def built_cf_sums(t, multipliers):
+    """cf_sums as a batch of t takes it: on its atom index when it has atoms, else on its draws."""
+    draws = built(t)
+    if isinstance(draws, np.ndarray):
+        return cf_sums(draws, multipliers)
+    values, _, index = draws
+    return cf_sums(index, multipliers, values)
 
 
 @pytest.mark.parametrize("n", [100, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 17) + 3])
@@ -169,9 +183,8 @@ def test_cf_sums_on_lattice_equal_the_dense_loop(n):
     # 12 atoms, with an ulp-shifted copy of some, as a linear form of draws leaves them
     t = rng.integers(0, 12, n) / 12
     t[::7] = np.nextafter(t[::7], 1.0)
-    atoms = atom_keys(t)
-    assert atoms is not None
-    assert np.array_equal(cf_sums(t, MULTIPLIERS, atoms), dense_cf_sums(t, MULTIPLIERS))
+    assert not isinstance(built(t), np.ndarray)
+    assert np.array_equal(built_cf_sums(t, MULTIPLIERS), dense_cf_sums(t, MULTIPLIERS))
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -181,36 +194,38 @@ def test_cf_sums_equal_the_dense_loop_on_both_sides_of_the_atom_cutoff(extra):
     for n in (BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 6, 3 * BLOCK_ROWS + 7):
         distinct = min(n // 2, BLOCK_ROWS) + extra
         t = np.random.default_rng(extra).permutation(np.resize(np.arange(distinct) / distinct, n))
-        atoms = atom_keys(t)
-        assert (atoms is None) == bool(extra), n
-        assert np.array_equal(cf_sums(t, MULTIPLIERS, atoms), dense_cf_sums(t, MULTIPLIERS))
+        assert isinstance(built(t), np.ndarray) == bool(extra), n
+        assert np.array_equal(built_cf_sums(t, MULTIPLIERS), dense_cf_sums(t, MULTIPLIERS))
 
 
-def test_atom_keys_sort_a_block_at_a_time(monkeypatch):
-    # a block's sorted copy and run mask, and a table of 4 atoms; a sorted
-    # copy of the whole batch and its run mask took 9 bytes a draw
+def test_build_batch_sorts_a_block_at_a_time(monkeypatch):
+    # a block's sorted copy, run mask and compare passes, a table of 4 atoms, and one byte of
+    # index per draw, held a block at a time and then once for the batch; a sorted copy
+    # of the whole batch and its run mask took 9 bytes a draw
     monkeypatch.setattr(_kernels, "BLOCK_ROWS", 4096)
     n = 200_000
     t = np.random.default_rng(0).integers(0, 4, n) / 4
-    atom_keys(t[:100])  # keep first-use imports out
+    built(t[:100])  # keep first-use imports out
     tracemalloc.start()
     try:
-        values, counts = atom_keys(t)
+        values, counts, index = built(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert values.tolist() == [0.0, 0.25, 0.5, 0.75]
     assert counts.tolist() == [np.count_nonzero(t == x) for x in (0.0, 0.25, 0.5, 0.75)]
-    assert peak < 1 << 20
+    assert index.dtype == np.uint8 and values[index].tobytes() == t.tobytes()
+    assert peak < 2 * n + (256 << 10)
 
 
-def test_atom_keys_keep_signed_zeros_apart():
+def test_build_batch_keeps_signed_zeros_apart():
     t = np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5, 0.5, 0.5])
-    values, counts = atom_keys(t)
+    values, counts, index = built(t)
     assert values.dtype == np.float64
     assert values.tolist() == [0.0, 0.5, -0.0]
     assert [math.copysign(1.0, x) for x in values] == [1.0, 1.0, -1.0]
     assert counts.tolist() == [2, 4, 2]
+    assert index.tolist() == [0, 2, 1, 0, 2, 1, 1, 1]
 
 
 def test_cf_sums_evaluates_phases_once_per_atom(monkeypatch):
@@ -224,11 +239,11 @@ def test_cf_sums_evaluates_phases_once_per_atom(monkeypatch):
     monkeypatch.setattr(_kernels.np, "exp", counting_exp)
     n = (1 << 17) + 3
     lattice = np.random.default_rng(0).integers(0, 12, n) / 12
-    cf_sums(lattice, MULTIPLIERS, atom_keys(lattice))
+    built_cf_sums(lattice, MULTIPLIERS)
     assert 0 < sum(points) <= 12 * MULTIPLIERS.shape[0]
     points.clear()
     draws = np.random.default_rng(0).random(n)
-    cf_sums(draws, MULTIPLIERS, atom_keys(draws))
+    built_cf_sums(draws, MULTIPLIERS)
     assert sum(points) == n * MULTIPLIERS.shape[0]
 
 
@@ -271,8 +286,8 @@ def test_map_blocks_stride_the_blocks_over_the_workers_and_keep_their_order(monk
 def test_cf_sums_on_draws_are_the_same_floats_on_any_number_of_cores(monkeypatch, cores):
     with_cores(monkeypatch, cores)
     t = np.random.default_rng(cores).random(3 * BLOCK_ROWS + 7)  # a ragged last block
-    assert atom_keys(t) is None
-    got = cf_sums(t, MULTIPLIERS, None)
+    assert isinstance(built(t), np.ndarray)
+    got = cf_sums(t, MULTIPLIERS)
     assert got.view(np.uint64).tolist() == dense_cf_sums(t, MULTIPLIERS).view(np.uint64).tolist()
 
 
@@ -326,22 +341,34 @@ def test_a_worker_error_reaches_the_caller_and_the_pool_lives_on(monkeypatch):
     assert got.view(np.uint64).tolist() == dense_cf_sums(t, MULTIPLIERS).view(np.uint64).tolist()
 
 
-def test_atom_rows_map_each_row_to_its_own_atom():
+def test_build_batch_indexes_each_row_by_its_own_atom():
     # signed zeros and ulp-split neighbours are distinct atoms, and the rows of
-    # a block past the first BLOCK_ROWS find theirs as the first block's do
+    # a block past the first BLOCK_ROWS find theirs as the first block's do; the
+    # first block meets four of the six atoms, so its index is renumbered in the join
     split = np.nextafter(0.5, 1.0)
     atoms = [0.0, -0.0, 0.5, split, np.nextafter(0.5, 0.0), 0.75]
     n = BLOCK_ROWS + 1000
     t = np.resize(np.array(atoms), n)
-    values, counts = atom_keys(t)
+    t[4:BLOCK_ROWS:6], t[5:BLOCK_ROWS:6] = 0.0, -0.0
+    values, counts, index = built(t)
     assert len(values) == len(atoms) and counts.sum() == n
-    blocks = [t[rows] for rows in row_blocks(n)]
-    assert len(blocks) == 2
-    for block in blocks + [t[BLOCK_ROWS - 3 :]]:  # the callers' blocks, and one across their boundary
-        assert values[atom_rows(values, block)].tobytes() == block.tobytes()
-    where = atom_rows(values, np.array([0.0, -0.0, 0.5, split]))
+    assert counts.tolist() == [np.count_nonzero(index == i) for i in range(len(atoms))]
+    assert len(list(row_blocks(n))) == 2
+    assert values[index].tobytes() == t.tobytes()
+    where = index[:4]  # the rows 0.0, -0.0, 0.5 and its neighbour above
     assert len(set(where.tolist())) == 4
     assert [math.copysign(1.0, x) for x in values[where[:2]]] == [1.0, -1.0]
+
+
+def test_build_batch_rebuilds_the_earlier_blocks_when_it_falls_back_to_draws(monkeypatch):
+    # the table passes min(n // 2, BLOCK_ROWS) in the third block: the first two blocks'
+    # rows come back from their atoms, bit for bit, and the later blocks are copied
+    monkeypatch.setattr(_kernels, "BLOCK_ROWS", 64)
+    t = np.resize(np.array([0.0, -0.0, 0.25, np.nextafter(0.25, 1.0)]), 64 * 5 + 9)
+    t[2 * 64 + 3 : 2 * 64 + 3 + 70] = np.random.default_rng(3).random(70)
+    draws = built(t)
+    assert isinstance(draws, np.ndarray) and draws.dtype == np.float64
+    assert draws.tobytes() == t.tobytes()
 
 
 def assert_frac_is_mod(values):

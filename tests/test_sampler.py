@@ -47,7 +47,7 @@ from soladic.sampler import (
     sample,
     _two_sample_cf_p,
 )
-from soladic.serialize import law_from_json, law_to_json
+from soladic.serialize import batch_to_csv, law_from_json, law_to_json
 from soladic.steinitz import coefficient_counts, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
@@ -833,8 +833,13 @@ EQUIDIST_CASES = {
 TWELFTHS = SteinitzSpec.of({2: math.inf, 3: math.inf})  # level 12 at depth 3
 
 
+def built_batch(batch):
+    """The batch formed from another's blocks by _kernels.build_batch, as sample forms its batches."""
+    return SampleBatch(batch.spec, batch.depth, _kernels.build_batch(batch.n, batch.blocks()), batch.seed_record)
+
+
 def hand_batch(coords, depth=3):
-    return SampleBatch(TWELFTHS, depth, np.asarray(coords, dtype=np.float64), "hand-built")
+    return built_batch(SampleBatch(TWELFTHS, depth, np.asarray(coords, dtype=np.float64), "hand-built"))
 
 
 def _hand_cases():
@@ -885,7 +890,7 @@ class TestKuiperOnAtoms:
     @pytest.mark.parametrize("seed", range(4))
     def test_report_rows_equal_the_per_draw_loop(self, law, coeffs, seed):
         report = monte_carlo_equidist(law, coeffs, n=3_000 + 1_001 * seed, depth=4, seed=seed)
-        assert report.reference._atoms is not None and report.combined._atoms is not None
+        assert report.reference.atoms is not None and report.combined.atoms is not None
         assert report.kuiper_rows == per_draw_kuiper_rows(report)
         assert any(row.statistic > 0 for row in report.kuiper_rows)
 
@@ -898,7 +903,7 @@ class TestKuiperOnAtoms:
 
     def test_hand_built_cases_cover_both_paths_and_every_tie(self):
         def has_atoms(coords):
-            return hand_batch(coords)._atoms is not None
+            return hand_batch(coords).atoms is not None
 
         assert has_atoms(HAND_CASES["at_the_atom_cutoff"][0])
         assert not has_atoms(HAND_CASES["past_the_atom_cutoff"][0])
@@ -916,7 +921,7 @@ class TestKuiperOnAtoms:
         n = 200_000
         a = sample(GaussianLine(DYADIC, 1), 4, n, 1)
         b = sample(GaussianLine(DYADIC, 1), 4, n, 2)
-        assert a._atoms is None and b._atoms is None  # found before the measure
+        assert a.atoms is None and b.atoms is None
         tracemalloc.start()
         try:
             kuiper_two_sample(a, b, 2)
@@ -952,6 +957,67 @@ class TestKuiperOnAtoms:
         outside.clear()
         monte_carlo_equidist(GaussianLine(DYADIC, 1), [F(1, 2)] * 4, n=n, depth=3, seed=1)
         assert outside == [n] * (2 * 3)  # draws without atoms take the per-draw path
+
+
+def _indexed_cases():
+    """(coords, BLOCK_ROWS, index dtype or None for draws) of batches the builder forms both ways."""
+    rng = np.random.default_rng(34)
+    zeros = np.where(rng.random(300) < 0.5, -0.0, 0.0)
+    zeros[::7] = 5 / 12
+    # n = 1000 and 128-row blocks: the cutoff is 128 atoms; the last of them, or one
+    # more, first appears in the fifth block
+    at_cutoff = np.resize(np.arange(120) / 120, 1000)
+    at_cutoff[4 * 128 + 5 : 4 * 128 + 13] = np.arange(8) / 8 + 1 / 240
+    past_cutoff = at_cutoff.copy()
+    past_cutoff[4 * 128 + 40] = 0.999
+    return {
+        "signed_zeros": (zeros, 128, np.uint8),
+        "at_the_cutoff": (at_cutoff, 128, np.uint8),
+        "one_past_the_cutoff": (past_cutoff, 128, None),
+        # a block's row indices come from a pass per key up to 32 keys, and from an argsort past that
+        "32_atoms": (rng.permutation(np.resize(np.arange(32) / 32, 700)), 512, np.uint8),
+        "33_atoms": (rng.permutation(np.resize(np.arange(33) / 33, 700)), 512, np.uint8),
+        "256_atoms": (rng.permutation(np.resize(np.arange(256) / 256, 700)), 512, np.uint8),
+        "257_atoms": (rng.permutation(np.resize(np.arange(257) / 257, 700)), 512, np.uint16),
+        "one_draw": (np.array([7 / 12]), 128, None),
+        "ragged_last_block": (rng.integers(0, 12, 3 * 128 + 29) / 12, 128, np.uint8),
+    }
+
+
+INDEXED_CASES = _indexed_cases()
+
+
+class TestIndexedBatches:
+    """A batch held as an atom index gives what the same draws held as float64 give."""
+
+    @pytest.mark.parametrize("case", INDEXED_CASES)
+    def test_indexed_and_float_batches_agree(self, monkeypatch, case):
+        coords, rows, dtype = INDEXED_CASES[case]
+        monkeypatch.setattr(_kernels, "BLOCK_ROWS", rows)
+        floats = SampleBatch(TWELFTHS, 3, coords, "hand-built")
+        indexed = built_batch(floats)
+        assert floats.atoms is None
+        if dtype is None:
+            assert indexed.atoms is None
+        else:
+            assert indexed.atoms[2].dtype == dtype and indexed.atoms[2].shape == (coords.shape[0],)
+            assert indexed.atoms[1].sum() == coords.shape[0]
+        assert indexed.n == floats.n
+        assert indexed.coords.tobytes() == coords.tobytes()
+        chars = default_charset(TWELFTHS, 3)
+        assert empirical_cf(indexed, chars).estimates.tobytes() == empirical_cf(floats, chars).estimates.tobytes()
+        other = SampleBatch(TWELFTHS, 3, np.resize(np.arange(12) / 12, 500), "twelfths")
+        for depth in range(4):
+            assert kuiper_two_sample(indexed, other, depth) == kuiper_two_sample(floats, other, depth)
+            assert kuiper_two_sample(other, indexed, depth) == kuiper_two_sample(other, floats, depth)
+        assert batch_to_csv(indexed) == batch_to_csv(floats)
+        for depth in range(4):
+            assert indexed.project(depth).coords.tobytes() == floats.project(depth).coords.tobytes()
+
+    def test_signed_zeros_stay_two_atoms(self):
+        batch = built_batch(SampleBatch(TWELFTHS, 3, INDEXED_CASES["signed_zeros"][0], "hand-built"))
+        assert sorted(math.copysign(1.0, x) for x in batch.atoms[0] if x == 0) == [-1.0, 1.0]
+        assert {"3,0.0", "3,-0.0"} <= set(batch_to_csv(batch).splitlines())
 
 
 class TestMonteCarloEquidist:
@@ -1024,9 +1090,9 @@ class TestMonteCarloEquidist:
         assert peak([F(1, 8)] * 64) < 1.5 * peak([F(1, 2)] * 4)
 
     def test_holds_two_arrays_of_draws(self, monkeypatch):
-        # the reference and the running sum, 8 bytes a draw each, plus block-sized
-        # temporaries: about 17.4 bytes a draw; a whole part batch beside them
-        # took 25.1, within 16 n + 2 MiB at this n, so the slack is 1 MiB
+        # the reference and the combined batch, each a one-byte atom index per draw, and
+        # each formed a block at a time: about 3.7 bytes a draw; holding both as float64
+        # draws took 17.4, and a whole part batch beside them 25.1
         monkeypatch.setattr(_kernels, "BLOCK_ROWS", 4096)
         law, coeffs = EQUIDIST_CASES["lattice"]
         monte_carlo_equidist(law, coeffs, n=100, depth=4)  # keep first-use imports out
@@ -1037,12 +1103,13 @@ class TestMonteCarloEquidist:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * n + (1 << 20)
+        assert peak < 6 * n + (1 << 20)
 
     def test_continuous_linear_form_holds_two_arrays_of_draws(self, monkeypatch):
-        # a gaussian's reference and the running sum of its linear form, as the check
-        # draws them: each sum is taken mod 1 and down the tower a block at a time, so
-        # a floor of the whole sum, 8 bytes a draw more, would break the bound
+        # a gaussian's reference and its linear form, as the check draws them, 8 bytes a
+        # draw each, about 16.5 in all: each block's sum is taken mod 1 and down the tower
+        # before the next, and no atom index is made for draws that pass the cutoff, so a
+        # floor of the whole sum, or a 2-byte index per draw, would break the bound
         monkeypatch.setattr(_kernels, "BLOCK_ROWS", 4096)
         law, coeffs = GaussianLine(DYADIC, 1), [F(1, 2)] * 4
         assert required_depth(DYADIC, coeffs, 4) == 5  # the sum goes down one level
@@ -1052,14 +1119,14 @@ class TestMonteCarloEquidist:
             return reference, linear_form([draw(law, 5, n, 1, copies=4)], [F(1, 2)], depth=4)
 
         reference_and_combined(100)  # keep first-use imports out
-        n = 200_000
+        n = 400_000
         tracemalloc.start()
         try:
             reference_and_combined(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * n + (1 << 20)
+        assert peak < 17 * n + (512 << 10)
 
     @pytest.mark.parametrize("alpha", [-1.0, 0, 0.0, 1.0, 1, 2.5, math.nan, math.inf])
     def test_alpha_outside_the_open_unit_interval_is_refused(self, alpha):

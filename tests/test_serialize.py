@@ -34,6 +34,7 @@ from soladic import (
     sample,
 )
 from corpus import law_corpus
+from soladic import _kernels
 from soladic.charfun import NEG_INF, POS_INF
 from soladic.serialize import (
     batch_to_csv,
@@ -65,6 +66,11 @@ MIXED = SteinitzSpec.of({2: math.inf, 3: 1})
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=97
 )
+
+
+def built_batch(batch):
+    """The batch formed from another's blocks by _kernels.build_batch, as sample forms its batches."""
+    return SampleBatch(batch.spec, batch.depth, _kernels.build_batch(batch.n, batch.blocks()), batch.seed_record)
 
 
 class TestScalars:
@@ -351,7 +357,7 @@ class TestBatchesAndReports:
             sample(HaarAnnihilator(SubgroupSpec.of(DYADIC, {2: 0})), 3, n, 7),
             # atoms one ulp apart, as a linear form of draws leaves them
             linear_form([sample(haar, 3, n, 7), sample(haar, 3, n, 8)], [F(2, 3), F(1, 3)], depth=1),
-            SampleBatch(DYADIC, 3, np.random.default_rng(n).choice(atoms, n), "hand built"),
+            built_batch(SampleBatch(DYADIC, 3, np.random.default_rng(n).choice(atoms, n), "hand built")),
         ]
         for batch in batches:
             reference = "depth,coord\n" + "".join(f"{batch.depth},{c!r}\n" for c in batch.coords.tolist())
@@ -363,9 +369,9 @@ class TestBatchesAndReports:
         # the prefix's width changes with the depth's digits, on per-draw and per-atom rows alike
         batches = [
             SampleBatch(DYADIC, depth, np.random.default_rng(depth).random(1000), "continuous"),
-            SampleBatch(DYADIC, depth, np.resize([0.0, 0.25, 1e-05, 0.9999999999999996], 1000), "lattice"),
+            built_batch(SampleBatch(DYADIC, depth, np.resize([0.0, 0.25, 1e-05, 0.9999999999999996], 1000), "lattice")),
         ]
-        assert batches[0]._atoms is None and batches[1]._atoms is not None
+        assert batches[0].atoms is None and batches[1].atoms is not None
         for batch in batches:
             reference = "depth,coord\n" + "".join(f"{depth},{c!r}\n" for c in batch.coords.tolist())
             assert batch_to_csv(batch) == reference
@@ -384,7 +390,7 @@ class TestBatchesAndReports:
         # one chunk of rows is alive at a time; the joined text of 4e5 rows alone would be ~9 MB
         def peak(n):
             batch = sample(GaussianLine(DYADIC, 1), 3, n, 7)
-            assert batch._atoms is None  # found before the measure, as the report's cf sums find it
+            assert batch.atoms is None
             tracemalloc.start()
             try:
                 write_batch_csv(batch, tmp_path / "batch.csv")

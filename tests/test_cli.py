@@ -236,6 +236,18 @@ class TestCheck:
         assert code == 0
         assert out == (FIXTURES / "check_circle.stdout").read_text()
 
+    @pytest.mark.parametrize("name, witness", [("check_many", "1/3"), ("check_interleaved", "1")])
+    def test_many_coefficient_run_matches_pinned_fixture(self, tmp_path, capsys, name, witness):
+        # check_many is the (3,5) system without its last term 1/125: 1,736 copies of 3/125,
+        # whose squares sum below one; the CI console-script step compares its output with
+        # the same fixture. check_interleaved writes 1/2 as "1/2", "2/4" and "+1/2", and 1
+        # as 1 and "1", between other values: the report keeps the config's order, and
+        # prints each entry in lowest terms
+        code, out, _ = run_cli(capsys, "check", write_config(tmp_path, pinned_config(name)))
+        assert code == 1
+        assert json.loads(out)["equation"]["witness"] == witness
+        assert out == (FIXTURES / f"{name}.stdout").read_text()
+
     def test_undecidable_exits_3(self, tmp_path, capsys):
         # a pure character whose phase denominator, the prime 4099, exceeds the
         # exact-arithmetic working cap of 4096 at every character of {2: inf}:
@@ -849,9 +861,10 @@ class TestCounterexample:
         assert doc["law"]["kind"] == "convolution"
         assert doc["sigma"] == "1"
 
-    @pytest.mark.parametrize("name", ["blurred", "sharp"])
+    @pytest.mark.parametrize("name", ["blurred", "sharp", "many"])
     def test_report_matches_pinned_fixture(self, tmp_path, capsys, name):
-        # stdout and bundle byte for byte: no figure in them depends on BLAS
+        # stdout and bundle byte for byte: no figure in them depends on BLAS; "many" is
+        # the blurred (3,5) counterexample, whose system lists 1,736 copies of 3/125 and 1/125
         path = write_config(tmp_path, pinned_config(f"counterexample_{name}"), f"{name}.json")
         code, out, _ = run_cli(capsys, "counterexample", path, "--seed", 0)
         assert code == 0

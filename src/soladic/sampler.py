@@ -354,7 +354,7 @@ def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational
     `depth` (DepthInsufficient otherwise), so that the truncated coordinate
     arithmetic agrees with the true law of the linear form there.
     """
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     parts = iter(batches)
     held = []
     for _ in coeffs:
@@ -364,8 +364,8 @@ def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational
         if not held:
             spec, m_depth, n, record = part.spec, part.depth, part.n, part.seed_record
             depth = m_depth if depth is None else depth
-            _sampled_counts(spec, coeffs)
-            if required_depth(spec, coeffs, depth) > m_depth:
+            distinct = [c for c, _ in _sampled_counts(spec, coeffs)]
+            if required_depth(spec, distinct, depth) > m_depth:
                 raise DepthInsufficient(
                     f"batches at depth {m_depth} are too shallow for an exact depth-{depth} linear form"
                 )
@@ -617,7 +617,7 @@ def monte_carlo_equidist(
     """
     if not 0 < alpha < 1:  # NaN fails both comparisons
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     spec = law.ambient
     counts = _sampled_counts(spec, coeffs)
     distinct = [c for c, _ in counts]

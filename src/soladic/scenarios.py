@@ -46,6 +46,7 @@ from .steinitz import (
     SteinitzSpec,
     classify_solenoid,
     coefficient_counts,
+    coefficient_runs,
     is_automorphism,
     sum_of_squares_is_one,
     two_prime_coefficients,
@@ -176,10 +177,10 @@ def gaussian_haar_scenario(
             f"found {len(klass.infinite_primes)}"
         )
     p = klass.unique_prime
-    coeffs = tuple(Fraction(c) for c in coeffs)
+    coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
     if len(coeffs) < 2:
         raise PreconditionViolated("need at least two coefficients")
-    for c in coeffs:
+    for c, _ in coefficient_runs(coeffs):
         if not _signed_inverse_power(c, p):
             raise PreconditionViolated(
                 f"coefficient {c} is not a signed negative power of {p}"
@@ -194,7 +195,7 @@ def gaussian_haar_scenario(
             f"it has the finite threshold v_{p} >= {subgroup.threshold(p)}"
         )
     r = _as_real(shift)
-    defect = sum(coeffs) - 1
+    defect = sum(c * k for c, k in coefficient_counts(coeffs)) - 1
     if subgroup.reduce_shift(r * defect) != 0:
         raise PreconditionViolated(
             "the shift is incompatible: (sum of coefficients - 1) times the "
@@ -372,11 +373,12 @@ def classify_and_conclude(
     """
     if f.spec != spec:
         raise PreconditionViolated("the function lives over a different solenoid")
-    coeffs = tuple(Fraction(x) for x in coeffs)
+    coeffs = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in coeffs)
     if not coeffs:
         raise PreconditionViolated("need at least one coefficient")
     klass = classify_solenoid(spec)
     invalid = {x for x, _ in coefficient_counts(coeffs) if not is_automorphism(spec, x)}
+    runs = coefficient_runs(coeffs)
     valid = not invalid
     unit_square = sum_of_squares_is_one(coeffs)
 
@@ -421,7 +423,7 @@ def classify_and_conclude(
 
     sentences = []
     if not valid:
-        bad = [str(x) for x in dict.fromkeys(coeffs) if x in invalid]
+        bad = [str(x) for x in dict.fromkeys(x for x, _ in runs) if x in invalid]
         sentences.append(
             f"coefficients {', '.join(bad)} are not automorphisms of this "
             f"solenoid, so no equation was checked"
@@ -434,7 +436,7 @@ def classify_and_conclude(
             )
         sentences.append(
             f"{_EQ_PHRASE[eq.verdict]} for coefficients "
-            f"({', '.join(str(x) for x in coeffs)})"
+            f"({', '.join(', '.join([str(x)] * k) for x, k in runs)})"
         )
         if not unit_square:
             sentences.append("note that the squared coefficients do not sum to one")

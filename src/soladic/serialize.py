@@ -41,7 +41,7 @@ from .errors import ConfigError
 from .laws import ConvolutionOf, Degenerate, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec, Shifted
 from .sampler import EquidistReport, SampleBatch
 from .scenarios import CounterexampleBundle, ScenarioVerdict
-from .steinitz import SteinitzSpec, _require_prime
+from .steinitz import SteinitzSpec, _require_prime, coefficient_runs
 from .tower import SolenoidPoint
 
 
@@ -71,6 +71,14 @@ def rational_to_json(x) -> str:
         return str(x)  # "num/den" in lowest terms, "num" when the denominator is 1
     except ValueError:  # an integer longer than the print limit
         raise ConfigError(f"a report value is longer than {_print_limit()} digits, which no report can print") from None
+
+
+def _rationals_to_json(xs) -> list[str]:
+    """rational_to_json of each entry, printed once per run of equal entries and repeated."""
+    out: list[str] = []
+    for x, k in coefficient_runs(xs):
+        out += [rational_to_json(x)] * k
+    return out
 
 
 def rational_from_json(obj, where: str = "rational") -> Fraction:
@@ -127,10 +135,30 @@ def _prime_from_json(obj, where: str, *, key: bool = False) -> int:
 
 
 def _rationals_from_json(obj, where: str) -> list[Fraction]:
-    """A nonempty JSON list, each entry read by rational_from_json; a string is not a list."""
+    """A nonempty JSON list, each entry read by rational_from_json; a string is not a list.
+
+    A string or integer entry is read once per distinct value: an entry of
+    the same type and value as an earlier one shares that entry's Fraction,
+    so a system of many copies costs one parse per distinct spelling, and
+    equal entries stay one object for ``coefficient_runs``.  Any other
+    entry, a float, a boolean, a list or an object, goes to
+    rational_from_json and is refused there.  A bad entry is never kept, so
+    the first one is the one named.
+    """
     if not isinstance(obj, list) or not obj:
         raise ConfigError(f"{where} must be a nonempty list of rationals")
-    return [rational_from_json(x, f"{where}[{i}]") for i, x in enumerate(obj)]
+    read: dict[tuple, Fraction] = {}
+    out = []
+    for i, x in enumerate(obj):
+        key = (type(x), x)
+        if key[0] is not str and key[0] is not int:
+            out.append(rational_from_json(x, f"{where}[{i}]"))
+            continue
+        value = read.get(key)
+        if value is None:
+            value = read[key] = rational_from_json(x, f"{where}[{i}]")
+        out.append(value)
+    return out
 
 
 def spec_to_json(spec: SteinitzSpec) -> dict:
@@ -506,7 +534,7 @@ def equidist_report_to_json(report: EquidistReport) -> dict:
             }
             for row in report.character_rows
         ],
-        "coefficients": [rational_to_json(c) for c in report.coeffs],
+        "coefficients": _rationals_to_json(report.coeffs),
         "depth": report.depth,
         "kuiper_rows": [
             {
@@ -541,7 +569,7 @@ def verdict_to_json(v: ScenarioVerdict) -> dict:
             "infinite_primes": list(v.solenoid.infinite_primes),
             "automorphisms": v.solenoid.automorphism_note,
         },
-        "coefficients": [rational_to_json(c) for c in v.coefficients],
+        "coefficients": _rationals_to_json(v.coefficients),
         "coefficients_valid": v.coefficients_valid,
         "equation": None if eq is None else {
             "verdict": eq.verdict,

@@ -11,6 +11,7 @@ this module is exact (ints and Fractions throughout).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -231,10 +232,29 @@ def is_automorphism(spec: SteinitzSpec, alpha: Rational | int) -> bool:
     return True
 
 
+def coefficient_runs(coeffs: Iterable[Rational]) -> list[tuple[Rational, int]]:
+    """A coefficient system in its given order as (coefficient, length) pairs, one per run of equal entries.
+
+    Each run is keyed by its first entry, as given.  ``itertools.groupby``
+    compares neighbouring entries in C, a repeated object by identity, so a
+    run of one shared object, as the two-prime system and a config's
+    coefficient list hold theirs, costs no Python call per entry.
+    Repeating each coefficient its run's length gives the system back,
+    value for value.
+    """
+    return [(c, len(list(run))) for c, run in itertools.groupby(coeffs)]
+
+
 def coefficient_counts(coeffs: Iterable[Rational]) -> list[tuple[Fraction, int]]:
-    """A coefficient system as a multiset: sorted (coefficient, count) pairs."""
-    # Fractions are counted as given: the two-prime system repeats one object
-    counts = Counter(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+    """A coefficient system as a multiset: sorted (coefficient, count) pairs.
+
+    The runs of ``coefficient_runs`` are merged by value, so each run costs
+    one conversion to Fraction (none for a Fraction) and one hash, not one
+    per entry.
+    """
+    counts: Counter = Counter()
+    for c, k in coefficient_runs(coeffs):
+        counts[c if isinstance(c, Fraction) else Fraction(c)] += k
     if not counts:
         raise ValueError("need at least one coefficient")
     return sorted(counts.items())

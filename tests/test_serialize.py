@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -34,7 +35,7 @@ from soladic import (
     sample,
 )
 from corpus import law_corpus
-from soladic import _kernels
+from soladic import _kernels, serialize
 from soladic.charfun import NEG_INF, POS_INF
 from soladic.serialize import (
     batch_to_csv,
@@ -56,8 +57,10 @@ from soladic.serialize import (
     subgroup_from_json,
     write_batch_csv,
     subgroup_to_json,
+    verdict_to_json,
 )
 from soladic.scenarios import two_prime_counterexample
+from soladic.steinitz import coefficient_runs, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
 TWO_THREE = SteinitzSpec.of({2: math.inf, 3: math.inf})
@@ -457,3 +460,43 @@ class TestEquationConfigs:
             doc = dict(self.GOOD, **{key: value for key, value, _ in faults[i:]})
             with pytest.raises(ConfigError, match=re.escape(message)):
                 equation_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "coefficients, named",
+        [
+            (["1/2", "x", "x"], "config.coefficients[1]"),
+            (["1/2", "1/2", [1]], "config.coefficients[2]"),
+            (["1/2", {"c": "1/2"}, "1/2"], "config.coefficients[1]"),
+            ([1, "1", True], "config.coefficients[2]"),  # true equals 1, but is no integer
+            (["1", 1, 1.0], "config.coefficients[2]"),
+        ],
+    )
+    def test_the_first_bad_entry_is_named(self, coefficients, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            equation_from_json(dict(self.GOOD, coefficients=coefficients))
+
+    def test_a_system_is_read_once_per_distinct_entry(self, monkeypatch):
+        # the (5,2) system as JSON parsing hands it over, one string object per entry:
+        # 41,943 copies of 5/1024 and one 1/1024, read as two Fractions, each one object
+        system = two_prime_coefficients(5, 2).coefficients
+        text = json.loads(json.dumps([rational_to_json(c) for c in system]))
+        read, calls = serialize.rational_from_json, []
+        monkeypatch.setattr(serialize, "rational_from_json", lambda obj, where: calls.append(obj) or read(obj, where))
+        coeffs = serialize._rationals_from_json(text, "config.coefficients")
+        assert calls == [text[0], text[-1]]
+        assert len(coeffs) == 41_944 and len({id(c) for c in coeffs}) == 2
+        assert coefficient_runs(coeffs) == coefficient_runs(system)
+
+    def test_a_report_prints_each_run_once(self, monkeypatch):
+        # the (5,2) verdict costs as many rational_to_json calls as the same verdict
+        # whose system is its two runs, one entry each
+        verdict = two_prime_counterexample(SteinitzSpec.of({2: math.inf, 5: math.inf}), 5, 2, F(1, 2)).verdict
+        short = dataclasses.replace(verdict, coefficients=tuple(c for c, _ in coefficient_runs(verdict.coefficients)))
+        printed, calls = serialize.rational_to_json, []
+        monkeypatch.setattr(serialize, "rational_to_json", lambda x: calls.append(x) or printed(x))
+        doc = verdict_to_json(verdict)
+        long_calls = len(calls)
+        calls.clear()
+        assert verdict_to_json(short)["coefficients"] == ["5/1024", "1/1024"]
+        assert long_calls == len(calls)
+        assert doc["coefficients"] == ["5/1024"] * 41_943 + ["1/1024"]

@@ -7,8 +7,10 @@ worked out by hand.
 
 import itertools
 import math
+import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from soladic.steinitz import (
     is_automorphism,
     solve_multiplicities,
     coefficient_counts,
+    coefficient_runs,
     sum_of_squares_is_one,
     two_prime_coefficients,
     valuation,
@@ -411,6 +414,43 @@ def test_coefficient_counts_group_a_system():
     ]
     with pytest.raises(ValueError):
         coefficient_counts([])
+
+
+def _random_system(rng: random.Random) -> list:
+    """A system of runs and single entries: shared Fractions, equal but distinct ones, ints and strings."""
+    pool = [F(1, 2), F(-1, 2), F(2, 3), F(1), F(3, 125)]
+    system = []
+    for _ in range(rng.randrange(1, 12)):
+        value = rng.choice(pool)
+        spelling = rng.choice(["shared", "fresh", "int", "str"])
+        k = rng.choice([1, 1, 2, 5, 40])
+        if spelling == "shared":  # one object repeated, as the two-prime system holds it
+            system += [value] * k
+        elif spelling == "fresh":  # equal values, each its own object
+            system += [F(value.numerator, value.denominator) for _ in range(k)]
+        elif spelling == "int" and value.denominator == 1:
+            system += [int(value)] * k
+        else:  # a string, in lowest terms or not
+            system += [rng.choice([str(value), f"{2 * value.numerator}/{2 * value.denominator}"])] * k
+    return system
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coefficient_counts_is_the_per_entry_multiset(seed):
+    system = _random_system(random.Random(seed))
+    assert coefficient_counts(system) == sorted(Counter(F(c) for c in system).items())
+    runs = coefficient_runs(system)
+    assert [c for c, k in runs for _ in range(k)] == system
+    # a run is a maximal stretch of equal entries, keyed by its first one, as given
+    assert all(k >= 1 for _, k in runs) and all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+    starts = itertools.accumulate([0] + [k for _, k in runs])
+    assert all(system[i] is c for (c, _), i in zip(runs, starts))
+
+
+def test_coefficient_runs_keep_the_given_order():
+    half = F(1, 2)
+    assert coefficient_runs([half, half, 1, F(1), "1", half, F(2, 4)]) == [(half, 2), (1, 2), ("1", 1), (half, 2)]
+    assert coefficient_runs([]) == []
 
 
 def test_sum_squares_frozen_cases():

@@ -35,11 +35,11 @@ from .errors import (
     TermBudgetExceeded,
 )
 from .steinitz import (
+    CoefficientSystem,
     Rational,
     SteinitzSpec,
     _require_prime,
     classify_solenoid,
-    coefficient_counts,
     in_dual_group,
     is_automorphism,
     valuation,
@@ -611,18 +611,18 @@ class EquationCheck:
     note: str = ""
 
 
-def check_equidistribution(f: StratifiedCF, coeffs: Sequence[Rational]) -> EquationCheck:
-    """Exact verdict on f(y) = prod_j f(alpha_j y) for a coefficient system.
+def check_equidistribution(f: StratifiedCF, coeffs: CoefficientSystem | Sequence[Rational]) -> EquationCheck:
+    """Exact verdict on f(y) = prod_j f(alpha_j y) for a coefficient system, flat or built.
 
     Repeated coefficients are precomposed once: a coefficient alpha with
     count k contributes f(alpha y)^k, by repeated squaring.  Every
     coefficient must be an automorphism (``precompose`` raises ValueError).
     """
-    counts = coefficient_counts(coeffs)
-    rhs = reduce(mul, (f.precompose(a) ** k for a, k in counts))
+    system = CoefficientSystem.of(coeffs)
+    rhs = reduce(mul, (f.precompose(a) ** k for a, k in system.counts))
     cmp = compare(f, rhs)
     verdict = {"equal": "holds", "differs": "fails", "unknown": "unknown"}[cmp.verdict]
-    degenerate = sum(k for _, k in counts) == 1
+    degenerate = system.size == 1
     return EquationCheck(verdict, cmp.witness, degenerate, cmp.note)
 
 

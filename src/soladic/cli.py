@@ -205,7 +205,7 @@ def cmd_simulate(args) -> int:
         )
     charset = sim.get("charset")
     if charset is not None:
-        charset = _rationals_from_json(charset, "simulation.charset")
+        charset = list(_rationals_from_json(charset, "simulation.charset"))
     seed = _resolve_seed(args, sim)
 
     try:

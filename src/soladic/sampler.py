@@ -31,7 +31,7 @@ from . import _kernels
 from ._numpy import np
 from .errors import CharacterOutsideGroup, CharacterTooDeep, DepthInsufficient, SpecMismatch
 from .laws import ConvolutionOf, Degenerate, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec, Shifted, fiber_order
-from .steinitz import Rational, SteinitzSpec, _split_by_table, coefficient_counts, in_dual_group, is_automorphism
+from .steinitz import CoefficientSystem, Rational, SteinitzSpec, _split_by_table, in_dual_group, is_automorphism
 
 BIT_GENERATOR = "PCG64"
 
@@ -290,33 +290,29 @@ def sample(law: SamplerSpec, depth: int, n: int, seed, copies: int = 1) -> Sampl
 # linear forms in independent draws
 
 
-def _sampled_counts(spec: SteinitzSpec, coeffs: Iterable[Rational]) -> list[tuple[Fraction, int]]:
-    """A coefficient system the float linear form can apply, as (coefficient, count) pairs.
+def _refuse_unsampled(spec: SteinitzSpec, distinct: Iterable[Fraction]) -> None:
+    """ValueError unless each coefficient is an automorphism with a numerator of at most 2^53 in absolute value.
 
-    Every coefficient must be an automorphism of the solenoid, with a
-    numerator of at most 2^53 in absolute value, the bound ``empirical_cf``
-    applies to character multipliers: a coordinate times a larger one keeps
-    no fractional bits.  Raises ValueError otherwise.
+    That is the bound ``empirical_cf`` applies to character multipliers: a
+    coordinate times a larger one keeps no fractional bits.
     """
-    counts = coefficient_counts(coeffs)
-    for c, _ in counts:
+    for c in distinct:
         if not is_automorphism(spec, c):
             raise ValueError(f"coefficient {c} is not an automorphism of this solenoid")
         if abs(c.numerator) > 2**53:
             raise ValueError(
                 f"coefficient {c} has a numerator beyond 2^53, which a float coordinate cannot resolve"
             )
-    return counts
 
 
-def required_depth(spec: SteinitzSpec, coeffs: Sequence[Rational], depth: int) -> int:
-    """Sampling depth that makes a linear form exact down at `depth`.
+def required_depth(spec: SteinitzSpec, coeffs: Iterable[Fraction | int], depth: int) -> int:
+    """Sampling depth that makes a linear form exact down at `depth` for coefficients given as Fractions or ints.
 
     The unseen digits of a draw beyond its sampling depth M contribute
     alpha * A_M * (integer) to the sum; those terms vanish modulo A_depth
     exactly when every coefficient denominator divides A_M / A_depth.
     """
-    need = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    need = math.lcm(*(c.denominator for c in coeffs))
     exponents, rest = _split_by_table(spec, need)
     # a prime outside the table never occurs in the tower; each table prime
     # power r^e must fit among the tower's factors of r above level `depth`
@@ -335,13 +331,15 @@ def required_depth(spec: SteinitzSpec, coeffs: Sequence[Rational], depth: int) -
     return m
 
 
-def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational], depth: int | None = None) -> SampleBatch:
+def linear_form(
+    batches: Iterable[SampleBatch | Draw], coeffs: CoefficientSystem | Sequence[Rational], depth: int | None = None
+) -> SampleBatch:
     """Per-draw sum of coefficient-scaled parts, taken down to `depth`.
 
-    ``batches`` may be any iterable with one part per coefficient: drawn
-    batches, or ``Draw``s, whose rows are drawn as they are added.  The
-    parts are read whole before the first sum, so a generator of batches
-    has all of them alive at once.  The sum is formed a block of rows at a
+    ``batches`` may be any iterable with one part per entry of the system,
+    flat or built, in its order: drawn batches, or ``Draw``s, whose rows are
+    drawn as they are added.  The parts are read whole before the first
+    sum, so a generator of batches has all of them alive at once.  The sum is formed a block of rows at a
     time: each part's block, scaled, is added into the block's sum, part
     after part, which is taken mod 1 (``_kernels._frac``) and down to
     `depth` in place once the parts' blocks are drawn, and handed to
@@ -354,17 +352,18 @@ def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational
     `depth` (DepthInsufficient otherwise), so that the truncated coordinate
     arithmetic agrees with the true law of the linear form there.
     """
-    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    system = CoefficientSystem.of(coeffs)
     parts = iter(batches)
     held = []
-    for _ in coeffs:
+    for _ in range(system.size):
         part = next(parts, None)
         if part is None:
             raise ValueError("need one batch per coefficient")
         if not held:
             spec, m_depth, n, record = part.spec, part.depth, part.n, part.seed_record
             depth = m_depth if depth is None else depth
-            distinct = [c for c, _ in _sampled_counts(spec, coeffs)]
+            distinct = system.distinct
+            _refuse_unsampled(spec, distinct)
             if required_depth(spec, distinct, depth) > m_depth:
                 raise DepthInsufficient(
                     f"batches at depth {m_depth} are too shallow for an exact depth-{depth} linear form"
@@ -376,9 +375,7 @@ def linear_form(batches: Iterable[SampleBatch | Draw], coeffs: Sequence[Rational
         held.append(part)
     if next(parts, None) is not None:
         raise ValueError("need one coefficient per batch")
-    if not held:
-        raise ValueError("need at least one batch")
-    streams = [(float(c), part.blocks()) for c, part in zip(coeffs, held)]
+    streams = [(float(c), part.blocks()) for c, part in zip(system.expanded(), held)]
 
     def sums() -> Iterator[tuple[slice, np.ndarray]]:
         for rows in _kernels.row_blocks(n):
@@ -554,7 +551,7 @@ class KuiperRow:
 @dataclass(frozen=True, eq=False)
 class EquidistReport:
     law: SamplerSpec
-    coeffs: tuple[Fraction, ...]
+    coeffs: CoefficientSystem
     n: int
     depth: int
     seed: int
@@ -585,7 +582,7 @@ def default_charset(spec: SteinitzSpec, depth: int) -> tuple[Fraction, ...]:
 
 def monte_carlo_equidist(
     law: SamplerSpec,
-    coeffs: Sequence[Rational],
+    coeffs: CoefficientSystem | Sequence[Rational],
     n: int = 100_000,
     depth: int = 4,
     charset: Sequence[Rational] | None = None,
@@ -613,14 +610,15 @@ def monte_carlo_equidist(
     the test depth (the refusals of ``draw``, as the parts are set up), and
     a character the depth cannot resolve (the errors of ``empirical_cf``).
     The report keeps the reference and combined batches that were tested,
-    and the flat coefficient system.
+    and the coefficient system.
     """
     if not 0 < alpha < 1:  # NaN fails both comparisons
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+    system = CoefficientSystem.of(coeffs)
     spec = law.ambient
-    counts = _sampled_counts(spec, coeffs)
+    counts = system.counts
     distinct = [c for c, _ in counts]
+    _refuse_unsampled(spec, distinct)
     _refuse_deep_level(spec, depth)
     _refuse_past_tie_grid(spec, depth)
     deep = required_depth(spec, distinct, depth)
@@ -651,17 +649,5 @@ def monte_carlo_equidist(
 
     worst = min(r.adjusted_p for r in char_rows + kuiper_rows)
     verdict = "consistent" if worst >= alpha else "inconsistent"
-    return EquidistReport(
-        law,
-        tuple(coeffs),
-        n,
-        depth,
-        seed,
-        alpha,
-        BIT_GENERATOR,
-        tuple(char_rows),
-        tuple(kuiper_rows),
-        verdict,
-        reference,
-        combined,
-    )
+    return EquidistReport(law, system, n, depth, seed, alpha, BIT_GENERATOR, tuple(char_rows), tuple(kuiper_rows),
+                          verdict, reference, combined)

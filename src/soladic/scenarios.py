@@ -41,14 +41,12 @@ from .charfun import (
 from .errors import PreconditionViolated, SoundnessError, UndecomposedSolution
 from .laws import ConvolutionOf, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec
 from .steinitz import (
+    CoefficientSystem,
     Rational,
     SolenoidClass,
     SteinitzSpec,
     classify_solenoid,
-    coefficient_counts,
-    coefficient_runs,
     is_automorphism,
-    sum_of_squares_is_one,
     two_prime_coefficients,
 )
 from .tower import SolenoidPoint
@@ -80,7 +78,7 @@ class ScenarioVerdict:
 
     scenario: str
     solenoid: SolenoidClass
-    coefficients: tuple[Fraction, ...]
+    coefficients: CoefficientSystem
     coefficients_valid: bool
     equation: EquationCheck | None
     decomposition: Decomposition | None
@@ -113,18 +111,11 @@ def _class_sentence(klass: SolenoidClass) -> str:
     return "the solenoid has no unbounded prime, so its only automorphisms are the sign flips"
 
 
-def _verdict(
-    scenario: str,
-    klass: SolenoidClass,
-    coeffs: tuple[Fraction, ...],
-    eq: EquationCheck | None,
-    dec: Decomposition,
-    sentences: Sequence[str],
-    valid: bool = True,
-) -> ScenarioVerdict:
+def _verdict(scenario: str, klass: SolenoidClass, system: CoefficientSystem, eq: EquationCheck | None,
+             dec: Decomposition, sentences: Sequence[str], valid: bool = True) -> ScenarioVerdict:
     """A verdict whose conclusion is the class sentence, then `sentences`, checked for coherence."""
     conclusion = "; ".join([_class_sentence(klass), *sentences]) + "."
-    return _assert_coherent(ScenarioVerdict(scenario, klass, coeffs, valid, eq, dec, conclusion))
+    return _assert_coherent(ScenarioVerdict(scenario, klass, system, valid, eq, dec, conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +141,7 @@ def gaussian_haar_scenario(
     sigma: Rational,
     subgroup: SubgroupSpec,
     shift: "Rational | SolenoidPoint" = 0,
-    coeffs: Sequence[Rational] = (),
+    coeffs: CoefficientSystem | Sequence[Rational] = (),
 ) -> ScenarioVerdict:
     """Equidistribution of a shifted Gaussian convolved with subgroup Haar.
 
@@ -177,15 +168,14 @@ def gaussian_haar_scenario(
             f"found {len(klass.infinite_primes)}"
         )
     p = klass.unique_prime
-    coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-    if len(coeffs) < 2:
+    if not coeffs or (system := CoefficientSystem.of(coeffs)).size < 2:
         raise PreconditionViolated("need at least two coefficients")
-    for c, _ in coefficient_runs(coeffs):
+    for c, _ in system.runs:
         if not _signed_inverse_power(c, p):
             raise PreconditionViolated(
                 f"coefficient {c} is not a signed negative power of {p}"
             )
-    if not sum_of_squares_is_one(coeffs):
+    if system.square_sum != 1:
         raise PreconditionViolated("squared coefficients must sum to one")
     if subgroup.spec != spec:
         raise PreconditionViolated("the subgroup lives over a different solenoid")
@@ -195,15 +185,14 @@ def gaussian_haar_scenario(
             f"it has the finite threshold v_{p} >= {subgroup.threshold(p)}"
         )
     r = _as_real(shift)
-    defect = sum(c * k for c, k in coefficient_counts(coeffs)) - 1
-    if subgroup.reduce_shift(r * defect) != 0:
+    if subgroup.reduce_shift(r * (system.linear_sum - 1)) != 0:
         raise PreconditionViolated(
             "the shift is incompatible: (sum of coefficients - 1) times the "
             "shift must pair trivially with every subgroup character"
         )
 
     law = ConvolutionOf((GaussianLine(spec, sigma, r), HaarAnnihilator(subgroup)))
-    verdict = classify_and_conclude(spec, coeffs, law.exact_cf())
+    verdict = classify_and_conclude(spec, system, law.exact_cf())
     eq, dec = verdict.equation, verdict.decomposition
     if eq.verdict != "holds":
         raise SoundnessError(
@@ -230,7 +219,7 @@ def gaussian_haar_scenario(
 class CounterexampleBundle:
     """A law that satisfies the equation without being Gaussian-times-Haar."""
 
-    coefficients: tuple[Fraction, ...]
+    coefficients: CoefficientSystem
     cf: StratifiedCF
     sampler: SamplerSpec
     verdict: ScenarioVerdict
@@ -264,10 +253,10 @@ def _two_prime(
     if not 0 < c < 1:
         raise PreconditionViolated("the mixing weight must lie strictly between 0 and 1")
     try:
-        system = two_prime_coefficients(p, q)
+        two_prime = two_prime_coefficients(p, q)
     except ValueError as err:
         raise PreconditionViolated(str(err)) from None
-    coeffs = system.coefficients
+    system = two_prime.system
 
     outer = SubgroupSpec.of(spec, {p: -1})
     inner = SubgroupSpec.of(spec, {p: 0})
@@ -276,7 +265,7 @@ def _two_prime(
         law = ConvolutionOf((GaussianLine(spec, sigma), law))
     cf = law.exact_cf()
 
-    eq = check_equidistribution(cf, coeffs)
+    eq = check_equidistribution(cf, system)
     if eq.verdict != "holds":
         raise SoundnessError(
             f"the counterexample equation must hold, got {eq.verdict} "
@@ -295,8 +284,8 @@ def _two_prime(
     if sigma is None:
         scenario = "two-prime-counterexample"
         sentences = [
-            f"{_EQ_PHRASE[eq.verdict]} for the {len(coeffs)} coefficients "
-            f"({system.count} copies of {p}/{q}^{system.order} and one 1/{q}^{system.order})",
+            f"{_EQ_PHRASE[eq.verdict]} for the {system.size} coefficients "
+            f"({two_prime.count} copies of {p}/{q}^{two_prime.order} and one 1/{q}^{two_prime.order})",
             f"yet the law {_DEC_PHRASE[dec.kind]}: it is the two-level haar mixture "
             f"{c} * haar({outer}) + {1 - c} * haar({inner})",
             "the single-unbounded-prime characterization does not extend to this solenoid",
@@ -305,7 +294,7 @@ def _two_prime(
     else:
         scenario = "blurred-counterexample"
         sentences = [
-            f"{_EQ_PHRASE[eq.verdict]} for the same {len(coeffs)} coefficients after "
+            f"{_EQ_PHRASE[eq.verdict]} for the same {system.size} coefficients after "
             f"blurring by a gaussian with sigma = {sigma}",
             f"the blurred law {_DEC_PHRASE[dec.kind]} although its gaussian factor "
             f"is supported on the whole dual group",
@@ -316,8 +305,8 @@ def _two_prime(
                 "the blurred law itself has full group support: its cf equals one "
                 "only at the zero character"
             )
-    verdict = _verdict(scenario, classify_solenoid(spec), coeffs, eq, dec, sentences)
-    return CounterexampleBundle(coeffs, cf, law, verdict, c, p, q, sigma or Fraction(0))
+    verdict = _verdict(scenario, classify_solenoid(spec), system, eq, dec, sentences)
+    return CounterexampleBundle(system, cf, law, verdict, c, p, q, sigma or Fraction(0))
 
 
 def two_prime_counterexample(spec: SteinitzSpec, p: int, q: int, c: Rational) -> CounterexampleBundle:
@@ -354,7 +343,7 @@ def blurred_counterexample(
 
 
 def classify_and_conclude(
-    spec: SteinitzSpec, coeffs: Sequence[Rational], f: StratifiedCF
+    spec: SteinitzSpec, coeffs: CoefficientSystem | Sequence[Rational], f: StratifiedCF
 ) -> ScenarioVerdict:
     """Run the whole analysis pipeline on an arbitrary cf and coefficient system.
 
@@ -373,16 +362,15 @@ def classify_and_conclude(
     """
     if f.spec != spec:
         raise PreconditionViolated("the function lives over a different solenoid")
-    coeffs = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in coeffs)
     if not coeffs:
         raise PreconditionViolated("need at least one coefficient")
+    system = CoefficientSystem.of(coeffs)
     klass = classify_solenoid(spec)
-    invalid = {x for x, _ in coefficient_counts(coeffs) if not is_automorphism(spec, x)}
-    runs = coefficient_runs(coeffs)
+    invalid = {x for x in system.distinct if not is_automorphism(spec, x)}
     valid = not invalid
-    unit_square = sum_of_squares_is_one(coeffs)
+    unit_square = system.square_sum == 1
 
-    eq = check_equidistribution(f, coeffs) if valid else None
+    eq = check_equidistribution(f, system) if valid else None
     dec = decompose_gaussian_haar(f)
 
     conclusive_class = klass.kind != "multiple_infinite_primes"
@@ -390,7 +378,7 @@ def classify_and_conclude(
         conclusive_class
         and valid
         and unit_square
-        and len(coeffs) >= 2
+        and system.size >= 2
         and eq is not None
         and eq.verdict == "holds"
         and dec.kind == "not_of_form"
@@ -403,7 +391,7 @@ def classify_and_conclude(
     if (
         klass.kind == "no_infinite_prime"
         and valid
-        and len(coeffs) >= 2
+        and system.size >= 2
         and eq.verdict == "holds"
         and dec.kind != "unknown"
     ):
@@ -423,7 +411,7 @@ def classify_and_conclude(
 
     sentences = []
     if not valid:
-        bad = [str(x) for x in dict.fromkeys(x for x, _ in runs) if x in invalid]
+        bad = [str(x) for x in dict.fromkeys(x for x, _ in system.runs) if x in invalid]
         sentences.append(
             f"coefficients {', '.join(bad)} are not automorphisms of this "
             f"solenoid, so no equation was checked"
@@ -436,7 +424,7 @@ def classify_and_conclude(
             )
         sentences.append(
             f"{_EQ_PHRASE[eq.verdict]} for coefficients "
-            f"({', '.join(', '.join([str(x)] * k) for x, k in runs)})"
+            f"({', '.join(', '.join([str(x)] * k) for x, k in system.runs)})"
         )
         if not unit_square:
             sentences.append("note that the squared coefficients do not sum to one")
@@ -454,4 +442,4 @@ def classify_and_conclude(
         sentences.append(f"the law {_DEC_PHRASE[dec.kind]} ({dec.reason})")
     else:
         sentences.append(f"{_DEC_PHRASE[dec.kind]} ({dec.reason})")
-    return _verdict("classify-and-conclude", klass, coeffs, eq, dec, sentences, valid=valid)
+    return _verdict("classify-and-conclude", klass, system, eq, dec, sentences, valid=valid)

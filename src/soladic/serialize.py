@@ -41,7 +41,7 @@ from .errors import ConfigError
 from .laws import ConvolutionOf, Degenerate, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec, Shifted
 from .sampler import EquidistReport, SampleBatch
 from .scenarios import CounterexampleBundle, ScenarioVerdict
-from .steinitz import SteinitzSpec, _require_prime, coefficient_runs
+from .steinitz import CoefficientSystem, SteinitzSpec, _require_prime
 from .tower import SolenoidPoint
 
 
@@ -73,10 +73,10 @@ def rational_to_json(x) -> str:
         raise ConfigError(f"a report value is longer than {_print_limit()} digits, which no report can print") from None
 
 
-def _rationals_to_json(xs) -> list[str]:
-    """rational_to_json of each entry, printed once per run of equal entries and repeated."""
+def _rationals_to_json(system: CoefficientSystem) -> list[str]:
+    """The system's entries in order, each run's coefficient printed once by rational_to_json and repeated."""
     out: list[str] = []
-    for x, k in coefficient_runs(xs):
+    for x, k in system.runs:
         out += [rational_to_json(x)] * k
     return out
 
@@ -134,31 +134,29 @@ def _prime_from_json(obj, where: str, *, key: bool = False) -> int:
     return p
 
 
-def _rationals_from_json(obj, where: str) -> list[Fraction]:
-    """A nonempty JSON list, each entry read by rational_from_json; a string is not a list.
+def _rationals_from_json(obj, where: str) -> Iterator[Fraction]:
+    """The entries of a nonempty JSON list, read in order by rational_from_json as they are asked for.
 
-    A string or integer entry is read once per distinct value: an entry of
-    the same type and value as an earlier one shares that entry's Fraction,
-    so a system of many copies costs one parse per distinct spelling, and
-    equal entries stay one object for ``coefficient_runs``.  Any other
-    entry, a float, a boolean, a list or an object, goes to
-    rational_from_json and is refused there.  A bad entry is never kept, so
-    the first one is the one named.
+    A string is not a list.  A string or integer entry is read once per
+    distinct value: an entry of the same type and value as an earlier one
+    shares that entry's Fraction, so a system of many copies costs one parse
+    per distinct spelling, and equal entries stay one object for
+    ``CoefficientSystem.of``.  Any other entry, a float, a boolean, a list
+    or an object, goes to rational_from_json and is refused there, so the
+    first bad entry is the one named.
     """
     if not isinstance(obj, list) or not obj:
         raise ConfigError(f"{where} must be a nonempty list of rationals")
     read: dict[tuple, Fraction] = {}
-    out = []
     for i, x in enumerate(obj):
         key = (type(x), x)
         if key[0] is not str and key[0] is not int:
-            out.append(rational_from_json(x, f"{where}[{i}]"))
+            yield rational_from_json(x, f"{where}[{i}]")
             continue
         value = read.get(key)
         if value is None:
             value = read[key] = rational_from_json(x, f"{where}[{i}]")
-        out.append(value)
-    return out
+        yield value
 
 
 def spec_to_json(spec: SteinitzSpec) -> dict:
@@ -422,11 +420,11 @@ def law_from_json(spec: SteinitzSpec, obj, where: str = "law") -> SamplerSpec:
             )
         if kind == "mixture":
             _require_keys(obj, {"kind", "weights", "parts"}, set(), where)
-            weights = _rationals_from_json(obj["weights"], f"{where}.weights")
+            weights = tuple(_rationals_from_json(obj["weights"], f"{where}.weights"))
             parts = [
                 law_from_json(spec, p, f"{where}.parts[{i}]") for i, p in enumerate(obj["parts"])
             ]
-            return Mixture(tuple(weights), tuple(parts))
+            return Mixture(weights, tuple(parts))
         if kind == "shifted":
             _require_keys(obj, {"kind", "point", "law"}, set(), where)
             return Shifted(
@@ -448,14 +446,14 @@ def law_from_json(spec: SteinitzSpec, obj, where: str = "law") -> SamplerSpec:
 
 
 def equation_from_json(doc: Mapping, optional: set = frozenset()) -> tuple:
-    """A config's solenoid, coefficients and distribution, read in that order, as (spec, coefficients, cf or law).
+    """A config's solenoid, coefficient system and distribution, read in that order, as (spec, system, cf or law).
 
     ``optional`` names the config's other allowed keys.  The distribution is
     ``{"cf": [...]}`` or ``{"law": {...}}``.
     """
     _require_keys(doc, {"solenoid", "coefficients", "distribution"}, optional, "config")
     spec = spec_from_json(doc["solenoid"])
-    coeffs = _rationals_from_json(doc["coefficients"], "config.coefficients")
+    coeffs = CoefficientSystem.of(_rationals_from_json(doc["coefficients"], "config.coefficients"))
     dist = doc["distribution"]
     if not isinstance(dist, dict) or len(dist) != 1 or next(iter(dist)) not in ("cf", "law"):
         raise ConfigError("config.distribution must be {'cf': [...]} or {'law': {...}}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -232,37 +231,61 @@ def is_automorphism(spec: SteinitzSpec, alpha: Rational | int) -> bool:
     return True
 
 
-def coefficient_runs(coeffs: Iterable[Rational]) -> list[tuple[Rational, int]]:
-    """A coefficient system in its given order as (coefficient, length) pairs, one per run of equal entries.
+@dataclass(frozen=True)
+class CoefficientSystem:
+    """A coefficient system as the multiset it is: its (coefficient, count) runs in the given order.
 
-    Each run is keyed by its first entry, as given.  ``itertools.groupby``
-    compares neighbouring entries in C, a repeated object by identity, so a
-    run of one shared object, as the two-prime system and a config's
-    coefficient list hold theirs, costs no Python call per entry.
-    Repeating each coefficient its run's length gives the system back,
-    value for value.
+    Adjacent equal entries form one run, every coefficient is a Fraction and
+    there is at least one run.  ``size`` is a Python int: there is no
+    ``len``, which must fit a C ssize_t, and no iteration, which would walk
+    the entries; ``expanded`` lists them where a report needs them.
     """
-    return [(c, len(list(run))) for c, run in itertools.groupby(coeffs)]
 
+    runs: tuple[tuple[Fraction, int], ...]
 
-def coefficient_counts(coeffs: Iterable[Rational]) -> list[tuple[Fraction, int]]:
-    """A coefficient system as a multiset: sorted (coefficient, count) pairs.
+    @classmethod
+    def of(cls, coeffs: "CoefficientSystem | Iterable[Rational | int | str]") -> "CoefficientSystem":
+        """The system of a flat iterable of ints, strings or Fractions, in one pass; a system is returned unchanged.
 
-    The runs of ``coefficient_runs`` are merged by value, so each run costs
-    one conversion to Fraction (none for a Fraction) and one hash, not one
-    per entry.
-    """
-    counts: Counter = Counter()
-    for c, k in coefficient_runs(coeffs):
-        counts[c if isinstance(c, Fraction) else Fraction(c)] += k
-    if not counts:
-        raise ValueError("need at least one coefficient")
-    return sorted(counts.items())
+        ``itertools.groupby`` compares neighbours in C, a repeated object by
+        identity, so each run costs one conversion.  ValueError for no entry.
+        """
+        if isinstance(coeffs, cls):
+            return coeffs
+        runs: list[tuple[Fraction, int]] = []
+        for c, run in itertools.groupby(coeffs):
+            c, k = Fraction(c), len(list(run))
+            if runs and runs[-1][0] == c:  # one value spelled two ways, as "1/2" beside "2/4"
+                k += runs.pop()[1]
+            runs.append((c, k))
+        if not runs:
+            raise ValueError("need at least one coefficient")
+        return cls(tuple(runs))
 
+    @property
+    def counts(self) -> list[tuple[Fraction, int]]:
+        """The multiset: (coefficient, count) pairs sorted by value."""
+        merged = itertools.groupby(sorted(self.runs), key=lambda run: run[0])
+        return [(c, sum(k for _, k in runs)) for c, runs in merged]
 
-def sum_of_squares_is_one(coeffs: Iterable[Rational]) -> bool:
-    """Exact check that the squared coefficients sum to one."""
-    return sum(c * c * k for c, k in coefficient_counts(coeffs)) == 1
+    @property
+    def distinct(self) -> list[Fraction]:
+        return [c for c, _ in self.counts]
+
+    @property
+    def size(self) -> int:
+        return sum(k for _, k in self.runs)
+
+    @property
+    def square_sum(self) -> Fraction:
+        return sum(c * c * k for c, k in self.runs)
+
+    @property
+    def linear_sum(self) -> Fraction:
+        return sum(c * k for c, k in self.runs)
+
+    def expanded(self) -> tuple[Fraction, ...]:
+        return tuple(itertools.chain.from_iterable(itertools.repeat(c, k) for c, k in self.runs))
 
 
 def solve_multiplicities(p: int, length: int) -> list[tuple[int, ...]]:
@@ -352,7 +375,11 @@ class TwoPrimeCoefficients:
     partner_prime: int
     order: int
     count: int
-    coefficients: tuple[Rational, ...]
+    system: CoefficientSystem
+
+    @property
+    def coefficients(self) -> tuple[Rational, ...]:
+        return self.system.expanded()
 
 
 def two_prime_coefficients(p: int, q: int) -> TwoPrimeCoefficients:
@@ -365,9 +392,9 @@ def two_prime_coefficients(p: int, q: int) -> TwoPrimeCoefficients:
     while (power - 1) // mod + 1 <= MAX_COEFFICIENTS:
         if power % mod == 1:
             b = (power - 1) // mod
-            coeffs = (Fraction(p, q**a),) * b + (Fraction(1, q**a),)
-            assert sum_of_squares_is_one(coeffs)
-            return TwoPrimeCoefficients(p, q, a, b, coeffs)
+            system = CoefficientSystem(((Fraction(p, q**a), b), (Fraction(1, q**a), 1)))
+            assert system.square_sum == 1
+            return TwoPrimeCoefficients(p, q, a, b, system)
         power *= q * q
         a += 1
     raise TermBudgetExceeded(

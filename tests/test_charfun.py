@@ -42,7 +42,7 @@ from soladic.charfun import (
 )
 from soladic.errors import BadWeights, CharacterOutsideGroup, ConfigError, SpecMismatch
 from soladic.serialize import cf_from_json
-from soladic.steinitz import in_dual_group, two_prime_coefficients
+from soladic.steinitz import CoefficientSystem, in_dual_group, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
 TWO_THREE = SteinitzSpec.of({2: math.inf, 3: math.inf})
@@ -798,15 +798,13 @@ class TestEquidistribution:
         assert len(coeffs) == 41_944
         assert calls == [F(1, 1024), F(5, 1024)]
 
-    def test_cost_does_not_grow_with_the_counts(self, monkeypatch):
+    def test_cost_does_not_grow_with_the_counts(self):
         # on the circle f(y)^m = f(y) for the shift by 1/3 iff m = 1 mod 3; a system
         # of 10^12 ones is handed over as its multiset
         f = gaussian_cf(CIRCLE, 0, F(1, 3))
         start = time.perf_counter()
-        monkeypatch.setattr(charfun, "coefficient_counts", lambda coeffs: [(F(1), 10**12)])
-        holds = check_equidistribution(f, [1])
-        monkeypatch.setattr(charfun, "coefficient_counts", lambda coeffs: [(F(1), 10**12 + 1)])
-        fails = check_equidistribution(f, [1])
+        holds = check_equidistribution(f, CoefficientSystem(((F(1), 10**12),)))
+        fails = check_equidistribution(f, CoefficientSystem(((F(1), 10**12 + 1),)))
         assert time.perf_counter() - start < 0.1
         assert holds.verdict == "holds"
         assert fails.verdict == "fails" and fails.witness is not None

@@ -239,8 +239,8 @@ class TestCheck:
     @pytest.mark.parametrize("name, witness", [("check_many", "1/3"), ("check_interleaved", "1")])
     def test_many_coefficient_run_matches_pinned_fixture(self, tmp_path, capsys, name, witness):
         # check_many is the (3,5) system without its last term 1/125: 1,736 copies of 3/125,
-        # whose squares sum below one; the CI console-script step compares its output with
-        # the same fixture. check_interleaved writes 1/2 as "1/2", "2/4" and "+1/2", and 1
+        # whose squares sum below one; the CI console-script step compares both outputs with
+        # the same fixtures. check_interleaved writes 1/2 as "1/2", "2/4" and "+1/2", and 1
         # as 1 and "1", between other values: the report keeps the config's order, and
         # prints each entry in lowest terms
         code, out, _ = run_cli(capsys, "check", write_config(tmp_path, pinned_config(name)))
@@ -864,7 +864,8 @@ class TestCounterexample:
     @pytest.mark.parametrize("name", ["blurred", "sharp", "many"])
     def test_report_matches_pinned_fixture(self, tmp_path, capsys, name):
         # stdout and bundle byte for byte: no figure in them depends on BLAS; "many" is
-        # the blurred (3,5) counterexample, whose system lists 1,736 copies of 3/125 and 1/125
+        # the blurred (3,5) counterexample, whose system lists 1,736 copies of 3/125 and 1/125;
+        # the CI console-script step compares all three with the same fixtures
         path = write_config(tmp_path, pinned_config(f"counterexample_{name}"), f"{name}.json")
         code, out, _ = run_cli(capsys, "counterexample", path, "--seed", 0)
         assert code == 0

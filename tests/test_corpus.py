@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from corpus import law_corpus
-from soladic import SoladicError, SoundnessError, classify_and_conclude, classify_solenoid, sum_of_squares_is_one
+from soladic import CoefficientSystem, SoladicError, SoundnessError, classify_and_conclude, classify_solenoid
 
 SEED, SIZE = 0, 300
 LAWS = Path(__file__).parent / "fixtures" / "corpus_laws.jsonl"
@@ -86,7 +86,7 @@ def run_corpus():
         if (
             v.equation.verdict == "holds"
             and len(coeffs) >= 2
-            and sum_of_squares_is_one(coeffs)
+            and CoefficientSystem.of(coeffs).square_sum == 1
             and classify_solenoid(spec).kind != "multiple_infinite_primes"
         ):
             theorem_cases.append(v.decomposition.kind)

@@ -48,7 +48,7 @@ from soladic.sampler import (
     _two_sample_cf_p,
 )
 from soladic.serialize import batch_to_csv, law_from_json, law_to_json
-from soladic.steinitz import coefficient_counts, two_prime_coefficients
+from soladic.steinitz import CoefficientSystem, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
 TWO_THREE = SteinitzSpec.of({2: math.inf, 3: math.inf})
@@ -398,9 +398,11 @@ class TestDrawSum:
         # every draw is set up here: each part's first, then the reference's through sample
         monkeypatch.setattr(sampler, "draw", counted)
         report = monte_carlo_equidist(law, coeffs, n=500, depth=2, seed=0)
-        assert len(calls) == len(coefficient_counts(coeffs)) + 1 == 3
-        assert calls == [k for _, k in coefficient_counts(coeffs)] + [1]
-        assert report.coeffs == tuple(coeffs)  # the report keeps the flat system
+        system = two_prime_coefficients(p, q).system
+        assert len(calls) == len(system.counts) + 1 == 3
+        assert calls == [k for _, k in system.counts] + [1]
+        assert report.coeffs == system == CoefficientSystem.of(coeffs)  # the report keeps the system
+        assert report.coeffs.expanded() == tuple(coeffs)
 
     def test_five_two_system_at_full_size(self):
         # 41,944 coefficients, two of them distinct: the sampling cost does
@@ -417,7 +419,7 @@ class TestDrawSum:
         start = time.perf_counter()
         report = monte_carlo_equidist(law, coeffs, n=100_000, depth=2, seed=0)
         assert time.perf_counter() - start < 5.0
-        assert report.combined.n == 100_000 and len(report.coeffs) == 41_944
+        assert report.combined.n == 100_000 and report.coeffs.size == 41_944
 
 
 class TestEmpiricalCF:
@@ -1059,7 +1061,7 @@ class TestMonteCarloEquidist:
         assert len(report.kuiper_rows) == 3
         assert [r.depth for r in report.kuiper_rows] == [1, 2, 3]
         assert report.character_rows[0].adjusted_p >= report.character_rows[0].p_value
-        assert report.coeffs == (F(1, 2),) * 4
+        assert report.coeffs.expanded() == (F(1, 2),) * 4
 
     @pytest.mark.parametrize("n, gap, expected", [(1_000, 0.2, 8 * math.exp(-2.5)), (400, 0.4, 8 * math.exp(-4))])
     def test_character_row_bound_inside_the_unit_interval(self, n, gap, expected):

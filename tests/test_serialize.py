@@ -5,6 +5,7 @@ import re
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from soladic import (
     GaussianLine,
     HaarAnnihilator,
     Mixture,
+    PreconditionViolated,
     SampleBatch,
     Shifted,
     SolenoidPoint,
@@ -26,8 +28,11 @@ from soladic import (
     SubgroupSpec,
     Term,
     build_cf,
+    check_equidistribution,
+    classify_and_conclude,
     compare,
     gaussian_cf,
+    gaussian_haar_scenario,
     haar_cf,
     linear_form,
     mixture,
@@ -60,7 +65,7 @@ from soladic.serialize import (
     verdict_to_json,
 )
 from soladic.scenarios import two_prime_counterexample
-from soladic.steinitz import coefficient_runs, two_prime_coefficients
+from soladic.steinitz import CoefficientSystem, two_prime_coefficients
 
 DYADIC = SteinitzSpec.of({2: math.inf})
 TWO_THREE = SteinitzSpec.of({2: math.inf, 3: math.inf})
@@ -436,7 +441,7 @@ class TestEquationConfigs:
 
     def test_reads_the_solenoid_the_coefficients_and_a_law_or_a_cf(self):
         spec, coeffs, law = equation_from_json(self.GOOD)
-        assert spec_to_json(spec) == {"2": "inf"} and coeffs == [F(1, 2)] * 4
+        assert spec_to_json(spec) == {"2": "inf"} and coeffs.expanded() == (F(1, 2),) * 4
         assert law_to_json(law) == {"kind": "gaussian", "sigma": "1", "mean": "0"}
         cf = cf_to_json(law.exact_cf())
         _, _, f = equation_from_json(dict(self.GOOD, distribution={"cf": cf}))
@@ -478,20 +483,23 @@ class TestEquationConfigs:
     def test_a_system_is_read_once_per_distinct_entry(self, monkeypatch):
         # the (5,2) system as JSON parsing hands it over, one string object per entry:
         # 41,943 copies of 5/1024 and one 1/1024, read as two Fractions, each one object
-        system = two_prime_coefficients(5, 2).coefficients
-        text = json.loads(json.dumps([rational_to_json(c) for c in system]))
+        system = two_prime_coefficients(5, 2).system
+        text = json.loads(json.dumps([rational_to_json(c) for c in system.expanded()]))
         read, calls = serialize.rational_from_json, []
         monkeypatch.setattr(serialize, "rational_from_json", lambda obj, where: calls.append(obj) or read(obj, where))
-        coeffs = serialize._rationals_from_json(text, "config.coefficients")
+        coeffs = list(serialize._rationals_from_json(text, "config.coefficients"))
         assert calls == [text[0], text[-1]]
         assert len(coeffs) == 41_944 and len({id(c) for c in coeffs}) == 2
-        assert coefficient_runs(coeffs) == coefficient_runs(system)
+        assert CoefficientSystem.of(coeffs) == system
+        calls.clear()
+        assert equation_from_json(dict(self.GOOD, coefficients=text))[1] == system
+        assert calls[:2] == [text[0], text[-1]]
 
     def test_a_report_prints_each_run_once(self, monkeypatch):
         # the (5,2) verdict costs as many rational_to_json calls as the same verdict
         # whose system is its two runs, one entry each
         verdict = two_prime_counterexample(SteinitzSpec.of({2: math.inf, 5: math.inf}), 5, 2, F(1, 2)).verdict
-        short = dataclasses.replace(verdict, coefficients=tuple(c for c, _ in coefficient_runs(verdict.coefficients)))
+        short = dataclasses.replace(verdict, coefficients=CoefficientSystem(tuple((c, 1) for c, _ in verdict.coefficients.runs)))
         printed, calls = serialize.rational_to_json, []
         monkeypatch.setattr(serialize, "rational_to_json", lambda x: calls.append(x) or printed(x))
         doc = verdict_to_json(verdict)
@@ -500,3 +508,56 @@ class TestEquationConfigs:
         assert verdict_to_json(short)["coefficients"] == ["5/1024", "1/1024"]
         assert long_calls == len(calls)
         assert doc["coefficients"] == ["5/1024"] * 41_943 + ["1/1024"]
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _spellings(flat: list) -> list:
+    """A flat system as given, as its Fractions, and as the CoefficientSystem they make."""
+    system = CoefficientSystem.of(flat)
+    return [flat, list(system.expanded()), system]
+
+
+def _equation_doc(eq) -> dict:
+    """The equation entry of verdict_to_json, for an EquationCheck on its own."""
+    return {"verdict": eq.verdict, "witness": serialize._maybe_rational(eq.witness), "degenerate": eq.degenerate, "note": eq.note}
+
+
+class TestFlatAndBuiltSystems:
+    """A flat list and the equal CoefficientSystem give byte-identical documents at every entry point."""
+
+    INTERLEAVED = json.loads((FIXTURES / "check_interleaved.json").read_text())
+
+    @pytest.mark.parametrize("name", ["check_interleaved", "check_many"])
+    def test_check_and_classify(self, name):
+        doc = json.loads((FIXTURES / f"{name}.json").read_text())
+        spec, _, law = equation_from_json(doc)
+        f = law.exact_cf()
+        equations = [dump_stable(_equation_doc(check_equidistribution(f, c))) for c in _spellings(doc["coefficients"])]
+        assert equations[0] == equations[1] == equations[2]
+        verdicts = [dump_stable(verdict_to_json(classify_and_conclude(spec, c, f))) for c in _spellings(doc["coefficients"])]
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert json.loads(verdicts[0])["equation"] == json.loads(equations[0])
+
+    def test_gaussian_haar_scenario(self):
+        sub = SubgroupSpec.whole(DYADIC)
+        holding = [dump_stable(verdict_to_json(gaussian_haar_scenario(DYADIC, 1, sub, 0, c)))
+                   for c in _spellings(["1/2", "-2/4", F(1, 2), "+1/2"])]
+        assert holding[0] == holding[1] == holding[2]
+        assert json.loads(holding[0])["equation"]["verdict"] == "holds"
+        refusals = []
+        for c in _spellings(self.INTERLEAVED["coefficients"]):
+            with pytest.raises(PreconditionViolated) as err:
+                gaussian_haar_scenario(DYADIC, 1, sub, 0, c)
+            refusals.append(str(err.value))
+        assert refusals[0] == refusals[1] == refusals[2] == "coefficient 1 is not a signed negative power of 2"
+
+    def test_monte_carlo_equidist(self):
+        _, _, law = equation_from_json(self.INTERLEAVED)
+        reports = [monte_carlo_equidist(law, c, n=2_000, seed=0) for c in _spellings(self.INTERLEAVED["coefficients"])]
+        docs = [dump_stable(equidist_report_to_json(r)) for r in reports]
+        assert docs[0] == docs[1] == docs[2]
+        assert json.loads(docs[0])["coefficients"] == [rational_to_json(F(c)) for c in self.INTERLEAVED["coefficients"]]
+        csvs = [batch_to_csv(r.combined) for r in reports]
+        assert csvs[0] == csvs[1] == csvs[2]

@@ -22,6 +22,7 @@ from soladic.errors import DepthUnavailable, TermBudgetExceeded
 from soladic import steinitz
 from soladic.steinitz import (
     INFINITE,
+    CoefficientSystem,
     SolenoidClass,
     SteinitzSpec,
     classify_solenoid,
@@ -29,9 +30,6 @@ from soladic.steinitz import (
     in_dual_group,
     is_automorphism,
     solve_multiplicities,
-    coefficient_counts,
-    coefficient_runs,
-    sum_of_squares_is_one,
     two_prime_coefficients,
     valuation,
 )
@@ -407,13 +405,13 @@ def test_is_prime_refuses_numbers_beyond_its_proven_bound():
 
 
 def test_coefficient_counts_group_a_system():
-    assert coefficient_counts([F(2, 3), 1, F(1, 3), F(2, 3), "1/3"]) == [
+    assert CoefficientSystem.of([F(2, 3), 1, F(1, 3), F(2, 3), "1/3"]).counts == [
         (F(1, 3), 2),
         (F(2, 3), 2),
         (F(1), 1),
     ]
-    with pytest.raises(ValueError):
-        coefficient_counts([])
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        CoefficientSystem.of([])
 
 
 def _random_system(rng: random.Random) -> list:
@@ -437,27 +435,77 @@ def _random_system(rng: random.Random) -> list:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_coefficient_counts_is_the_per_entry_multiset(seed):
-    system = _random_system(random.Random(seed))
-    assert coefficient_counts(system) == sorted(Counter(F(c) for c in system).items())
-    runs = coefficient_runs(system)
-    assert [c for c, k in runs for _ in range(k)] == system
-    # a run is a maximal stretch of equal entries, keyed by its first one, as given
+    flat = _random_system(random.Random(seed))
+    system = CoefficientSystem.of(flat)
+    assert system.counts == sorted(Counter(F(c) for c in flat).items())
+    runs = system.runs
+    assert [c for c, k in runs for _ in range(k)] == [F(c) for c in flat]
+    # a run is a maximal stretch of equal entries, its coefficient a Fraction equal to its first one
     assert all(k >= 1 for _, k in runs) and all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
     starts = itertools.accumulate([0] + [k for _, k in runs])
-    assert all(system[i] is c for (c, _), i in zip(runs, starts))
+    assert all(type(c) is F and c == F(flat[i]) for (c, _), i in zip(runs, starts))
 
 
 def test_coefficient_runs_keep_the_given_order():
     half = F(1, 2)
-    assert coefficient_runs([half, half, 1, F(1), "1", half, F(2, 4)]) == [(half, 2), (1, 2), ("1", 1), (half, 2)]
-    assert coefficient_runs([]) == []
+    system = CoefficientSystem.of([half, half, 1, F(1), "1", half, F(2, 4)])
+    assert system.runs == ((half, 2), (F(1), 3), (half, 2))
+    assert system.counts == [(half, 4), (F(1), 3)]
 
 
 def test_sum_squares_frozen_cases():
-    assert sum_of_squares_is_one([F(1, 2)] * 4) is True
-    assert sum_of_squares_is_one([F(1)]) is True  # degenerate single-term system
-    assert sum_of_squares_is_one([F(2, 3), F(2, 3), F(1, 3)]) is True
-    assert sum_of_squares_is_one([F(1, 2)] * 3) is False
+    assert CoefficientSystem.of([F(1, 2)] * 4).square_sum == 1
+    assert CoefficientSystem.of([F(1)]).square_sum == 1  # degenerate single-term system
+    assert CoefficientSystem.of([F(2, 3), F(2, 3), F(1, 3)]).square_sum == 1
+    assert CoefficientSystem.of([F(1, 2)] * 3).square_sum == F(3, 4)
+
+
+def _spelled(value: F, rng: random.Random):
+    """One spelling of value that CoefficientSystem.of accepts: a Fraction, an int, or a string, reduced or not."""
+    spellings = [value, F(value.numerator, value.denominator), str(value), f"{3 * value.numerator}/{3 * value.denominator}"]
+    if value.denominator == 1:
+        spellings.append(int(value))
+    return rng.choice(spellings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([F(1, 2), F(-1, 2), F(2, 4), F(1), F(-3), F(3, 125)]),
+                          st.integers(1, 6)), min_size=1, max_size=12),
+       st.integers(0, 2**32))
+def test_system_of_is_the_per_entry_system(blocks, seed):
+    # equal values spelled differently, and runs of one value interleaved with others
+    rng = random.Random(seed)
+    flat = [_spelled(value, rng) for value, k in blocks for _ in range(k)]
+    system = CoefficientSystem.of(flat)
+    oracle_runs = []
+    for x in map(F, flat):
+        if oracle_runs and oracle_runs[-1][0] == x:
+            oracle_runs[-1][1] += 1
+        else:
+            oracle_runs.append([x, 1])
+    assert system.runs == tuple((c, k) for c, k in oracle_runs)
+    assert system.counts == sorted(Counter(map(F, flat)).items())
+    assert system.distinct == sorted(set(map(F, flat)))
+    assert system.size == len(flat)
+    assert system.square_sum == sum(F(c) ** 2 for c in flat)
+    assert system.linear_sum == sum(F(c) for c in flat)
+    assert system.expanded() == tuple(map(F, flat))
+    assert CoefficientSystem.of(system) is system
+    assert CoefficientSystem.of(system.expanded()) == system
+
+
+def test_system_has_no_length_and_never_expands_a_run():
+    system = CoefficientSystem(((F(1, 2), 2**70), (F(1, 3), 1)))
+    with pytest.raises(TypeError):
+        len(system)  # past a C ssize_t
+    with pytest.raises(TypeError):
+        iter(system)
+    start = time.perf_counter()
+    assert system.size == 2**70 + 1
+    assert system.square_sum == F(2**70, 4) + F(1, 9)
+    assert system.linear_sum == 2**69 + F(1, 3)
+    assert system.counts == [(F(1, 3), 1), (F(1, 2), 2**70)]
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(
@@ -481,7 +529,7 @@ def test_k_vectors_match_bruteforce(p, length):
 def test_k_vectors_induce_unit_coefficient_systems(p, length):
     for ks in solve_multiplicities(p, length):
         coeffs = coefficients_from_multiplicities(p, ks)
-        assert sum_of_squares_is_one(coeffs)
+        assert CoefficientSystem.of(coeffs).square_sum == 1
         assert all(c == F(1, p**j) for j, c in _label_exponents(p, ks, coeffs))
 
 
@@ -550,6 +598,7 @@ def test_two_prime_frozen(p, q, a, b, coeffs):
     got = two_prime_coefficients(p, q)
     assert (got.order, got.count) == (a, b)
     assert got.coefficients == coeffs
+    assert got.system.runs == ((F(p, q**a), b), (F(1, q**a), 1))
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 2), (2, 5), (5, 2), (3, 5), (3, 7)])
@@ -557,7 +606,7 @@ def test_two_prime_invariants(p, q):
     got = two_prime_coefficients(p, q)
     assert got.order == oracle_order(q * q % (p * p), p * p)
     assert got.count == (q ** (2 * got.order) - 1) // (p * p)
-    assert sum_of_squares_is_one(got.coefficients)
+    assert got.system.square_sum == 1 == sum(c * c for c in got.coefficients)
     spec = SteinitzSpec.of({p: INFINITE, q: INFINITE})
     assert all(is_automorphism(spec, c) for c in got.coefficients)
 

@@ -15,13 +15,11 @@ each row's atom as a small unsigned index, until the table outgrows a
 block and the batch becomes float64 draws.  Only this module reads the
 atoms' bit patterns.  ``cf_sums`` evaluates its phases on the atoms and
 gathers them back by the index, per block.  On continuous draws
-its blocks are shared among the cores by ``map_blocks``: each worker sums
-its blocks' phases in one complex block buffer that the caller allocates,
-and the caller adds the block sums in block order, so the floats do not
-depend on the number of cores.  The sampler's Kuiper pass shares its
-push-down and snap the same way, each block writing its own slice of the
-pooled keys and taking its floors in its worker's buffer.  Everything else
-runs on the calling thread.  Every float taken mod 1 is taken by ``_frac``,
+its blocks are shared among the cores by ``map_blocks``, its one caller:
+each worker sums its blocks' phases in one complex block buffer that the
+caller allocates, and the caller adds the block sums in block order, so
+the floats do not depend on the number of cores.  Everything else runs on
+the calling thread, the sampler's Kuiper push-down and snap included.  Every float taken mod 1 is taken by ``_frac``,
 as x - floor(x), the floats of np.mod(x, 1.0) in vector passes.
 ``kuiper_deltas`` pools both samples, draws or atoms with counts, into one
 array of sort keys, sorts it once (in place for draws, by one argsort with

@@ -42,6 +42,7 @@ from .steinitz import (
     classify_solenoid,
     in_dual_group,
     is_automorphism,
+    rational_text,
     valuation,
 )
 from .tower import SolenoidPoint
@@ -720,7 +721,7 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     if sc.kind == "not_subgroup":
         return decided(
             "not_of_form",
-            reason="support is not a subgroup (witness pair {}, {})".format(*sc.witness),
+            reason="support is not a subgroup (witness pair {}, {})".format(*map(rational_text, sc.witness)),
             witness=sc.witness,
         )
     if sc.kind == "unknown":
@@ -734,7 +735,7 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
         if len(terms) == 1 and terms[0].weight != 1:
             return decided(
                 "not_of_form",
-                reason=f"piecewise weights are not identically 1 (found {terms[0].weight})",
+                reason=f"piecewise weights are not identically 1 (found {rational_text(terms[0].weight)})",
                 witness=cell.members(f.spec)[0],
             )
     base = next(terms[0] for s, terms in canonical if subgroup_generated_by(f.spec, s) == subgroup)
@@ -745,9 +746,10 @@ def decompose_gaussian_haar(f: StratifiedCF) -> Decomposition:
     if cmp.verdict == "differs":
         # the support check leaves each piece one phase, so several terms are several decays
         cell, terms = next((s, terms) for s, terms in canonical if s.contains(cmp.witness))
-        found = f"at character {cmp.witness} f differs from the gaussian of sigma {sigma} and shift {shift}"
+        found = "at character {} f differs from the gaussian of sigma {} and shift {}"
+        found = found.format(*map(rational_text, (cmp.witness, sigma, shift)))
         if len(terms) > 1:
-            decays = ", ".join(str(t.decay) for t in terms)
+            decays = ", ".join(rational_text(t.decay) for t in terms)
             reason = f"the piece on {cell} is not one gaussian: its terms have decays {decays}; {found}"
         else:
             reason = f"parameters vary across the support: {found} on {subgroup}"

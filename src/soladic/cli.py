@@ -11,10 +11,17 @@ verdict through the exit code:
   automorphism of the solenoid (``check`` still prints its report first)
   and a ``cf`` that the paper's theorem shows is not positive definite
 * 3 - the checker could not decide (verdict unknown)
+* 4 - a defect of this package, printed with its traceback
+
+``main`` holds the one table from exception to exit code: a ``ConfigError``,
+``PreconditionViolated``, ``ValueError`` or ``MemoryError`` prints ``config
+error: ...`` and any other ``SoladicError`` ``error: <type>: ...``, both exit
+2; a ``SoundnessError`` or any other exception is a defect (exit 4).
 
 ``--seed`` beats the SOLADIC_SEED environment variable, which beats the
 config file.  ``simulate`` alone takes ``--n``, ``--depth`` and ``--alpha``,
-which override the config's simulation block.  Artifacts are written next
+which override the config's simulation block; a value that none of these
+gives takes ``monte_carlo_equidist``'s default.  Artifacts are written next
 to the config file, named after it: ``simulate`` writes the two sampled
 batches behind its report as CSV, ``<name>.reference.csv`` and
 ``<name>.combined.csv``, and ``counterexample`` writes its bundle as JSON,
@@ -31,6 +38,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from contextlib import suppress
 from functools import partial
@@ -60,6 +68,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_CONFIG = 2
 EXIT_UNKNOWN = 3
+EXIT_DEFECT = 4
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -86,27 +95,19 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _simulation_block(doc: dict) -> dict:
-    sim = doc.get("simulation", {})
-    if not isinstance(sim, dict):
-        raise ConfigError("config.simulation must be an object")
-    _require_keys(sim, set(), {"n", "depth", "charset", "seed", "alpha"}, "config.simulation")
-    return sim
-
-
-def _resolve_seed(args, sim: dict) -> int:
+def _resolve_seed(args, sim: dict) -> int | None:
+    """The seed that --seed, SOLADIC_SEED or the config gives, in that order; None when none does."""
     env = os.environ.get("SOLADIC_SEED")
     if args.seed is not None:
         seed, source = args.seed, "--seed"
     elif env is not None:
-        try:
-            seed, source = int(env), "SOLADIC_SEED"
-        except ValueError:
-            raise ConfigError(f"SOLADIC_SEED must be an integer, got {env!r}") from None
+        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", env):
+            raise ConfigError(f"SOLADIC_SEED must be an integer, got {env!r}")
+        seed, source = int(env), "SOLADIC_SEED"
     elif "seed" in sim:
         seed, source = _int_from_json(sim["seed"], "config.simulation.seed"), "config.simulation.seed"
     else:
-        return 0
+        return None
     if seed < 0:
         raise ConfigError(f"{source} must be a nonnegative integer, got seed {seed}")
     return seed
@@ -192,26 +193,28 @@ def cmd_simulate(args) -> int:
     spec, coeffs, dist = equation_from_json(doc, {"simulation"})
     if isinstance(dist, StratifiedCF):
         raise ConfigError("simulate needs a sampling law; give distribution.law, not distribution.cf")
-    sim = _simulation_block(doc)
-    n = args.n if args.n is not None else sim.get("n", 100_000)
-    n = _int_from_json(n, "simulation n", "a positive integer", least=1)
-    depth = args.depth if args.depth is not None else sim.get("depth", 4)
-    depth = _int_from_json(depth, "simulation depth", "a nonnegative integer", least=0)
-    alpha = args.alpha if args.alpha is not None else sim.get("alpha", 0.01)
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
+    sim = doc.get("simulation", {})
+    if not isinstance(sim, dict):
+        raise ConfigError("config.simulation must be an object")
+    _require_keys(sim, set(), {"n", "depth", "charset", "seed", "alpha"}, "config.simulation")
+    # a flag beats the config; what neither gives is left to monte_carlo_equidist's defaults
+    given = {key: sim[key] for key in ("n", "depth", "alpha") if key in sim}
+    given.update((key, getattr(args, key)) for key in ("n", "depth", "alpha") if getattr(args, key) is not None)
+    if "n" in given:
+        given["n"] = _int_from_json(given["n"], "simulation n", "a positive integer", least=1)
+    if "depth" in given:
+        given["depth"] = _int_from_json(given["depth"], "simulation depth", "a nonnegative integer", least=0)
+    if "alpha" in given and (not isinstance(given["alpha"], (int, float)) or isinstance(given["alpha"], bool)):
         raise ConfigError(
-            "simulation alpha must be a JSON number, e.g. 0.01; "
+            "simulation alpha must be a JSON number: "
             "the significance level is approximate, not an exact rational"
         )
-    charset = sim.get("charset")
-    if charset is not None:
-        charset = list(_rationals_from_json(charset, "simulation.charset"))
+    if sim.get("charset") is not None:
+        given["charset"] = list(_rationals_from_json(sim["charset"], "simulation.charset"))
     seed = _resolve_seed(args, sim)
-
-    try:
-        report = monte_carlo_equidist(dist, coeffs, n=n, depth=depth, charset=charset, seed=seed, alpha=alpha)
-    except (ValueError, MemoryError) as err:  # alpha, the coefficients or the law out of range, or n beyond memory
-        raise ConfigError(str(err)) from None
+    if seed is not None:
+        given["seed"] = seed
+    report = monte_carlo_equidist(dist, coeffs, **given)
 
     # Drop the batches behind the report beside the config, so the CSVs hold
     # the very draws the printed statistics were computed on.
@@ -233,10 +236,7 @@ def cmd_solve_coeffs(args) -> int:
     _require_keys(doc, {"p", "l"}, set(), "config")
     p = _int_from_json(doc["p"], "config.p")
     length = _int_from_json(doc["l"], "config.l")
-    try:
-        table = solve_multiplicities(p, length)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    table = solve_multiplicities(p, length)
     _emit(
         {
             "command": "solve-coeffs",
@@ -257,14 +257,11 @@ def cmd_counterexample(args) -> int:
     q = _int_from_json(doc["q"], "config.q")
     c = rational_from_json(doc["c"], "config.c")
     sigma = rational_from_json(doc.get("sigma", 0), "config.sigma")
-    try:
-        spec = spec_from_json(doc["solenoid"]) if "solenoid" in doc else SteinitzSpec.of({p: math.inf, q: math.inf})
-        if sigma:
-            bundle = blurred_counterexample(spec, p, q, c, sigma)
-        else:
-            bundle = two_prime_counterexample(spec, p, q, c)
-    except (PreconditionViolated, ValueError) as err:
-        raise ConfigError(str(err)) from None
+    spec = spec_from_json(doc["solenoid"]) if "solenoid" in doc else SteinitzSpec.of({p: math.inf, q: math.inf})
+    if sigma:
+        bundle = blurred_counterexample(spec, p, q, c, sigma)
+    else:
+        bundle = two_prime_counterexample(spec, p, q, c)
 
     bundle_doc = bundle_to_json(bundle, spec)
     bundle_path = Path(args.config).with_suffix(".bundle.json")
@@ -308,14 +305,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as err:
+    except (ConfigError, PreconditionViolated, ValueError, MemoryError) as err:  # an input the library refuses
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except SoundnessError:
-        raise  # an internal invariant broke; a traceback is the honest report
-    except SoladicError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as err:
+        if isinstance(err, SoladicError) and not isinstance(err, SoundnessError):
+            print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+            return EXIT_CONFIG
+        # an internal invariant broke, or nothing foresaw the exception: a traceback is the honest report
+        sys.excepthook(type(err), err, err.__traceback__)
+        return EXIT_DEFECT
 
 
 if __name__ == "__main__":

@@ -498,11 +498,8 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     draw-by-draw comparison.  Atom values take the float steps of project
     and _snap that their draws would take, so each count lands on the value
     its draws would have.  The steps run in place in the halves of one
-    pooled array, in which the kernel then builds its sort keys; they are
-    taken a block at a time by ``_kernels.map_blocks``, each block writing
-    its own slice, so the keys are the same on any number of cores, and
-    taking its floors in its worker's block of scratch, which the caller
-    allocates.
+    pooled array, in which the kernel then builds its sort keys, a block at
+    a time on the calling thread, with the floors in one block of scratch.
     """
     if batch1.spec != batch2.spec:
         raise SpecMismatch("batches live over different solenoids")
@@ -513,13 +510,11 @@ def kuiper_two_sample(batch1: SampleBatch, batch2: SampleBatch, depth: int | Non
     (a, a_counts), (b, b_counts) = ((batch.atoms or (batch.draws, None))[:2] for batch in (batch1, batch2))
     keys = np.empty(a.shape[0] + b.shape[0], dtype=np.uint64)
     a_out, b_out = np.split(keys.view(np.float64), [a.shape[0]])
-    for batch, values, out in ((batch1, a, a_out), (batch2, b, b_out)):
-
-        def snap_block(scratch, rows, batch=batch, values=values, out=out):
+    scratch = np.empty(min(max(a.shape[0], b.shape[0]), _kernels.BLOCK_ROWS))
+    for values, out in ((a, a_out), (b, b_out)):
+        for rows in _kernels.row_blocks(values.shape[0]):
             block, floor = out[rows], scratch[: rows.stop - rows.start]
-            _snap(_push_down(batch.spec, batch.depth, values[rows], depth, out=block, scratch=floor), block, floor)
-
-        _kernels.map_blocks(snap_block, values.shape[0], np.empty)
+            _snap(_push_down(batch1.spec, batch1.depth, values[rows], depth, out=block, scratch=floor), block, floor)
     dplus, dminus = _kernels.kuiper_deltas(a_out, b_out, a_counts, b_counts, out=keys)
     v = dplus + dminus
     n_eff = batch1.n * batch2.n / (batch1.n + batch2.n)

@@ -47,6 +47,7 @@ from .steinitz import (
     SteinitzSpec,
     classify_solenoid,
     is_automorphism,
+    rational_text,
     two_prime_coefficients,
 )
 from .tower import SolenoidPoint
@@ -287,7 +288,7 @@ def _two_prime(
             f"{_EQ_PHRASE[eq.verdict]} for the {system.size} coefficients "
             f"({two_prime.count} copies of {p}/{q}^{two_prime.order} and one 1/{q}^{two_prime.order})",
             f"yet the law {_DEC_PHRASE[dec.kind]}: it is the two-level haar mixture "
-            f"{c} * haar({outer}) + {1 - c} * haar({inner})",
+            f"{rational_text(c)} * haar({outer}) + {rational_text(1 - c)} * haar({inner})",
             "the single-unbounded-prime characterization does not extend to this solenoid",
             "the cf is positive definite: it equals the characteristic function of its sampling law",
         ]
@@ -295,7 +296,7 @@ def _two_prime(
         scenario = "blurred-counterexample"
         sentences = [
             f"{_EQ_PHRASE[eq.verdict]} for the same {system.size} coefficients after "
-            f"blurring by a gaussian with sigma = {sigma}",
+            f"blurring by a gaussian with sigma = {rational_text(sigma)}",
             f"the blurred law {_DEC_PHRASE[dec.kind]} although its gaussian factor "
             f"is supported on the whole dual group",
             f"the nonvanishing set of the blurred cf is still the proper subgroup {outer}",
@@ -411,7 +412,7 @@ def classify_and_conclude(
 
     sentences = []
     if not valid:
-        bad = [str(x) for x in dict.fromkeys(x for x, _ in system.runs) if x in invalid]
+        bad = [rational_text(x) for x in dict.fromkeys(x for x, _ in system.runs) if x in invalid]
         sentences.append(
             f"coefficients {', '.join(bad)} are not automorphisms of this "
             f"solenoid, so no equation was checked"
@@ -424,14 +425,14 @@ def classify_and_conclude(
             )
         sentences.append(
             f"{_EQ_PHRASE[eq.verdict]} for coefficients "
-            f"({', '.join(', '.join([str(x)] * k) for x, k in system.runs)})"
+            f"({', '.join(', '.join([rational_text(x)] * k) for x, k in system.runs)})"
         )
         if not unit_square:
             sentences.append("note that the squared coefficients do not sum to one")
     if dec.kind == "gaussian_haar":
         sentences.append(
             f"the law {_DEC_PHRASE[dec.kind]} "
-            f"(sigma = {dec.sigma}, subgroup {dec.subgroup}, shift {dec.shift})"
+            f"(sigma = {rational_text(dec.sigma)}, subgroup {dec.subgroup}, shift {rational_text(dec.shift)})"
         )
         if nowhere_zero:
             sentences.append(

@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -41,7 +40,7 @@ from .errors import ConfigError
 from .laws import ConvolutionOf, Degenerate, GaussianLine, HaarAnnihilator, Mixture, SamplerSpec, Shifted
 from .sampler import EquidistReport, SampleBatch
 from .scenarios import CounterexampleBundle, ScenarioVerdict
-from .steinitz import CoefficientSystem, SteinitzSpec, _require_prime
+from .steinitz import CoefficientSystem, SteinitzSpec, _print_limit, _require_prime, rational_text as rational_to_json
 from .tower import SolenoidPoint
 
 
@@ -58,19 +57,6 @@ def _require_keys(obj: Mapping, required: set, optional: set, where: str) -> Non
 
 # ---------------------------------------------------------------------------
 # scalars
-
-
-def _print_limit() -> int:
-    """sys.get_int_max_str_digits(): str() refuses an integer with more digits; 0 is no limit."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def rational_to_json(x) -> str:
-    x = Fraction(x)
-    try:
-        return str(x)  # "num/den" in lowest terms, "num" when the denominator is 1
-    except ValueError:  # an integer longer than the print limit
-        raise ConfigError(f"a report value is longer than {_print_limit()} digits, which no report can print") from None
 
 
 def _rationals_to_json(system: CoefficientSystem) -> list[str]:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DepthUnavailable, TermBudgetExceeded
+from .errors import ConfigError, DepthUnavailable, TermBudgetExceeded
 
 #: multiplicity sentinel for "the prime divides the sequence infinitely often"
 INFINITE = math.inf
@@ -35,6 +36,20 @@ MAX_SOLUTIONS = 10**6
 # (Sorenson & Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _print_limit() -> int:
+    """sys.get_int_max_str_digits(): str() refuses an integer with more digits; 0 is no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def rational_text(x: Rational | int) -> str:
+    """x as every report prints it: "num/den" in lowest terms, "num" when the denominator is 1."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # an integer longer than the print limit
+        raise ConfigError(f"a report value is longer than {_print_limit()} digits, which no report can print") from None
 
 
 def _is_prime(n: int) -> bool:

@@ -14,7 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soladic import SoundnessError, UndecomposedSolution, _kernels, scenarios, serialize
+import soladic.cli as cli
+from soladic import (
+    ConfigError,
+    PreconditionViolated,
+    SoundnessError,
+    TermBudgetExceeded,
+    UndecomposedSolution,
+    _kernels,
+    scenarios,
+    serialize,
+)
 from soladic.charfun import Decomposition, EquationCheck
 from soladic.cli import main
 from soladic.sampler import SampleBatch, empirical_cf, kuiper_two_sample
@@ -1222,16 +1232,21 @@ class TestConfigReaders:
     def test_theorem_guard_on_a_law_stays_a_traceback(self, tmp_path, capsys, monkeypatch):
         # a law's own cf is positive definite, so the guard firing is a defect of the package
         monkeypatch.setattr(scenarios, "decompose_gaussian_haar", lambda f: Decomposition("not_of_form"))
-        with pytest.raises(UndecomposedSolution):
-            main(["check", str(write_config(tmp_path, GAUSS_HOLDS))])
+        code, out, err = run_cli(capsys, "check", write_config(tmp_path, GAUSS_HOLDS))
+        assert code == 4 and out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.splitlines()[-1].startswith(f"{UndecomposedSolution.__module__}.UndecomposedSolution: the equation holds")
 
     def test_circle_guard_on_a_law_stays_a_traceback(self, tmp_path, capsys, monkeypatch):
         # on the circle a holding equation forces |f| = 1 on every piece; a gaussian of
         # sigma 1 breaks that, so an equation checker that says "holds" is a defect
         monkeypatch.setattr(scenarios, "check_equidistribution", lambda f, coeffs: EquationCheck("holds", None, False))
         doc = {"solenoid": {}, "coefficients": ["1", "1"], "distribution": {"law": {"kind": "gaussian", "sigma": 1}}}
-        with pytest.raises(SoundnessError, match="the equation checker is defective"):
-            main(["check", str(write_config(tmp_path, doc))])
+        code, out, err = run_cli(capsys, "check", write_config(tmp_path, doc))
+        assert code == 4 and out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        last = err.splitlines()[-1]
+        assert last.startswith(f"{SoundnessError.__module__}.SoundnessError: ") and "the equation checker is defective" in last
 
     def test_mixture_weights_must_be_a_list(self, tmp_path, capsys):
         # the string "10" was read character by character as the weights (1, 0)
@@ -1259,6 +1274,14 @@ class TestConfigReaders:
         assert code == 2 and out == ""
         assert err.startswith("config error: a report value is longer than")
 
+    def test_unprintable_decomposition_shift_is_a_config_error(self, tmp_path, capsys):
+        # the gaussians' means 1/3^4600 and 1/5^3100 each print, but the shift of their
+        # convolution, their sum, does not: the conclusion printed it with str(), and
+        # check exited 1 with a ValueError traceback
+        code, out, err = run_cli(capsys, "check", FIXTURES / "bigshift.json")
+        assert code == 2 and out == ""
+        assert err == "config error: a report value is longer than 4300 digits, which no report can print\n"
+
     @pytest.mark.parametrize(
         "command, doc, named",
         [
@@ -1277,3 +1300,44 @@ class TestConfigReaders:
         )
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("config error:") and named in done.stderr
+
+
+# one library call of each command, by the name cli calls it under, and a config that reaches it
+LIBRARY_CALLS = {
+    "classify": ("classify_solenoid", {"solenoid": {"2": "inf"}}),
+    "check": ("classify_and_conclude", GAUSS_HOLDS),
+    "simulate": ("monte_carlo_equidist", GAUSS_HOLDS),
+    "solve-coeffs": ("solve_multiplicities", {"p": 2, "l": 2}),
+    "counterexample": ("two_prime_counterexample", {"p": 2, "q": 3, "c": "1/3"}),
+}
+
+# each row of main's table: the class raised, the exit code, and the one stderr line, or
+# for a defect the last line of its traceback
+EXIT_TABLE = [
+    (ConfigError, 2, "config error: refused"),
+    (PreconditionViolated, 2, "config error: refused"),
+    (ValueError, 2, "config error: refused"),
+    (MemoryError, 2, "config error: refused"),
+    (TermBudgetExceeded, 2, "error: TermBudgetExceeded: refused"),
+    (SoundnessError, 4, f"{SoundnessError.__module__}.SoundnessError: refused"),
+    (RuntimeError, 4, "RuntimeError: refused"),
+]
+
+
+@pytest.mark.parametrize("raised, code, line", EXIT_TABLE, ids=[row[0].__name__ for row in EXIT_TABLE])
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+def test_one_exit_code_per_exception_class(tmp_path, capsys, monkeypatch, command, raised, code, line):
+    # every command goes through main's one table; exit 1 is left to a negative verdict
+    monkeypatch.delenv("SOLADIC_SEED", raising=False)
+    name, doc = LIBRARY_CALLS[command]
+
+    def refuse(*args, **kwargs):
+        raise raised("refused")
+
+    monkeypatch.setattr(cli, name, refuse)
+    got, out, err = run_cli(capsys, command, write_config(tmp_path, doc))
+    assert (got, out) == (code, "")
+    if code == 2:
+        assert err == line + "\n"
+    else:
+        assert err.startswith("Traceback (most recent call last):\n") and err.splitlines()[-1] == line
